@@ -28,10 +28,6 @@ pub enum Algorithm {
     LlpPrim,
     /// LLP-Boruvka, Algorithm 6.
     LlpBoruvka,
-    /// Boruvka–Prim hybrid (2 LLP contraction rounds, then Prim).
-    Hybrid,
-    /// SpMV-Boruvka: the round as min-plus SpMV + SpGEMM contraction.
-    SpmvBoruvka,
     /// Out-of-core sharded Borůvka-filter (edge file sharded to disk,
     /// per-shard contraction + cross-shard filter, certified streaming).
     Sharded,
@@ -51,8 +47,6 @@ impl Algorithm {
             Algorithm::LlpPrimSeq => "LLP-Prim (1T)",
             Algorithm::LlpPrim => "LLP-Prim",
             Algorithm::LlpBoruvka => "LLP-Boruvka",
-            Algorithm::Hybrid => "Hybrid B2+Prim",
-            Algorithm::SpmvBoruvka => "SpMV-Boruvka",
             Algorithm::Sharded => "Sharded OOC",
         }
     }
@@ -83,8 +77,6 @@ impl Algorithm {
             Algorithm::LlpPrimSeq,
             Algorithm::LlpPrim,
             Algorithm::LlpBoruvka,
-            Algorithm::Hybrid,
-            Algorithm::SpmvBoruvka,
             Algorithm::Sharded,
         ]
     }
@@ -141,8 +133,6 @@ pub fn run_algorithm_with_mwe(
             None => llp_prim_par(graph, root, pool).expect(CONNECTED),
         },
         Algorithm::LlpBoruvka => llp_boruvka(graph, pool),
-        Algorithm::Hybrid => hybrid_boruvka_prim(graph, pool, 2).expect(CONNECTED),
-        Algorithm::SpmvBoruvka => spmv_boruvka_par(graph, pool),
         // Round-trips through a temp binary file with a shard size small
         // enough that every sweep genuinely exercises multi-shard folding
         // (and the run is certified end-to-end by the streaming sweep).
@@ -185,7 +175,6 @@ mod tests {
         assert!(!Algorithm::FilterKruskalPar.is_sequential());
         assert!(!Algorithm::LlpPrim.is_sequential());
         assert!(!Algorithm::LlpBoruvka.is_sequential());
-        assert!(!Algorithm::SpmvBoruvka.is_sequential());
         assert!(!Algorithm::Sharded.is_sequential());
     }
 }

@@ -29,7 +29,7 @@
 //! reports the lexicographically minimal failing `(family, gen-seed,
 //! chaos-seed)` triple — the smallest reproducer — and exits nonzero.
 //!
-//! `perf` runs four release-mode gates on the same ≥1M-vertex Graph500
+//! `perf` runs three release-mode gates on the same ≥1M-vertex Graph500
 //! RMAT graph. First, the certifier's headline property: path-max
 //! certification of a parallel Borůvka run completes in under 20% of that
 //! construction's time, with no Kruskal oracle — certification is cheap
@@ -43,12 +43,6 @@
 //! the recorded pre-flat-engine baseline on this same workload
 //! (`--llp-baseline-ms`, default the 8-thread number recorded before the
 //! engine landed); enforced at 8 or more threads, informational below.
-//! Fourth, the SpMV-backend gate: the algebraic SpMV-Borůvka formulation
-//! (min-plus row argmin + SpGEMM contraction) must stay within 3x of the
-//! direct parallel Borůvka on the same graph — the matrix backend pays
-//! for explicit contraction rebuilds and must remain in the same
-//! performance class, not just be correct; enforced at 8 or more threads,
-//! informational below.
 //! Every timed run is certified (certification excluded from the timing)
 //! and one extra chaos-seeded run must certify and agree exactly. Exits
 //! nonzero if any gate fails (build with `--release`; debug timings are
@@ -773,63 +767,5 @@ fn perf(opts: &Options) -> bool {
         true
     };
 
-    // SpMV-backend gate: the algebraic formulation of the same round
-    // (min-plus SpMV argmin + SpGEMM contraction) against the direct
-    // parallel Borůvka it reformulates. The matrix backend rebuilds an
-    // explicit contracted CSR every round, so it is expected to trail —
-    // the gate pins it to the same performance class (within 3x), not to
-    // parity.
-    println!();
-    println!("SpMV-Boruvka backend ({} threads):", opts.threads);
-    let mut spmv_best_ms = f64::INFINITY;
-    let mut spmv_keys = None;
-    for run in 0..3 {
-        let t = Instant::now();
-        let r = run_algorithm(Algorithm::SpmvBoruvka, &graph, 0, &pool);
-        let ms = t.elapsed().as_secs_f64() * 1e3;
-        certify_msf_par(&graph, &r, &pool).expect("SpMV-Boruvka output must certify");
-        println!("  run {run}: {ms:9.1} ms (certified)");
-        spmv_best_ms = spmv_best_ms.min(ms);
-        spmv_keys = Some(r.canonical_keys());
-    }
-    let spmv_keys = spmv_keys.expect("three timed runs happened");
-    assert_eq!(
-        spmv_keys,
-        msf.canonical_keys(),
-        "SpMV-Boruvka must return the identical canonical forest"
-    );
-    // Chaos-seeded run, mirroring the engine gate: untimed, must certify
-    // and reproduce the identical canonical forest.
-    chaos::set_seed(Some(7));
-    let chaos_run = run_algorithm(Algorithm::SpmvBoruvka, &graph, 0, &pool);
-    chaos::set_seed(None);
-    certify_msf_par(&graph, &chaos_run, &pool).expect("chaos-seeded SpMV-Boruvka must certify");
-    assert_eq!(
-        chaos_run.canonical_keys(),
-        spmv_keys,
-        "chaos-seeded SpMV run must return the identical canonical forest"
-    );
-    println!("  chaos-seeded run: certified, canonical forest identical");
-    let spmv_ratio = spmv_best_ms / build_ms;
-    println!(
-        "  best of 3: {spmv_best_ms:.1} ms — {spmv_ratio:.2}x vs parallel Boruvka \
-         ({build_ms:.1} ms)"
-    );
-    let spmv_ok = if opts.threads >= 8 {
-        if spmv_ratio <= 3.0 {
-            println!("OK: SpMV backend within 3x of direct parallel Boruvka");
-            true
-        } else {
-            println!(
-                "FAIL: SpMV backend at {spmv_ratio:.2}x of parallel Boruvka (> 3x) \
-                 — the matrix formulation fell out of the performance class"
-            );
-            false
-        }
-    } else {
-        println!("note: the SpMV gate is enforced at >= 8 threads (informational here)");
-        true
-    };
-
-    !(cert_ok && fk_ok && llp_ok && spmv_ok)
+    !(cert_ok && fk_ok && llp_ok)
 }

@@ -17,9 +17,6 @@
 //!   hub-heavy RMAT component, BFS order on a road mesh).
 //! * `contraction-round` — end-to-end LLP-Boruvka and parallel Boruvka on
 //!   the flat-memory engine.
-//! * `spmv-round` — the algebraic SpMV-Boruvka backend (min-plus row
-//!   argmin + SpGEMM contraction) against direct LLP-Boruvka on the same
-//!   graph: what the explicit contracted-CSR rebuild costs per round.
 //!
 //! `--quick` shrinks inputs and sample counts to a few seconds for CI;
 //! without it the groups run at benchmark sizes. `LLP_BENCH_SAMPLES`
@@ -32,7 +29,7 @@ use llp_graph::transform::{
     permute_vertices, random_permutation, relabel_bfs, relabel_degree_descending,
 };
 use llp_graph::CsrGraph;
-use llp_mst::prelude::{boruvka_par, llp_boruvka, prim_indexed, spmv_boruvka_par};
+use llp_mst::prelude::{boruvka_par, llp_boruvka, prim_indexed};
 use llp_runtime::atomics::{mwe_propose, weight_hi32, AtomicIndexMin, MWE_EMPTY};
 use llp_runtime::rng::SmallRng;
 use llp_runtime::{atomics, parallel_for, ParallelForConfig, ScratchArena, ThreadPool};
@@ -76,7 +73,6 @@ fn main() {
     mwe_word(&mut c, &opts);
     relabel_prim(&mut c, &opts);
     contraction_round(&mut c, &opts);
-    spmv_round(&mut c, &opts);
 }
 
 fn samples(opts: &Opts, full: usize) -> usize {
@@ -237,30 +233,6 @@ fn contraction_round(c: &mut Criterion, opts: &Opts) {
     });
     g.bench_with_input(BenchmarkId::new("boruvka-par", &param), &graph, |b, gr| {
         b.iter(|| black_box(boruvka_par(gr, &pool).total_weight))
-    });
-    g.finish();
-}
-
-/// The SpMV formulation of the same round against direct LLP-Boruvka:
-/// both pick the identical MWEs, but the SpMV backend rebuilds an explicit
-/// contracted CSR (SpGEMM-style row/col merge) where the direct engine
-/// relabels in place — this group prices that difference.
-fn spmv_round(c: &mut Criterion, opts: &Opts) {
-    let graph = if opts.quick {
-        largest_component(&erdos_renyi(20_000, 120_000, 11))
-    } else {
-        largest_component(&rmat(RmatParams::graph500(18, 8, 11)))
-    };
-    let pool = ThreadPool::new(opts.threads);
-    let mut g = c.benchmark_group("spmv-round");
-    g.sample_size(samples(opts, 10));
-    let param = format!("n={} m={}", graph.num_vertices(), graph.num_edges());
-
-    g.bench_with_input(BenchmarkId::new("spmv-boruvka", &param), &graph, |b, gr| {
-        b.iter(|| black_box(spmv_boruvka_par(gr, &pool).total_weight))
-    });
-    g.bench_with_input(BenchmarkId::new("llp-boruvka", &param), &graph, |b, gr| {
-        b.iter(|| black_box(llp_boruvka(gr, &pool).total_weight))
     });
     g.finish();
 }

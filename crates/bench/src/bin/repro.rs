@@ -346,20 +346,7 @@ fn ablation(opts: &Options) {
             llb.stats.rounds.to_string(),
             String::new(),
         ]);
-        // Hybrid extension: a couple of contraction rounds then Prim.
-        let hyb_r = time_algorithm_with_report(Algorithm::Hybrid, w, 2, 1);
-        let hyb = &hyb_r.sample;
-        rows.push(vec![
-            w.name.clone(),
-            "hybrid heap ops".into(),
-            prim.stats.heap_ops().to_string(),
-            hyb.stats.heap_ops().to_string(),
-            format!(
-                "{:.1}% saved",
-                100.0 * (1.0 - hyb.stats.heap_ops() as f64 / prim.stats.heap_ops().max(1) as f64)
-            ),
-        ]);
-        records.extend([prim_r, llp_r, bor_r, llb_r, hyb_r]);
+        records.extend([prim_r, llp_r, bor_r, llb_r]);
     }
     println!(
         "{}",

@@ -5,6 +5,7 @@ use crate::workloads::Workload;
 use llp_mst::AlgoStats;
 use llp_runtime::{telemetry, ThreadPool};
 use std::io::Write;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// One timed configuration.
@@ -92,6 +93,10 @@ pub fn time_algorithm_with_report(
     reps: usize,
 ) -> RunRecord {
     let sample = time_algorithm(algo, w, threads, reps);
+    // The telemetry flag and registry are process-global and hold one run
+    // at a time, so concurrent callers take turns from the flag save to
+    // its restore.
+    let _run = report_lock();
     let was_enabled = telemetry::enabled();
     telemetry::set_enabled(true);
     telemetry::begin_run();
@@ -117,6 +122,14 @@ pub fn time_algorithm_with_report(
         certified,
         peak_rss_bytes: telemetry::peak_rss_bytes(),
     }
+}
+
+/// Serialises instrumented runs: held from saving the telemetry flag to
+/// restoring it, around `begin_run` … `take_report`.
+fn report_lock() -> MutexGuard<'static, ()> {
+    static REPORT_RUN: Mutex<()> = Mutex::new(());
+    // A panicking holder leaves no state behind worth refusing to reuse.
+    REPORT_RUN.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Renders samples as an aligned text table.
@@ -312,10 +325,16 @@ mod tests {
     #[test]
     fn run_record_captures_telemetry_without_perturbing_timing() {
         let w = Workload::road(Scale::Small, 3);
-        let was = llp_runtime::telemetry::enabled();
+        // Read the flag under the run lock so a concurrent instrumented
+        // run cannot show its temporary state.
+        let enabled = || {
+            let _run = report_lock();
+            llp_runtime::telemetry::enabled()
+        };
+        let was = enabled();
         let rec = time_algorithm_with_report(Algorithm::LlpPrimSeq, &w, 1, 1);
         // The pre-existing enable state is restored.
-        assert_eq!(llp_runtime::telemetry::enabled(), was);
+        assert_eq!(enabled(), was);
         assert!(rec.sample.median_ms > 0.0);
         assert!(rec.certified, "instrumented run must certify");
         if cfg!(feature = "telemetry") {

@@ -1,10 +1,10 @@
 //! Shared Boruvka contraction machinery (one LLP round of Algorithm 6),
 //! built on the flat-memory round engine.
 //!
-//! Used by [`crate::llp_boruvka`] (which runs rounds to exhaustion) and by
-//! [`crate::hybrid`] (which runs a few rounds and finishes with Prim on the
-//! contracted graph, a classic practical variant the paper's future-work
-//! section gestures at).
+//! The one contraction engine behind every LLP-Borůvka path:
+//! [`crate::llp_boruvka`] runs rounds to exhaustion over a graph or a raw
+//! edge list, [`crate::sharded`] runs it per shard of an out-of-core file,
+//! and [`crate::dynamic`] rebuilds dirty components through it.
 //!
 //! ## Flat-memory round engine
 //!
@@ -16,7 +16,10 @@
 //!   weight discriminant high, edge index low (see
 //!   [`llp_runtime::atomics::mwe_propose`]) — replacing the old two-word
 //!   `AtomicIndexMin` protocol whose key function chased `work -> keys`
-//!   through two extra cache lines per propose;
+//!   through two extra cache lines per propose; discriminant ties fall
+//!   back to the total key `(EdgeKey, orig)` (see `tie_key`), so both
+//!   endpoint cells of an edge always pick the same winner, even among
+//!   verbatim-duplicate records;
 //! * the survivor filter and endpoint relabel are fused into one
 //!   count–scan–scatter pass into a double-buffered [`WorkEdge`] array
 //!   (buffers swap between rounds, so steady-state rounds allocate
@@ -42,11 +45,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// atomics (the inner LLP instance, Lemma 3/4): every vertex repeatedly
 /// adopts its grandparent until the whole forest is flat. Assignments are
 /// counted into `jumps`; each sweep is one parallel region in `stats`.
-///
-/// Shared by the edge-list contraction engine below and the sparse-matrix
-/// backend in [`crate::spmv_boruvka`] — the hook-and-compress step is
-/// identical no matter how the MWE picks were computed.
-pub fn pointer_jump_to_roots(
+fn pointer_jump_to_roots(
     pool: &ThreadPool,
     cfg: ParallelForConfig,
     g: &mut [u32],
@@ -81,7 +80,7 @@ pub fn pointer_jump_to_roots(
 /// plus the root count. Non-root slots stay uninitialised (the returned
 /// `ScratchVec` keeps len 0) — read root slots through raw pointers only,
 /// exactly as the renumber pass wrote them.
-pub fn renumber_roots<'a>(
+fn renumber_roots<'a>(
     pool: &ThreadPool,
     arena: &'a ScratchArena,
     g: &[u32],
@@ -125,6 +124,18 @@ pub struct WorkEdge {
     pub whi: u32,
 }
 
+/// The exact MWE tie key of work edge `wi`: its canonical [`EdgeKey`], then
+/// its original-edge index. `EdgeKey` alone is not enough: verbatim
+/// duplicate records share it, so under the proposal order "copy 1→u,
+/// copy 0→u, copy 0→v, copy 1→v" the endpoint cells would keep different
+/// copies, the choice would not be mutual, and both copies would enter
+/// the forest. The original index makes the key a total order over edge
+/// records, so every cell's winner is independent of proposal order.
+fn tie_key(keys: &[EdgeKey], work: &[WorkEdge], wi: u32) -> (EdgeKey, u32) {
+    let orig = work[wi as usize].orig;
+    (keys[orig as usize], orig)
+}
+
 /// Mutable contraction state threaded through rounds.
 pub struct Contraction {
     /// Original edges (immutable identities for the final forest).
@@ -155,8 +166,9 @@ impl Contraction {
     }
 
     /// Initial state over a raw undirected edge list (no CSR required —
-    /// the Boruvka family is edge-centric). Self-loops are skipped;
-    /// parallel edges are harmless (only the lighter can ever be an MWE).
+    /// the Boruvka family is edge-centric). Self-loops are skipped.
+    /// Parallel edges, verbatim duplicates included, are allowed: the
+    /// `(EdgeKey, orig)` tie key picks one record per endpoint pair.
     pub fn from_edge_list(n: usize, orig_edges: Vec<Edge>) -> Self {
         let keys: Vec<EdgeKey> = orig_edges.iter().map(Edge::key).collect();
         let work: Vec<WorkEdge> = orig_edges
@@ -205,7 +217,7 @@ impl Contraction {
         // Step 1a: per-vertex minimum weight edge, one packed word per
         // vertex. The cached `whi` discriminant resolves almost every
         // propose without loading the key array; only hi-32 ties fall back
-        // to the exact EdgeKey comparison.
+        // to the exact `(EdgeKey, orig)` comparison.
         let mwe_span = telemetry::span("mwe-compute");
         let mut best = arena.lease_filled::<u64>(pool, cfg, n_cur, MWE_EMPTY);
         {
@@ -215,7 +227,7 @@ impl Contraction {
             let rmw_ref = &self.rmw;
             parallel_for(pool, 0..m_cur, cfg, |i| {
                 let e = work_ref[i];
-                let exact = |wi: u32| keys_ref[work_ref[wi as usize].orig as usize];
+                let exact = |wi: u32| tie_key(keys_ref, work_ref, wi);
                 mwe_propose(&best_cells[e.u as usize], e.whi, i as u32, exact);
                 mwe_propose(&best_cells[e.v as usize], e.whi, i as u32, exact);
                 rmw_ref.add(2);
@@ -319,6 +331,7 @@ impl Contraction {
 mod tests {
     use super::*;
     use llp_graph::samples::fig1;
+    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn one_round_on_fig1_contracts_to_two_vertices() {
@@ -349,6 +362,25 @@ mod tests {
         for e in c.chosen_edges() {
             assert!(g.neighbors(e.u).any(|(v, w)| v == e.v && w == e.w));
         }
+    }
+
+    #[test]
+    fn duplicate_records_pick_the_same_winner_in_both_endpoint_cells() {
+        // Two verbatim copies of edge (0, 1): equal discriminants and equal
+        // EdgeKeys. Replay the interleaving in which each endpoint cell
+        // sees the copies in opposite orders; the cells must still agree,
+        // or the hook step would commit both copies.
+        let c = Contraction::from_edge_list(2, vec![Edge::new(0, 1, 1.0); 2]);
+        let exact = |wi: u32| tie_key(&c.keys, &c.work, wi);
+        let whi = c.work[0].whi;
+        let (u, v) = (AtomicU64::new(MWE_EMPTY), AtomicU64::new(MWE_EMPTY));
+        mwe_propose(&u, whi, 1, exact);
+        mwe_propose(&u, whi, 0, exact);
+        mwe_propose(&v, whi, 0, exact);
+        mwe_propose(&v, whi, 1, exact);
+        let (wu, wv) = (u.load(Ordering::Relaxed), v.load(Ordering::Relaxed));
+        assert_eq!(wu, wv, "endpoint cells kept different copies");
+        assert_eq!(c.work[mwe_idx(wu) as usize].orig, 0);
     }
 
     #[test]

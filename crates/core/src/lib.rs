@@ -14,7 +14,6 @@
 //! | **LLP-Prim** sequential | [`llp_prim::llp_prim_seq`] | Algorithm 5, "LLP-Prim (1T)" |
 //! | **LLP-Prim** parallel | [`llp_prim::llp_prim_par`] | Algorithm 5, Figs 3–4 |
 //! | **LLP-Boruvka** | [`llp_boruvka::llp_boruvka`] | Algorithm 6 |
-//! | SpMV-Boruvka | [`spmv_boruvka::spmv_boruvka_par`] | Algorithm 6 as min-plus SpMV + SpGEMM contraction |
 //! | LLP-Prim spec | [`spec::LlpPrimSpec`] | Algorithm 4 run literally |
 //!
 //! All algorithms compare edges through [`llp_graph::EdgeKey`] (weight,
@@ -40,7 +39,6 @@ pub mod contraction;
 pub mod dynamic;
 pub mod filter_kruskal;
 pub mod heap;
-pub mod hybrid;
 pub mod index;
 pub mod kruskal;
 pub mod llp_boruvka;
@@ -48,10 +46,8 @@ pub mod llp_prim;
 pub mod parallel_boruvka;
 pub mod prim;
 pub mod result;
-pub mod semiring;
 pub mod sharded;
 pub mod spec;
-pub mod spmv_boruvka;
 pub mod stats;
 pub mod tree;
 pub mod union_find;
@@ -68,14 +64,10 @@ pub mod prelude {
         filter_kruskal_with_base_case,
     };
     pub use crate::kruskal::{kruskal, kruskal_par_sort};
-    pub use crate::hybrid::hybrid_boruvka_prim;
     pub use crate::llp_boruvka::{llp_boruvka, llp_boruvka_from_edges};
     pub use crate::llp_prim::{llp_prim_par, llp_prim_par_with_mwe, llp_prim_seq, llp_prim_seq_with_mwe};
     pub use crate::parallel_boruvka::boruvka_par;
     pub use crate::prim::{prim_indexed, prim_lazy};
-    pub use crate::spmv_boruvka::{
-        spmv_boruvka_from_edges, spmv_boruvka_par, spmv_boruvka_par_observed, SpmvRound,
-    };
     pub use crate::result::{MstError, MstResult};
     pub use crate::stats::AlgoStats;
     pub use crate::certify::{certify_against, certify_msf, certify_msf_par};

@@ -18,8 +18,9 @@
 //!    root labels survive into the recursive instance, carrying their
 //!    original edge identity so the final forest references input vertices.
 //!
-//! The per-round machinery lives in the crate-private `contraction` module (shared with the
-//! Boruvka–Prim [`crate::hybrid`]). Compare with
+//! The per-round machinery is the flat-memory engine in
+//! [`crate::contraction`], which the out-of-core [`crate::sharded`] solver
+//! and the [`crate::dynamic`] rebuild share. Compare with
 //! [`crate::parallel_boruvka`], which synchronises through shared
 //! per-component CAS cells and a concurrent union–find every round.
 
@@ -37,7 +38,8 @@ pub fn llp_boruvka(graph: &CsrGraph, pool: &ThreadPool) -> MstResult {
 /// LLP-Boruvka over a raw undirected edge list — the Boruvka family never
 /// needs adjacency, so pipelines that already hold an edge list (e.g.
 /// streaming loaders, contraction outputs) can skip CSR construction
-/// entirely. Self-loops are ignored; endpoints must be `< n`.
+/// entirely. Self-loops are ignored and parallel edges, verbatim
+/// duplicates included, are allowed; endpoints must be `< n`.
 pub fn llp_boruvka_from_edges(n: usize, edges: Vec<Edge>, pool: &ThreadPool) -> MstResult {
     assert!(
         edges.iter().all(|e| (e.u as usize) < n && (e.v as usize) < n),

@@ -2,11 +2,8 @@
 //! arena and double buffers are warm (after round 1), contraction rounds
 //! perform **zero heap allocations** — for the LLP-Boruvka engine
 //! ([`llp_mst::contraction::Contraction`], whose round loop *is*
-//! `llp_boruvka`'s drive loop), for the GBBS-style baseline
-//! ([`llp_mst::parallel_boruvka::boruvka_par_observed`]), and for the
-//! SpMV backend ([`llp_mst::spmv_boruvka::spmv_boruvka_par_observed`]),
-//! whose rounds rebuild a contracted CSR yet still run entirely out of
-//! leased and double-buffered storage.
+//! `llp_boruvka`'s drive loop), and for the GBBS-style baseline
+//! ([`llp_mst::parallel_boruvka::boruvka_par_observed`]).
 //!
 //! Method: a counting global allocator tallies every `alloc`/`realloc`
 //! across all threads; the tests snapshot the tally at exact round
@@ -18,7 +15,6 @@
 
 use llp_mst::contraction::Contraction;
 use llp_mst::parallel_boruvka::boruvka_par_observed;
-use llp_mst::spmv_boruvka::spmv_boruvka_par_observed;
 use llp_mst::stats::AlgoStats;
 use llp_runtime::{chaos, telemetry, ParallelForConfig, ThreadPool};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -114,32 +110,6 @@ fn boruvka_par_rounds_are_allocation_free_after_warmup() {
     // is pre-sized: the observer itself must not allocate mid-window.
     let mut at_boundary = Vec::with_capacity(64);
     let r = boruvka_par_observed(&g, &pool, |_| at_boundary.push(allocs()));
-    telemetry::set_enabled(true);
-
-    assert!(r.stats.rounds >= 3, "only {} rounds", r.stats.rounds);
-    let per_round: Vec<u64> = at_boundary.windows(2).map(|w| w[1] - w[0]).collect();
-    assert_eq!(per_round.len() as u64, r.stats.rounds);
-    assert!(
-        per_round[1..].iter().all(|&d| d == 0),
-        "steady-state rounds allocated: per-round counts {per_round:?}"
-    );
-}
-
-#[test]
-fn spmv_boruvka_rounds_are_allocation_free_after_warmup() {
-    let _serial = SERIAL.lock().unwrap();
-    telemetry::set_enabled(false);
-    chaos::set_seed(None);
-
-    let g = test_graph();
-    let pool = ThreadPool::new(4);
-
-    // Round 1 sizes the arena leases, the double-buffered arc/offset
-    // arrays and the chosen-edge vec; arcs shrink monotonically under
-    // contraction, so every later round — argmin, hook, jump, and the
-    // SpGEMM-style rebuild included — must reuse that storage untouched.
-    let mut at_boundary = Vec::with_capacity(64);
-    let r = spmv_boruvka_par_observed(&g, &pool, |_| at_boundary.push(allocs()));
     telemetry::set_enabled(true);
 
     assert!(r.stats.rounds >= 3, "only {} rounds", r.stats.rounds);

@@ -249,7 +249,9 @@ fn arbitrary_weight(rng: &mut SmallRng) -> f64 {
 /// behind replacing the two-word `AtomicIndexMin` protocol — the high-32
 /// weight discriminant decides fast, and the exact-key fallback must agree
 /// with `EdgeKey` on every hi32 collision (equal weights, nearby weights
-/// sharing high bits, subnormals, infinities).
+/// sharing high bits, subnormals, infinities). With verbatim-duplicate
+/// edges the order needs a record id as well: under `(EdgeKey, id)` the
+/// fold over any permutation yields the unique minimum.
 #[test]
 fn packed_word_order_is_isomorphic_to_edge_key() {
     use llp_runtime::atomics::{mwe_idx, mwe_propose, weight_hi32, MWE_EMPTY};
@@ -311,6 +313,34 @@ fn packed_word_order_is_isomorphic_to_edge_key() {
             expect,
             "seed {seed}: batch winner"
         );
+
+        // Verbatim duplicates: append copies of random edges, so some
+        // candidates tie on the whole EdgeKey. Under the total key
+        // `(EdgeKey, id)` the fold over any permutation still lands on the
+        // unique minimum — the law that keeps both endpoint cells of a
+        // duplicated edge agreeing on one record.
+        let mut dup_edges = edges.clone();
+        for _ in 0..rng.gen_range(1usize..batch + 1) {
+            let copy = dup_edges[rng.gen_range(0..dup_edges.len())];
+            dup_edges.push(copy);
+        }
+        let dup_keys: Vec<(EdgeKey, u32)> =
+            dup_edges.iter().enumerate().map(|(i, e)| (e.key(), i as u32)).collect();
+        let dup_expect = (0..dup_edges.len()).min_by_key(|&i| dup_keys[i]).unwrap();
+        let mut order: Vec<u32> = (0..dup_edges.len() as u32).collect();
+        for trial in 0..8 {
+            rng.shuffle(&mut order);
+            let cell = AtomicU64::new(MWE_EMPTY);
+            let exact = |idx: u32| dup_keys[idx as usize];
+            for &i in &order {
+                mwe_propose(&cell, weight_hi32(dup_edges[i as usize].w), i, exact);
+            }
+            assert_eq!(
+                mwe_idx(cell.load(Ordering::Relaxed)) as usize,
+                dup_expect,
+                "seed {seed} trial {trial}: duplicate-batch winner"
+            );
+        }
     }
 }
 

@@ -265,22 +265,6 @@ fn mst_invariant_under_monotone_weight_maps() {
 }
 
 #[test]
-fn hybrid_matches_oracle() {
-    let pool = ThreadPool::new(2);
-    for seed in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let g = random_connected_graph(&mut rng, 25, 70);
-        let rounds = (seed % 4) as usize;
-        let hybrid = llp_mst_suite::mst::hybrid::hybrid_boruvka_prim(&g, &pool, rounds).unwrap();
-        assert_eq!(
-            hybrid.canonical_keys(),
-            kruskal(&g).canonical_keys(),
-            "seed {seed} rounds {rounds}"
-        );
-    }
-}
-
-#[test]
 fn rooted_forest_is_consistent() {
     for seed in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(seed);
