@@ -10,7 +10,7 @@
 //! ```
 //!
 //! Each epoch deletes `batch/2` random live edges (tree edges included,
-//! so the scoped contraction re-run triggers) and inserts `batch/2`
+//! so fragments get reconnected) and inserts `batch/2`
 //! edges — half re-insertions of previously deleted edges, half fresh
 //! random pairs — then applies the batch as one [`DynamicMsf`] epoch.
 //! Unless `--no-certify`, every epoch ends with the full certification

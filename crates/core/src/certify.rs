@@ -31,7 +31,11 @@
 //!   range-max comparison is branch-free integer ALU;
 //! * no tree-edge hash lookups — a tree edge's key *equals* its own path
 //!   maximum, so check 1 degenerates to counting exact key matches (a
-//!   mismatch triggers a slow per-edge scan to name the foreign edge);
+//!   mismatch triggers a slow per-edge scan to name the foreign edge).
+//!   A verbatim duplicate of one tree edge must not stand in for another,
+//!   absent one: the CSR sweep counts each vertex's *distinct* matched
+//!   targets, and the edge-slice sweep (`certify_edges`) checks matched
+//!   degrees against forest degrees;
 //! * check 2 falls out of the index's merge replay (a merge of an
 //!   already-joined component is the cycle witness);
 //! * check 3 is the infinite-separator sentinel — spanning violations are
@@ -53,7 +57,8 @@ use crate::verify::VerifyError;
 use llp_graph::{CsrGraph, Edge, EdgeKey, VertexId};
 use llp_runtime::sync::Mutex;
 use llp_runtime::{parallel_for_chunks, telemetry, ParallelForConfig, ThreadPool};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 /// Sequential near-linear certification that `result` is the canonical MSF
 /// of `graph` — no Kruskal oracle, no O(|T|·m) cut scans.
@@ -80,10 +85,12 @@ pub fn certify_msf_par(
 struct Scratch {
     pv: Vec<u32>,
     key: Vec<u128>,
+    /// Targets of the arcs that matched a tree edge.
+    hit: Vec<u32>,
 }
 
-/// Hot path of the sweep over one vertex's adjacency: how many graph edges
-/// were exact key matches of tree edges, or `Err(())` on the first
+/// Hot path of the sweep over one vertex's adjacency: how many distinct
+/// tree edges its forward arcs matched exactly, or `Err(())` on the first
 /// violation — [`classify_vertex`] then re-scans the vertex to name it.
 ///
 /// Runs in two branch-free phases so the out-of-order window is never cut
@@ -105,6 +112,9 @@ fn check_vertex(
     if scratch.pv.len() < deg {
         scratch.pv.resize(deg, 0);
         scratch.key.resize(deg, 0);
+    }
+    if scratch.hit.len() < deg.max(2) {
+        scratch.hit.resize(deg.max(2), 0);
     }
     let pu = index.pos[u as usize];
     let pass_above = index.pass_above;
@@ -128,10 +138,23 @@ fn check_vertex(
         // those components (keys are unique).
         let max_on_path = index.path_max_at(pu, scratch.pv[j]);
         bad |= scratch.key[j] < max_on_path;
+        // The low word of a packed key is the larger endpoint: `v`.
+        scratch.hit[matched] = scratch.key[j] as u32;
         matched += usize::from(scratch.key[j] == max_on_path);
     }
     if bad {
         return Err(());
+    }
+    // A tree edge is matched only here, at its smaller endpoint, so a
+    // repeated target is a verbatim duplicate record: count it once, or it
+    // would make up for an absent tree edge in the caller's total. Two
+    // hits compare branch-free; more are rare enough to sort.
+    let hits = &mut scratch.hit;
+    if matched > 2 {
+        hits[..matched].sort_unstable();
+        matched -= hits[..matched].windows(2).filter(|w| w[0] == w[1]).count();
+    } else {
+        matched -= usize::from((matched == 2) & (hits[0] == hits[1]));
     }
     Ok(matched)
 }
@@ -258,13 +281,98 @@ pub fn certify_against(
         }
     };
 
-    // Every tree edge's key match was counted exactly once, so a shortfall
-    // means a tree edge the graph doesn't contain. (An overcount can only
-    // come from duplicate parallel edges in the graph; the slow scan then
-    // confirms all tree edges are genuinely present.)
+    // Every tree edge present in the graph was counted exactly once, so a
+    // shortfall means a tree edge the graph doesn't contain.
     if matched != t {
         if let Some(e) = find_foreign_edge(graph, result) {
             return Err(VerifyError::ForeignEdge(e));
+        }
+    }
+    Ok(())
+}
+
+/// The per-edge check of the sweep, over a flat edge slice instead of a
+/// CSR: the shards of an out-of-core file and the dynamic edge store.
+/// Every edge must not beat the path maximum between its endpoints
+/// (`key < max` is a cycle violation, or at [`INF_KEY`] a cross-tree edge
+/// the forest fails to span); an edge whose key *equals* it is the tree
+/// edge that realises it, and is handed to `on_match` — presence
+/// accounting is the caller's, since only the caller knows whether its
+/// edges can repeat. On violation, returns the smallest-key witness.
+pub(crate) fn sweep_edges(
+    index: &PathMaxIndex,
+    edges: &[Edge],
+    pool: &ThreadPool,
+    cfg: ParallelForConfig,
+    on_match: impl Fn(&Edge) + Sync,
+) -> Result<(), VerifyError> {
+    let worst: Mutex<Option<(EdgeKey, VerifyError)>> = Mutex::new(None);
+    parallel_for_chunks(pool, 0..edges.len(), cfg, |chunk| {
+        for e in &edges[chunk] {
+            if e.w > index.pass_above {
+                continue; // heavier than every tree edge: passes outright
+            }
+            let kb = key_bits(e.w, e.u, e.v);
+            let maxk = index.path_max_at(index.pos[e.u as usize], index.pos[e.v as usize]);
+            if kb < maxk {
+                let err = if maxk == INF_KEY {
+                    VerifyError::NotSpanning(*e)
+                } else {
+                    VerifyError::CutViolation(*e)
+                };
+                let key = e.key();
+                let mut w = worst.lock();
+                if w.as_ref().is_none_or(|(k, _)| key < *k) {
+                    *w = Some((key, err));
+                }
+            } else if kb == maxk {
+                on_match(e);
+            }
+        }
+    });
+    match worst.into_inner() {
+        Some((_, err)) => Err(err),
+        None => Ok(()),
+    }
+}
+
+/// [`certify_against`] over a flat edge list (any orientation) instead of
+/// a CSR graph — what the dynamic structure certifies every epoch
+/// against, with no per-epoch CSR build.
+///
+/// Presence is checked by matched degree, which subsumes the match count:
+/// each tree edge the sweep finds takes one off both endpoints' forest
+/// degree, and every counter must end at zero. Equality is exact even if
+/// `edges` repeats a tree edge: a leaf has one tree edge, so that edge was
+/// matched exactly once; peel it and repeat. A mismatch takes the slow
+/// scan that names the foreign edge.
+pub(crate) fn certify_edges(
+    edges: &[Edge],
+    result: &MstResult,
+    index: &PathMaxIndex,
+    pool: &ThreadPool,
+) -> Result<(), VerifyError> {
+    let mut left: Vec<AtomicU32> = (0..index.num_vertices())
+        .map(|_| AtomicU32::new(0))
+        .collect();
+    for e in &result.edges {
+        *left[e.u as usize].get_mut() += 1;
+        *left[e.v as usize].get_mut() += 1;
+    }
+    // Relaxed: the counters publish no other data, and the sweep's join
+    // orders every decrement before the reads below.
+    sweep_edges(index, edges, pool, ParallelForConfig::default(), |e| {
+        left[e.u as usize].fetch_sub(1, Ordering::Relaxed);
+        left[e.v as usize].fetch_sub(1, Ordering::Relaxed);
+    })?;
+    if left.iter().any(|d| d.load(Ordering::Relaxed) != 0) {
+        let present: HashSet<u128> = edges.iter().map(|e| key_bits(e.w, e.u, e.v)).collect();
+        if let Some(e) = result
+            .edges
+            .iter()
+            .find(|e| !present.contains(&key_bits(e.w, e.u, e.v)))
+        {
+            return Err(VerifyError::ForeignEdge(*e));
         }
     }
     Ok(())
@@ -500,6 +608,64 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_duplicated_tree_edge_cannot_mask_a_foreign_one() {
+        // The graph holds (0,1,1.0) twice and (1,2) only at weight 5.0;
+        // the forest claims (1,2,2.0). Two key matches equal the tree
+        // size, but one tree edge is not in the graph.
+        let edges = [
+            Edge::new(0, 1, 1.0),
+            Edge::new(0, 1, 1.0),
+            Edge::new(1, 2, 5.0),
+        ];
+        let g = CsrGraph::from_edges(3, &edges);
+        let forest = MstResult::from_edges(
+            3,
+            vec![Edge::new(0, 1, 1.0), Edge::new(1, 2, 2.0)],
+            AlgoStats::default(),
+        );
+        let foreign = VerifyError::ForeignEdge(Edge::new(1, 2, 2.0));
+        assert_eq!(verify_msf(&g, &forest), Err(foreign.clone()));
+        assert_eq!(certify_msf(&g, &forest), Err(foreign.clone()));
+        let pool = ThreadPool::new(2);
+        assert_eq!(certify_msf_par(&g, &forest, &pool), Err(foreign.clone()));
+        let index = PathMaxIndex::build(3, &forest).unwrap();
+        assert_eq!(
+            certify_against(&g, &forest, &index, None),
+            Err(foreign.clone())
+        );
+        assert_eq!(certify_edges(&edges, &forest, &index, &pool), Err(foreign));
+    }
+
+    #[test]
+    fn edge_slice_certifier_accepts_msfs_and_names_defects() {
+        let pool = ThreadPool::new(3);
+        let g = llp_graph::generators::erdos_renyi(150, 400, 17);
+        let edges: Vec<Edge> = g.edges().collect();
+        let msf = kruskal(&g);
+        let index = PathMaxIndex::build(g.num_vertices(), &msf).unwrap();
+        certify_edges(&edges, &msf, &index, &pool).unwrap();
+
+        // Drop a tree edge: the forest no longer spans.
+        let mut dropped = msf.clone();
+        dropped.edges.pop();
+        let index = PathMaxIndex::build(g.num_vertices(), &dropped).unwrap();
+        assert!(matches!(
+            certify_edges(&edges, &dropped, &index, &pool),
+            Err(VerifyError::NotSpanning(_))
+        ));
+
+        // Make a tree edge lighter than its graph copy: foreign, and no
+        // non-tree edge beats the (smaller) path maxima.
+        let mut lighter = msf.clone();
+        lighter.edges[0].w -= 0.5;
+        let index = PathMaxIndex::build(g.num_vertices(), &lighter).unwrap();
+        assert_eq!(
+            certify_edges(&edges, &lighter, &index, &pool),
+            Err(VerifyError::ForeignEdge(lighter.edges[0]))
+        );
     }
 
     #[test]

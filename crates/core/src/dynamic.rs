@@ -5,37 +5,38 @@
 //! framework) treats MSF construction as advancing a global state vector
 //! up a lattice until a predicate holds. Nothing in that framing requires
 //! starting from the bottom: a *batch of updates* re-enters the lattice
-//! from a warm start — the previous epoch's certified forest — and only
-//! the state the batch invalidates is recomputed. [`DynamicMsf`] realises
-//! that as an epoch loop over the machinery earlier PRs built:
+//! from a warm start — the previous epoch's certified forest `F` — and
+//! only the state the batch invalidates is recomputed. Both halves of an
+//! epoch are exact updates built on the filter identity
+//! `MSF(A ∪ B) = MSF(MSF(A) ∪ B)` that also drives the out-of-core
+//! backend (Sanders & Schimek):
 //!
-//! * **Insertions** resolve via the **cycle property against the
-//!   [`PathMaxIndex`]** — the certifier's query becomes the update rule.
-//!   An inserted edge `e = (u, v, w)` whose endpoints share a tree enters
-//!   the forest iff its key beats `path_max(u, v)`; when it wins it
-//!   *evicts* exactly that bottleneck edge (the classic exchange
-//!   argument, exact for a single insert per tree). Inserts that lose
-//!   stay in the graph as non-tree edges. Classification of the whole
-//!   batch is a parallel read-only sweep over the frozen epoch index
-//!   (chaos-instrumented chunk claims, like every other sweep in the
-//!   workspace).
-//! * **Deletions** (and every insert the fast path cannot decide exactly
-//!   — trees receiving several inserts, inserts linking two trees, trees
-//!   that lost a tree edge) fall back to a **scoped re-run of the
-//!   flat-memory contraction engine** over only the *dirty* components:
-//!   the same decompose-locally-then-recombine shape as Sanders &
-//!   Schimek's Borůvka-filter, but scoped by the previous epoch's
-//!   component map instead of by shard. Because edges never cross
-//!   component boundaries (cross-tree inserts dirty both trees), the MSF
-//!   of the dirty region unioned with the untouched trees is the MSF of
-//!   the whole graph — and because the dirty vertices are relabelled
-//!   *monotonically*, `EdgeKey` tie-breaks are preserved and the scoped
-//!   run returns exactly the canonical forest restriction.
-//! * **Certification**: every epoch snapshot is re-certified with the
-//!   oracle-free sweep ([`certify_against`]) against the freshly rebuilt
-//!   index, so a served epoch is never weaker than the from-scratch
-//!   pipeline. The lattice never retracts: a certified epoch is a fixed
-//!   point, and the next batch advances from it.
+//! * **Deletions by fragment contraction.** A deleted edge is a tree edge
+//!   iff its key equals its own path maximum in the epoch's
+//!   [`PathMaxIndex`] (keys are unique, and a non-tree edge is strictly
+//!   heavier than the path it closes). The surviving tree edges `F − D`
+//!   stay in the forest and cut their trees into fragments; only old
+//!   non-tree edges that cross fragments can reconnect them. One Kruskal
+//!   over those edges, seeded with the fragments and run in their
+//!   original [`EdgeKey`] order (a fragment relabel is not monotone, so
+//!   relabelled tie-breaks would be wrong), gives `F1`, the MSF after the
+//!   deletes.
+//! * **Insertions by one merge.** Edges outside `F1` stay cycle-maximal
+//!   when edges are added, so the new forest is `MSF(F1 ∪ I)`. `F1` is kept
+//!   key-sorted, and one merge-scan of it with the sorted fresh inserts
+//!   under a union-find resolves the whole batch exactly — winners,
+//!   evictions, links between trees — giving `F2`, again key-sorted, so
+//!   [`PathMaxIndex::build_par`] skips its sort.
+//! * **Certification**: every epoch's forest is certified against
+//!   **every** live edge (`certify::certify_edges`, straight off
+//!   the flat edge store) before it is published, so a served epoch is
+//!   never weaker than the from-scratch pipeline. The lattice never
+//!   retracts: a certified epoch is a fixed point, and the next batch
+//!   advances from it.
+//!
+//! The graph is a flat edge list plus a pair → slot map: O(1) duplicate
+//! checks, swap-remove deletes, and a list the certification sweep reads
+//! as is. An epoch costs a few linear scans of the list and the forest.
 //!
 //! Failure posture: inputs are validated (range, self-loops, non-finite
 //! weights) *before* any state is touched, so user errors are clean
@@ -45,23 +46,20 @@
 //! the structure must then be discarded and rebuilt — it never serves an
 //! uncertified epoch.
 
-use crate::certify::certify_against;
+use crate::certify::certify_edges;
 use crate::index::PathMaxIndex;
 use crate::llp_boruvka::llp_boruvka_from_edges;
 use crate::result::{ForestOverflow, MstResult};
 use crate::stats::AlgoStats;
+use crate::union_find::UnionFind;
 use crate::verify::VerifyError;
 use llp_graph::{CsrGraph, Edge, EdgeKey, VertexId};
-use llp_runtime::sync::Mutex;
-use llp_runtime::{parallel_for_chunks, telemetry, ParallelForConfig, ThreadPool};
+use llp_runtime::{telemetry, ThreadPool};
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Below this many fresh inserts the classification sweep runs inline —
-/// the parallel fan-out costs more than the queries.
-const PAR_CLASSIFY_THRESHOLD: usize = 64;
 
 /// A rejected or failed dynamic update.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,13 +71,12 @@ pub enum DynamicError {
     /// An inserted edge carried a NaN or infinite weight.
     NonFiniteWeight(Edge),
     /// The epoch assembled more tree edges than vertices — an internal
-    /// invariant violation (the batched exchange produced a non-forest).
+    /// invariant violation (the update produced a non-forest).
     Overflow(ForestOverflow),
     /// The epoch snapshot failed certification — an internal invariant
     /// violation; the structure must be rebuilt from scratch.
     Certify(VerifyError),
 }
-
 impl std::fmt::Display for DynamicError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -108,7 +105,8 @@ impl From<VerifyError> for DynamicError {
 
 /// What one [`DynamicMsf::apply_batch`] epoch did, with per-phase wall
 /// clock — the numbers the dynamic bench aggregates into
-/// `llp-mst-dynamic-report/v1`.
+/// `llp-mst-dynamic-report/v1`. `F` is the previous epoch's forest, `F1`
+/// the forest after the batch's deletes, `F2` the new forest.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EpochReport {
     /// Epoch number after this batch (starts at 0 for the initial build).
@@ -121,25 +119,26 @@ pub struct EpochReport {
     pub deletes_applied: usize,
     /// Deletes naming an edge not present (no-ops).
     pub deletes_missing: usize,
-    /// Inserts that entered the forest by evicting their bottleneck edge
-    /// (the cycle-property fast path).
+    /// Fresh inserts in `F2` whose endpoints were already connected in
+    /// `F1`: each displaced the heaviest edge of that path.
     pub fast_swaps: usize,
-    /// Inserts settled as non-tree edges by one path-max query.
+    /// Fresh inserts not in `F2`.
     pub fast_rejects: usize,
-    /// Inserts joining two previously separate trees (resolved in the
-    /// scoped re-run).
+    /// Fresh inserts in `F2` that joined two trees of `F1`.
     pub links: usize,
-    /// Trees of the previous epoch that went through the scoped re-run.
+    /// Trees of `F` that lost a tree edge.
     pub dirty_components: usize,
-    /// Vertices handed to the scoped contraction re-run.
+    /// Fragments those trees fell into: the super-vertices of the
+    /// fragment Kruskal.
     pub rebuild_vertices: usize,
-    /// Edges handed to the scoped contraction re-run.
+    /// Old non-tree edges crossing fragments, fed to the fragment Kruskal.
     pub rebuild_edges: usize,
-    /// Whether the forest changed (and the index was rebuilt).
+    /// Whether the forest changed (and the index was rebuilt); false on
+    /// empty and all-no-op batches.
     pub tree_changed: bool,
-    /// Classification sweep, milliseconds.
+    /// Graph mutation plus tree-delete detection, milliseconds.
     pub classify_ms: f64,
-    /// Scoped contraction re-run, milliseconds.
+    /// Fragment Kruskal plus the insert merge, milliseconds.
     pub rebuild_ms: f64,
     /// Index rebuild, milliseconds.
     pub index_ms: f64,
@@ -155,37 +154,22 @@ impl EpochReport {
     }
 }
 
-/// How a fresh insert relates to the frozen epoch index.
-#[derive(Clone, Copy)]
-enum InsertClass {
-    /// Endpoints in different trees: the insert merges them (scoped
-    /// re-run decides the resulting forest).
-    Link { cu: u32, cv: u32 },
-    /// Endpoints share a tree: the cycle property decides, with the
-    /// bottleneck already in hand for the eviction.
-    Intra {
-        comp: u32,
-        beats: bool,
-        bottleneck: EdgeKey,
-    },
-}
-
 /// An epoch-based fully dynamic minimum spanning forest.
 ///
-/// Owns the current graph (adjacency lists), the certified forest of the
+/// Owns the current graph (a flat edge list), the certified forest of the
 /// latest epoch, and its [`PathMaxIndex`]. [`DynamicMsf::apply_batch`]
 /// advances one epoch; queries go through [`DynamicMsf::index`], which is
 /// an `Arc` so a server can keep answering from a snapshot while the next
 /// epoch is being applied.
 pub struct DynamicMsf {
     n: usize,
-    /// Undirected adjacency, both directions. The graph is simple:
-    /// parallel edges are deduplicated on construction (smallest key
-    /// wins) and duplicate inserts are no-ops.
-    adj: Vec<Vec<(VertexId, f64)>>,
-    /// Current undirected edge count.
-    m: usize,
-    /// The certified forest of the latest epoch.
+    /// The live undirected edges, each once as `(lo, hi, w)` with
+    /// `lo < hi`. The graph is simple: parallel edges are deduplicated on
+    /// construction (smallest key wins) and duplicate inserts are no-ops.
+    edges: Vec<Edge>,
+    /// `(lo, hi)` → position in `edges`.
+    slot: HashMap<(VertexId, VertexId), u32>,
+    /// The certified forest of the latest epoch, key-sorted.
     msf: MstResult,
     /// Path-max index over `msf`, shared with snapshot readers.
     index: Arc<PathMaxIndex>,
@@ -215,47 +199,38 @@ impl DynamicMsf {
         pool: &ThreadPool,
     ) -> Result<DynamicMsf, DynamicError> {
         let _s = telemetry::span("dynamic-build");
-        let mut adj: Vec<Vec<(VertexId, f64)>> = vec![Vec::new(); n];
-        let mut m = 0usize;
-        let mut kept: Vec<Edge> = Vec::with_capacity(edges.len());
+        let mut store: Vec<Edge> = Vec::with_capacity(edges.len());
+        // Room for half as many again. In a map built full, a delete
+        // leaves a tombstone that only a rehash reclaims, so churn would
+        // force a rehash inside an early epoch; at this load a delete
+        // almost always frees its slot outright.
+        let mut slot = HashMap::with_capacity(edges.len() + edges.len() / 2);
         for e in edges {
             validate_insert(&e, n)?;
             let (lo, hi) = e.canonical_endpoints();
-            match adj[lo as usize].iter().position(|&(x, _)| x == hi) {
-                Some(i) => {
+            match slot.entry((lo, hi)) {
+                Entry::Occupied(s) => {
                     // Parallel edge: keep the smaller key.
-                    let old = adj[lo as usize][i].1;
-                    if e.key() < EdgeKey::new(old, lo, hi) {
-                        adj[lo as usize][i].1 = e.w;
-                        let j = adj[hi as usize]
-                            .iter()
-                            .position(|&(x, _)| x == lo)
-                            .expect("mirror arc");
-                        adj[hi as usize][j].1 = e.w;
+                    let kept = &mut store[*s.get() as usize];
+                    if e.key() < kept.key() {
+                        kept.w = e.w;
                     }
                 }
-                None => {
-                    adj[lo as usize].push((hi, e.w));
-                    adj[hi as usize].push((lo, e.w));
-                    m += 1;
+                Entry::Vacant(s) => {
+                    s.insert(store.len() as u32);
+                    store.push(Edge::new(lo, hi, e.w));
                 }
             }
         }
-        // Emit each undirected edge once, post-dedup.
-        for (u, list) in adj.iter().enumerate() {
-            for &(v, w) in list {
-                if (u as u32) < v {
-                    kept.push(Edge::new(u as u32, v, w));
-                }
-            }
-        }
+        store.shrink_to_fit();
 
-        let msf = llp_boruvka_from_edges(n, kept, pool);
+        let mut msf = llp_boruvka_from_edges(n, store.clone(), pool);
+        msf.edges.sort_unstable_by_key(Edge::key);
         let index = Arc::new(PathMaxIndex::build_par(n, &msf, pool)?);
         let this = DynamicMsf {
             n,
-            adj,
-            m,
+            edges: store,
+            slot,
             msf,
             index,
             epoch: 0,
@@ -272,7 +247,7 @@ impl DynamicMsf {
 
     /// Current undirected edge count.
     pub fn num_edges(&self) -> usize {
-        self.m
+        self.edges.len()
     }
 
     /// Batches applied so far.
@@ -300,15 +275,7 @@ impl DynamicMsf {
 
     /// The current undirected edge set (each edge once, `u < v`).
     pub fn current_edges(&self) -> Vec<Edge> {
-        let mut out = Vec::with_capacity(self.m);
-        for (u, list) in self.adj.iter().enumerate() {
-            for &(v, w) in list {
-                if (u as u32) < v {
-                    out.push(Edge::new(u as u32, v, w));
-                }
-            }
-        }
-        out
+        self.edges.clone()
     }
 
     /// Applies one batch of updates and advances the epoch.
@@ -339,184 +306,95 @@ impl DynamicMsf {
             epoch: self.epoch + 1,
             ..EpochReport::default()
         };
-        let num_components = self.index.num_components();
-        let mut dirty = vec![false; num_components];
 
-        // ---- Deletes: drop arcs; a lost *tree* edge dirties its tree.
-        let tree: HashSet<(u32, u32)> = self
-            .msf
-            .edges
-            .iter()
-            .map(Edge::canonical_endpoints)
-            .collect();
+        // ---- Mutate the graph. A deleted edge is a tree edge iff it is
+        // its own path maximum in the old index.
+        let t = Instant::now();
+        let mut dead: Vec<EdgeKey> = Vec::new();
+        let mut dirty: Vec<u32> = Vec::new();
         for &(u, v) in deletes {
             let (lo, hi) = if u <= v { (u, v) } else { (v, u) };
-            if lo == hi || self.remove_edge(lo, hi).is_none() {
+            let Some(e) = self.remove_edge(lo, hi) else {
                 report.deletes_missing += 1;
                 continue;
-            }
+            };
             report.deletes_applied += 1;
-            if tree.contains(&(lo, hi)) {
-                dirty[self.index.component(lo) as usize] = true;
+            if self.index.path_max(lo, hi) == Some(e.key()) {
+                dead.push(e.key());
+                dirty.push(self.index.component(lo));
             }
         }
-
-        // ---- Inserts, phase 1: mutate the graph, keeping the fresh ones.
+        // Inserts land past this point of the store.
+        let old_len = self.edges.len();
         let mut fresh: Vec<Edge> = Vec::with_capacity(inserts.len());
         for e in inserts {
             let (lo, hi) = e.canonical_endpoints();
-            if self.adj[lo as usize].iter().any(|&(x, _)| x == hi) {
-                report.inserts_duplicate += 1;
-                continue;
-            }
-            self.adj[lo as usize].push((hi, e.w));
-            self.adj[hi as usize].push((lo, e.w));
-            self.m += 1;
-            report.inserts_applied += 1;
-            fresh.push(Edge::new(lo, hi, e.w));
-        }
-
-        // ---- Inserts, phase 2: classify against the frozen epoch index.
-        // Read-only parallel sweep; chunk claims go through the chaos
-        // scheduler like every other sweep in the workspace.
-        let t = Instant::now();
-        let classes: Vec<InsertClass> = {
-            let _s = telemetry::span("dynamic-classify");
-            let index = &*self.index;
-            if fresh.len() < PAR_CLASSIFY_THRESHOLD || pool.threads() <= 1 {
-                fresh.iter().map(|e| classify_one(e, index)).collect()
-            } else {
-                let acc: Mutex<Vec<(usize, Vec<InsertClass>)>> = Mutex::new(Vec::new());
-                parallel_for_chunks(
-                    pool,
-                    0..fresh.len(),
-                    ParallelForConfig::default(),
-                    |chunk| {
-                        let start = chunk.start;
-                        let local: Vec<InsertClass> =
-                            chunk.map(|i| classify_one(&fresh[i], index)).collect();
-                        acc.lock().push((start, local));
-                    },
-                );
-                let mut out: Vec<Option<InsertClass>> = vec![None; fresh.len()];
-                for (start, local) in acc.into_inner() {
-                    for (i, c) in local.into_iter().enumerate() {
-                        out[start + i] = Some(c);
-                    }
+            match self.slot.entry((lo, hi)) {
+                Entry::Occupied(_) => report.inserts_duplicate += 1,
+                Entry::Vacant(s) => {
+                    s.insert(self.edges.len() as u32);
+                    let e = Edge::new(lo, hi, e.w);
+                    self.edges.push(e);
+                    fresh.push(e);
                 }
-                out.into_iter()
-                    .map(|c| c.expect("classified every fresh insert"))
-                    .collect()
             }
-        };
+        }
+        report.inserts_applied = fresh.len();
+        dirty.sort_unstable();
+        dirty.dedup();
+        report.dirty_components = dirty.len();
+        // A tree that loses k edges falls into k + 1 fragments.
+        report.rebuild_vertices = dead.len() + dirty.len();
         report.classify_ms = t.elapsed().as_secs_f64() * 1e3;
 
-        // ---- Inserts, phase 3: group. Cross-tree links and trees with
-        // more than one intra-tree insert go to the scoped re-run;
-        // single-insert clean trees take the exact exchange fast path.
-        for c in &classes {
-            if let InsertClass::Link { cu, cv } = *c {
-                dirty[cu as usize] = true;
-                dirty[cv as usize] = true;
-                report.links += 1;
-            }
-        }
-        let mut per_comp: HashMap<u32, Vec<usize>> = HashMap::new();
-        for (i, c) in classes.iter().enumerate() {
-            if let InsertClass::Intra { comp, .. } = *c {
-                per_comp.entry(comp).or_default().push(i);
-            }
-        }
-        let mut winners: Vec<Edge> = Vec::new();
-        let mut evicted: HashSet<(u32, u32)> = HashSet::new();
-        for (&comp, idxs) in &per_comp {
-            if dirty[comp as usize] {
-                continue; // the re-run sees these edges in the graph
-            }
-            if idxs.len() > 1 {
-                // Two inserts into one tree interact (the second exchange
-                // depends on the first); defer both to the re-run.
-                dirty[comp as usize] = true;
-                continue;
-            }
-            let InsertClass::Intra {
-                beats, bottleneck, ..
-            } = classes[idxs[0]]
-            else {
-                unreachable!("per_comp holds only Intra classes");
-            };
-            if beats {
-                evicted.insert((bottleneck.lo(), bottleneck.hi()));
-                winners.push(fresh[idxs[0]]);
-                report.fast_swaps += 1;
-            } else {
-                report.fast_rejects += 1;
-            }
-        }
-
-        // ---- Scoped re-run over the dirty trees.
+        // ---- F1 from the fragments, then F2 from one merge with the
+        // fresh inserts. F1's connectivity is the old index's when no
+        // tree edge died, else the fragment Kruskal's union-find.
         let t = Instant::now();
-        let dirty_any = dirty.iter().any(|&d| d);
-        report.dirty_components = dirty.iter().filter(|&&d| d).count();
-        let mut rebuilt: Vec<Edge> = Vec::new();
-        if dirty_any {
-            let _s = telemetry::span("dynamic-rebuild");
-            // Ascending scan ⇒ the old→local relabel is monotone, so
-            // every EdgeKey comparison (weight, then endpoints) orders
-            // local edges exactly as the original ids would — the scoped
-            // run returns the canonical forest restriction verbatim.
-            let mut local_of: Vec<u32> = vec![u32::MAX; self.n];
-            let mut verts: Vec<u32> = Vec::new();
-            for v in 0..self.n {
-                if dirty[self.index.component(v as u32) as usize] {
-                    local_of[v] = verts.len() as u32;
-                    verts.push(v as u32);
+        let rebuild = telemetry::span("dynamic-rebuild");
+        let (f1, f1_trees) = if dead.is_empty() {
+            (Cow::Borrowed(&self.msf.edges[..]), None)
+        } else {
+            dead.sort_unstable();
+            let (f1, uf) = self.reconnect_fragments(&dead, &self.edges[..old_len], &mut report);
+            (Cow::Owned(f1), Some(uf))
+        };
+        let connected_in_f1 = |e: &Edge| match &f1_trees {
+            Some(uf) => uf.find_immutable(e.u) == uf.find_immutable(e.v),
+            None => self.index.connected(e.u, e.v),
+        };
+        let f2 = if fresh.is_empty() {
+            f1
+        } else {
+            fresh.sort_unstable_by_key(Edge::key);
+            let mut uf = UnionFind::new(self.n);
+            let mut f2 = Vec::with_capacity(f1.len() + fresh.len());
+            for (e, is_fresh) in merge_by_key(&f1, &fresh) {
+                let joins = uf.union(e.u, e.v);
+                if joins {
+                    f2.push(e);
                 }
-            }
-            let mut local_edges: Vec<Edge> = Vec::new();
-            for &v in &verts {
-                for &(w, wt) in &self.adj[v as usize] {
-                    if v < w {
-                        debug_assert_ne!(
-                            local_of[w as usize],
-                            u32::MAX,
-                            "edge ({v}, {w}) escapes the dirty region"
-                        );
-                        local_edges.push(Edge::new(local_of[v as usize], local_of[w as usize], wt));
-                    }
-                }
-            }
-            report.rebuild_vertices = verts.len();
-            report.rebuild_edges = local_edges.len();
-            let sub = llp_boruvka_from_edges(verts.len(), local_edges, pool);
-            rebuilt.extend(
-                sub.edges
-                    .iter()
-                    .map(|e| Edge::new(verts[e.u as usize], verts[e.v as usize], e.w)),
-            );
-        }
-        report.rebuild_ms = t.elapsed().as_secs_f64() * 1e3;
-
-        // ---- Assemble the next forest: untouched trees' edges, minus
-        // fast-path evictions, plus fast-path winners and the re-run.
-        report.tree_changed = dirty_any || report.fast_swaps > 0;
-        let graph_changed = report.inserts_applied > 0 || report.deletes_applied > 0;
-        if report.tree_changed {
-            let mut new_edges: Vec<Edge> =
-                Vec::with_capacity(self.msf.edges.len() + winners.len() + rebuilt.len());
-            for e in &self.msf.edges {
-                if dirty[self.index.component(e.u) as usize]
-                    || evicted.contains(&e.canonical_endpoints())
-                {
+                if !is_fresh {
                     continue;
                 }
-                new_edges.push(*e);
+                if !joins {
+                    report.fast_rejects += 1;
+                } else if connected_in_f1(&e) {
+                    report.fast_swaps += 1;
+                } else {
+                    report.links += 1;
+                }
             }
-            new_edges.extend(winners);
-            new_edges.extend(rebuilt);
-            let msf = MstResult::try_from_edges(self.n, new_edges, AlgoStats::default())
-                .map_err(DynamicError::Overflow)?;
+            Cow::Owned(f2)
+        };
+        drop(rebuild);
+        report.rebuild_ms = t.elapsed().as_secs_f64() * 1e3;
 
+        report.tree_changed = !dead.is_empty() || report.fast_swaps + report.links > 0;
+        let graph_changed = report.inserts_applied > 0 || report.deletes_applied > 0;
+        if report.tree_changed {
+            let msf = MstResult::try_from_edges(self.n, f2.into_owned(), AlgoStats::default())
+                .map_err(DynamicError::Overflow)?;
             let t = Instant::now();
             let index = {
                 let _s = telemetry::span("dynamic-index");
@@ -542,45 +420,74 @@ impl DynamicMsf {
         Ok(report)
     }
 
-    /// Full certification sweep of the current forest against the current
-    /// graph, through the current index.
+    /// `F1`, the MSF after the deletes: the forest minus its `dead` edges
+    /// (key-sorted), reconnected by a Kruskal over the `live` edges that
+    /// cross its fragments. Tree edges never cross, so those are exactly
+    /// the old non-tree edges between fragments. Returns `F1` key-sorted
+    /// and a union-find holding its trees.
+    fn reconnect_fragments(
+        &self,
+        dead: &[EdgeKey],
+        live: &[Edge],
+        report: &mut EpochReport,
+    ) -> (Vec<Edge>, UnionFind) {
+        let mut uf = UnionFind::new(self.n);
+        let mut kept = Vec::with_capacity(self.msf.edges.len());
+        let mut dead = dead.iter().peekable();
+        for e in &self.msf.edges {
+            // Both lists are key-sorted: one walk drops the dead edges.
+            if dead.next_if_eq(&&e.key()).is_none() {
+                uf.union(e.u, e.v);
+                kept.push(*e);
+            }
+        }
+        let fragment: Vec<u32> = (0..self.n as u32).map(|v| uf.find(v)).collect();
+        let mut crossing: Vec<Edge> = live
+            .iter()
+            .filter(|e| fragment[e.u as usize] != fragment[e.v as usize])
+            .copied()
+            .collect();
+        report.rebuild_edges = crossing.len();
+        crossing.sort_unstable_by_key(Edge::key);
+        crossing.retain(|e| uf.union(e.u, e.v));
+        (merge_by_key(&kept, &crossing).map(|(e, _)| e).collect(), uf)
+    }
+
+    /// Full certification sweep of the current forest against every live
+    /// edge, through the current index.
     fn certify_now(&self, pool: &ThreadPool) -> Result<(), DynamicError> {
         let _s = telemetry::span("dynamic-certify");
-        let edges = self.current_edges();
-        let graph = CsrGraph::from_edges_parallel(pool, self.n, &edges);
-        certify_against(&graph, &self.msf, &self.index, Some(pool))?;
+        certify_edges(&self.edges, &self.msf, &self.index, pool)?;
         Ok(())
     }
 
-    /// Removes `(lo, hi)` from both adjacency lists; `None` if absent.
-    fn remove_edge(&mut self, lo: u32, hi: u32) -> Option<f64> {
-        let i = self.adj[lo as usize].iter().position(|&(x, _)| x == hi)?;
-        let (_, w) = self.adj[lo as usize].swap_remove(i);
-        let j = self.adj[hi as usize]
-            .iter()
-            .position(|&(x, _)| x == lo)
-            .expect("mirror arc present");
-        self.adj[hi as usize].swap_remove(j);
-        self.m -= 1;
-        Some(w)
+    /// Swap-removes `(lo, hi)` from the store, re-pointing the slot of the
+    /// edge moved into its place; `None` if absent.
+    fn remove_edge(&mut self, lo: u32, hi: u32) -> Option<Edge> {
+        let i = self.slot.remove(&(lo, hi))? as usize;
+        let e = self.edges.swap_remove(i);
+        if let Some(moved) = self.edges.get(i) {
+            self.slot.insert((moved.u, moved.v), i as u32);
+        }
+        Some(e)
     }
 }
 
-/// Classifies one fresh insert against the frozen epoch index.
-fn classify_one(e: &Edge, index: &PathMaxIndex) -> InsertClass {
-    let cu = index.component(e.u);
-    let cv = index.component(e.v);
-    if cu != cv {
-        return InsertClass::Link { cu, cv };
-    }
-    let bottleneck = index
-        .path_max(e.u, e.v)
-        .expect("distinct vertices in one tree have a path");
-    InsertClass::Intra {
-        comp: cu,
-        beats: e.key() < bottleneck,
-        bottleneck,
-    }
+/// Merges two key-sorted edge lists into one key-sorted stream, tagging
+/// each edge with whether it came from `b`.
+fn merge_by_key<'a>(a: &'a [Edge], b: &'a [Edge]) -> impl Iterator<Item = (Edge, bool)> + 'a {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || {
+        if j < b.len() && (i == a.len() || b[j].key() < a[i].key()) {
+            j += 1;
+            Some((b[j - 1], true))
+        } else if i < a.len() {
+            i += 1;
+            Some((a[i - 1], false))
+        } else {
+            None
+        }
+    })
 }
 
 fn validate_insert(e: &Edge, n: usize) -> Result<(), DynamicError> {
@@ -649,7 +556,7 @@ mod tests {
     }
 
     #[test]
-    fn linking_insert_merges_trees_via_rebuild() {
+    fn linking_insert_merges_trees() {
         let p = pool();
         let edges = vec![Edge::new(0, 1, 1.0), Edge::new(2, 3, 1.0)];
         let mut d = DynamicMsf::from_edges(4, edges, &p).unwrap();
@@ -658,7 +565,7 @@ mod tests {
             .apply_batch(&[Edge::new(1, 2, 0.5)], &[], &p)
             .unwrap();
         assert_eq!(r.links, 1);
-        assert_eq!(r.dirty_components, 2);
+        assert_eq!(r.dirty_components, 0, "no tree lost an edge");
         assert_eq!(d.msf().num_trees, 1);
         assert_matches_recompute(&d);
     }
@@ -676,6 +583,7 @@ mod tests {
         let r = d.apply_batch(&[], &[(2, 1)], &p).unwrap();
         assert_eq!(r.deletes_applied, 1);
         assert_eq!(r.dirty_components, 1);
+        assert_eq!((r.rebuild_vertices, r.rebuild_edges), (2, 1));
         assert_eq!(d.msf().num_trees, 1);
         assert!((d.msf().total_weight - 4.0).abs() < 1e-12);
         assert_matches_recompute(&d);
@@ -732,6 +640,48 @@ mod tests {
         assert_eq!(r.deletes_applied, 1);
         assert_eq!(r.inserts_applied, 1);
         assert!((d.msf().total_weight - 2.25).abs() < 1e-12);
+        assert_matches_recompute(&d);
+    }
+
+    #[test]
+    fn swap_removes_keep_the_slot_map_in_step() {
+        let p = pool();
+        // Store order: (0,1) (1,2) (2,3) (0,3) (0,2). Deleting (1,2)
+        // swap-moves (0,2) into its slot; the batch then deletes that
+        // moved edge too, deletes and re-inserts (0,1), and re-inserts
+        // (1,2) at a new weight.
+        let edges = vec![
+            Edge::new(0, 1, 1.0),
+            Edge::new(1, 2, 2.0),
+            Edge::new(2, 3, 3.0),
+            Edge::new(0, 3, 4.0),
+            Edge::new(0, 2, 5.0),
+        ];
+        let mut d = DynamicMsf::from_edges(4, edges, &p).unwrap();
+        let r = d
+            .apply_batch(
+                &[Edge::new(1, 0, 6.0), Edge::new(2, 1, 0.5)],
+                &[(1, 2), (2, 0), (0, 1)],
+                &p,
+            )
+            .unwrap();
+        assert_eq!((r.deletes_applied, r.deletes_missing), (3, 0));
+        assert_eq!((r.inserts_applied, r.inserts_duplicate), (2, 0));
+        assert_eq!(d.num_edges(), 4);
+        let mut live: Vec<(u32, u32, f64)> =
+            d.current_edges().iter().map(|e| (e.u, e.v, e.w)).collect();
+        live.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        assert_eq!(
+            live,
+            vec![(0, 1, 6.0), (0, 3, 4.0), (1, 2, 0.5), (2, 3, 3.0)]
+        );
+        assert_matches_recompute(&d);
+        // A later batch still finds every edge through its slot.
+        let r = d
+            .apply_batch(&[], &[(0, 3), (3, 2), (0, 1), (2, 1)], &p)
+            .unwrap();
+        assert_eq!((r.deletes_applied, r.deletes_missing), (4, 0));
+        assert_eq!(d.num_edges(), 0);
         assert_matches_recompute(&d);
     }
 

@@ -15,11 +15,11 @@
 //!    renumbered in ascending global order (a monotone relabeling keeps
 //!    the local [`llp_graph::EdgeKey`] order isomorphic to the global
 //!    one, so the local canonical MSF is the canonical restriction even
-//!    under duplicate weights — the same argument `dynamic` uses for its
-//!    scoped re-runs), then run to exhaustion through the flat-memory
-//!    contraction engine ([`crate::contraction::Contraction`]), reusing
-//!    one scratch arena across shards. At most `n_shard − 1` candidate
-//!    edges survive per shard.
+//!    under duplicate weights), then run to exhaustion through the
+//!    flat-memory contraction engine
+//!    ([`crate::contraction::Contraction`]), reusing one scratch arena
+//!    across shards. At most `n_shard − 1` candidate edges survive per
+//!    shard.
 //! 3. **Filter.** A candidate `e` is discarded — before the merge ever
 //!    sees it — iff its endpoints are already connected by the
 //!    accumulated forest *and* `e.key()` is strictly heavier than every
@@ -37,14 +37,16 @@
 //!
 //! The optional certification pass re-streams the file and checks every
 //! record against a [`PathMaxIndex`] of the final forest — the same cycle
-//! property sweep as [`crate::certify::certify_msf_par`], but without
+//! property sweep as [`crate::certify::certify_msf_par`], run over each
+//! shard's edge slice (the sweep the dynamic MSF certifies with), without
 //! ever building an in-RAM [`CsrGraph`]: violations are classified
 //! exactly like the in-RAM certifier, and per-tree-edge match bits
 //! (instead of a match count) make the foreign-edge check robust to the
 //! duplicate records a raw streamed file may contain.
 
+use crate::certify::sweep_edges;
 use crate::contraction::Contraction;
-use crate::index::{key_bits, PathMaxIndex, INF_KEY};
+use crate::index::{key_bits, PathMaxIndex};
 use crate::result::MstResult;
 use crate::stats::AlgoStats;
 use crate::union_find::{ConcurrentUnionFind, UnionFind};
@@ -52,13 +54,12 @@ use crate::verify::VerifyError;
 use llp_graph::io::{faulty_reader, read_binary_range, write_binary, IoError};
 use llp_graph::{CsrGraph, Edge, EdgeKey};
 use llp_runtime::sort::par_sort_by_key;
-use llp_runtime::sync::Mutex;
 use llp_runtime::{
     parallel_for_chunks, partition::retain_parallel, telemetry, ParallelForConfig, ScratchArena,
     ThreadPool,
 };
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
 
 /// Tuning knobs for [`sharded_msf_file`].
@@ -592,12 +593,11 @@ pub fn sharded_msf_file(
 }
 
 /// Re-streams the file and certifies `result` as its canonical MSF — the
-/// cycle-property sweep of [`crate::certify::certify_against`], driven
-/// over shards instead of a CSR. Every record must not beat the path
-/// maximum between its endpoints (`key < max` is a cut or spanning
-/// violation), and every tree edge must be matched by at least one
-/// record (`key == max`), tracked per tree edge so duplicate records
-/// cannot mask an absent one.
+/// edge-slice sweep ([`sweep_edges`]) run shard by shard instead of over
+/// a CSR. Every record must not beat the path maximum between its
+/// endpoints, and every tree edge must be matched by at least one record
+/// (`key == max`), tracked per tree edge so duplicate records cannot mask
+/// an absent one.
 fn certify_streaming(
     path: &Path,
     total_edges: u64,
@@ -623,51 +623,19 @@ fn certify_streaming(
         .collect();
     debug_assert!(tree_keys.windows(2).all(|w| w[0] < w[1]));
     let seen: Vec<AtomicU64> = (0..t.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
-    let worst: Mutex<Option<(EdgeKey, VerifyError)>> = Mutex::new(None);
     let par = ParallelForConfig::with_grain(2048);
 
     let rx = stream_shards(path, total_edges, cfg.shard_edges.max(1), cfg.read_ahead, 0);
     let shards = total_edges.div_ceil(cfg.shard_edges.max(1) as u64);
     for _ in 0..shards {
         let edges = rx.recv().expect("shard reader hung up")?;
-        let violations = AtomicUsize::new(0);
-        parallel_for_chunks(pool, 0..edges.len(), par, |chunk| {
-            for i in chunk {
-                let e = &edges[i];
-                if e.w > index.pass_above {
-                    continue; // heavier than every tree edge: passes outright
-                }
-                let kb = key_bits(e.w, e.u, e.v);
-                let maxk =
-                    index.path_max_at(index.pos[e.u as usize], index.pos[e.v as usize]);
-                if kb < maxk {
-                    // Cycle property violated, or (INF_KEY) a cross-tree
-                    // edge the forest fails to span. Keep the
-                    // smallest-key witness for a deterministic report.
-                    let err = if maxk == INF_KEY {
-                        VerifyError::NotSpanning(*e)
-                    } else {
-                        VerifyError::CutViolation(*e)
-                    };
-                    let key = e.key();
-                    let mut w = worst.lock();
-                    if w.as_ref().is_none_or(|(k, _)| key < *k) {
-                        *w = Some((key, err));
-                    }
-                    violations.fetch_add(1, Ordering::Relaxed);
-                } else if kb == maxk {
-                    // Keys are unique, so this record *is* the tree edge
-                    // that realises the path maximum.
-                    if let Ok(r) = tree_keys.binary_search(&kb) {
-                        seen[r >> 6].fetch_or(1u64 << (r & 63), Ordering::Relaxed);
-                    }
-                }
+        sweep_edges(&index, &edges, pool, par, |e| {
+            // Keys are unique, so this record *is* the tree edge that
+            // realises the path maximum.
+            if let Ok(r) = tree_keys.binary_search(&key_bits(e.w, e.u, e.v)) {
+                seen[r >> 6].fetch_or(1u64 << (r & 63), Ordering::Relaxed);
             }
-        });
-        if violations.load(Ordering::Relaxed) > 0 {
-            let (_, err) = worst.into_inner().expect("violation recorded");
-            return Err(err.into());
-        }
+        })?;
     }
 
     // Any tree edge no record matched is foreign to the file.

@@ -10,6 +10,7 @@ use llp_mst::prelude::{
     certify_msf, certify_msf_par, filter_kruskal_par, filter_kruskal_par_with_base_case, kruskal,
     sharded_msf_graph, verify_msf,
 };
+use llp_mst::verify::VerifyError;
 use llp_mst::{AlgoStats, MstResult};
 use llp_runtime::rng::SmallRng;
 use llp_runtime::{chaos, ThreadPool};
@@ -48,6 +49,7 @@ fn certifier_and_oracle_accept_genuine_msfs() {
 
 #[test]
 fn certifier_and_oracle_reject_mutated_forests() {
+    let pool = ThreadPool::new(3);
     for seed in 0..CASES {
         for (gi, g) in graphs(seed).into_iter().enumerate() {
             let msf = kruskal(&g);
@@ -79,6 +81,36 @@ fn certifier_and_oracle_reject_mutated_forests() {
             let cyclic = forest(n, edges);
             assert!(verify_msf(&g, &cyclic).is_err(), "oracle/cycle {seed}/{gi}");
             assert!(certify_msf(&g, &cyclic).is_err(), "certify/cycle {seed}/{gi}");
+
+            // Lighter weight on one tree edge, in a graph that repeats
+            // another tree edge verbatim: foreign, with no cut violation
+            // (path maxima only shrink), and the repeat keeps the number of
+            // key matches equal to the tree size.
+            if msf.edges.len() >= 2 {
+                let j = (i + 1) % msf.edges.len();
+                let mut graph_edges: Vec<Edge> = g.edges().collect();
+                graph_edges.push(msf.edges[j]);
+                let doubled = CsrGraph::from_edges(n, &graph_edges);
+                let mut edges = msf.edges.clone();
+                edges[i].w -= 0.5;
+                let masked = forest(n, edges);
+                let foreign = Err(VerifyError::ForeignEdge(masked.edges[i]));
+                assert_eq!(
+                    verify_msf(&doubled, &masked),
+                    foreign,
+                    "oracle/mask {seed}/{gi}"
+                );
+                assert_eq!(
+                    certify_msf(&doubled, &masked),
+                    foreign,
+                    "certify/mask {seed}/{gi}"
+                );
+                assert_eq!(
+                    certify_msf_par(&doubled, &masked, &pool),
+                    foreign,
+                    "certify_par/mask {seed}/{gi}"
+                );
+            }
         }
     }
 }

@@ -8,6 +8,7 @@
 //! sweeps over [`llp_runtime::rng::SmallRng`] (hermetic builds cannot
 //! depend on `proptest`).
 
+use llp_graph::generators::{rmat, road_network, RmatParams, RoadParams};
 use llp_graph::{CsrGraph, Edge};
 use llp_mst::dynamic::DynamicMsf;
 use llp_mst::prelude::{certify_msf_par, filter_kruskal_par};
@@ -72,8 +73,8 @@ fn assert_epoch_sound(d: &DynamicMsf, mirror: &Mirror, pool: &ThreadPool, ctx: &
 #[test]
 fn random_epochs_match_recompute_and_certify() {
     let pool = ThreadPool::new(4);
-    // Totals across the sweep, to prove both the exchange fast path and
-    // the scoped-rebuild path actually ran (not just one of them).
+    // Totals across the sweep, to prove every insert verdict and the
+    // fragment-Kruskal delete path actually ran (not just one of them).
     let (mut fast_swaps, mut fast_rejects, mut rebuilds, mut links) = (0u64, 0u64, 0u64, 0u64);
     for seed in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -159,13 +160,13 @@ fn random_epochs_match_recompute_and_certify() {
     assert!(fast_swaps > 0, "no insert ever won via the fast path");
     assert!(fast_rejects > 0, "no insert ever lost via the fast path");
     assert!(links > 0, "no insert ever linked two trees");
-    assert!(rebuilds > 0, "no epoch ever took the scoped-rebuild path");
+    assert!(rebuilds > 0, "no epoch ever lost a tree edge");
 }
 
 #[test]
 fn single_insert_epochs_ride_the_fast_path_and_match_recompute() {
     // A connected graph receiving one intra-tree insert per epoch: every
-    // epoch must resolve via the exchange fast path (no scoped rebuild),
+    // epoch must resolve as a swap or a reject (no tree loses an edge),
     // and still match the from-scratch recompute exactly.
     let pool = ThreadPool::new(4);
     for seed in 0..CASES {
@@ -275,5 +276,83 @@ fn empty_and_noop_batches_leave_the_forest_bit_identical() {
         assert_eq!(d.msf().canonical_keys(), before, "seed {seed}");
         assert_eq!(d.epoch(), 2, "seed {seed}");
         assert_epoch_sound(&d, &mirror, &pool, &format!("seed {seed}"));
+    }
+}
+
+#[test]
+fn benchmark_shaped_traffic_matches_recompute_under_ties() {
+    // The benchmark's update stream at test size: every epoch deletes half
+    // a batch of random live edges (tree edges included) and re-inserts
+    // the previous epoch's deletes at weights drawn from the graph. On a
+    // grid (one tree every tree delete dirties) and an RMAT forest, with
+    // four distinct weights and with all weights equal, so the `EdgeKey`
+    // endpoint tie-break decides nearly every comparison.
+    const BATCH: usize = 64;
+    let pool = ThreadPool::new(2);
+    let graphs = [
+        ("road", road_network(RoadParams::usa_like(32, 32, 3))),
+        ("rmat", rmat(RmatParams::graph500(8, 8, 3))),
+    ];
+    for (name, g) in &graphs {
+        for all_equal in [false, true] {
+            let ctx = format!("{name} all_equal={all_equal}");
+            let mut rng = SmallRng::seed_from_u64(u64::from(all_equal) + 17);
+            let mut mirror = Mirror {
+                n: g.num_vertices(),
+                edges: HashMap::new(),
+            };
+            for e in g.edges() {
+                let w = if all_equal {
+                    1.0
+                } else {
+                    rng.gen_range(1u32..5) as f64
+                };
+                // Parallel edges: the smallest key wins, as in the build.
+                let slot = mirror.edges.entry(e.canonical_endpoints()).or_insert(w);
+                *slot = slot.min(w);
+            }
+            let start = mirror.edge_list();
+            let weights: Vec<f64> = start.iter().map(|e| e.w).collect();
+            let mut live: Vec<(u32, u32)> = start.iter().map(Edge::canonical_endpoints).collect();
+            let mut d = DynamicMsf::from_edges(mirror.n, start, &pool).unwrap();
+            let mut pending: Vec<(u32, u32)> = Vec::new();
+            let mut tree_delete_epochs = 0;
+            for epoch in 1..=10 {
+                let half = (BATCH / 2).min(live.len().saturating_sub(1));
+                let deletes: Vec<(u32, u32)> = (0..half)
+                    .map(|_| live.swap_remove(rng.gen_range(0..live.len())))
+                    .collect();
+                let inserts: Vec<Edge> = pending
+                    .iter()
+                    .map(|&(u, v)| Edge::new(u, v, weights[rng.gen_range(0..weights.len())]))
+                    .collect();
+                live.append(&mut pending);
+                pending.clone_from(&deletes);
+
+                let r = d
+                    .apply_batch(&inserts, &deletes, &pool)
+                    .unwrap_or_else(|e| panic!("{ctx} epoch {epoch}: {e}"));
+                mirror.apply(&inserts, &deletes);
+                assert_eq!(
+                    r.fast_swaps + r.fast_rejects + r.links,
+                    r.inserts_applied,
+                    "{ctx} epoch {epoch}: every fresh insert gets one verdict"
+                );
+                if r.dirty_components > 0 {
+                    tree_delete_epochs += 1;
+                    assert!(
+                        r.rebuild_edges < d.num_edges(),
+                        "{ctx} epoch {epoch}: {} crossing edges of {}",
+                        r.rebuild_edges,
+                        d.num_edges()
+                    );
+                }
+                assert_epoch_sound(&d, &mirror, &pool, &format!("{ctx} epoch {epoch}"));
+            }
+            assert!(
+                tree_delete_epochs > 0,
+                "{ctx}: no epoch deleted a tree edge"
+            );
+        }
     }
 }
