@@ -9,11 +9,6 @@
 //!   --threads N       pool size per run (default: 4)
 //!   --size N          approximate vertex count per graph (default: 4000)
 //!
-//! differential perf [options]
-//!   --threads N       pool size for construction and the parallel certifier (default: 4)
-//!   --seed N          RMAT seed (default: 42)
-//!   --llp-baseline-ms X  pre-flat-engine LLP-Boruvka reference time (default: 11181.8)
-//!
 //! differential fault-matrix [options]   (requires --features faults)
 //!   --fault-seeds LIST  comma list of LLP_FAULT_SEED values (default: 1..16)
 //!   --threads N         pool size (default: 4)
@@ -28,25 +23,6 @@
 //! algorithms return the identical canonical edge set. On any failure it
 //! reports the lexicographically minimal failing `(family, gen-seed,
 //! chaos-seed)` triple — the smallest reproducer — and exits nonzero.
-//!
-//! `perf` runs three release-mode gates on the same ≥1M-vertex Graph500
-//! RMAT graph. First, the certifier's headline property: path-max
-//! certification of a parallel Borůvka run completes in under 20% of that
-//! construction's time, with no Kruskal oracle — certification is cheap
-//! enough to ride along every benchmark run (the `certified` field of
-//! `llp-mst-run-report/v1`). Second, the Kruskal-family gate: at 8 or more
-//! threads `filter_kruskal_par` must beat `kruskal_par_sort` wall-clock
-//! (the parallel filter discards most of the m >> n heavy edges without
-//! sorting them); below 8 threads the comparison is printed but
-//! informational. Third, the flat-memory engine gate: LLP-Boruvka (packed
-//! MWE words + zero-allocation rounds) must run at least 1.25x faster than
-//! the recorded pre-flat-engine baseline on this same workload
-//! (`--llp-baseline-ms`, default the 8-thread number recorded before the
-//! engine landed); enforced at 8 or more threads, informational below.
-//! Every timed run is certified (certification excluded from the timing)
-//! and one extra chaos-seeded run must certify and agree exactly. Exits
-//! nonzero if any gate fails (build with `--release`; debug timings are
-//! meaningless).
 //!
 //! Chaos perturbation requires the `chaos` cargo feature
 //! (`cargo run --release --features chaos --bin differential`); without it
@@ -66,7 +42,7 @@
 //! any hang into a hard exit. Without `--features faults` the command
 //! refuses to run rather than green-lighting an inert matrix.
 
-use llp_bench::{run_algorithm, Algorithm};
+use llp_bench::{parse_count, parse_flag, run_algorithm, Algorithm};
 use llp_graph::algo::largest_component;
 use llp_graph::generators::{
     barabasi_albert, erdos_renyi, random_geometric, rmat, road_network, RmatParams, RoadParams,
@@ -74,9 +50,7 @@ use llp_graph::generators::{
 use llp_graph::io::{read_binary_file, write_binary, BinaryFileWriter};
 use llp_graph::CsrGraph;
 use llp_mst::certify::{certify_msf, certify_msf_par};
-use llp_mst::prelude::{
-    filter_kruskal_par, kruskal, kruskal_par_sort, sharded_msf_file, ShardedConfig, ShardedError,
-};
+use llp_mst::prelude::{kruskal, sharded_msf_file, ShardedConfig, ShardedError};
 use llp_runtime::{chaos, faults, ThreadPool};
 use llp_serve::loadgen::{run_sweep, LoadgenConfig};
 use llp_serve::protocol::{encode_queries, write_frame, Query};
@@ -152,39 +126,23 @@ struct Options {
     threads: usize,
     size: usize,
     seed: u64,
-    llp_baseline_ms: f64,
     watchdog_secs: u64,
 }
 
-/// LLP-Boruvka wall time recorded on the perf workload (scale-21 Graph500
-/// RMAT giant component, seed 42, 8 threads) immediately before the
-/// flat-memory contraction engine landed — the denominator of the
-/// `perf` command's third gate. Override with `--llp-baseline-ms` when
-/// re-baselining on different hardware.
-const LLP_BASELINE_MS: f64 = 11181.8;
-
 fn parse_list(name: &str, v: &str) -> Vec<u64> {
-    v.split(',')
-        .map(|s| {
-            s.trim().parse().unwrap_or_else(|_| {
-                eprintln!("{name}: '{s}' is not an integer");
-                std::process::exit(2);
-            })
-        })
-        .collect()
+    v.split(',').map(|s| parse_flag(name, s)).collect()
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (command, rest) = match args.first().map(String::as_str) {
         Some("sweep") => ("sweep", &args[1..]),
-        Some("perf") => ("perf", &args[1..]),
         Some("fault-matrix") => ("fault-matrix", &args[1..]),
         Some(s) if s.starts_with("--") => ("sweep", &args[..]),
         None => ("sweep", &args[..]),
         Some(other) => {
             eprintln!(
-                "unknown command {other}; usage: differential [sweep|perf|fault-matrix] [options]"
+                "unknown command {other}; usage: differential [sweep|fault-matrix] [options]"
             );
             std::process::exit(2);
         }
@@ -198,7 +156,6 @@ fn main() {
         threads: 4,
         size: 4000,
         seed: 42,
-        llp_baseline_ms: LLP_BASELINE_MS,
         watchdog_secs: 300,
     };
     let mut it = rest.iter();
@@ -230,16 +187,11 @@ fn main() {
                 opts.fault_seeds = parse_list("--fault-seeds", &value("--fault-seeds"))
             }
             "--watchdog-secs" => {
-                opts.watchdog_secs = value("--watchdog-secs").parse().expect("--watchdog-secs N")
+                opts.watchdog_secs = parse_flag("--watchdog-secs", &value("--watchdog-secs"))
             }
-            "--threads" => opts.threads = value("--threads").parse().expect("--threads N"),
-            "--size" => opts.size = value("--size").parse().expect("--size N"),
-            "--seed" => opts.seed = value("--seed").parse().expect("--seed N"),
-            "--llp-baseline-ms" => {
-                opts.llp_baseline_ms = value("--llp-baseline-ms")
-                    .parse()
-                    .expect("--llp-baseline-ms X")
-            }
+            "--threads" => opts.threads = parse_count("--threads", &value("--threads")),
+            "--size" => opts.size = parse_flag("--size", &value("--size")),
+            "--seed" => opts.seed = parse_flag("--seed", &value("--seed")),
             other => {
                 eprintln!("unknown option {other}");
                 std::process::exit(2);
@@ -249,8 +201,7 @@ fn main() {
 
     let failed = match command {
         "sweep" => sweep(&opts),
-        "fault-matrix" => fault_matrix(&opts),
-        _ => perf(&opts),
+        _ => fault_matrix(&opts),
     };
     if failed {
         std::process::exit(1);
@@ -605,167 +556,4 @@ fn fault_matrix(opts: &Options) -> bool {
     }
     println!("rerun a cell with LLP_FAULT_SEED=<seed> --features faults");
     true
-}
-
-fn perf(opts: &Options) -> bool {
-    if cfg!(debug_assertions) {
-        eprintln!("warning: perf mode in a debug build; timings are not meaningful");
-    }
-    // The scale test pairs the certifier with the construction it rides
-    // along with in the harness: a parallel Borůvka run on a Graph500
-    // RMAT graph. Scale 21 keeps the giant component above 1M vertices.
-    println!("building scale-21 Graph500 RMAT graph (giant component)...");
-    let graph = largest_component(&rmat(RmatParams::graph500(21, 8, opts.seed)));
-    let n = graph.num_vertices();
-    let m = graph.num_edges();
-    println!("graph: n={n} m={m}");
-    assert!(n >= 1_000_000, "scale-21 RMAT giant component must be >= 1M vertices");
-
-    let pool = ThreadPool::new(opts.threads);
-    let t0 = Instant::now();
-    let msf = run_algorithm(Algorithm::Boruvka, &graph, 0, &pool);
-    let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-    println!(
-        "MST construction (parallel Borůvka, {} threads): {build_ms:.1} ms",
-        opts.threads
-    );
-
-    let t1 = Instant::now();
-    certify_msf(&graph, &msf).expect("Borůvka output must certify");
-    let seq_ms = t1.elapsed().as_secs_f64() * 1e3;
-    println!(
-        "certify_msf (sequential):  {seq_ms:8.1} ms ({:.1}% of construction)",
-        100.0 * seq_ms / build_ms
-    );
-
-    let was = llp_runtime::telemetry::enabled();
-    llp_runtime::telemetry::set_enabled(true);
-    llp_runtime::telemetry::begin_run();
-    let t2 = Instant::now();
-    certify_msf_par(&graph, &msf, &pool).expect("Borůvka output must certify");
-    let par_ms = t2.elapsed().as_secs_f64() * 1e3;
-    let report = llp_runtime::telemetry::take_report();
-    llp_runtime::telemetry::set_enabled(was);
-    for p in &report.phases {
-        println!("  phase {:<20} {:>9.1} ms", p.name, p.total_ns as f64 / 1e6);
-    }
-    println!(
-        "certify_msf_par ({} threads): {par_ms:6.1} ms ({:.1}% of construction)",
-        opts.threads,
-        100.0 * par_ms / build_ms
-    );
-
-    let ratio = seq_ms.min(par_ms) / build_ms;
-    // Threshold history: 10% when construction (pre-flat-engine parallel
-    // Borůvka) took ~20 s on this workload; the flat-memory engine roughly
-    // halved the denominator while the certifier's absolute cost is
-    // unchanged (~1.3 s), so the ride-along criterion is now 20% — still
-    // "an order of magnitude cheaper than the run it certifies" territory.
-    let cert_ok = ratio < 0.20;
-    if cert_ok {
-        println!("OK: certification under 20% of construction time, no oracle");
-    } else {
-        println!(
-            "FAIL: certification took {:.1}% of construction time (>= 20%)",
-            100.0 * ratio
-        );
-    }
-
-    // Kruskal-family gate: the parallel filter must make filter_kruskal_par
-    // strictly cheaper than sort-everything kruskal_par_sort on the same
-    // graph — the filter discards most of the m >> n heavy edges unsorted.
-    println!();
-    println!("Kruskal family on the same graph ({} threads):", opts.threads);
-    let t3 = Instant::now();
-    let kps = kruskal_par_sort(&graph, &pool);
-    let kps_ms = t3.elapsed().as_secs_f64() * 1e3;
-    certify_msf_par(&graph, &kps, &pool).expect("kruskal_par_sort output must certify");
-    let t4 = Instant::now();
-    let fk = filter_kruskal_par(&graph, &pool);
-    let fk_ms = t4.elapsed().as_secs_f64() * 1e3;
-    certify_msf_par(&graph, &fk, &pool).expect("filter_kruskal_par output must certify");
-    assert_eq!(
-        fk.canonical_keys(),
-        kps.canonical_keys(),
-        "Kruskal-family outputs must agree"
-    );
-    println!("  kruskal_par_sort:   {kps_ms:9.1} ms (certified)");
-    println!(
-        "  filter_kruskal_par: {fk_ms:9.1} ms (certified, {:.2}x vs kruskal_par_sort)",
-        kps_ms / fk_ms
-    );
-    let fk_ok = if opts.threads >= 8 {
-        if fk_ms < kps_ms {
-            println!(
-                "OK: filter_kruskal_par beats kruskal_par_sort at {} threads",
-                opts.threads
-            );
-            true
-        } else {
-            println!(
-                "FAIL: filter_kruskal_par ({fk_ms:.1} ms) not faster than \
-                 kruskal_par_sort ({kps_ms:.1} ms) at {} threads",
-                opts.threads
-            );
-            false
-        }
-    } else {
-        println!("note: the Kruskal-family gate is enforced at >= 8 threads (informational here)");
-        true
-    };
-
-    // Flat-memory engine gate: LLP-Boruvka with packed MWE words and
-    // zero-allocation rounds against the recorded pre-engine baseline.
-    println!();
-    println!("LLP-Boruvka flat-memory engine ({} threads):", opts.threads);
-    let mut best_ms = f64::INFINITY;
-    let mut llp_keys = None;
-    for run in 0..3 {
-        let t = Instant::now();
-        let r = run_algorithm(Algorithm::LlpBoruvka, &graph, 0, &pool);
-        let ms = t.elapsed().as_secs_f64() * 1e3;
-        certify_msf_par(&graph, &r, &pool).expect("LLP-Boruvka output must certify");
-        println!("  run {run}: {ms:9.1} ms (certified)");
-        best_ms = best_ms.min(ms);
-        llp_keys = Some(r.canonical_keys());
-    }
-    // One extra run under a chaos seed — untimed, but it must certify and
-    // return the identical canonical forest (inert without the feature).
-    if !chaos::compiled_in() {
-        println!("  note: chaos feature not compiled in — the chaos-seeded run is inert");
-    }
-    chaos::set_seed(Some(7));
-    let chaos_run = run_algorithm(Algorithm::LlpBoruvka, &graph, 0, &pool);
-    chaos::set_seed(None);
-    certify_msf_par(&graph, &chaos_run, &pool).expect("chaos-seeded LLP-Boruvka must certify");
-    assert_eq!(
-        chaos_run.canonical_keys(),
-        llp_keys.expect("three timed runs happened"),
-        "chaos-seeded run must return the identical canonical forest"
-    );
-    println!("  chaos-seeded run: certified, canonical forest identical");
-    let speedup = opts.llp_baseline_ms / best_ms;
-    println!(
-        "  best of 3: {best_ms:.1} ms — {speedup:.2}x vs pre-engine baseline \
-         ({:.1} ms)",
-        opts.llp_baseline_ms
-    );
-    let llp_ok = if opts.threads >= 8 {
-        if speedup >= 1.25 {
-            println!("OK: flat-memory engine beats the recorded baseline by >= 1.25x");
-            true
-        } else {
-            println!(
-                "FAIL: speedup {speedup:.2}x < 1.25x over the recorded baseline \
-                 ({:.1} ms); re-baseline with --llp-baseline-ms if the hardware changed",
-                opts.llp_baseline_ms
-            );
-            false
-        }
-    } else {
-        println!("note: the engine gate is enforced at >= 8 threads (informational here)");
-        true
-    };
-
-    !(cert_ok && fk_ok && llp_ok)
 }

@@ -23,6 +23,7 @@
 //! overrides every group's sample count either way.
 
 use llp_bench::microbench::{black_box, BenchmarkId, Criterion};
+use llp_bench::parse_count;
 use llp_graph::algo::largest_component;
 use llp_graph::generators::{erdos_renyi, rmat, road_network, RmatParams, RoadParams};
 use llp_graph::transform::{
@@ -50,13 +51,11 @@ fn main() {
         match flag.as_str() {
             "--quick" => opts.quick = true,
             "--threads" => {
-                opts.threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--threads needs an integer");
-                        std::process::exit(2);
-                    })
+                let v = args.next().unwrap_or_else(|| {
+                    eprintln!("--threads needs a value");
+                    std::process::exit(2);
+                });
+                opts.threads = parse_count("--threads", &v);
             }
             other => {
                 eprintln!("unknown option {other}; usage: microbench [--quick] [--threads N]");

@@ -22,7 +22,7 @@
 use llp_bench::harness::{
     format_table, time_algorithm_with_report, write_csv, write_json_report, RunRecord, Sample,
 };
-use llp_bench::{Algorithm, Scale, Workload};
+use llp_bench::{parse_count, parse_flag, Algorithm, Scale, Workload};
 use std::path::PathBuf;
 
 /// Peels the timing samples out of telemetry-bearing records for CSV output.
@@ -101,11 +101,11 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--reps" => opts.reps = value("--reps").parse().expect("--reps N"),
+            "--reps" => opts.reps = parse_count("--reps", &value("--reps")),
             "--max-threads" => {
-                opts.max_threads = value("--max-threads").parse().expect("--max-threads N")
+                opts.max_threads = parse_count("--max-threads", &value("--max-threads"))
             }
-            "--seed" => opts.seed = value("--seed").parse().expect("--seed N"),
+            "--seed" => opts.seed = parse_flag("--seed", &value("--seed")),
             "--out" => opts.out = PathBuf::from(value("--out")),
             "--dimacs" => opts.dimacs = Some(PathBuf::from(value("--dimacs"))),
             other => {

@@ -12,7 +12,7 @@
 //! median / min / max wall time to stdout:
 //!
 //! ```text
-//! fig2_single_thread/prim/road-small  median 12.345 ms  min 12.001 ms  max 13.210 ms  (10 samples)
+//! micro_substrates/lazy_heap_push_pop_50k  median 2.345 ms  min 2.301 ms  max 2.410 ms  (20 samples)
 //! ```
 //!
 //! Environment knobs:

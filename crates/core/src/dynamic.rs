@@ -104,9 +104,8 @@ impl From<VerifyError> for DynamicError {
 }
 
 /// What one [`DynamicMsf::apply_batch`] epoch did, with per-phase wall
-/// clock — the numbers the dynamic bench aggregates into
-/// `llp-mst-dynamic-report/v1`. `F` is the previous epoch's forest, `F1`
-/// the forest after the batch's deletes, `F2` the new forest.
+/// clock. `F` is the previous epoch's forest, `F1` the forest after the
+/// batch's deletes, `F2` the new forest.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EpochReport {
     /// Epoch number after this batch (starts at 0 for the initial build).
@@ -175,9 +174,6 @@ pub struct DynamicMsf {
     index: Arc<PathMaxIndex>,
     /// Batches applied so far.
     epoch: u64,
-    /// Whether each epoch ends with a full certification sweep
-    /// (default: yes — an epoch that is not certified is not published).
-    certify_epochs: bool,
 }
 
 impl DynamicMsf {
@@ -234,7 +230,6 @@ impl DynamicMsf {
             msf,
             index,
             epoch: 0,
-            certify_epochs: true,
         };
         this.certify_now(pool)?;
         Ok(this)
@@ -264,13 +259,6 @@ impl DynamicMsf {
     /// snapshot while the next batch applies.
     pub fn index(&self) -> &Arc<PathMaxIndex> {
         &self.index
-    }
-
-    /// Disables (or re-enables) the per-epoch certification sweep. Only
-    /// meant for benchmarking the raw update pipeline; a production epoch
-    /// should always be certified before it is served.
-    pub fn set_certify_epochs(&mut self, certify: bool) {
-        self.certify_epochs = certify;
     }
 
     /// The current undirected edge set (each edge once, `u < v`).
@@ -405,7 +393,7 @@ impl DynamicMsf {
             self.index = index;
         }
 
-        if self.certify_epochs && (report.tree_changed || graph_changed) {
+        if report.tree_changed || graph_changed {
             let t = Instant::now();
             self.certify_now(pool)?;
             report.certify_ms = t.elapsed().as_secs_f64() * 1e3;

@@ -2,17 +2,13 @@
 //!
 //! Kruskal is the workspace's *reference oracle*: it is the simplest
 //! correct MSF algorithm, so every other algorithm's output is validated
-//! against it in tests and in `verify`. [`kruskal_par_sort`] offloads the
-//! dominant sorting cost to the parallel runtime (the paper notes Kruskal
-//! itself is hard to parallelise beyond the sort because of the serial heap
-//! / ordered scan).
+//! against it in tests and in `verify`.
 
 use crate::result::MstResult;
 use crate::stats::AlgoStats;
 use crate::union_find::UnionFind;
 use llp_graph::algo::connected_components;
 use llp_graph::{CsrGraph, Edge};
-use llp_runtime::{sort::par_sort_by_key, ThreadPool};
 
 /// Sequential Kruskal. Computes the canonical MSF (works on disconnected
 /// graphs; the number of trees is `MstResult::num_trees`).
@@ -20,15 +16,6 @@ pub fn kruskal(graph: &CsrGraph) -> MstResult {
     let mut edges: Vec<Edge> = graph.edges().collect();
     edges.sort_unstable_by_key(Edge::key);
     scan(graph, edges)
-}
-
-/// Kruskal with the sort done on the thread pool.
-pub fn kruskal_par_sort(graph: &CsrGraph, pool: &ThreadPool) -> MstResult {
-    let mut edges: Vec<Edge> = graph.edges().collect();
-    par_sort_by_key(pool, &mut edges, Edge::key);
-    let mut result = scan(graph, edges);
-    result.stats.parallel_regions += 1;
-    result
 }
 
 fn scan(graph: &CsrGraph, sorted_edges: Vec<Edge>) -> MstResult {
@@ -72,16 +59,6 @@ mod tests {
         let msf = kruskal(&small_forest());
         assert_eq!(msf.total_weight, SMALL_FOREST_MSF_WEIGHT);
         assert_eq!(msf.num_trees, 3); // triangle, edge, isolated vertex
-    }
-
-    #[test]
-    fn par_sort_variant_matches() {
-        let g = llp_graph::generators::erdos_renyi(500, 3000, 11);
-        let pool = ThreadPool::new(4);
-        assert_eq!(
-            kruskal(&g).canonical_keys(),
-            kruskal_par_sort(&g, &pool).canonical_keys()
-        );
     }
 
     #[test]
@@ -145,11 +122,6 @@ mod tests {
             "scanned {} of {} edges",
             r.stats.edges_scanned,
             g.num_edges()
-        );
-        let pool = ThreadPool::new(2);
-        assert_eq!(
-            kruskal_par_sort(&g, &pool).canonical_keys(),
-            r.canonical_keys()
         );
     }
 }

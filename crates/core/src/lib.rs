@@ -63,7 +63,7 @@ pub mod prelude {
         filter_kruskal, filter_kruskal_par, filter_kruskal_par_with_base_case,
         filter_kruskal_with_base_case,
     };
-    pub use crate::kruskal::{kruskal, kruskal_par_sort};
+    pub use crate::kruskal::kruskal;
     pub use crate::llp_boruvka::{llp_boruvka, llp_boruvka_from_edges};
     pub use crate::llp_prim::{llp_prim_par, llp_prim_par_with_mwe, llp_prim_seq, llp_prim_seq_with_mwe};
     pub use crate::parallel_boruvka::boruvka_par;

@@ -6,6 +6,7 @@
 
 use llp_graph::generators::{erdos_renyi, random_geometric, road_network, RoadParams};
 use llp_graph::{CsrGraph, Edge};
+use llp_mst::index::PathMaxIndex;
 use llp_mst::prelude::{
     certify_msf, certify_msf_par, filter_kruskal_par, filter_kruskal_par_with_base_case, kruskal,
     sharded_msf_graph, verify_msf,
@@ -32,6 +33,13 @@ fn forest(n: usize, edges: Vec<Edge>) -> MstResult {
     MstResult::from_edges(n, edges, AlgoStats::default())
 }
 
+/// `e` with its endpoints in `(smaller, larger)` order, as the certifier
+/// names graph edges.
+fn canonical(e: Edge) -> Edge {
+    let (u, v) = e.canonical_endpoints();
+    Edge::new(u, v, e.w)
+}
+
 #[test]
 fn certifier_and_oracle_accept_genuine_msfs() {
     let pool = ThreadPool::new(3);
@@ -56,6 +64,20 @@ fn certifier_and_oracle_reject_mutated_forests() {
             if msf.edges.is_empty() {
                 continue;
             }
+            // Each mutation below has exactly one right answer under the
+            // cut property, and both certifiers must name it.
+            let assert_witness = |f: &MstResult, want: VerifyError, what: &str| {
+                assert_eq!(
+                    certify_msf(&g, f),
+                    Err(want.clone()),
+                    "certify/{what} {seed}/{gi}"
+                );
+                assert_eq!(
+                    certify_msf_par(&g, f, &pool),
+                    Err(want),
+                    "certify_par/{what} {seed}/{gi}"
+                );
+            };
             let n = g.num_vertices();
             let mut rng = SmallRng::seed_from_u64(seed * 31 + gi as u64);
             let i = rng.gen_range(0usize..msf.edges.len());
@@ -66,6 +88,12 @@ fn certifier_and_oracle_reject_mutated_forests() {
             let dropped = forest(n, edges);
             assert!(verify_msf(&g, &dropped).is_err(), "oracle/drop {seed}/{gi}");
             assert!(certify_msf(&g, &dropped).is_err(), "certify/drop {seed}/{gi}");
+            // The dropped edge is the lightest across the cut it leaves.
+            assert_witness(
+                &dropped,
+                VerifyError::NotSpanning(canonical(msf.edges[i])),
+                "drop",
+            );
 
             // Heavier weight on one tree edge: foreign to the graph (and
             // a cut violation against the original edge).
@@ -74,6 +102,13 @@ fn certifier_and_oracle_reject_mutated_forests() {
             let heavier = forest(n, edges);
             assert!(verify_msf(&g, &heavier).is_err(), "oracle/heavy {seed}/{gi}");
             assert!(certify_msf(&g, &heavier).is_err(), "certify/heavy {seed}/{gi}");
+            // The original edge is lighter than every other edge whose
+            // tree path now crosses the heavier copy.
+            assert_witness(
+                &heavier,
+                VerifyError::CutViolation(canonical(msf.edges[i])),
+                "heavy",
+            );
 
             // Duplicate one tree edge: a two-edge cycle.
             let mut edges = msf.edges.clone();
@@ -81,6 +116,7 @@ fn certifier_and_oracle_reject_mutated_forests() {
             let cyclic = forest(n, edges);
             assert!(verify_msf(&g, &cyclic).is_err(), "oracle/cycle {seed}/{gi}");
             assert!(certify_msf(&g, &cyclic).is_err(), "certify/cycle {seed}/{gi}");
+            assert_witness(&cyclic, VerifyError::Cycle(msf.edges[i]), "cycle");
 
             // Lighter weight on one tree edge, in a graph that repeats
             // another tree edge verbatim: foreign, with no cut violation
@@ -111,6 +147,42 @@ fn certifier_and_oracle_reject_mutated_forests() {
                     "certify_par/mask {seed}/{gi}"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn certifiers_name_the_smallest_key_witness_at_every_thread_count() {
+    // Certified against its *maximum* spanning forest, a graph violates
+    // the cycle property at many vertices. The witness must be the
+    // graph's smallest-key violating edge, whatever the pool and its
+    // chunking, not the first one some chunk happened to meet.
+    let pools: Vec<ThreadPool> = (1..=4).map(ThreadPool::new).collect();
+    for seed in 0..4u64 {
+        let g = erdos_renyi(4000, 16000, seed);
+        let n = g.num_vertices();
+        let negated: Vec<Edge> = g.edges().map(|e| Edge::new(e.u, e.v, -e.w)).collect();
+        let heaviest = kruskal(&CsrGraph::from_edges(n, &negated));
+        let max_forest = forest(
+            n,
+            heaviest.edges.iter().map(|e| Edge::new(e.u, e.v, -e.w)).collect(),
+        );
+
+        let index = PathMaxIndex::build(n, &max_forest).expect("a forest");
+        let smallest = g
+            .edges()
+            .filter(|e| index.path_max(e.u, e.v).is_some_and(|max| e.key() < max))
+            .min_by_key(Edge::key)
+            .expect("a maximum spanning forest violates the cycle property");
+        let want = Err(VerifyError::CutViolation(canonical(smallest)));
+        assert_eq!(certify_msf(&g, &max_forest), want, "certify_msf seed {seed}");
+        for (t, pool) in pools.iter().enumerate() {
+            assert_eq!(
+                certify_msf_par(&g, &max_forest, pool),
+                want,
+                "certify_msf_par seed {seed}, {} threads",
+                t + 1
+            );
         }
     }
 }

@@ -16,13 +16,15 @@
 //!   (the tag-4 overloaded frame), and graceful drain.
 //! - [`retry`] — full-jitter exponential backoff and the reconnecting
 //!   client that rides out shed/reaped/faulted connections.
-//! - [`loadgen`] — batch-size sweep, latency percentiles, retry counts,
-//!   and the `llp-mst-serve-report/v1` JSON writer.
+//! - [`loadgen`] — batch-size sweep, latency percentiles and retry
+//!   counts, with every response optionally verified.
 //!
 //! The `llp-mst-serve` binary front-ends all of it: `gen`, `serve`,
-//! `loadgen`, `bench` (in-process end-to-end with verification), and
-//! `fuzz-ingest` (the corrupt-file rejection matrix, plus a seeded
-//! fault-injection sweep when built with the `faults` feature).
+//! `loadgen` (with `--verify`, every response re-checked against a local
+//! certified index), and `fuzz-ingest` (the corrupt-file rejection
+//! matrix, plus a seeded fault-injection sweep when built with the
+//! `faults` feature). The repository's benchmark (`benchmark/`) measures
+//! serving throughput and latency.
 
 pub mod loadgen;
 pub mod protocol;

@@ -1,5 +1,4 @@
-//! Load generator: sweeps batch sizes against a running server and writes
-//! the `llp-mst-serve-report/v1` JSON (`BENCH_serve.json`).
+//! Load generator: sweeps batch sizes against a running server.
 //!
 //! Per sweep point the generator fires a fixed number of random queries
 //! (a 25/50/25 mix of `component` / `path_max` / `connected_under`) in
@@ -14,7 +13,6 @@ use crate::protocol::{Query, Response, MAX_BATCH};
 use crate::retry::{RetryPolicy, RetryingClient};
 use crate::service::MsfService;
 use llp_runtime::rng::SmallRng;
-use std::io::{BufWriter, Write};
 use std::time::Instant;
 
 /// One batch-size measurement.
@@ -146,120 +144,9 @@ fn check_against_local(
     Ok(())
 }
 
-/// Everything the serve report records.
-pub struct ReportInputs<'a> {
-    /// Served graph: vertices.
-    pub n: usize,
-    /// Served graph: edges.
-    pub m: usize,
-    /// Trees in the certified forest.
-    pub num_trees: usize,
-    /// Build timings (MSF, index, certify), milliseconds.
-    pub build: crate::service::BuildTimings,
-    /// Pool threads used for the build.
-    pub threads: usize,
-    /// Server connection workers.
-    pub workers: usize,
-    /// Whether every response was verified against a local index.
-    pub verified: bool,
-    /// The sweep measurements.
-    pub sweep: &'a [SweepPoint],
-}
-
-/// Writes the `llp-mst-serve-report/v1` JSON (creating parent
-/// directories).
-///
-/// ```json
-/// {
-///   "schema": "llp-mst-serve-report/v1",
-///   "graph": {"n": 65536, "m": 1048576, "num_trees": 3},
-///   "build_ms": {"msf": 1.0, "index": 0.5, "certify": 0.8},
-///   "threads": 4, "workers": 2, "verified": true,
-///   "sweep": [
-///     {"batch": 1, "queries": 100000, "elapsed_s": 1.0,
-///      "qps": 100000.0, "p50_us": 9.0, "p99_us": 31.0, "retries": 0}
-///   ]
-/// }
-/// ```
-pub fn write_report(path: &std::path::Path, inputs: &ReportInputs<'_>) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut f = BufWriter::new(std::fs::File::create(path)?);
-    writeln!(f, "{{\"schema\":\"llp-mst-serve-report/v1\",")?;
-    writeln!(
-        f,
-        "\"graph\":{{\"n\":{},\"m\":{},\"num_trees\":{}}},",
-        inputs.n, inputs.m, inputs.num_trees
-    )?;
-    writeln!(
-        f,
-        "\"build_ms\":{{\"msf\":{:.3},\"index\":{:.3},\"certify\":{:.3}}},",
-        inputs.build.msf_ms, inputs.build.index_ms, inputs.build.certify_ms
-    )?;
-    writeln!(
-        f,
-        "\"threads\":{},\"workers\":{},\"verified\":{},",
-        inputs.threads, inputs.workers, inputs.verified
-    )?;
-    writeln!(f, "\"sweep\":[")?;
-    for (i, p) in inputs.sweep.iter().enumerate() {
-        let sep = if i + 1 < inputs.sweep.len() { "," } else { "" };
-        writeln!(
-            f,
-            "{{\"batch\":{},\"queries\":{},\"elapsed_s\":{:.6},\"qps\":{:.1},\
-             \"p50_us\":{:.2},\"p99_us\":{:.2},\"retries\":{}}}{}",
-            p.batch, p.queries, p.elapsed_s, p.qps, p.p50_us, p.p99_us, p.retries, sep
-        )?;
-    }
-    writeln!(f, "]}}")?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn report_json_is_parseable_shape() {
-        let sweep = vec![SweepPoint {
-            batch: 16,
-            queries: 1000,
-            elapsed_s: 0.5,
-            qps: 2000.0,
-            p50_us: 8.0,
-            p99_us: 20.0,
-            retries: 3,
-        }];
-        let dir = std::env::temp_dir().join("llp-serve-report-test");
-        let path = dir.join("BENCH_serve.json");
-        write_report(
-            &path,
-            &ReportInputs {
-                n: 10,
-                m: 20,
-                num_trees: 1,
-                build: Default::default(),
-                threads: 2,
-                workers: 2,
-                verified: true,
-                sweep: &sweep,
-            },
-        )
-        .unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with("{\"schema\":\"llp-mst-serve-report/v1\""));
-        assert!(text.contains("\"qps\":2000.0"));
-        assert!(text.contains("\"retries\":3"));
-        // Balanced braces/brackets — the report is machine-readable.
-        assert_eq!(
-            text.matches('{').count(),
-            text.matches('}').count(),
-            "{text}"
-        );
-        assert_eq!(text.matches('[').count(), text.matches(']').count());
-        std::fs::remove_dir_all(&dir).ok();
-    }
 
     #[test]
     fn random_queries_cover_all_ops() {

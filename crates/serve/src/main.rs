@@ -7,19 +7,17 @@
 //!                          [--dynamic [--update-threads U]]
 //!                          [--read-timeout-ms 30000] [--write-timeout-ms 30000]
 //!                          [--queue-cap 64] [--retry-after-ms 100]
-//! llp-mst-serve loadgen    --addr HOST:PORT [--graph g.bin --verify] [--batches 1,16,256,4096]
-//!                          [--queries 100000] [--seed 42] [--report out.json] [--shutdown]
-//! llp-mst-serve bench      [--graph g.bin | --scale 16 --ef 16 --seed 1] [--threads T]
-//!                          [--workers W] [--queries N] [--batches ...]
-//!                          [--report BENCH_serve.json] [--min-qps 100000]
+//! llp-mst-serve loadgen    --addr HOST:PORT [--graph g.bin --verify] [--threads T]
+//!                          [--batches 1,16,256,4096] [--queries 100000] [--seed 42]
+//!                          [--shutdown]
 //! llp-mst-serve fuzz-ingest [--fault-seeds N]
 //! ```
 //!
-//! `bench` is the one-shot certified pipeline: generate/load a graph,
-//! build + certify the MSF, serve it on an ephemeral loopback port, sweep
-//! batch sizes with every response verified against the local certified
-//! index, shut the server down, write the `llp-mst-serve-report/v1`
-//! JSON, and gate on `--min-qps`. `fuzz-ingest` runs the corrupt-file
+//! A bad or missing flag is a usage error (exit 2); a command that fails
+//! at run time exits 1. `loadgen --verify` replays every response
+//! against a certified index built locally from `--graph`; throughput and
+//! latency are measured by the repository's benchmark (`benchmark/`), not
+//! here. `fuzz-ingest` runs the corrupt-file
 //! matrix against the hardened binary reader and fails if any corruption
 //! is accepted; `--fault-seeds N` (needs the `faults` feature) addition-
 //! ally sweeps N seeds of injected file-I/O faults through the real
@@ -30,10 +28,10 @@ use llp_graph::generators::{erdos_renyi, rmat, RmatParams};
 use llp_graph::io::{read_binary_range, read_binary_slice, write_binary, IoError};
 use llp_graph::CsrGraph;
 use llp_runtime::ThreadPool;
-use llp_serve::loadgen::{run_sweep, write_report, LoadgenConfig, ReportInputs, SweepPoint};
+use llp_serve::loadgen::{run_sweep, LoadgenConfig, SweepPoint};
 use llp_serve::protocol::{decode_responses, encode_queries, read_frame, write_frame, Query, Response, MAX_PAYLOAD};
 use llp_serve::server::{run_server, ServerConfig};
-use llp_serve::service::{load_graph, BuildTimings, MsfService};
+use llp_serve::service::{load_graph, MsfService};
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -51,29 +49,45 @@ fn main() -> ExitCode {
         "gen" => cmd_gen(&mut args),
         "serve" => cmd_serve(&mut args),
         "loadgen" => cmd_loadgen(&mut args),
-        "bench" => cmd_bench(&mut args),
         "fuzz-ingest" => cmd_fuzz_ingest(&mut args),
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+        other => Err(CliError::Usage(format!("unknown command `{other}`"))),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Err(CliError::Usage(msg)) => {
+            eprintln!("llp-mst-serve {cmd}: {msg}\n{USAGE}");
+            ExitCode::from(2)
+        }
+        Err(CliError::Failed(msg)) => {
             eprintln!("llp-mst-serve {cmd}: {msg}");
             ExitCode::FAILURE
         }
     }
 }
 
-const USAGE: &str = "usage: llp-mst-serve <gen|serve|loadgen|bench|fuzz-ingest> [options]
+const USAGE: &str = "usage: llp-mst-serve <gen|serve|loadgen|fuzz-ingest> [options]
 run `llp-mst-serve <command>` with no options for that command's defaults";
 
+/// Why a command stopped: a bad or missing flag (exit 2), or a failure
+/// while running (exit 1).
+enum CliError {
+    Usage(String),
+    Failed(String),
+}
+
+impl From<String> for CliError {
+    fn from(msg: String) -> Self {
+        CliError::Failed(msg)
+    }
+}
+
 /// Removes `--name value` from `args`, if present.
-fn take_opt(args: &mut Vec<String>, name: &str) -> Result<Option<String>, String> {
+fn take_opt(args: &mut Vec<String>, name: &str) -> Result<Option<String>, CliError> {
     let Some(i) = args.iter().position(|a| a == name) else {
         return Ok(None);
     };
     if i + 1 >= args.len() {
-        return Err(format!("{name} needs a value"));
+        return Err(CliError::Usage(format!("{name} needs a value")));
     }
     let v = args.remove(i + 1);
     args.remove(i);
@@ -89,31 +103,48 @@ fn take_flag(args: &mut Vec<String>, name: &str) -> bool {
     true
 }
 
-fn parse<T: std::str::FromStr>(name: &str, v: Option<String>, default: T) -> Result<T, String> {
+/// Removes the required `--name value` from `args`.
+fn take_required(args: &mut Vec<String>, name: &str) -> Result<String, CliError> {
+    take_opt(args, name)?.ok_or_else(|| CliError::Usage(format!("{name} is required")))
+}
+
+fn parse<T: std::str::FromStr>(name: &str, v: Option<String>, default: T) -> Result<T, CliError> {
     match v {
         None => Ok(default),
-        Some(s) => s.parse().map_err(|_| format!("bad value for {name}: {s}")),
+        Some(s) => s
+            .parse()
+            .map_err(|_| CliError::Usage(format!("bad value for {name}: {s}"))),
     }
 }
 
 /// Errors on leftover (unrecognized) arguments.
-fn no_leftovers(args: &[String]) -> Result<(), String> {
+fn no_leftovers(args: &[String]) -> Result<(), CliError> {
     if args.is_empty() {
         Ok(())
     } else {
-        Err(format!("unrecognized arguments: {}", args.join(" ")))
+        Err(CliError::Usage(format!(
+            "unrecognized arguments: {}",
+            args.join(" ")
+        )))
     }
 }
 
-fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+/// `--threads T`: the build pool's size, at least 1 (default: the
+/// available parallelism).
+fn take_threads(args: &mut Vec<String>) -> Result<usize, CliError> {
+    let default = std::thread::available_parallelism().map_or(1, |n| n.get());
+    match parse("--threads", take_opt(args, "--threads")?, default)? {
+        0 => Err(CliError::Usage("--threads must be at least 1".into())),
+        t => Ok(t),
+    }
 }
 
 /// Builds the graph named by `--graph`, or generates one from
 /// `--kind/--scale/--ef/--seed`.
-fn graph_from_args(args: &mut Vec<String>) -> Result<CsrGraph, String> {
+fn graph_from_args(args: &mut Vec<String>) -> Result<CsrGraph, CliError> {
     if let Some(path) = take_opt(args, "--graph")? {
-        return load_graph(&PathBuf::from(&path)).map_err(|e| format!("{path}: {e}"));
+        return load_graph(&PathBuf::from(&path))
+            .map_err(|e| CliError::Failed(format!("{path}: {e}")));
     }
     let kind = take_opt(args, "--kind")?.unwrap_or_else(|| "rmat".into());
     let scale: u32 = parse("--scale", take_opt(args, "--scale")?, 16)?;
@@ -125,12 +156,14 @@ fn graph_from_args(args: &mut Vec<String>) -> Result<CsrGraph, String> {
             let n = 1usize << scale;
             Ok(erdos_renyi(n, n * ef, seed))
         }
-        other => Err(format!("unknown --kind `{other}` (want rmat or er)")),
+        other => Err(CliError::Usage(format!(
+            "unknown --kind `{other}` (want rmat or er)"
+        ))),
     }
 }
 
-fn cmd_gen(args: &mut Vec<String>) -> Result<(), String> {
-    let out = take_opt(args, "--out")?.ok_or("--out is required")?;
+fn cmd_gen(args: &mut Vec<String>) -> Result<(), CliError> {
+    let out = take_required(args, "--out")?;
     let graph = graph_from_args(args)?;
     no_leftovers(args)?;
     // Atomic install: the reader side (a server starting against this
@@ -150,10 +183,10 @@ fn cmd_gen(args: &mut Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve(args: &mut Vec<String>) -> Result<(), String> {
-    let graph_path = take_opt(args, "--graph")?.ok_or("--graph is required")?;
+fn cmd_serve(args: &mut Vec<String>) -> Result<(), CliError> {
+    let graph_path = take_required(args, "--graph")?;
     let addr = take_opt(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:0".into());
-    let threads: usize = parse("--threads", take_opt(args, "--threads")?, default_threads())?;
+    let threads = take_threads(args)?;
     let workers: usize = parse("--workers", take_opt(args, "--workers")?, 2)?;
     let port_file = take_opt(args, "--port-file")?;
     let dynamic = take_flag(args, "--dynamic");
@@ -245,16 +278,18 @@ fn query_info(addr: &str) -> Result<(u32, u32, f64), String> {
     }
 }
 
-fn loadgen_config(args: &mut Vec<String>) -> Result<LoadgenConfig, String> {
+fn loadgen_config(args: &mut Vec<String>) -> Result<LoadgenConfig, CliError> {
     let mut cfg = LoadgenConfig::default();
     if let Some(list) = take_opt(args, "--batches")? {
         cfg.batches = list
             .split(',')
             .map(|s| s.trim().parse::<usize>())
             .collect::<Result<_, _>>()
-            .map_err(|_| format!("bad --batches list: {list}"))?;
+            .map_err(|_| CliError::Usage(format!("bad --batches list: {list}")))?;
         if cfg.batches.is_empty() {
-            return Err("--batches must name at least one batch size".into());
+            return Err(CliError::Usage(
+                "--batches must name at least one batch size".into(),
+            ));
         }
     }
     cfg.queries_per_point = parse("--queries", take_opt(args, "--queries")?, cfg.queries_per_point)?;
@@ -272,13 +307,12 @@ fn print_sweep(sweep: &[SweepPoint]) {
     }
 }
 
-fn cmd_loadgen(args: &mut Vec<String>) -> Result<(), String> {
-    let addr = take_opt(args, "--addr")?.ok_or("--addr is required")?;
+fn cmd_loadgen(args: &mut Vec<String>) -> Result<(), CliError> {
+    let addr = take_required(args, "--addr")?;
     let graph_path = take_opt(args, "--graph")?;
     let verify = take_flag(args, "--verify");
     let shutdown = take_flag(args, "--shutdown");
-    let report = take_opt(args, "--report")?;
-    let threads: usize = parse("--threads", take_opt(args, "--threads")?, default_threads())?;
+    let threads = take_threads(args)?;
     let cfg = loadgen_config(args)?;
     no_leftovers(args)?;
 
@@ -292,14 +326,18 @@ fn cmd_loadgen(args: &mut Vec<String>) -> Result<(), String> {
             let svc = MsfService::build(&graph, &pool)
                 .map_err(|e| format!("local certification failed: {e}"))?;
             if svc.n as u32 != n {
-                return Err(format!(
+                return Err(CliError::Failed(format!(
                     "--graph has n={}, but the server serves n={n}; wrong file?",
                     svc.n
-                ));
+                )));
             }
             Some(svc)
         }
-        (None, true) => return Err("--verify needs --graph to build the local index".into()),
+        (None, true) => {
+            return Err(CliError::Usage(
+                "--verify needs --graph to build the local index".into(),
+            ))
+        }
         (None, false) => None,
     };
 
@@ -309,87 +347,10 @@ fn cmd_loadgen(args: &mut Vec<String>) -> Result<(), String> {
         println!("verified: every response matched the local certified index");
     }
 
-    if let Some(path) = report {
-        let inputs = ReportInputs {
-            n: n as usize,
-            m: local.as_ref().map_or(0, |s| s.m),
-            num_trees: trees as usize,
-            build: local.as_ref().map_or(BuildTimings::default(), |s| s.timings),
-            threads,
-            workers: 0, // remote server; its worker count is not visible
-            verified: verify,
-            sweep: &sweep,
-        };
-        write_report(&PathBuf::from(&path), &inputs).map_err(|e| format!("{path}: {e}"))?;
-        println!("report: {path}");
-    }
     if shutdown {
         one_shot(&addr, &[Query::Shutdown])?;
         println!("server acknowledged shutdown");
     }
-    Ok(())
-}
-
-fn cmd_bench(args: &mut Vec<String>) -> Result<(), String> {
-    let threads: usize = parse("--threads", take_opt(args, "--threads")?, default_threads())?;
-    let workers: usize = parse("--workers", take_opt(args, "--workers")?, 2)?;
-    let min_qps: f64 = parse("--min-qps", take_opt(args, "--min-qps")?, 100_000.0)?;
-    let report = take_opt(args, "--report")?.unwrap_or_else(|| "BENCH_serve.json".into());
-    let no_verify = take_flag(args, "--no-verify");
-    let cfg = loadgen_config(args)?;
-    let graph = graph_from_args(args)?;
-    no_leftovers(args)?;
-
-    let pool = ThreadPool::new(threads);
-    let service = Arc::new(
-        MsfService::build(&graph, &pool).map_err(|e| format!("certification failed: {e}"))?,
-    );
-    drop(pool);
-    print_build(&service);
-
-    let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| e.to_string())?;
-    let addr = listener.local_addr().map_err(|e| e.to_string())?.to_string();
-    let server = {
-        let service = Arc::clone(&service);
-        let cfg = ServerConfig::with_workers(workers);
-        std::thread::spawn(move || run_server(listener, service, cfg))
-    };
-
-    let n = service.n as u32;
-    let verify = (!no_verify).then_some(service.as_ref());
-    let sweep = run_sweep(&addr, n, &cfg, verify);
-    // Always stop the server, even when the sweep failed.
-    let _ = one_shot(&addr, &[Query::Shutdown]);
-    server
-        .join()
-        .map_err(|_| "server thread panicked".to_string())?
-        .map_err(|e| e.to_string())?;
-    let sweep = sweep?;
-    print_sweep(&sweep);
-    if verify.is_some() {
-        println!("verified: every response matched the local certified index");
-    }
-
-    let inputs = ReportInputs {
-        n: service.n,
-        m: service.m,
-        num_trees: service.num_trees,
-        build: service.timings,
-        threads,
-        workers,
-        verified: verify.is_some(),
-        sweep: &sweep,
-    };
-    write_report(&PathBuf::from(&report), &inputs).map_err(|e| format!("{report}: {e}"))?;
-    println!("report: {report}");
-
-    let best = sweep.iter().map(|p| p.qps).fold(0.0f64, f64::max);
-    if best < min_qps {
-        return Err(format!(
-            "best throughput {best:.0} q/s is below the --min-qps gate of {min_qps:.0}"
-        ));
-    }
-    println!("gate: best {best:.0} q/s >= {min_qps:.0} q/s");
     Ok(())
 }
 
@@ -398,7 +359,7 @@ fn cmd_bench(args: &mut Vec<String>) -> Result<(), String> {
 /// (never a panic, never a giant allocation) for format violations.
 /// `--fault-seeds N` additionally sweeps N seeds of injected file-I/O
 /// faults through the real file-backed read/write paths.
-fn cmd_fuzz_ingest(args: &mut Vec<String>) -> Result<(), String> {
+fn cmd_fuzz_ingest(args: &mut Vec<String>) -> Result<(), CliError> {
     let fault_seeds: u64 = parse("--fault-seeds", take_opt(args, "--fault-seeds")?, 0)?;
     no_leftovers(args)?;
     let graph = erdos_renyi(64, 128, 7);
@@ -508,7 +469,7 @@ fn cmd_fuzz_ingest(args: &mut Vec<String>) -> Result<(), String> {
     }
 
     if failures > 0 {
-        return Err(format!("{failures} corruptions were accepted"));
+        return Err(format!("{failures} corruptions were accepted").into());
     }
     println!(
         "fuzz-ingest: all {} corruptions rejected",

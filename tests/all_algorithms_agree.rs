@@ -14,7 +14,6 @@ fn assert_forest_algorithms_agree(g: &CsrGraph) -> Vec<EdgeKey> {
     let pool = ThreadPool::new(3);
     let oracle = kruskal(g);
     let candidates: Vec<(&str, MstResult)> = vec![
-        ("kruskal_par_sort", kruskal_par_sort(g, &pool)),
         ("filter_kruskal", filter_kruskal(g)),
         ("boruvka_seq", boruvka_seq(g)),
         ("boruvka_par", boruvka_par(g, &pool)),

@@ -25,7 +25,6 @@ fn all_algorithms_certify_under_chaos_seeds() {
                 .unwrap_or_else(|e| panic!("kruskal on {gname}, seed {seed}: {e}"));
             let keys = reference.canonical_keys();
             let results: Vec<(&str, MstResult)> = vec![
-                ("kruskal_par_sort", kruskal_par_sort(g, &pool)),
                 ("filter_kruskal", filter_kruskal(g)),
                 ("filter_kruskal_par", filter_kruskal_par(g, &pool)),
                 // Small base case: partition + filter rounds actually run on
