@@ -7,7 +7,7 @@
 use llp_bench::microbench::{black_box, Criterion};
 use llp_bench::{criterion_group, criterion_main};
 use llp_bench::{Scale, Workload};
-use llp_mst::heap::{IndexedHeap, LazyHeap};
+use llp_mst::heap::LazyHeap;
 use llp_mst::union_find::{ConcurrentUnionFind, UnionFind};
 use llp_runtime::ThreadPool;
 
@@ -35,21 +35,6 @@ fn substrates(c: &mut Criterion) {
             }
             let mut acc = 0u64;
             while let Some((k, _)) = h.pop() {
-                acc = acc.wrapping_add(k);
-            }
-            black_box(acc)
-        })
-    });
-
-    group.bench_function("indexed_heap_mixed_50k", |b| {
-        b.iter(|| {
-            let mut rand = xorshift(0xC0FFEE);
-            let mut h: IndexedHeap<u64> = IndexedHeap::new(n);
-            for _ in 0..n {
-                h.insert_or_adjust((rand() % n as u64) as u32, rand());
-            }
-            let mut acc = 0u64;
-            while let Some((k, _)) = h.pop_min() {
                 acc = acc.wrapping_add(k);
             }
             black_box(acc)

@@ -10,17 +10,12 @@ use llp_runtime::ThreadPool;
 pub enum Algorithm {
     /// Classic Prim, lazy heap (the paper's "Prim").
     Prim,
-    /// Classic Prim, indexed decrease-key heap (Algorithm 2).
-    PrimIndexed,
     /// Kruskal (reference baseline).
     Kruskal,
-    /// Filter-Kruskal (pivot partition + filtering).
-    FilterKruskal,
     /// Filter-Kruskal with partition, filter and sorts on the pool.
     FilterKruskalPar,
-    /// Sequential Boruvka, Algorithm 3.
-    BoruvkaSeq,
-    /// Parallel Boruvka, GBBS-style (the paper's "Boruvka").
+    /// Parallel Boruvka, GBBS-style (the paper's "Boruvka"; Fig. 2's
+    /// single-thread run is this on one thread).
     Boruvka,
     /// LLP-Prim sequential (the paper's "LLP-Prim (1T)").
     LlpPrimSeq,
@@ -38,11 +33,8 @@ impl Algorithm {
     pub fn label(&self) -> &'static str {
         match self {
             Algorithm::Prim => "Prim",
-            Algorithm::PrimIndexed => "Prim (indexed)",
             Algorithm::Kruskal => "Kruskal",
-            Algorithm::FilterKruskal => "Filter-Kruskal",
             Algorithm::FilterKruskalPar => "Filter-Kruskal (par)",
-            Algorithm::BoruvkaSeq => "Boruvka (seq)",
             Algorithm::Boruvka => "Boruvka",
             Algorithm::LlpPrimSeq => "LLP-Prim (1T)",
             Algorithm::LlpPrim => "LLP-Prim",
@@ -55,12 +47,7 @@ impl Algorithm {
     pub fn is_sequential(&self) -> bool {
         matches!(
             self,
-            Algorithm::Prim
-                | Algorithm::PrimIndexed
-                | Algorithm::Kruskal
-                | Algorithm::FilterKruskal
-                | Algorithm::BoruvkaSeq
-                | Algorithm::LlpPrimSeq
+            Algorithm::Prim | Algorithm::Kruskal | Algorithm::LlpPrimSeq
         )
     }
 
@@ -68,11 +55,8 @@ impl Algorithm {
     pub fn all() -> &'static [Algorithm] {
         &[
             Algorithm::Prim,
-            Algorithm::PrimIndexed,
             Algorithm::Kruskal,
-            Algorithm::FilterKruskal,
             Algorithm::FilterKruskalPar,
-            Algorithm::BoruvkaSeq,
             Algorithm::Boruvka,
             Algorithm::LlpPrimSeq,
             Algorithm::LlpPrim,
@@ -118,11 +102,8 @@ pub fn run_algorithm_with_mwe(
     const CONNECTED: &str = "benchmark graph must be connected";
     match algo {
         Algorithm::Prim => prim_lazy(graph, root).expect(CONNECTED),
-        Algorithm::PrimIndexed => prim_indexed(graph, root).expect(CONNECTED),
         Algorithm::Kruskal => kruskal(graph),
-        Algorithm::FilterKruskal => filter_kruskal(graph),
         Algorithm::FilterKruskalPar => filter_kruskal_par(graph, pool),
-        Algorithm::BoruvkaSeq => boruvka_seq(graph),
         Algorithm::Boruvka => boruvka_par(graph, pool),
         Algorithm::LlpPrimSeq => match mwe {
             Some(t) => llp_prim_seq_with_mwe(graph, root, t).expect(CONNECTED),
@@ -171,7 +152,7 @@ mod tests {
     fn sequential_flag_consistent() {
         assert!(Algorithm::Prim.is_sequential());
         assert!(Algorithm::LlpPrimSeq.is_sequential());
-        assert!(Algorithm::FilterKruskal.is_sequential());
+        assert!(Algorithm::Kruskal.is_sequential());
         assert!(!Algorithm::FilterKruskalPar.is_sequential());
         assert!(!Algorithm::LlpPrim.is_sequential());
         assert!(!Algorithm::LlpBoruvka.is_sequential());

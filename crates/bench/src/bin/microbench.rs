@@ -12,9 +12,6 @@
 //!   removes from every contraction round).
 //! * `mwe-word` — the packed single-`u64` MWE propose versus the retired
 //!   two-word `AtomicIndexMin` protocol on an identical proposal stream.
-//! * `relabel-prim` — the Prim family before/after the cache-aware
-//!   relabelings in `llp_graph::transform` (degree-descending on a
-//!   hub-heavy RMAT component, BFS order on a road mesh).
 //! * `contraction-round` — end-to-end LLP-Boruvka and parallel Boruvka on
 //!   the flat-memory engine.
 //!
@@ -25,12 +22,8 @@
 use llp_bench::microbench::{black_box, BenchmarkId, Criterion};
 use llp_bench::parse_count;
 use llp_graph::algo::largest_component;
-use llp_graph::generators::{erdos_renyi, rmat, road_network, RmatParams, RoadParams};
-use llp_graph::transform::{
-    permute_vertices, random_permutation, relabel_bfs, relabel_degree_descending,
-};
-use llp_graph::CsrGraph;
-use llp_mst::prelude::{boruvka_par, llp_boruvka, prim_indexed};
+use llp_graph::generators::{erdos_renyi, rmat, RmatParams};
+use llp_mst::prelude::{boruvka_par, llp_boruvka};
 use llp_runtime::atomics::{mwe_propose, weight_hi32, AtomicIndexMin, MWE_EMPTY};
 use llp_runtime::rng::SmallRng;
 use llp_runtime::{atomics, parallel_for, ParallelForConfig, ScratchArena, ThreadPool};
@@ -70,7 +63,6 @@ fn main() {
     let mut c = Criterion::default();
     scratch_arena(&mut c, &opts);
     mwe_word(&mut c, &opts);
-    relabel_prim(&mut c, &opts);
     contraction_round(&mut c, &opts);
 }
 
@@ -169,49 +161,6 @@ fn mwe_word(c: &mut Criterion, opts: &Opts) {
             }
         })
     });
-    g.finish();
-}
-
-/// Prim (indexed heap) before/after the cache-aware relabelings. The
-/// `shuffled` row is the realistic starting point — inputs arrive in
-/// arbitrary vertex order (our generators happen to emit near-optimal
-/// orders already: row-major grids, BFS-ish RMAT components) — and the
-/// relabelings are applied to that shuffled graph to show what they
-/// recover.
-fn relabel_prim(c: &mut Criterion, opts: &Opts) {
-    let (rmat_g, road_g): (CsrGraph, CsrGraph) = if opts.quick {
-        (
-            largest_component(&rmat(RmatParams::graph500(13, 8, 5))),
-            road_network(RoadParams::usa_like(60, 60, 5)),
-        )
-    } else {
-        (
-            largest_component(&rmat(RmatParams::graph500(17, 8, 5))),
-            road_network(RoadParams::usa_like(400, 400, 5)),
-        )
-    };
-    let mut g = c.benchmark_group("relabel-prim");
-    g.sample_size(samples(opts, 10));
-
-    for (name, graph) in [("rmat", &rmat_g), ("road", &road_g)] {
-        let n = graph.num_vertices();
-        let shuffled = permute_vertices(graph, &random_permutation(n, 99));
-        let (deg_g, _) = relabel_degree_descending(&shuffled);
-        let (bfs_g, _) = relabel_bfs(&shuffled);
-        let param = format!("{name}/n={n}");
-        g.bench_with_input(BenchmarkId::new("generator-order", &param), graph, |b, gr| {
-            b.iter(|| black_box(prim_indexed(gr, 0).expect("connected").total_weight))
-        });
-        g.bench_with_input(BenchmarkId::new("shuffled", &param), &shuffled, |b, gr| {
-            b.iter(|| black_box(prim_indexed(gr, 0).expect("connected").total_weight))
-        });
-        g.bench_with_input(BenchmarkId::new("degree-desc", &param), &deg_g, |b, gr| {
-            b.iter(|| black_box(prim_indexed(gr, 0).expect("connected").total_weight))
-        });
-        g.bench_with_input(BenchmarkId::new("bfs-order", &param), &bfs_g, |b, gr| {
-            b.iter(|| black_box(prim_indexed(gr, 0).expect("connected").total_weight))
-        });
-    }
     g.finish();
 }
 

@@ -173,13 +173,13 @@ pub fn write_csv(path: &std::path::Path, samples: &[Sample]) -> std::io::Result<
     writeln!(
         f,
         "algorithm,workload,threads,median_ms,min_ms,total_weight,heap_pushes,heap_pops,\
-         decrease_keys,edges_scanned,early_fixes,heap_fixes,rounds,pointer_jumps,\
+         edges_scanned,early_fixes,heap_fixes,rounds,pointer_jumps,\
          cas_retries,atomic_rmw,parallel_regions"
     )?;
     for s in samples {
         writeln!(
             f,
-            "{},{},{},{:.3},{:.3},{},{},{},{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{:.3},{:.3},{},{},{},{},{},{},{},{},{},{},{}",
             s.algo.label(),
             s.workload,
             s.threads,
@@ -188,7 +188,6 @@ pub fn write_csv(path: &std::path::Path, samples: &[Sample]) -> std::io::Result<
             s.total_weight,
             s.stats.heap_pushes,
             s.stats.heap_pops,
-            s.stats.decrease_keys,
             s.stats.edges_scanned,
             s.stats.early_fixes,
             s.stats.heap_fixes,
@@ -217,12 +216,11 @@ fn json_escape(s: &str) -> String {
 
 fn stats_json(s: &AlgoStats) -> String {
     format!(
-        "{{\"heap_pushes\":{},\"heap_pops\":{},\"decrease_keys\":{},\"edges_scanned\":{},\
+        "{{\"heap_pushes\":{},\"heap_pops\":{},\"edges_scanned\":{},\
          \"early_fixes\":{},\"heap_fixes\":{},\"rounds\":{},\"pointer_jumps\":{},\
          \"cas_retries\":{},\"atomic_rmw\":{},\"parallel_regions\":{}}}",
         s.heap_pushes,
         s.heap_pops,
-        s.decrease_keys,
         s.edges_scanned,
         s.early_fixes,
         s.heap_fixes,

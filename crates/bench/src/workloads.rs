@@ -123,9 +123,12 @@ impl Workload {
         vec![Workload::road(scale, seed), Workload::rmat(scale, seed)]
     }
 
-    /// Loads a real DIMACS `.gr` dataset (e.g. `USA-road-d.USA.gr`).
+    /// Loads a real DIMACS `.gr` dataset (e.g. `USA-road-d.USA.gr`),
+    /// keeping its largest connected component as [`Workload::rmat`] does,
+    /// so the Prim-family runners get a connected graph.
     pub fn from_dimacs<R: BufRead>(name: &str, reader: R) -> Result<Workload, String> {
         let graph = read_dimacs(reader).map_err(|e| e.to_string())?;
+        let graph = llp_graph::algo::largest_component(&graph);
         Ok(Workload {
             name: name.to_string(),
             kind: WorkloadKind::Road,
@@ -231,6 +234,8 @@ pub fn stream_to_binary(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_algorithm, Algorithm};
+    use llp_runtime::ThreadPool;
 
     #[test]
     fn small_road_is_connected_and_sparse() {
@@ -301,5 +306,17 @@ mod tests {
         let src = "p sp 3 2\na 1 2 5\na 2 3 7\n";
         let w = Workload::from_dimacs("test", std::io::BufReader::new(src.as_bytes())).unwrap();
         assert_eq!(w.graph.num_vertices(), 3);
+    }
+
+    #[test]
+    fn dimacs_workload_keeps_the_largest_component() {
+        // Two components: a triangle on 1..3 and an edge 4–5.
+        let src = "p sp 5 4\na 1 2 5\na 2 3 7\na 3 1 2\na 4 5 1\n";
+        let w = Workload::from_dimacs("split", std::io::BufReader::new(src.as_bytes())).unwrap();
+        assert_eq!(w.graph.num_vertices(), 3);
+        assert!(llp_graph::algo::is_connected(&w.graph));
+        let pool = ThreadPool::new(1);
+        let mst = run_algorithm(Algorithm::Prim, &w.graph, w.root(), &pool);
+        assert_eq!(mst.total_weight, 7.0);
     }
 }

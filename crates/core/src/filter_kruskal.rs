@@ -1,4 +1,4 @@
-//! Filter-Kruskal (Osipov–Sanders–Singler), sequential and parallel.
+//! Filter-Kruskal (Osipov–Sanders–Singler) on the thread pool.
 //!
 //! The practical Kruskal variant: quicksort-style pivot partitioning where
 //! the *light* half is solved first and the *heavy* half is **filtered** —
@@ -18,8 +18,9 @@
 //! union operations themselves stay sequential — they are O(n α(n)) total,
 //! far below the O(m) partition/filter traffic the pool absorbs.
 //!
-//! Both variants share one recursion, so their telemetry — the `partition`
-//! / `filter` spans and the `fk-partition-rounds`, `fk-filter-kept`,
+//! The recursion's pivots, partition sizes and filter outcomes do not
+//! depend on the thread count, so its telemetry — the `partition` /
+//! `filter` spans and the `fk-partition-rounds`, `fk-filter-kept`,
 //! `fk-filter-dropped` counters plus the `fk-recursion-depth` /
 //! `fk-base-case` series — is identical for identical inputs, which the
 //! golden-trace test in `tests/paper_traces.rs` pins down.
@@ -28,44 +29,29 @@ use crate::result::MstResult;
 use crate::stats::AlgoStats;
 use crate::union_find::UnionFind;
 use llp_graph::{CsrGraph, Edge, EdgeKey};
-use llp_runtime::partition::{partition3_in_place, partition3_seq, retain_parallel};
+use llp_runtime::partition::{partition3_in_place, retain_parallel};
 use llp_runtime::sort::par_sort_by_key;
 use llp_runtime::{telemetry, ThreadPool};
 
-/// Below this many edges, sort-and-scan beats further partitioning.
-const BASE_CASE: usize = 1024;
-
-/// The parallel variant partitions a little longer: partition and filter
-/// passes scale with the pool, the base-case union scan does not.
+/// Below this many edges, sort-and-scan beats further partitioning:
+/// partition and filter passes scale with the pool, the base-case union
+/// scan does not.
 const PAR_BASE_CASE: usize = 4096;
-
-/// Filter-Kruskal; computes the canonical MSF.
-pub fn filter_kruskal(graph: &CsrGraph) -> MstResult {
-    run(graph, None, BASE_CASE)
-}
-
-/// [`filter_kruskal`] with an explicit base-case threshold (testing knob:
-/// small thresholds force deterministic deep recursions on tiny graphs).
-pub fn filter_kruskal_with_base_case(graph: &CsrGraph, base_case: usize) -> MstResult {
-    run(graph, None, base_case)
-}
 
 /// Parallel Filter-Kruskal: partition, filter and base-case sorts on the
 /// pool; computes the canonical MSF.
 pub fn filter_kruskal_par(graph: &CsrGraph, pool: &ThreadPool) -> MstResult {
-    run(graph, Some(pool), PAR_BASE_CASE)
+    filter_kruskal_par_with_base_case(graph, pool, PAR_BASE_CASE)
 }
 
-/// [`filter_kruskal_par`] with an explicit base-case threshold.
+/// [`filter_kruskal_par`] with an explicit base-case threshold (testing
+/// knob: small thresholds force deterministic deep recursions on tiny
+/// graphs).
 pub fn filter_kruskal_par_with_base_case(
     graph: &CsrGraph,
     pool: &ThreadPool,
     base_case: usize,
 ) -> MstResult {
-    run(graph, Some(pool), base_case)
-}
-
-fn run(graph: &CsrGraph, pool: Option<&ThreadPool>, base_case: usize) -> MstResult {
     let n = graph.num_vertices();
     let mut edges: Vec<Edge> = graph.edges().collect();
     // Introsort-style depth budget: degenerate pivot sequences fall back to
@@ -86,21 +72,16 @@ fn run(graph: &CsrGraph, pool: Option<&ThreadPool>, base_case: usize) -> MstResu
     let FilterCtx {
         mut chosen, stats, ..
     } = ctx;
-    match pool {
-        // canonical output order
-        Some(pool) => par_sort_by_key(pool, &mut chosen, Edge::key),
-        None => chosen.sort_unstable_by_key(Edge::key),
-    }
+    par_sort_by_key(pool, &mut chosen, Edge::key); // canonical output order
     MstResult::from_edges(n, chosen, stats)
 }
 
-/// State threaded through the recursion; `pool: None` is the sequential
-/// variant.
+/// State threaded through the recursion.
 struct FilterCtx<'p> {
     uf: UnionFind,
     chosen: Vec<Edge>,
     stats: AlgoStats,
-    pool: Option<&'p ThreadPool>,
+    pool: &'p ThreadPool,
     base_case: usize,
 }
 
@@ -132,25 +113,15 @@ impl FilterCtx<'_> {
 
     /// Three-way pivot partition; returns the light length (keys <= pivot).
     fn partition(&mut self, edges: &mut [Edge], pivot: EdgeKey) -> usize {
-        let (lt, eq) = match self.pool {
-            Some(pool) => {
-                self.stats.parallel_regions += 1;
-                partition3_in_place(pool, edges, |e| e.key().cmp(&pivot))
-            }
-            None => partition3_seq(edges, |e| e.key().cmp(&pivot)),
-        };
+        self.stats.parallel_regions += 1;
+        let (lt, eq) = partition3_in_place(self.pool, edges, |e| e.key().cmp(&pivot));
         lt + eq
     }
 
     /// Base case: sort the remaining edges and grow the forest.
     fn sort_and_scan(&mut self, edges: &mut Vec<Edge>) {
-        match self.pool {
-            Some(pool) => {
-                self.stats.parallel_regions += 1;
-                par_sort_by_key(pool, edges, Edge::key);
-            }
-            None => edges.sort_unstable_by_key(Edge::key),
-        }
+        self.stats.parallel_regions += 1;
+        par_sort_by_key(self.pool, edges, Edge::key);
         for e in edges.drain(..) {
             self.stats.edges_scanned += 1;
             if self.uf.union(e.u, e.v) {
@@ -164,27 +135,19 @@ impl FilterCtx<'_> {
     fn filter(&mut self, heavy: &mut Vec<Edge>) {
         let _t = telemetry::span("filter");
         let before = heavy.len();
-        match self.pool {
-            Some(pool) => {
-                self.stats.parallel_regions += 1;
-                // Concurrent lookups snapshot roots read-only: no path
-                // compression during the parallel phase, so threads never
-                // write the parent array they are racing to read.
-                let uf: &UnionFind = &self.uf;
-                retain_parallel(pool, heavy, |e| {
-                    uf.find_immutable(e.u) != uf.find_immutable(e.v)
-                });
-                // Sequential epilogue: path-halve the survivors' endpoints
-                // so later rounds keep union-find's amortised bounds.
-                for e in heavy.iter() {
-                    self.uf.find(e.u);
-                    self.uf.find(e.v);
-                }
-            }
-            None => {
-                let uf = &mut self.uf;
-                heavy.retain(|e| uf.find(e.u) != uf.find(e.v));
-            }
+        self.stats.parallel_regions += 1;
+        // Concurrent lookups snapshot roots read-only: no path compression
+        // during the parallel phase, so threads never write the parent
+        // array they are racing to read.
+        let uf: &UnionFind = &self.uf;
+        retain_parallel(self.pool, heavy, |e| {
+            uf.find_immutable(e.u) != uf.find_immutable(e.v)
+        });
+        // Sequential epilogue: path-halve the survivors' endpoints so later
+        // rounds keep union-find's amortised bounds.
+        for e in heavy.iter() {
+            self.uf.find(e.u);
+            self.uf.find(e.v);
         }
         self.stats.edges_scanned += before as u64;
         telemetry::counter_add("fk-filter-kept", heavy.len() as u64);
@@ -217,13 +180,6 @@ mod tests {
 
     #[test]
     fn fig1_mst() {
-        let mst = filter_kruskal(&fig1());
-        assert_eq!(mst.total_weight, FIG1_MST_WEIGHT);
-        assert_eq!(mst.canonical_keys(), kruskal(&fig1()).canonical_keys());
-    }
-
-    #[test]
-    fn fig1_mst_par() {
         let pool = ThreadPool::new(4);
         let mst = filter_kruskal_par(&fig1(), &pool);
         assert_eq!(mst.total_weight, FIG1_MST_WEIGHT);
@@ -232,13 +188,10 @@ mod tests {
 
     #[test]
     fn forest_support() {
-        let msf = filter_kruskal(&small_forest());
+        let pool = ThreadPool::new(2);
+        let msf = filter_kruskal_par(&small_forest(), &pool);
         assert_eq!(msf.canonical_keys(), kruskal(&small_forest()).canonical_keys());
         assert_eq!(msf.num_trees, 3);
-        let pool = ThreadPool::new(2);
-        let msf_par = filter_kruskal_par(&small_forest(), &pool);
-        assert_eq!(msf_par.canonical_keys(), msf.canonical_keys());
-        assert_eq!(msf_par.num_trees, 3);
     }
 
     #[test]
@@ -248,25 +201,23 @@ mod tests {
         for seed in 0..4 {
             let g = llp_graph::generators::erdos_renyi(800, 6000, seed);
             let oracle = kruskal(&g).canonical_keys();
-            let fk = filter_kruskal(&g);
-            assert_eq!(fk.canonical_keys(), oracle, "seed {seed}");
-            assert!(fk.stats.rounds > 0, "partitioning should trigger");
             let fkp = filter_kruskal_par_with_base_case(&g, &pool, 1024);
-            assert_eq!(fkp.canonical_keys(), oracle, "par, seed {seed}");
-            assert!(fkp.stats.rounds > 0, "parallel partitioning should trigger");
+            assert_eq!(fkp.canonical_keys(), oracle, "seed {seed}");
+            assert!(fkp.stats.rounds > 0, "partitioning should trigger");
             assert!(fkp.stats.parallel_regions > 0);
         }
     }
 
     #[test]
-    fn seq_and_par_trace_identically() {
+    fn thread_count_does_not_change_the_trace() {
         // Same base case => same pivots, same partition sizes, same filter
         // outcomes: the machine-independent stats must agree exactly.
-        let pool = ThreadPool::new(4);
+        let p1 = ThreadPool::new(1);
+        let p4 = ThreadPool::new(4);
         for seed in [3u64, 9] {
             let g = llp_graph::generators::erdos_renyi(600, 5000, seed);
-            let s = filter_kruskal_with_base_case(&g, 256);
-            let p = filter_kruskal_par_with_base_case(&g, &pool, 256);
+            let s = filter_kruskal_par_with_base_case(&g, &p1, 256);
+            let p = filter_kruskal_par_with_base_case(&g, &p4, 256);
             assert_eq!(s.canonical_keys(), p.canonical_keys(), "seed {seed}");
             assert_eq!(s.stats.rounds, p.stats.rounds, "seed {seed}");
             assert_eq!(s.stats.edges_scanned, p.stats.edges_scanned, "seed {seed}");
@@ -274,22 +225,8 @@ mod tests {
     }
 
     #[test]
-    fn filtering_skips_work_on_dense_graphs() {
-        // On a dense graph most heavy edges are filtered: fewer scans than
-        // the m edges classic Kruskal sorts (scans here count base-case
-        // emission + filter checks, both cheaper than sorting).
-        let g = llp_graph::generators::complete(120, 7);
-        let fk = filter_kruskal(&g);
-        assert_eq!(fk.canonical_keys(), kruskal(&g).canonical_keys());
-    }
-
-    #[test]
     fn duplicate_weights_canonical() {
         let g = llp_graph::samples::all_equal_weights(60);
-        assert_eq!(
-            filter_kruskal(&g).canonical_keys(),
-            kruskal(&g).canonical_keys()
-        );
         let pool = ThreadPool::new(2);
         assert_eq!(
             filter_kruskal_par_with_base_case(&g, &pool, 8).canonical_keys(),
@@ -299,8 +236,6 @@ mod tests {
 
     #[test]
     fn degenerate_inputs() {
-        assert!(filter_kruskal(&CsrGraph::empty(0)).edges.is_empty());
-        assert_eq!(filter_kruskal(&CsrGraph::empty(7)).num_trees, 7);
         let pool = ThreadPool::new(2);
         assert!(filter_kruskal_par(&CsrGraph::empty(0), &pool).edges.is_empty());
         assert_eq!(filter_kruskal_par(&CsrGraph::empty(7), &pool).num_trees, 7);
@@ -312,14 +247,15 @@ mod tests {
         let road = llp_graph::generators::road_network(
             llp_graph::generators::RoadParams::usa_like(40, 40, 2),
         );
-        let oracle = kruskal(&road).canonical_keys();
-        assert_eq!(filter_kruskal(&road).canonical_keys(), oracle);
-        assert_eq!(filter_kruskal_par(&road, &pool).canonical_keys(), oracle);
-        let rmat = llp_graph::generators::rmat(
-            llp_graph::generators::RmatParams::graph500(10, 16, 2),
+        assert_eq!(
+            filter_kruskal_par(&road, &pool).canonical_keys(),
+            kruskal(&road).canonical_keys()
         );
-        let oracle = kruskal(&rmat).canonical_keys();
-        assert_eq!(filter_kruskal(&rmat).canonical_keys(), oracle);
-        assert_eq!(filter_kruskal_par(&rmat, &pool).canonical_keys(), oracle);
+        let rmat =
+            llp_graph::generators::rmat(llp_graph::generators::RmatParams::graph500(10, 16, 2));
+        assert_eq!(
+            filter_kruskal_par(&rmat, &pool).canonical_keys(),
+            kruskal(&rmat).canonical_keys()
+        );
     }
 }

@@ -1,16 +1,11 @@
-//! Instrumented binary heaps for the Prim family.
+//! Instrumented binary heap for the Prim family.
 //!
-//! Two variants, matching the two Prim implementations the paper discusses:
-//!
-//! * [`LazyHeap`] — duplicate insertion + lazy deletion, the variant of the
-//!   paper's §IV complexity analysis ("instead of adjusting the key in the
-//!   heap for a vertex, we simply insert the vertex in the heap"). Pops of
-//!   already-fixed vertices are skipped by the caller.
-//! * [`IndexedHeap`] — a binary heap with a position index supporting
-//!   `insert_or_adjust` (the `H.insertOrAdjust` of Algorithm 2).
-//!
-//! Both count pushes/pops so benchmarks can report heap traffic — the
-//! quantity LLP-Prim's early fixing removes.
+//! [`LazyHeap`] uses duplicate insertion + lazy deletion, the variant of the
+//! paper's §IV complexity analysis ("instead of adjusting the key in the
+//! heap for a vertex, we simply insert the vertex in the heap"). Pops of
+//! already-fixed vertices are skipped by the caller. It counts pushes/pops
+//! so benchmarks can report heap traffic — the quantity LLP-Prim's early
+//! fixing removes.
 
 /// A min-heap of `(key, vertex)` with duplicate entries and lazy deletion.
 ///
@@ -107,142 +102,6 @@ impl<K: Ord + Copy> LazyHeap<K> {
     }
 }
 
-/// Sentinel position meaning "vertex not in heap".
-const NOT_IN_HEAP: u32 = u32::MAX;
-
-/// A binary min-heap over vertices with `decrease_key` support.
-///
-/// Each vertex appears at most once. Positions are tracked in a dense
-/// array indexed by vertex id, so the heap must be created with the vertex
-/// count up front.
-#[derive(Debug, Clone)]
-pub struct IndexedHeap<K: Ord + Copy> {
-    /// Binary-heap array of `(key, vertex)`.
-    data: Vec<(K, u32)>,
-    /// `pos[v]` = index of v in `data`, or `NOT_IN_HEAP`.
-    pos: Vec<u32>,
-    /// Total insertions.
-    pub pushes: u64,
-    /// Total removals.
-    pub pops: u64,
-    /// Total decrease-key adjustments.
-    pub adjusts: u64,
-}
-
-impl<K: Ord + Copy> IndexedHeap<K> {
-    /// An empty heap able to hold vertices `0..n`.
-    pub fn new(n: usize) -> Self {
-        IndexedHeap {
-            data: Vec::with_capacity(n.min(1 << 16)),
-            pos: vec![NOT_IN_HEAP; n],
-            pushes: 0,
-            pops: 0,
-            adjusts: 0,
-        }
-    }
-
-    /// True when the heap holds no vertices.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Number of vertices currently in the heap.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True when `v` is currently in the heap.
-    #[inline]
-    pub fn contains(&self, v: u32) -> bool {
-        self.pos[v as usize] != NOT_IN_HEAP
-    }
-
-    /// Inserts `v` with `key`, or lowers v's key if already present with a
-    /// larger key (Algorithm 2's `insertOrAdjust`). Raising a key is a
-    /// no-op, matching Prim's monotone relaxation.
-    pub fn insert_or_adjust(&mut self, v: u32, key: K) {
-        let p = self.pos[v as usize];
-        if p == NOT_IN_HEAP {
-            self.pushes += 1;
-            self.data.push((key, v));
-            let i = self.data.len() - 1;
-            self.pos[v as usize] = i as u32;
-            self.sift_up(i);
-        } else if key < self.data[p as usize].0 {
-            self.adjusts += 1;
-            self.data[p as usize].0 = key;
-            self.sift_up(p as usize);
-        }
-    }
-
-    /// Removes and returns the minimum `(key, vertex)`.
-    pub fn pop_min(&mut self) -> Option<(K, u32)> {
-        if self.data.is_empty() {
-            return None;
-        }
-        self.pops += 1;
-        let min = self.data[0];
-        self.pos[min.1 as usize] = NOT_IN_HEAP;
-        let last = self.data.pop().unwrap();
-        if !self.data.is_empty() {
-            self.data[0] = last;
-            self.pos[last.1 as usize] = 0;
-            self.sift_down(0);
-        }
-        Some(min)
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.data[i].0 < self.data[parent].0 {
-                self.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        loop {
-            let l = 2 * i + 1;
-            let r = 2 * i + 2;
-            let mut smallest = i;
-            if l < self.data.len() && self.data[l].0 < self.data[smallest].0 {
-                smallest = l;
-            }
-            if r < self.data.len() && self.data[r].0 < self.data[smallest].0 {
-                smallest = r;
-            }
-            if smallest == i {
-                break;
-            }
-            self.swap(i, smallest);
-            i = smallest;
-        }
-    }
-
-    fn swap(&mut self, a: usize, b: usize) {
-        self.data.swap(a, b);
-        self.pos[self.data[a].1 as usize] = a as u32;
-        self.pos[self.data[b].1 as usize] = b as u32;
-    }
-
-    /// Heap-order invariant check for tests.
-    #[cfg(test)]
-    fn check_invariants(&self) {
-        for i in 1..self.data.len() {
-            assert!(self.data[(i - 1) / 2].0 <= self.data[i].0, "heap order");
-        }
-        for (i, &(_, v)) in self.data.iter().enumerate() {
-            assert_eq!(self.pos[v as usize], i as u32, "position index");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,91 +147,5 @@ mod tests {
         assert_eq!(h.peak_len(), 1000);
         // The emptying pop released the backing storage.
         assert_eq!(h.capacity(), 0);
-    }
-
-    #[test]
-    fn indexed_heap_basic_order() {
-        let mut h = IndexedHeap::new(10);
-        for &(k, v) in &[(5u64, 0u32), (1, 1), (3, 2), (4, 3), (2, 4)] {
-            h.insert_or_adjust(v, k);
-            h.check_invariants();
-        }
-        let mut out = Vec::new();
-        while let Some((k, v)) = h.pop_min() {
-            out.push((k, v));
-            h.check_invariants();
-        }
-        assert_eq!(out, vec![(1, 1), (2, 4), (3, 2), (4, 3), (5, 0)]);
-    }
-
-    #[test]
-    fn indexed_heap_decrease_key() {
-        let mut h = IndexedHeap::new(4);
-        h.insert_or_adjust(0, 10);
-        h.insert_or_adjust(1, 20);
-        h.insert_or_adjust(1, 5); // decrease
-        h.check_invariants();
-        assert_eq!(h.pop_min(), Some((5, 1)));
-        assert_eq!(h.adjusts, 1);
-        assert_eq!(h.pushes, 2);
-    }
-
-    #[test]
-    fn indexed_heap_ignores_key_increase() {
-        let mut h = IndexedHeap::new(2);
-        h.insert_or_adjust(0, 5);
-        h.insert_or_adjust(0, 50);
-        assert_eq!(h.pop_min(), Some((5, 0)));
-        assert_eq!(h.adjusts, 0);
-    }
-
-    #[test]
-    fn indexed_heap_reinsertion_after_pop() {
-        let mut h = IndexedHeap::new(3);
-        h.insert_or_adjust(2, 9);
-        assert_eq!(h.pop_min(), Some((9, 2)));
-        assert!(!h.contains(2));
-        h.insert_or_adjust(2, 4);
-        assert!(h.contains(2));
-        assert_eq!(h.pop_min(), Some((4, 2)));
-    }
-
-    #[test]
-    fn indexed_heap_randomised_against_std() {
-        let n = 500;
-        let mut h = IndexedHeap::new(n);
-        let mut reference: Vec<u64> = vec![u64::MAX; n];
-        let mut x = 0x9E3779B97F4A7C15u64;
-        let mut rand = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for _ in 0..5_000 {
-            let v = (rand() % n as u64) as u32;
-            let k = rand() % 1_000;
-            h.insert_or_adjust(v, k);
-            if k < reference[v as usize] {
-                reference[v as usize] = k;
-            }
-        }
-        h.check_invariants();
-        let mut popped: Vec<(u64, u32)> = Vec::new();
-        while let Some(e) = h.pop_min() {
-            popped.push(e);
-        }
-        // Non-decreasing key order.
-        assert!(popped.windows(2).all(|w| w[0].0 <= w[1].0));
-        // Each vertex left with its minimum inserted key, exactly once.
-        let live: Vec<(u32, u64)> = reference
-            .iter()
-            .enumerate()
-            .filter(|(_, &k)| k != u64::MAX)
-            .map(|(v, &k)| (v as u32, k))
-            .collect();
-        let mut got: Vec<(u32, u64)> = popped.iter().map(|&(k, v)| (v, k)).collect();
-        got.sort_unstable();
-        assert_eq!(got, live);
     }
 }

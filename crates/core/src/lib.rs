@@ -4,13 +4,10 @@
 //!
 //! | Algorithm | Function | Role in the paper |
 //! |---|---|---|
-//! | Prim (lazy heap) | [`prim::prim_lazy`] | baseline of Fig. 2 |
-//! | Prim (indexed heap) | [`prim::prim_indexed`] | Algorithm 2 verbatim |
+//! | Prim (lazy heap) | [`prim::prim_lazy`] | Algorithm 2; "Prim" of Fig. 2 |
 //! | Kruskal | [`kruskal::kruskal`] | §III baseline / test oracle |
-//! | Filter-Kruskal | [`filter_kruskal::filter_kruskal`] | practical Kruskal baseline |
-//! | Filter-Kruskal (parallel) | [`filter_kruskal::filter_kruskal_par`] | pool-parallel partition + filter |
-//! | Boruvka (BFS, sequential) | [`boruvka::boruvka_seq`] | Algorithm 3 |
-//! | Parallel Boruvka (GBBS-style) | [`parallel_boruvka::boruvka_par`] | baseline of Figs 3–4 |
+//! | Filter-Kruskal | [`filter_kruskal::filter_kruskal_par`] | practical Kruskal baseline, pool-parallel partition + filter |
+//! | Parallel Boruvka (GBBS-style) | [`parallel_boruvka::boruvka_par`] | Algorithm 3's rounds; "Boruvka" of Figs 2–4 (Fig. 2 on one thread) |
 //! | **LLP-Prim** sequential | [`llp_prim::llp_prim_seq`] | Algorithm 5, "LLP-Prim (1T)" |
 //! | **LLP-Prim** parallel | [`llp_prim::llp_prim_par`] | Algorithm 5, Figs 3–4 |
 //! | **LLP-Boruvka** | [`llp_boruvka::llp_boruvka`] | Algorithm 6 |
@@ -33,7 +30,6 @@
 //! counts, rounds, pointer jumps, CAS/atomic traffic — the
 //! machine-independent quantities behind the paper's Figs 2–4.
 
-pub mod boruvka;
 pub mod certify;
 pub mod contraction;
 pub mod dynamic;
@@ -58,16 +54,12 @@ pub use stats::AlgoStats;
 
 /// One-stop imports for examples and downstream code.
 pub mod prelude {
-    pub use crate::boruvka::boruvka_seq;
-    pub use crate::filter_kruskal::{
-        filter_kruskal, filter_kruskal_par, filter_kruskal_par_with_base_case,
-        filter_kruskal_with_base_case,
-    };
+    pub use crate::filter_kruskal::{filter_kruskal_par, filter_kruskal_par_with_base_case};
     pub use crate::kruskal::kruskal;
     pub use crate::llp_boruvka::{llp_boruvka, llp_boruvka_from_edges};
     pub use crate::llp_prim::{llp_prim_par, llp_prim_par_with_mwe, llp_prim_seq, llp_prim_seq_with_mwe};
     pub use crate::parallel_boruvka::boruvka_par;
-    pub use crate::prim::{prim_indexed, prim_lazy};
+    pub use crate::prim::prim_lazy;
     pub use crate::result::{MstError, MstResult};
     pub use crate::stats::AlgoStats;
     pub use crate::certify::{certify_against, certify_msf, certify_msf_par};

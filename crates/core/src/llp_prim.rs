@@ -26,7 +26,7 @@
 //! parallel frontiers (Figs 3–4).
 
 use crate::heap::LazyHeap;
-use crate::result::{MstError, MstResult};
+use crate::result::{check_root, MstError, MstResult};
 use crate::stats::AlgoStats;
 use llp_graph::{CsrGraph, Edge, EdgeKey, VertexId};
 use llp_runtime::atomics::{AtomicIndexMin, NO_INDEX};
@@ -35,17 +35,6 @@ use llp_runtime::{
     parallel_for_chunks, parallel_for_chunks_ctx, Bag, Counter, ParallelForConfig, ThreadPool,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-fn check_root(graph: &CsrGraph, root: VertexId) -> Result<(), MstError> {
-    let n = graph.num_vertices();
-    if n == 0 {
-        return Err(MstError::EmptyGraph);
-    }
-    if root as usize >= n {
-        return Err(MstError::InvalidRoot { root, total: n });
-    }
-    Ok(())
-}
 
 /// LLP-Prim, single-threaded ("LLP-Prim (1T)" in the paper's figures).
 ///

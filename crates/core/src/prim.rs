@@ -1,30 +1,17 @@
 //! Classic Prim's algorithm (the paper's Algorithm 2).
 //!
-//! Two heap disciplines are provided because the paper discusses both:
-//! [`prim_lazy`] inserts duplicate entries and skips stale pops (the
-//! variant of the §IV complexity analysis, and the discipline used by the
-//! Galois reference implementation), while [`prim_indexed`] adjusts keys in
-//! place (`H.insertOrAdjust` in Algorithm 2).
+//! [`prim_lazy`] inserts duplicate entries and skips stale pops: the
+//! variant of the §IV complexity analysis, the discipline used by the
+//! Galois reference implementation, and the paper's "Prim" in Fig. 2.
 //!
 //! All comparisons go through [`EdgeKey`], so the computed tree is the
 //! canonical unique-weight MST whatever the raw weight ties.
 
-use crate::heap::{IndexedHeap, LazyHeap};
-use crate::result::{MstError, MstResult};
+use crate::heap::LazyHeap;
+use crate::result::{check_root, MstError, MstResult};
 use crate::stats::AlgoStats;
 use llp_graph::{CsrGraph, Edge, EdgeKey, VertexId};
 use llp_runtime::telemetry;
-
-fn check_root(graph: &CsrGraph, root: VertexId) -> Result<(), MstError> {
-    let n = graph.num_vertices();
-    if n == 0 {
-        return Err(MstError::EmptyGraph);
-    }
-    if root as usize >= n {
-        return Err(MstError::InvalidRoot { root, total: n });
-    }
-    Ok(())
-}
 
 /// Prim with a lazy (duplicate-entry) binary heap.
 ///
@@ -90,59 +77,6 @@ fn relax_neighbors(
     }
 }
 
-/// Prim with an indexed decrease-key heap (Algorithm 2 verbatim).
-pub fn prim_indexed(graph: &CsrGraph, root: VertexId) -> Result<MstResult, MstError> {
-    check_root(graph, root)?;
-    let n = graph.num_vertices();
-    let mut stats = AlgoStats::default();
-    let mut dist: Vec<EdgeKey> = vec![EdgeKey::infinite(); n];
-    let mut fixed = vec![false; n];
-    let mut edges: Vec<Edge> = Vec::with_capacity(n.saturating_sub(1));
-    let mut heap: IndexedHeap<EdgeKey> = IndexedHeap::new(n);
-
-    fixed[root as usize] = true;
-    let mut fixed_count = 1usize;
-    for (k, w) in graph.neighbors(root) {
-        stats.edges_scanned += 1;
-        let key = EdgeKey::new(w, root, k);
-        if key < dist[k as usize] {
-            dist[k as usize] = key;
-            heap.insert_or_adjust(k, key);
-        }
-    }
-
-    let _t = telemetry::span("heap-extract");
-    while let Some((key, v)) = heap.pop_min() {
-        debug_assert_eq!(key, dist[v as usize]);
-        fixed[v as usize] = true;
-        fixed_count += 1;
-        stats.heap_fixes += 1;
-        edges.push(Edge::new(key.other(v), v, key.weight()));
-        for (k, w) in graph.neighbors(v) {
-            stats.edges_scanned += 1;
-            if fixed[k as usize] {
-                continue;
-            }
-            let ekey = EdgeKey::new(w, v, k);
-            if ekey < dist[k as usize] {
-                dist[k as usize] = ekey;
-                heap.insert_or_adjust(k, ekey);
-            }
-        }
-    }
-
-    stats.heap_pushes = heap.pushes;
-    stats.heap_pops = heap.pops;
-    stats.decrease_keys = heap.adjusts;
-    if fixed_count < n {
-        return Err(MstError::Disconnected {
-            reached: fixed_count,
-            total: n,
-        });
-    }
-    Ok(MstResult::from_edges(n, edges, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,13 +84,11 @@ mod tests {
 
     #[test]
     fn fig1_mst_weight_and_edges() {
-        for f in [prim_lazy, prim_indexed] {
-            let mst = f(&fig1(), 0).unwrap();
-            assert_eq!(mst.total_weight, FIG1_MST_WEIGHT);
-            let mut ws: Vec<f64> = mst.edges.iter().map(|e| e.w).collect();
-            ws.sort_by(f64::total_cmp);
-            assert_eq!(ws, vec![2.0, 3.0, 4.0, 7.0]); // the paper's {2,3,4,7}
-        }
+        let mst = prim_lazy(&fig1(), 0).unwrap();
+        assert_eq!(mst.total_weight, FIG1_MST_WEIGHT);
+        let mut ws: Vec<f64> = mst.edges.iter().map(|e| e.w).collect();
+        ws.sort_by(f64::total_cmp);
+        assert_eq!(ws, vec![2.0, 3.0, 4.0, 7.0]); // the paper's {2,3,4,7}
     }
 
     #[test]
@@ -165,18 +97,6 @@ mod tests {
         let base = prim_lazy(&g, 0).unwrap().canonical_keys();
         for root in 1..5 {
             assert_eq!(prim_lazy(&g, root).unwrap().canonical_keys(), base);
-            assert_eq!(prim_indexed(&g, root).unwrap().canonical_keys(), base);
-        }
-    }
-
-    #[test]
-    fn lazy_and_indexed_agree() {
-        let g = llp_graph::generators::erdos_renyi(200, 1000, 7);
-        // may be disconnected: compare errors or results
-        match (prim_lazy(&g, 0), prim_indexed(&g, 0)) {
-            (Ok(a), Ok(b)) => assert_eq!(a.canonical_keys(), b.canonical_keys()),
-            (Err(a), Err(b)) => assert_eq!(a, b),
-            other => panic!("variants disagree: {other:?}"),
         }
     }
 
@@ -191,7 +111,6 @@ mod tests {
                 total: 4
             }
         );
-        assert!(prim_indexed(&g, 0).is_err());
     }
 
     #[test]
@@ -221,14 +140,5 @@ mod tests {
             assert_eq!(e.canonical_endpoints().0, 0);
         }
         assert_eq!(mst.total_weight, 5.0);
-    }
-
-    #[test]
-    fn indexed_heap_does_fewer_pushes_than_lazy() {
-        let g = llp_graph::generators::complete(60, 3);
-        let lazy = prim_lazy(&g, 0).unwrap();
-        let idx = prim_indexed(&g, 0).unwrap();
-        assert!(idx.stats.heap_pushes <= lazy.stats.heap_pushes);
-        assert_eq!(idx.canonical_keys(), lazy.canonical_keys());
     }
 }

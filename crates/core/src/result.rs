@@ -1,7 +1,7 @@
 //! MST / MSF results and errors.
 
 use crate::stats::AlgoStats;
-use llp_graph::{Edge, EdgeKey};
+use llp_graph::{CsrGraph, Edge, EdgeKey, VertexId};
 
 /// Outcome of an MST/MSF computation.
 #[derive(Debug, Clone, PartialEq)]
@@ -134,6 +134,18 @@ impl std::fmt::Display for MstError {
 }
 
 impl std::error::Error for MstError {}
+
+/// Rejects an empty graph or an out-of-range root before a Prim-family run.
+pub(crate) fn check_root(graph: &CsrGraph, root: VertexId) -> Result<(), MstError> {
+    let n = graph.num_vertices();
+    if n == 0 {
+        return Err(MstError::EmptyGraph);
+    }
+    if root as usize >= n {
+        return Err(MstError::InvalidRoot { root, total: n });
+    }
+    Ok(())
+}
 
 #[cfg(test)]
 mod tests {

@@ -12,12 +12,10 @@
 /// the rest stay zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AlgoStats {
-    /// Heap insertions (lazy or indexed).
+    /// Heap insertions.
     pub heap_pushes: u64,
     /// Heap removals, including lazy-deleted stale entries.
     pub heap_pops: u64,
-    /// Indexed-heap decrease-key operations.
-    pub decrease_keys: u64,
     /// Directed edge explorations.
     pub edges_scanned: u64,
     /// Vertices fixed through the LLP early-fixing (MWE) rule.
@@ -39,7 +37,7 @@ pub struct AlgoStats {
 impl AlgoStats {
     /// Total heap traffic, the quantity LLP-Prim is designed to reduce.
     pub fn heap_ops(&self) -> u64 {
-        self.heap_pushes + self.heap_pops + self.decrease_keys
+        self.heap_pushes + self.heap_pops
     }
 
     /// Coarse synchronization score used by the ablation benches.
@@ -52,7 +50,6 @@ impl AlgoStats {
         AlgoStats {
             heap_pushes: self.heap_pushes + other.heap_pushes,
             heap_pops: self.heap_pops + other.heap_pops,
-            decrease_keys: self.decrease_keys + other.decrease_keys,
             edges_scanned: self.edges_scanned + other.edges_scanned,
             early_fixes: self.early_fixes + other.early_fixes,
             heap_fixes: self.heap_fixes + other.heap_fixes,
@@ -74,10 +71,9 @@ mod tests {
         let s = AlgoStats {
             heap_pushes: 3,
             heap_pops: 2,
-            decrease_keys: 1,
             ..Default::default()
         };
-        assert_eq!(s.heap_ops(), 6);
+        assert_eq!(s.heap_ops(), 5);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! seed sweeps over adversarial random inputs (disconnected forests,
 //! tie-heavy duplicate weights, self-loops and verbatim-duplicate parallel
 //! edges) run on 1- and 4-thread pools and cross-checked against
-//! `filter_kruskal` and the oracle-free certifier, plus the determinism
+//! `kruskal` and the oracle-free certifier, plus the determinism
 //! property of the engine — sequential and parallel runs produce
 //! *bit-identical* round traces and forests. Cases are deterministic
 //! sweeps over [`llp_runtime::rng::SmallRng`] (hermetic builds cannot
@@ -12,7 +12,7 @@ use llp_graph::generators::{barabasi_albert, erdos_renyi, random_geometric};
 use llp_graph::{CsrGraph, Edge, GraphBuilder};
 use llp_mst::certify::certify_msf_par;
 use llp_mst::contraction::Contraction;
-use llp_mst::prelude::{boruvka_par, filter_kruskal, llp_boruvka_from_edges};
+use llp_mst::prelude::{boruvka_par, kruskal, llp_boruvka_from_edges};
 use llp_mst::{AlgoStats, MstResult};
 use llp_runtime::rng::SmallRng;
 use llp_runtime::{ParallelForConfig, ThreadPool};
@@ -71,13 +71,13 @@ fn assert_matches(g: &CsrGraph, r: &MstResult, oracle: &MstResult, pool: &Thread
 }
 
 #[test]
-fn boruvka_family_matches_filter_kruskal_on_adversarial_multigraphs() {
+fn boruvka_family_matches_kruskal_on_adversarial_multigraphs() {
     for pool in pools() {
         let t = pool.threads();
         for seed in 0..CASES {
             let (n, edges) = adversarial_edges(seed);
             let g = sanitised(n, &edges);
-            let oracle = filter_kruskal(&g);
+            let oracle = kruskal(&g);
             // The edge-list entry consumes the raw multigraph; self-loops
             // can never be tree edges and of verbatim duplicates either
             // record has the same canonical key, so the forests must agree
@@ -91,7 +91,7 @@ fn boruvka_family_matches_filter_kruskal_on_adversarial_multigraphs() {
 }
 
 #[test]
-fn boruvka_family_matches_filter_kruskal_on_disconnected_forests() {
+fn boruvka_family_matches_kruskal_on_disconnected_forests() {
     // m ~ n/2 .. 2n: almost every instance is a forest of many trees, so
     // rounds hit components that finish early and vertices that empty out.
     for pool in pools() {
@@ -102,7 +102,7 @@ fn boruvka_family_matches_filter_kruskal_on_disconnected_forests() {
             let n = rng.gen_range(4usize..400);
             let m = rng.gen_range(n / 2..2 * n);
             let g = erdos_renyi(n, m, seed);
-            let oracle = filter_kruskal(&g);
+            let oracle = kruskal(&g);
             let llp = llp_boruvka_from_edges(n, g.edges().collect(), &pool);
             assert_matches(&g, &llp, &oracle, &pool, &format!("llp seed {seed} threads {t}"));
             let par = boruvka_par(&g, &pool);
@@ -119,7 +119,7 @@ fn boruvka_family_matches_filter_kruskal_on_disconnected_forests() {
 }
 
 #[test]
-fn boruvka_family_matches_filter_kruskal_on_generator_families() {
+fn boruvka_family_matches_kruskal_on_generator_families() {
     // Structured families the sweep binary also uses: hub-heavy
     // preferential attachment and (possibly disconnected) geometric
     // graphs — skewed and near-planar degree distributions.
@@ -129,7 +129,7 @@ fn boruvka_family_matches_filter_kruskal_on_generator_families() {
             let ba = barabasi_albert(800, 3, seed);
             let rgg = random_geometric(600, (4.0 / 600.0f64).sqrt(), seed);
             for (name, g) in [("ba", &ba), ("rgg", &rgg)] {
-                let oracle = filter_kruskal(g);
+                let oracle = kruskal(g);
                 let n = g.num_vertices();
                 let llp = llp_boruvka_from_edges(n, g.edges().collect(), &pool);
                 let what = format!("llp {name} seed {seed} threads {t}");

@@ -5,6 +5,7 @@
 //! `proptest`).
 
 use llp_graph::generators::{erdos_renyi, random_geometric, road_network, RoadParams};
+use llp_graph::transform::map_weights;
 use llp_graph::{CsrGraph, Edge};
 use llp_mst::index::PathMaxIndex;
 use llp_mst::prelude::{
@@ -19,10 +20,13 @@ use llp_runtime::{chaos, ThreadPool};
 const CASES: u64 = 16;
 
 /// A spread of families: dense-ish connected, sparse disconnected forest,
-/// geometric, and grid-like road.
+/// geometric, grid-like road, and a tie-heavy graph whose weights take
+/// only four values (so many MSFs share the minimum weight and only the
+/// `EdgeKey` order picks the canonical one).
 fn graphs(seed: u64) -> Vec<CsrGraph> {
     vec![
         erdos_renyi(150, 400, seed),
+        map_weights(&erdos_renyi(150, 400, seed), |w| (w * 4.0).floor()),
         erdos_renyi(120, 90, seed ^ 0xA5),
         random_geometric(130, 0.18, seed),
         road_network(RoadParams::usa_like(10, 12, seed)),
@@ -38,6 +42,38 @@ fn forest(n: usize, edges: Vec<Edge>) -> MstResult {
 fn canonical(e: Edge) -> Edge {
     let (u, v) = e.canonical_endpoints();
     Edge::new(u, v, e.w)
+}
+
+/// Indices into `tree` of the edges on the forest path from `u` to `v`,
+/// which must lie in the same tree.
+fn tree_path(n: usize, tree: &[Edge], u: u32, v: u32) -> Vec<usize> {
+    let mut adj: Vec<Vec<(u32, usize)>> = vec![Vec::new(); n];
+    for (i, e) in tree.iter().enumerate() {
+        adj[e.u as usize].push((e.v, i));
+        adj[e.v as usize].push((e.u, i));
+    }
+    // BFS from `u`, remembering the tree edge each vertex was reached by.
+    let mut via: Vec<Option<usize>> = vec![None; n];
+    let mut seen = vec![false; n];
+    seen[u as usize] = true;
+    let mut queue = std::collections::VecDeque::from([u]);
+    while let Some(x) = queue.pop_front() {
+        for &(y, i) in &adj[x as usize] {
+            if !seen[y as usize] {
+                seen[y as usize] = true;
+                via[y as usize] = Some(i);
+                queue.push_back(y);
+            }
+        }
+    }
+    let mut path = Vec::new();
+    let mut x = v;
+    while x != u {
+        let i = via[x as usize].expect("u and v lie in one tree");
+        path.push(i);
+        x = if tree[i].u == x { tree[i].v } else { tree[i].u };
+    }
+    path
 }
 
 #[test]
@@ -57,6 +93,8 @@ fn certifier_and_oracle_accept_genuine_msfs() {
 
 #[test]
 fn certifier_and_oracle_reject_mutated_forests() {
+    /// Position of the tie-heavy graph in [`graphs`].
+    const TIED: usize = 1;
     let pool = ThreadPool::new(3);
     for seed in 0..CASES {
         for (gi, g) in graphs(seed).into_iter().enumerate() {
@@ -117,6 +155,59 @@ fn certifier_and_oracle_reject_mutated_forests() {
             assert!(verify_msf(&g, &cyclic).is_err(), "oracle/cycle {seed}/{gi}");
             assert!(certify_msf(&g, &cyclic).is_err(), "certify/cycle {seed}/{gi}");
             assert_witness(&cyclic, VerifyError::Cycle(msf.edges[i]), "cycle");
+
+            // Longer cycle: append a non-tree graph edge. Its endpoints are
+            // already joined by the tree path, so the appended copy closes
+            // a cycle through that whole path.
+            let tree_keys = msf.canonical_keys();
+            let mut non_tree: Vec<Edge> = g
+                .edges()
+                .filter(|e| tree_keys.binary_search(&e.key()).is_err())
+                .collect();
+            if !non_tree.is_empty() {
+                let start = rng.gen_range(0usize..non_tree.len());
+                non_tree.rotate_left(start);
+                let e = non_tree[0];
+                let mut edges = msf.edges.clone();
+                edges.push(e);
+                let cyclic = forest(n, edges);
+                assert!(
+                    verify_msf(&g, &cyclic).is_err(),
+                    "oracle/long-cycle {seed}/{gi}"
+                );
+                assert_witness(&cyclic, VerifyError::Cycle(e), "long-cycle");
+            }
+
+            // Tie flip: swap a tree edge `t` for a non-tree edge of equal
+            // weight on `t`'s cycle. The result is a spanning forest of the
+            // same total weight, but not the canonical one: `t` now closes
+            // a cycle through the heavier-keyed replacement.
+            let flip = non_tree.iter().find_map(|&e| {
+                tree_path(n, &msf.edges, e.u, e.v)
+                    .into_iter()
+                    .find(|&t| msf.edges[t].w == e.w)
+                    .map(|t| (t, e))
+            });
+            if let Some((t, e)) = flip {
+                let mut edges = msf.edges.clone();
+                edges[t] = e;
+                let swapped = forest(n, edges);
+                assert_eq!(
+                    swapped.total_weight, msf.total_weight,
+                    "tie flip {seed}/{gi}"
+                );
+                assert!(
+                    verify_msf(&g, &swapped).is_err(),
+                    "oracle/tie-flip {seed}/{gi}"
+                );
+                assert_witness(
+                    &swapped,
+                    VerifyError::CutViolation(canonical(msf.edges[t])),
+                    "tie-flip",
+                );
+            } else {
+                assert_ne!(gi, TIED, "the tie-heavy graph has no tie to flip ({seed})");
+            }
 
             // Lighter weight on one tree edge, in a graph that repeats
             // another tree edge verbatim: foreign, with no cut violation

@@ -9,8 +9,7 @@
 use crate::edge::Edge;
 use crate::weight::{EdgeKey, Weight};
 use crate::VertexId;
-use llp_runtime::partition::group_by_key_in;
-use llp_runtime::{parallel_map_collect, ParallelForConfig, ScratchArena, SendPtr, ThreadPool};
+use llp_runtime::{parallel_map_collect, ParallelForConfig, ThreadPool};
 
 /// Validates an edge's endpoints against the vertex count with a
 /// descriptive panic — edge ordinal, endpoints, weight — instead of the
@@ -275,89 +274,6 @@ impl CsrGraph {
         }
     }
 
-    /// SpGEMM-style contracted rebuild: merges vertices with equal labels
-    /// into one vertex each and returns the quotient graph. `labels[v]`
-    /// names `v`'s component in `0..n_new`; intra-component arcs (the
-    /// quotient's self-loops) are dropped, parallel arcs between distinct
-    /// components are kept — MSF rounds only ever reduce over rows, where
-    /// the lighter duplicate wins, so deduplication would be wasted work.
-    ///
-    /// Rows are rebuilt with the wide-key counting distribution
-    /// ([`group_by_key_in`]), so component counts past `u16::MAX` are
-    /// fine. Intra-row arc order is nondeterministic under parallel
-    /// execution — the same contract as [`CsrGraph::from_edges_parallel`].
-    ///
-    /// # Panics
-    /// Panics when `labels.len() != num_vertices()` or any label is
-    /// `>= n_new`.
-    pub fn contract_by_labels(&self, pool: &ThreadPool, n_new: usize, labels: &[u32]) -> CsrGraph {
-        assert_eq!(labels.len(), self.n, "one label per vertex");
-        assert!(
-            labels.iter().all(|&l| (l as usize) < n_new),
-            "label out of range for {n_new} contracted vertices"
-        );
-        let m = self.num_arcs();
-        let arena = ScratchArena::new();
-        let cfg = ParallelForConfig::with_grain(2048);
-
-        // Source row of every arc (rows are contiguous arc ranges, so this
-        // is a row-parallel fill into a leased buffer).
-        let mut arc_src = arena.lease::<u32>(m);
-        {
-            let src_ptr = SendPtr::new(arc_src.as_mut_ptr());
-            llp_runtime::parallel_for(pool, 0..self.n, cfg, |v| {
-                let lo = self.offsets[v] as usize;
-                let hi = self.offsets[v + 1] as usize;
-                for a in lo..hi {
-                    // SAFETY: row ranges partition 0..m; one writer per slot.
-                    unsafe { *src_ptr.get().add(a) = v as u32 };
-                }
-            });
-            // SAFETY: every slot in 0..m was initialised above.
-            unsafe { arc_src.set_len(m) };
-        }
-
-        let mut offsets = Vec::new();
-        let mut targets: Vec<VertexId> = Vec::with_capacity(m);
-        let mut weights: Vec<Weight> = Vec::with_capacity(m);
-        {
-            let arc_src_ro: &[u32] = &arc_src;
-            let tgt_ptr = SendPtr::new(targets.as_mut_ptr());
-            let wt_ptr = SendPtr::new(weights.as_mut_ptr());
-            let total = group_by_key_in(
-                pool,
-                &arena,
-                m,
-                n_new,
-                &mut offsets,
-                |a| {
-                    let lu = labels[arc_src_ro[a] as usize];
-                    let lv = labels[self.targets[a] as usize];
-                    (lu != lv).then_some(lu)
-                },
-                |a, slot| {
-                    // SAFETY: slots partition 0..total and both arrays have
-                    // capacity m >= total; each slot written exactly once.
-                    unsafe {
-                        *tgt_ptr.get().add(slot) = labels[self.targets[a] as usize];
-                        *wt_ptr.get().add(slot) = self.weights[a];
-                    }
-                },
-            );
-            // SAFETY: exactly `total` leading slots were initialised.
-            unsafe {
-                targets.set_len(total);
-                weights.set_len(total);
-            }
-        }
-        CsrGraph {
-            n: n_new,
-            offsets,
-            targets,
-            weights,
-        }
-    }
-
     /// Consistency check used by tests: every arc has a reverse arc with the
     /// same weight, no self loops, offsets monotone.
     pub fn validate(&self) -> Result<(), String> {
@@ -539,88 +455,5 @@ mod tests {
         // The pool must survive the propagated panic.
         let ok = CsrGraph::from_edges_parallel(&pool, 3, &[Edge::new(0, 2, 1.0)]);
         ok.validate().unwrap();
-    }
-
-    #[test]
-    fn contract_by_labels_merges_fig1_round1_components() {
-        // Borůvka round 1 on fig1 merges {a,b,c} and {d,e}; the crossing
-        // edges are (b,d,7), (c,d,9), (c,e,11).
-        let g = fig1();
-        for threads in [1, 4] {
-            let pool = ThreadPool::new(threads);
-            let q = g.contract_by_labels(&pool, 2, &[0, 0, 0, 1, 1]);
-            q.validate().unwrap();
-            assert_eq!(q.num_vertices(), 2);
-            assert_eq!(q.num_arcs(), 6);
-            let mut ws: Vec<f64> = q.neighbors(0).map(|(_, w)| w).collect();
-            ws.sort_by(f64::total_cmp);
-            assert_eq!(ws, vec![7.0, 9.0, 11.0]);
-            assert!(q.neighbors(0).all(|(v, _)| v == 1));
-            assert!(q.neighbors(1).all(|(v, _)| v == 0));
-        }
-    }
-
-    #[test]
-    fn contract_by_identity_labels_preserves_adjacency() {
-        use crate::generators::erdos_renyi;
-        let g = erdos_renyi(200, 800, 9);
-        let labels: Vec<u32> = (0..g.num_vertices() as u32).collect();
-        let pool = ThreadPool::new(4);
-        let q = g.contract_by_labels(&pool, g.num_vertices(), &labels);
-        q.validate().unwrap();
-        assert_eq!(q.num_arcs(), g.num_arcs());
-        for v in 0..g.num_vertices() as VertexId {
-            let mut a: Vec<_> = g.neighbors(v).collect();
-            let mut b: Vec<_> = q.neighbors(v).collect();
-            a.sort_by(|x, y| x.partial_cmp(y).unwrap());
-            b.sort_by(|x, y| x.partial_cmp(y).unwrap());
-            assert_eq!(a, b, "vertex {v}");
-        }
-    }
-
-    #[test]
-    fn contract_all_into_one_drops_every_arc() {
-        let g = fig1();
-        let pool = ThreadPool::new(2);
-        let q = g.contract_by_labels(&pool, 1, &[0; 5]);
-        q.validate().unwrap();
-        assert_eq!(q.num_vertices(), 1);
-        assert_eq!(q.num_arcs(), 0);
-    }
-
-    #[test]
-    fn contract_parallel_matches_sequential_as_sets() {
-        use crate::generators::erdos_renyi;
-        let g = erdos_renyi(3000, 15_000, 11);
-        // Arbitrary deterministic 100-way partition of the vertices.
-        let labels: Vec<u32> = (0..g.num_vertices() as u32).map(|v| v % 100).collect();
-        let p1 = ThreadPool::new(1);
-        let p4 = ThreadPool::new(4);
-        let a = g.contract_by_labels(&p1, 100, &labels);
-        let b = g.contract_by_labels(&p4, 100, &labels);
-        a.validate().unwrap();
-        b.validate().unwrap();
-        assert_eq!(a.num_arcs(), b.num_arcs());
-        for v in 0..100 as VertexId {
-            let mut x: Vec<_> = a.neighbors(v).collect();
-            let mut y: Vec<_> = b.neighbors(v).collect();
-            x.sort_by(|l, r| l.partial_cmp(r).unwrap());
-            y.sort_by(|l, r| l.partial_cmp(r).unwrap());
-            assert_eq!(x, y, "row {v}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "label out of range")]
-    fn contract_rejects_out_of_range_labels() {
-        let pool = ThreadPool::new(1);
-        let _ = fig1().contract_by_labels(&pool, 2, &[0, 0, 0, 1, 5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "one label per vertex")]
-    fn contract_rejects_wrong_label_count() {
-        let pool = ThreadPool::new(1);
-        let _ = fig1().contract_by_labels(&pool, 2, &[0, 1]);
     }
 }

@@ -28,7 +28,7 @@
 //! a graph (for out-of-core sharding), and [`BinaryWriter`] streams a file
 //! out in bounded chunks (for generators too big to materialize).
 
-use super::IoError;
+use super::{check_vertex_count, check_weight, IoError, PREALLOC_EDGES};
 use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
 use crate::edge::Edge;
@@ -44,12 +44,6 @@ const VERSION: u32 = 1;
 const HEADER_BYTES: u64 = 28;
 /// On-disk size of one edge record: `u: u32, v: u32, w: f64`.
 const EDGE_BYTES: u64 = 16;
-/// Pre-allocation cap for streaming readers that cannot verify `m`
-/// against an input length (16 MiB of edges); the buffer grows past it
-/// only as edges actually arrive, so a lying header costs nothing.
-const PREALLOC_EDGES: usize = 1 << 20;
-/// Vertex ids are `u32`, so no valid file names more vertices than this.
-const MAX_VERTICES: u64 = 1 << 32;
 
 /// Writes the graph in binary form.
 pub fn write_binary<W: Write>(graph: &CsrGraph, mut w: W) -> std::io::Result<()> {
@@ -140,12 +134,7 @@ fn read_header<R: Read>(r: &mut R) -> Result<Header, IoError> {
         ));
     }
     let n = read_u64(r, 12, "vertex count")?;
-    if n > MAX_VERTICES {
-        return Err(IoError::ParseBytes(
-            12,
-            format!("vertex count {n} exceeds the u32 id space"),
-        ));
-    }
+    check_vertex_count(n).map_err(|msg| IoError::ParseBytes(12, msg))?;
     let m = read_u64(r, 20, "edge count")?;
     Ok(Header { n, m })
 }
@@ -209,12 +198,7 @@ fn decode_edge(
             format!("edge #{i}: self-loop at vertex {u}"),
         ));
     }
-    if !w.is_finite() {
-        return Err(IoError::ParseBytes(
-            off + 8,
-            format!("edge #{i}: non-finite weight {w}"),
-        ));
-    }
+    check_weight(w).map_err(|msg| IoError::ParseBytes(off + 8, format!("edge #{i}: {msg}")))?;
     Ok(Edge::new(u, v, w))
 }
 
@@ -344,12 +328,7 @@ impl<W: Write + Seek> BinaryWriter<W> {
     /// Starts a file for `n` vertices at the writer's current position,
     /// buffering a header with a placeholder edge count.
     pub fn new(mut w: W, n: usize) -> Result<Self, IoError> {
-        if (n as u64) > MAX_VERTICES {
-            return Err(IoError::ParseBytes(
-                12,
-                format!("vertex count {n} exceeds the u32 id space"),
-            ));
-        }
+        check_vertex_count(n as u64).map_err(|msg| IoError::ParseBytes(12, msg))?;
         let base = w.stream_position()?;
         let mut buf = Vec::with_capacity(WRITE_BUF_BYTES + EDGE_BYTES as usize);
         buf.extend_from_slice(MAGIC);
@@ -383,12 +362,8 @@ impl<W: Write + Seek> BinaryWriter<W> {
                 format!("edge #{}: self-loop at vertex {}", self.m, e.u),
             ));
         }
-        if !e.w.is_finite() {
-            return Err(IoError::ParseBytes(
-                off + 8,
-                format!("edge #{}: non-finite weight {}", self.m, e.w),
-            ));
-        }
+        check_weight(e.w)
+            .map_err(|msg| IoError::ParseBytes(off + 8, format!("edge #{}: {msg}", self.m)))?;
         self.buf.extend_from_slice(&e.u.to_le_bytes());
         self.buf.extend_from_slice(&e.v.to_le_bytes());
         self.buf.extend_from_slice(&e.w.to_le_bytes());
@@ -647,6 +622,7 @@ mod fault_tests {
 mod tests {
     use super::*;
     use crate::generators::{erdos_renyi, road_network, RoadParams};
+    use crate::io::MAX_VERTICES;
 
     /// A syntactically valid file: header plus raw edge records.
     fn file(n: u64, m: u64, edges: &[(u32, u32, f64)]) -> Vec<u8> {

@@ -10,7 +10,7 @@
 //!   road networks (USA-road morphology), plus Erdős–Rényi, random geometric
 //!   and classic fixed topologies for tests.
 //! * [`io`] — DIMACS `.gr` reader/writer (the format the real USA road
-//!   dataset ships in), plain text edge lists and a fast binary format.
+//!   dataset ships in) and a fast binary format.
 //! * [`algo`] — BFS, connected components and degree statistics (Table I).
 //!
 //! ## Unique-weight semantics

@@ -1,12 +1,11 @@
 //! Graph transformations.
 //!
-//! Used by property tests (MST invariance under relabelling), ablations
-//! (weight-distribution sensitivity) and workload preparation (extracting
-//! subgraphs).
+//! Used by property tests (MST invariance under relabelling and monotone
+//! reweighting) and the microbenchmarks (shuffled vertex order).
 
 use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
-use crate::{VertexId, NO_VERTEX};
+use crate::VertexId;
 use llp_runtime::rng::SmallRng;
 
 /// Relabels vertices by the given permutation: vertex `v` becomes
@@ -41,16 +40,6 @@ pub fn random_permutation(n: usize, seed: u64) -> Vec<VertexId> {
     perm
 }
 
-/// Replaces every weight with a fresh uniform sample in `(0, 1)`.
-pub fn reweight_uniform(graph: &CsrGraph, seed: u64) -> CsrGraph {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::with_capacity(graph.num_vertices(), graph.num_edges());
-    for e in graph.edges() {
-        b.add_edge(e.u, e.v, rng.gen::<f64>() + f64::MIN_POSITIVE);
-    }
-    b.build()
-}
-
 /// Applies a monotone transform to every weight. Monotone transforms
 /// preserve the MST edge set exactly (the classic invariance), which the
 /// property tests assert.
@@ -60,85 +49,6 @@ pub fn map_weights<F: Fn(f64) -> f64>(graph: &CsrGraph, f: F) -> CsrGraph {
         b.add_edge(e.u, e.v, f(e.w));
     }
     b.build()
-}
-
-/// Cache-aware relabeling: renumbers vertices in descending degree order
-/// (ties by original id). Returns the relabeled graph and the permutation
-/// (`perm[old] = new`).
-///
-/// Hubs land on the lowest ids, so the dense per-vertex state the Prim
-/// family keeps (`dist`, `fixed`, `best_edge`) concentrates its hottest
-/// entries in a few leading cache lines instead of scattering them across
-/// the whole array — the standard degree-ordering trick from graph
-///-processing frameworks (e.g. frequency-based clustering in Ligra/GBBS
-/// derivatives).
-pub fn relabel_degree_descending(graph: &CsrGraph) -> (CsrGraph, Vec<VertexId>) {
-    let n = graph.num_vertices();
-    let mut by_degree: Vec<VertexId> = (0..n as VertexId).collect();
-    by_degree.sort_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
-    let mut perm = vec![0 as VertexId; n];
-    for (new, &old) in by_degree.iter().enumerate() {
-        perm[old as usize] = new as VertexId;
-    }
-    (permute_vertices(graph, &perm), perm)
-}
-
-/// Cache-aware relabeling: renumbers vertices in BFS visit order
-/// (components in ascending order of their lowest original id). Returns
-/// the relabeled graph and the permutation (`perm[old] = new`).
-///
-/// Neighboring vertices get nearby ids, so edge relaxations touch
-/// near-contiguous slots of the per-vertex arrays — locality that
-/// mesh-like inputs (road networks) reward the most.
-pub fn relabel_bfs(graph: &CsrGraph) -> (CsrGraph, Vec<VertexId>) {
-    let n = graph.num_vertices();
-    let mut perm = vec![NO_VERTEX; n];
-    let mut next = 0 as VertexId;
-    let mut queue = std::collections::VecDeque::new();
-    for s in 0..n as VertexId {
-        if perm[s as usize] != NO_VERTEX {
-            continue;
-        }
-        perm[s as usize] = next;
-        next += 1;
-        queue.push_back(s);
-        while let Some(u) = queue.pop_front() {
-            for (v, _) in graph.neighbors(u) {
-                if perm[v as usize] == NO_VERTEX {
-                    perm[v as usize] = next;
-                    next += 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-    }
-    (permute_vertices(graph, &perm), perm)
-}
-
-/// The subgraph induced by `keep`, with vertices renumbered densely in
-/// increasing original-id order. Returns the new graph and the mapping
-/// from old ids to new (or [`NO_VERTEX`] for dropped vertices).
-pub fn induced_subgraph<F: Fn(VertexId) -> bool>(
-    graph: &CsrGraph,
-    keep: F,
-) -> (CsrGraph, Vec<VertexId>) {
-    let n = graph.num_vertices();
-    let mut new_id = vec![NO_VERTEX; n];
-    let mut next = 0 as VertexId;
-    for v in 0..n as VertexId {
-        if keep(v) {
-            new_id[v as usize] = next;
-            next += 1;
-        }
-    }
-    let mut b = GraphBuilder::new(next as usize);
-    for e in graph.edges() {
-        let (nu, nv) = (new_id[e.u as usize], new_id[e.v as usize]);
-        if nu != NO_VERTEX && nv != NO_VERTEX {
-            b.add_edge(nu, nv, e.w);
-        }
-    }
-    (b.build(), new_id)
 }
 
 #[cfg(test)]
@@ -184,102 +94,9 @@ mod tests {
     }
 
     #[test]
-    fn reweight_changes_weights_only() {
-        let g = erdos_renyi(30, 100, 2);
-        let r = reweight_uniform(&g, 7);
-        assert_eq!(r.num_edges(), g.num_edges());
-        assert!(r.edges().zip(g.edges()).all(|(a, b)| {
-            a.u == b.u && a.v == b.v
-        }));
-    }
-
-    #[test]
     fn map_weights_applies_function() {
         let g = fig1();
         let doubled = map_weights(&g, |w| 2.0 * w);
         assert_eq!(doubled.total_weight(), 2.0 * g.total_weight());
-    }
-
-    #[test]
-    fn degree_relabel_sorts_degrees_descending() {
-        let g = erdos_renyi(60, 240, 3);
-        let (p, perm) = relabel_degree_descending(&g);
-        let degs: Vec<usize> = (0..60).map(|v| p.degree(v)).collect();
-        assert!(degs.windows(2).all(|w| w[0] >= w[1]));
-        // The permutation carries each vertex's degree to its new id.
-        for v in 0..60u32 {
-            assert_eq!(g.degree(v), p.degree(perm[v as usize]));
-        }
-    }
-
-    #[test]
-    fn degree_relabel_breaks_ties_by_original_id() {
-        // A 4-cycle: all degrees equal, so the relabel must be the identity.
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(0, 1, 1.0);
-        b.add_edge(1, 2, 2.0);
-        b.add_edge(2, 3, 3.0);
-        b.add_edge(3, 0, 4.0);
-        let (_, perm) = relabel_degree_descending(&b.build());
-        assert_eq!(perm, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn bfs_relabel_is_identity_on_a_path() {
-        let mut b = GraphBuilder::new(6);
-        for v in 0..5 {
-            b.add_edge(v, v + 1, 1.0 + v as f64);
-        }
-        let (_, perm) = relabel_bfs(&b.build());
-        assert_eq!(perm, (0..6).collect::<Vec<VertexId>>());
-    }
-
-    #[test]
-    fn bfs_relabel_covers_disconnected_graphs() {
-        let g = crate::samples::small_forest();
-        let (p, perm) = relabel_bfs(&g);
-        let mut sorted = perm.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..g.num_vertices() as VertexId).collect::<Vec<_>>());
-        assert_eq!(p.num_edges(), g.num_edges());
-        assert_eq!(p.num_vertices(), g.num_vertices());
-    }
-
-    #[test]
-    fn relabels_preserve_canonical_edge_multiset() {
-        let g = erdos_renyi(80, 400, 11);
-        for (p, perm) in [relabel_degree_descending(&g), relabel_bfs(&g)] {
-            let mut a: Vec<_> = g
-                .edges()
-                .map(|e| {
-                    crate::Edge::new(perm[e.u as usize], perm[e.v as usize], e.w).key()
-                })
-                .collect();
-            let mut b: Vec<_> = p.edges().map(|e| e.key()).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn induced_subgraph_drops_and_renumbers() {
-        let g = fig1();
-        // Keep {a, b, c} = {0, 1, 2}: triangle with edges 3, 4, 5.
-        let (sub, map) = induced_subgraph(&g, |v| v < 3);
-        assert_eq!(sub.num_vertices(), 3);
-        assert_eq!(sub.num_edges(), 3);
-        assert_eq!(map[0], 0);
-        assert_eq!(map[4], crate::NO_VERTEX);
-        let mut ws: Vec<f64> = sub.edges().map(|e| e.w).collect();
-        ws.sort_by(f64::total_cmp);
-        assert_eq!(ws, vec![3.0, 4.0, 5.0]);
-    }
-
-    #[test]
-    fn empty_induced_subgraph() {
-        let g = fig1();
-        let (sub, _) = induced_subgraph(&g, |_| false);
-        assert_eq!(sub.num_vertices(), 0);
     }
 }

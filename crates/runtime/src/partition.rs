@@ -299,113 +299,6 @@ pub fn compact_map_into<T, F>(
     unsafe { out.set_len(total) };
 }
 
-/// Groups the items `0..n` by a `u32` key into a CSR-shaped layout.
-///
-/// `key_of(i)` names item `i`'s group (`None` drops the item); `place(i,
-/// slot)` stores item `i` at output position `slot`. On return `offsets`
-/// holds `nkeys + 1` entries — the items of key `k` occupy output slots
-/// `offsets[k]..offsets[k + 1]` — and the kept-item total is returned.
-///
-/// This is [`distribute_by_class_in`]'s sibling for *large* key spaces:
-/// the class-matrix distribution stores class ids as `u16` and scans an
-/// `nclasses x nchunks` matrix, which breaks down past 65 535 classes
-/// (contracted-CSR rebuilds group arcs by component id, routinely in the
-/// hundreds of thousands). Here the histogram is a flat `u64` array built
-/// with atomic adds and the scatter claims slots through per-key atomic
-/// cursors, so the cost is `O(n + nkeys)` regardless of the key width.
-/// The price is intra-key placement order: input order on the sequential
-/// path, unordered under parallel execution — callers must not observe
-/// intra-group order (CSR rows are order-free reductions, the same
-/// contract `CsrGraph::from_edges_parallel` already documents).
-///
-/// `key_of` is evaluated twice per item (count pass + scatter pass) and
-/// must be deterministic. All intermediate state is leased from `arena`
-/// and `offsets` is refilled in place, so steady-state calls allocate
-/// nothing once `offsets`' capacity has reached `nkeys + 1`.
-///
-/// # Panics
-/// Panics when `key_of` returns a key `>= nkeys`.
-pub fn group_by_key_in<K, P>(
-    pool: &ThreadPool,
-    arena: &ScratchArena,
-    n: usize,
-    nkeys: usize,
-    offsets: &mut Vec<u64>,
-    key_of: K,
-    place: P,
-) -> usize
-where
-    K: Fn(usize) -> Option<u32> + Sync,
-    P: Fn(usize, usize) + Sync,
-{
-    offsets.clear();
-    if pool.threads() == 1 || n < PAR_THRESHOLD {
-        offsets.resize(nkeys + 1, 0);
-        for i in 0..n {
-            if let Some(k) = key_of(i) {
-                let k = k as usize;
-                assert!(k < nkeys, "key {k} out of range (nkeys {nkeys})");
-                offsets[k + 1] += 1;
-            }
-        }
-        for k in 1..=nkeys {
-            offsets[k] += offsets[k - 1];
-        }
-        let total = offsets[nkeys] as usize;
-        let mut cursors = arena.lease::<u64>(nkeys);
-        cursors.extend_from_slice(&offsets[..nkeys]);
-        for i in 0..n {
-            if let Some(k) = key_of(i) {
-                let slot = cursors[k as usize] as usize;
-                cursors[k as usize] += 1;
-                place(i, slot);
-            }
-        }
-        return total;
-    }
-
-    let cfg = crate::parallel_for::ParallelForConfig::default();
-    // Pass 1: atomic histogram over the flat key space. Contention is
-    // per-key, so heavy groups (high-degree components) see the most
-    // traffic — acceptable: a fetch_add per item is still far cheaper
-    // than a u16-capped class matrix at these key widths.
-    let mut counts = arena.lease_filled::<u64>(pool, cfg, nkeys, 0u64);
-    {
-        let cells = crate::atomics::as_atomic_u64(&mut counts);
-        let key_of = &key_of;
-        crate::parallel_for(pool, 0..n, cfg, |i| {
-            if let Some(k) = key_of(i) {
-                let k = k as usize;
-                assert!(k < nkeys, "key {k} out of range (nkeys {nkeys})");
-                cells[k].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-    }
-
-    // Pass 2 (sequential, nkeys entries): exclusive scan into the caller's
-    // offsets, with the grand total appended as the closing sentinel.
-    offsets.extend_from_slice(&counts);
-    let total = exclusive_scan_in_place(offsets);
-    offsets.push(total);
-
-    // Pass 3: scatter through per-key atomic cursors (the counts lease is
-    // recycled as the cursor array — same size, same shelf).
-    counts.clear();
-    counts.extend_from_slice(&offsets[..nkeys]);
-    {
-        let cursors = crate::atomics::as_atomic_u64(&mut counts);
-        let key_of = &key_of;
-        let place = &place;
-        crate::parallel_for(pool, 0..n, cfg, |i| {
-            if let Some(k) = key_of(i) {
-                let slot = cursors[k as usize].fetch_add(1, Ordering::Relaxed);
-                place(i, slot as usize);
-            }
-        });
-    }
-    total as usize
-}
-
 /// Sequential [`distribute_by_class`] (same counting scatter, one thread).
 fn distribute_seq<T, F>(data: &mut [T], nclasses: usize, class_of: &F) -> Vec<usize>
 where
@@ -458,19 +351,6 @@ where
     (bounds[1], bounds[2] - bounds[1])
 }
 
-/// Sequential [`partition3_in_place`], for callers without a pool.
-pub fn partition3_seq<T, F>(data: &mut [T], classify: F) -> (usize, usize)
-where
-    F: Fn(&T) -> CmpOrdering,
-{
-    let bounds = distribute_seq(data, 3, &|x: &T| match classify(x) {
-        CmpOrdering::Less => 0,
-        CmpOrdering::Equal => 1,
-        CmpOrdering::Greater => 2,
-    });
-    (bounds[1], bounds[2] - bounds[1])
-}
-
 /// Parallel stable retain: keeps the elements satisfying `keep`, in input
 /// order, and drops the rest — [`Vec::retain`] with the predicate evaluated
 /// across the pool (exactly once per element).
@@ -486,6 +366,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::Mutex;
     use std::sync::atomic::AtomicUsize as StdAtomicUsize;
     use std::sync::Arc;
 
@@ -548,18 +429,6 @@ mod tests {
             assert_eq!(&v[lt..lt + eq], &want_eq[..], "n={n}");
             assert_eq!(&v[lt + eq..], &want_gt[..], "n={n}");
         }
-    }
-
-    #[test]
-    fn partition3_seq_matches_parallel() {
-        let pool = ThreadPool::new(4);
-        let pivot = u64::MAX / 2;
-        let mut a = pseudo_random(10_000);
-        let mut b = a.clone();
-        let ra = partition3_in_place(&pool, &mut a, |x| x.cmp(&pivot));
-        let rb = partition3_seq(&mut b, |x| x.cmp(&pivot));
-        assert_eq!(ra, rb);
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -679,130 +548,6 @@ mod tests {
                 assert_eq!(*out, want, "threads={threads} n={n}");
             }
         }
-    }
-
-    use crate::sync::Mutex;
-
-    /// Reference grouping: per-key item lists in input order.
-    fn group_reference(
-        n: usize,
-        nkeys: usize,
-        key_of: impl Fn(usize) -> Option<u32>,
-    ) -> Vec<Vec<usize>> {
-        let mut groups = vec![Vec::new(); nkeys];
-        for i in 0..n {
-            if let Some(k) = key_of(i) {
-                groups[k as usize].push(i);
-            }
-        }
-        groups
-    }
-
-    fn check_grouping(
-        threads: usize,
-        n: usize,
-        nkeys: usize,
-        key_of: impl Fn(usize) -> Option<u32> + Sync + Copy,
-    ) {
-        use std::sync::atomic::AtomicU64;
-        let pool = ThreadPool::new(threads);
-        let arena = ScratchArena::new();
-        let mut offsets = Vec::new();
-        let out: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
-        let total = group_by_key_in(&pool, &arena, n, nkeys, &mut offsets, key_of, |i, slot| {
-            let prev = out[slot].swap(i as u64, Ordering::Relaxed);
-            assert_eq!(prev, u64::MAX, "slot {slot} written twice");
-        });
-        let groups = group_reference(n, nkeys, key_of);
-        let want_total: usize = groups.iter().map(Vec::len).sum();
-        assert_eq!(total, want_total, "threads={threads} n={n} nkeys={nkeys}");
-        assert_eq!(offsets.len(), nkeys + 1);
-        assert_eq!(offsets[0], 0);
-        assert_eq!(offsets[nkeys] as usize, want_total);
-        for k in 0..nkeys {
-            let lo = offsets[k] as usize;
-            let hi = offsets[k + 1] as usize;
-            let mut got: Vec<usize> = out[lo..hi]
-                .iter()
-                .map(|s| s.load(Ordering::Relaxed) as usize)
-                .collect();
-            if threads == 1 {
-                // Sequential path is stable: exact input order per key.
-                assert_eq!(got, groups[k], "key {k} order (threads=1)");
-            } else {
-                got.sort_unstable();
-                assert_eq!(got, groups[k], "key {k} membership");
-            }
-        }
-    }
-
-    #[test]
-    fn group_by_key_matches_reference() {
-        for threads in [1, 2, 4] {
-            for n in [0usize, 5, 4095, 4096, 50_000] {
-                check_grouping(threads, n, 97, |i| {
-                    (i % 7 != 0).then(|| ((i as u64).wrapping_mul(0x9E37) % 97) as u32)
-                });
-            }
-        }
-    }
-
-    #[test]
-    fn group_by_key_supports_wide_key_spaces() {
-        // More keys than u16 can index: the gap distribute_by_class_in
-        // cannot cover (its class ids are u16).
-        let nkeys = 100_000usize;
-        assert!(nkeys > u16::MAX as usize);
-        for threads in [1, 4] {
-            check_grouping(threads, 60_000, nkeys, |i| {
-                Some(((i as u64).wrapping_mul(0x9E3779B9) % 100_000) as u32)
-            });
-        }
-    }
-
-    #[test]
-    fn group_by_key_drops_none_items_entirely() {
-        check_grouping(4, 20_000, 13, |i| (i % 2 == 0).then_some((i % 13) as u32));
-        // All-dropped input still yields well-formed (all-zero) offsets.
-        check_grouping(4, 10_000, 5, |_| None);
-    }
-
-    #[test]
-    fn group_by_key_steady_state_reuses_arena() {
-        let pool = ThreadPool::new(4);
-        let arena = ScratchArena::new();
-        let mut offsets = Vec::new();
-        let n = 50_000usize;
-        let nkeys = 30_000usize;
-        let key_of = |i: usize| (!i.is_multiple_of(3)).then(|| (i % nkeys) as u32);
-        let sink = std::sync::atomic::AtomicU64::new(0);
-        let run = |offsets: &mut Vec<u64>| {
-            group_by_key_in(&pool, &arena, n, nkeys, offsets, key_of, |i, slot| {
-                sink.fetch_add((i ^ slot) as u64, Ordering::Relaxed);
-            })
-        };
-        let total = run(&mut offsets);
-        let footprint = arena.footprint_bytes();
-        for round in 0..3 {
-            assert_eq!(run(&mut offsets), total);
-            assert_eq!(
-                arena.footprint_bytes(),
-                footprint,
-                "steady-state round {round} grew the arena"
-            );
-        }
-        assert!(arena.reuse_count() > 0);
-    }
-
-    #[test]
-    fn group_by_key_out_of_range_key_panics() {
-        let pool = ThreadPool::new(1);
-        let arena = ScratchArena::new();
-        let mut offsets = Vec::new();
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            group_by_key_in(&pool, &arena, 10, 3, &mut offsets, |i| Some(i as u32), |_, _| {});
-        }));
-        assert!(r.is_err());
     }
 
     #[test]

@@ -27,7 +27,7 @@ fn main() {
 
     // …and the classical baselines.
     let prim = prim_lazy(&graph, root).expect("fig1 is connected");
-    let boruvka = boruvka_seq(&graph);
+    let boruvka = boruvka_par(&graph, &pool);
     let kr = kruskal(&graph);
 
     println!("\nMST edges found by LLP-Prim:");

@@ -14,8 +14,7 @@ fn assert_forest_algorithms_agree(g: &CsrGraph) -> Vec<EdgeKey> {
     let pool = ThreadPool::new(3);
     let oracle = kruskal(g);
     let candidates: Vec<(&str, MstResult)> = vec![
-        ("filter_kruskal", filter_kruskal(g)),
-        ("boruvka_seq", boruvka_seq(g)),
+        ("filter_kruskal_par", filter_kruskal_par(g, &pool)),
         ("boruvka_par", boruvka_par(g, &pool)),
         ("llp_boruvka", llp_boruvka(g, &pool)),
     ];
@@ -37,7 +36,6 @@ fn assert_all_algorithms_agree_connected(g: &CsrGraph) {
     let pool = ThreadPool::new(3);
     let candidates: Vec<(&str, MstResult)> = vec![
         ("prim_lazy", prim_lazy(g, 0).unwrap()),
-        ("prim_indexed", prim_indexed(g, 0).unwrap()),
         ("llp_prim_seq", llp_prim_seq(g, 0).unwrap()),
         ("llp_prim_par", llp_prim_par(g, 0, &pool).unwrap()),
     ];

@@ -25,7 +25,6 @@ fn all_algorithms_certify_under_chaos_seeds() {
                 .unwrap_or_else(|e| panic!("kruskal on {gname}, seed {seed}: {e}"));
             let keys = reference.canonical_keys();
             let results: Vec<(&str, MstResult)> = vec![
-                ("filter_kruskal", filter_kruskal(g)),
                 ("filter_kruskal_par", filter_kruskal_par(g, &pool)),
                 // Small base case: partition + filter rounds actually run on
                 // the pool under each chaos schedule, not just the base sort.
@@ -33,14 +32,12 @@ fn all_algorithms_certify_under_chaos_seeds() {
                     "filter_kruskal_par(base=64)",
                     filter_kruskal_par_with_base_case(g, &pool, 64),
                 ),
-                ("boruvka_seq", boruvka_seq(g)),
                 ("boruvka_par", boruvka_par(g, &pool)),
                 ("llp_boruvka", llp_boruvka(g, &pool)),
                 // Round-trips through a temp binary file; a shard size
                 // forcing several fold rounds under each chaos schedule.
                 ("sharded_ooc", sharded_msf_graph(g, g.num_edges() / 5 + 1, &pool)),
                 ("prim_lazy", prim_lazy(g, 0).unwrap()),
-                ("prim_indexed", prim_indexed(g, 0).unwrap()),
                 ("llp_prim_seq", llp_prim_seq(g, 0).unwrap()),
                 ("llp_prim_par", llp_prim_par(g, 0, &pool).unwrap()),
             ];

@@ -2,9 +2,7 @@
 //! solve → verify, plus failure-injection checks on the public API.
 
 use llp_mst_suite::graph::generators::{erdos_renyi, road_network, RoadParams};
-use llp_mst_suite::graph::io::{
-    read_binary, read_dimacs, read_edge_list, write_binary, write_dimacs, write_edge_list,
-};
+use llp_mst_suite::graph::io::{read_binary, read_dimacs, write_binary, write_dimacs};
 use llp_mst_suite::graph::{CsrGraph, Edge, GraphBuilder};
 use llp_mst_suite::prelude::*;
 
@@ -31,18 +29,6 @@ fn binary_round_trip_preserves_mst_exactly() {
     assert_eq!(
         llp_boruvka(&g, &pool).canonical_keys(),
         llp_boruvka(&g2, &pool).canonical_keys()
-    );
-}
-
-#[test]
-fn edge_list_round_trip_preserves_mst() {
-    let g = erdos_renyi(100, 300, 9);
-    let mut buf = Vec::new();
-    write_edge_list(&g, &mut buf).unwrap();
-    let g2 = read_edge_list(std::io::BufReader::new(buf.as_slice()), g.num_vertices()).unwrap();
-    assert_eq!(
-        kruskal(&g).canonical_keys(),
-        kruskal(&g2).canonical_keys()
     );
 }
 

@@ -63,11 +63,6 @@ fn forest_algorithms_match_kruskal() {
         let g = random_graph(&mut rng, 40, 120);
         let oracle = kruskal(&g);
         assert_eq!(
-            boruvka_seq(&g).canonical_keys(),
-            oracle.canonical_keys(),
-            "seed {seed}"
-        );
-        assert_eq!(
             boruvka_par(&g, &pool).canonical_keys(),
             oracle.canonical_keys(),
             "seed {seed}"
@@ -89,11 +84,6 @@ fn prim_family_matches_kruskal_on_connected() {
         let oracle = kruskal(&g);
         assert_eq!(
             prim_lazy(&g, 0).unwrap().canonical_keys(),
-            oracle.canonical_keys(),
-            "seed {seed}"
-        );
-        assert_eq!(
-            prim_indexed(&g, 0).unwrap().canonical_keys(),
             oracle.canonical_keys(),
             "seed {seed}"
         );
