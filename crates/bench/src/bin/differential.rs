@@ -42,7 +42,7 @@
 //! any hang into a hard exit. Without `--features faults` the command
 //! refuses to run rather than green-lighting an inert matrix.
 
-use llp_bench::{parse_count, parse_flag, run_algorithm, Algorithm};
+use llp_bench::{parse_count, parse_flag, run_algorithm, usage_error, Algorithm};
 use llp_graph::algo::largest_component;
 use llp_graph::generators::{
     barabasi_albert, erdos_renyi, random_geometric, rmat, road_network, RmatParams, RoadParams,
@@ -140,12 +140,9 @@ fn main() {
         Some("fault-matrix") => ("fault-matrix", &args[1..]),
         Some(s) if s.starts_with("--") => ("sweep", &args[..]),
         None => ("sweep", &args[..]),
-        Some(other) => {
-            eprintln!(
-                "unknown command {other}; usage: differential [sweep|fault-matrix] [options]"
-            );
-            std::process::exit(2);
-        }
+        Some(other) => usage_error(format_args!(
+            "unknown command {other}; usage: differential [sweep|fault-matrix] [options]"
+        )),
     };
 
     let mut opts = Options {
@@ -161,10 +158,9 @@ fn main() {
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                std::process::exit(2);
-            })
+            it.next()
+                .cloned()
+                .unwrap_or_else(|| usage_error(format_args!("{name} needs a value")))
         };
         match flag.as_str() {
             "--families" => {
@@ -172,10 +168,8 @@ fn main() {
                 opts.families = v
                     .split(',')
                     .map(|s| {
-                        Family::parse(s.trim()).unwrap_or_else(|| {
-                            eprintln!("unknown family '{s}'");
-                            std::process::exit(2);
-                        })
+                        Family::parse(s.trim())
+                            .unwrap_or_else(|| usage_error(format_args!("unknown family '{s}'")))
                     })
                     .collect();
             }
@@ -192,10 +186,7 @@ fn main() {
             "--threads" => opts.threads = parse_count("--threads", &value("--threads")),
             "--size" => opts.size = parse_flag("--size", &value("--size")),
             "--seed" => opts.seed = parse_flag("--seed", &value("--seed")),
-            other => {
-                eprintln!("unknown option {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(format_args!("unknown option {other}")),
         }
     }
 

@@ -17,15 +17,24 @@
 //! `max_rss_frac · file_bytes + rss_baseline_mb`: the baseline term
 //! absorbs the fixed runtime footprint that dominates on tiny graphs,
 //! the fractional term is the headline out-of-core claim (default: peak
-//! RSS at most half the edge list). Nonzero exit when the gate fails,
-//! certification rejects, or certification was skipped while a gate
-//! report was requested.
+//! RSS at most half the edge list).
 //!
 //! `--checkpoint` names a manifest that is fsync'd after every
 //! completed shard: a killed run re-launched with the same flags skips
 //! the shards already folded in and still certifies. `--stop-after-shards`
-//! interrupts deliberately (exit code 3, distinct from failure) so CI
-//! can rehearse the kill-and-resume path without an actual SIGKILL.
+//! interrupts deliberately so CI can rehearse the kill-and-resume path
+//! without an actual SIGKILL.
+//!
+//! Exit codes:
+//!
+//! * 0 — success;
+//! * 1 — the run failed: the RSS gate failed, certification rejected or
+//!   did not run, or an I/O error;
+//! * 2 — usage error: an unknown command or argument, a missing or
+//!   unparsable value, a count of 0, an out-of-range `--shard-mb`, or
+//!   both `--shard-mb` and `--shard-edges`;
+//! * 3 — deliberately interrupted by `--stop-after-shards`; the same
+//!   command line resumes.
 //!
 //! The JSON report (`llp-mst-ooc-report/v1`):
 //!
@@ -44,6 +53,7 @@
 //! ```
 
 use llp_bench::workloads::{stream_to_binary, StreamKind};
+use llp_bench::{parse_count, parse_flag, usage_error};
 use llp_mst::prelude::*;
 use llp_runtime::{telemetry, ThreadPool};
 use std::path::PathBuf;
@@ -53,14 +63,13 @@ use std::time::Instant;
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first().cloned() else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
+        usage_error(USAGE);
     };
     args.remove(0);
     let result = match cmd.as_str() {
         "gen" => cmd_gen(&mut args),
         "run" => cmd_run(&mut args),
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+        other => usage_error(format_args!("unknown command `{other}`\n{USAGE}")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -78,16 +87,14 @@ const USAGE: &str = "usage: ooc-bench <gen|run> [options]
       [--checkpoint ck.llp] [--stop-after-shards N]   (exit 3 = interrupted, resumable)";
 
 /// Removes `--name value` from `args`, if present.
-fn take_opt(args: &mut Vec<String>, name: &str) -> Result<Option<String>, String> {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(None);
-    };
+fn take_opt(args: &mut Vec<String>, name: &str) -> Option<String> {
+    let i = args.iter().position(|a| a == name)?;
     if i + 1 >= args.len() {
-        return Err(format!("{name} needs a value"));
+        usage_error(format_args!("{name} needs a value"));
     }
     let v = args.remove(i + 1);
     args.remove(i);
-    Ok(Some(v))
+    Some(v)
 }
 
 /// Removes the bare flag `--name` from `args`; true if it was present.
@@ -99,33 +106,40 @@ fn take_flag(args: &mut Vec<String>, name: &str) -> bool {
     true
 }
 
-fn parse<T: std::str::FromStr>(name: &str, v: Option<String>, default: T) -> Result<T, String> {
-    match v {
-        None => Ok(default),
-        Some(s) => s.parse().map_err(|_| format!("bad value for {name}: {s}")),
-    }
+/// Removes the required `--name value` from `args`.
+fn take_required(args: &mut Vec<String>, name: &str) -> String {
+    take_opt(args, name).unwrap_or_else(|| usage_error(format_args!("{name} is required")))
 }
 
-/// Errors on leftover (unrecognized) arguments.
-fn no_leftovers(args: &[String]) -> Result<(), String> {
-    if args.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("unrecognized arguments: {}", args.join(" ")))
+/// Parses `--name value`, or returns `default` when the flag is absent.
+fn take_parsed<T: std::str::FromStr>(args: &mut Vec<String>, name: &str, default: T) -> T {
+    take_opt(args, name).map_or(default, |v| parse_flag(name, &v))
+}
+
+/// [`take_parsed`] for a count that must be at least 1.
+fn take_count(args: &mut Vec<String>, name: &str, default: usize) -> usize {
+    take_opt(args, name).map_or(default, |v| parse_count(name, &v))
+}
+
+/// Rejects leftover (unrecognized) arguments.
+fn no_leftovers(args: &[String]) {
+    if !args.is_empty() {
+        usage_error(format_args!("unrecognized arguments: {}", args.join(" ")));
     }
 }
 
 fn cmd_gen(args: &mut Vec<String>) -> Result<(), String> {
-    let out = take_opt(args, "--out")?.ok_or("--out is required")?;
-    let kind_s = take_opt(args, "--kind")?.unwrap_or_else(|| "rmat".into());
-    let kind = StreamKind::parse(&kind_s).ok_or(format!("bad --kind {kind_s} (rmat|er)"))?;
-    let scale: u32 = parse("--scale", take_opt(args, "--scale")?, 16)?;
-    let ef: usize = parse("--ef", take_opt(args, "--ef")?, 16)?;
-    let seed: u64 = parse("--seed", take_opt(args, "--seed")?, 1)?;
-    let chunk: usize = parse("--chunk-edges", take_opt(args, "--chunk-edges")?, 0)?;
-    no_leftovers(args)?;
+    let out = take_required(args, "--out");
+    let kind_s = take_opt(args, "--kind").unwrap_or_else(|| "rmat".into());
+    let kind = StreamKind::parse(&kind_s)
+        .unwrap_or_else(|| usage_error(format_args!("bad --kind {kind_s} (rmat|er)")));
+    let scale: u32 = take_parsed(args, "--scale", 16);
+    let ef: usize = take_parsed(args, "--ef", 16);
+    let seed: u64 = take_parsed(args, "--seed", 1);
+    let chunk: usize = take_parsed(args, "--chunk-edges", 0);
+    no_leftovers(args);
     if scale > 31 {
-        return Err("--scale must be <= 31".into());
+        usage_error("--scale must be <= 31");
     }
     let t0 = Instant::now();
     let info = stream_to_binary(&PathBuf::from(&out), kind, scale, ef, seed, chunk)?;
@@ -181,6 +195,8 @@ impl RunReport {
             Some(b) => (b.to_string(), format!("{:.4}", b as f64 / self.file_bytes as f64)),
             None => ("null".into(), "null".into()),
         };
+        let mut graph = String::new();
+        telemetry::escape_json(&self.graph, &mut graph);
         format!(
             "{{\"schema\":\"llp-mst-ooc-report/v1\",\
              \"graph\":{{\"path\":\"{}\",\"n\":{},\"m\":{},\"bytes\":{}}},\
@@ -190,7 +206,7 @@ impl RunReport {
              \"wall_ms\":{:.3},\"peak_rss_bytes\":{rss},\"rss_frac\":{frac},\
              \"gate\":{{\"max_rss_frac\":{},\"rss_baseline_mb\":{},\
              \"limit_bytes\":{},\"pass\":{}}}}}",
-            self.graph.replace('\\', "\\\\").replace('"', "\\\""),
+            graph,
             self.n,
             self.m,
             self.file_bytes,
@@ -213,43 +229,43 @@ impl RunReport {
 }
 
 fn cmd_run(args: &mut Vec<String>) -> Result<(), String> {
-    let graph = take_opt(args, "--graph")?.ok_or("--graph is required")?;
-    let shard_mb: Option<u64> = take_opt(args, "--shard-mb")?
-        .map(|s| s.parse().map_err(|_| format!("bad value for --shard-mb: {s}")))
-        .transpose()?;
-    let default_shard = ShardedConfig::default().shard_edges;
-    let mut shard_edges: usize =
-        parse("--shard-edges", take_opt(args, "--shard-edges")?, default_shard)?;
-    if let Some(mb) = shard_mb {
+    let graph = take_required(args, "--graph");
+    let shard_edges = match (
+        take_opt(args, "--shard-mb"),
+        take_opt(args, "--shard-edges"),
+    ) {
+        (Some(_), Some(_)) => usage_error("--shard-mb and --shard-edges are mutually exclusive"),
         // ~64 B/edge peak working set per resident shard during
         // contraction (see the sharded module docs); budget accordingly.
-        shard_edges = ((mb << 20) / 64).max(1) as usize;
-    }
-    let threads: usize = parse(
+        (Some(mb), None) => parse_count("--shard-mb", &mb)
+            .checked_mul((1 << 20) / 64)
+            .unwrap_or_else(|| usage_error("--shard-mb is out of range")),
+        (None, Some(n)) => parse_count("--shard-edges", &n),
+        (None, None) => ShardedConfig::default().shard_edges,
+    };
+    let threads = take_count(
+        args,
         "--threads",
-        take_opt(args, "--threads")?,
         std::thread::available_parallelism().map_or(1, |n| n.get()),
-    )?;
-    let read_ahead: usize = parse("--read-ahead", take_opt(args, "--read-ahead")?, 1)?;
+    );
+    let read_ahead = take_count(args, "--read-ahead", 1);
     let certify = !take_flag(args, "--no-certify");
-    let report_path = take_opt(args, "--report")?;
-    let max_rss_frac: f64 = parse("--max-rss-frac", take_opt(args, "--max-rss-frac")?, 0.5)?;
-    let rss_baseline_mb: u64 =
-        parse("--rss-baseline-mb", take_opt(args, "--rss-baseline-mb")?, 0)?;
-    let checkpoint = take_opt(args, "--checkpoint")?.map(PathBuf::from);
-    let stop_after_shards: Option<usize> = take_opt(args, "--stop-after-shards")?
-        .map(|s| s.parse().map_err(|_| format!("bad value for --stop-after-shards: {s}")))
-        .transpose()?;
-    no_leftovers(args)?;
+    let report_path = take_opt(args, "--report");
+    let max_rss_frac: f64 = take_parsed(args, "--max-rss-frac", 0.5);
+    let rss_baseline_mb: u64 = take_parsed(args, "--rss-baseline-mb", 0);
+    let checkpoint = take_opt(args, "--checkpoint").map(PathBuf::from);
+    let stop_after_shards: Option<usize> =
+        take_opt(args, "--stop-after-shards").map(|v| parse_flag("--stop-after-shards", &v));
+    no_leftovers(args);
     if stop_after_shards.is_some() && checkpoint.is_none() {
-        return Err("--stop-after-shards without --checkpoint would lose the partial run".into());
+        usage_error("--stop-after-shards without --checkpoint would lose the partial run");
     }
 
     let path = PathBuf::from(&graph);
     let file_bytes = std::fs::metadata(&path).map_err(|e| format!("{graph}: {e}"))?.len();
-    let pool = ThreadPool::new(threads.max(1));
+    let pool = ThreadPool::new(threads);
     let cfg = ShardedConfig {
-        shard_edges: shard_edges.max(1),
+        shard_edges,
         certify,
         read_ahead,
         checkpoint,
@@ -282,7 +298,7 @@ fn cmd_run(args: &mut Vec<String>) -> Result<(), String> {
         file_bytes,
         shard_edges: cfg.shard_edges,
         shards: run.shards,
-        threads: threads.max(1),
+        threads,
         read_ahead,
         certified: run.certified,
         msf_edges: run.result.edges.len(),

@@ -22,7 +22,7 @@
 use llp_bench::harness::{
     format_table, time_algorithm_with_report, write_csv, write_json_report, RunRecord, Sample,
 };
-use llp_bench::{parse_count, parse_flag, Algorithm, Scale, Workload};
+use llp_bench::{parse_count, parse_flag, usage_error, Algorithm, Scale, Workload};
 use std::path::PathBuf;
 
 /// Peels the timing samples out of telemetry-bearing records for CSV output.
@@ -73,8 +73,7 @@ impl Options {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
-        eprintln!("usage: repro <table1|fig2|fig3|fig4|ablation|sizes|all> [options]");
-        std::process::exit(2);
+        usage_error("usage: repro <table1|fig2|fig3|fig4|ablation|sizes|all> [options]");
     };
 
     let mut opts = Options {
@@ -88,18 +87,15 @@ fn main() {
     let mut it = args[1..].iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                std::process::exit(2);
-            })
+            it.next()
+                .cloned()
+                .unwrap_or_else(|| usage_error(format_args!("{name} needs a value")))
         };
         match flag.as_str() {
             "--scale" => {
                 let v = value("--scale");
-                opts.scale = Scale::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown scale '{v}'");
-                    std::process::exit(2);
-                });
+                opts.scale = Scale::parse(&v)
+                    .unwrap_or_else(|| usage_error(format_args!("unknown scale '{v}'")));
             }
             "--reps" => opts.reps = parse_count("--reps", &value("--reps")),
             "--max-threads" => {
@@ -108,10 +104,7 @@ fn main() {
             "--seed" => opts.seed = parse_flag("--seed", &value("--seed")),
             "--out" => opts.out = PathBuf::from(value("--out")),
             "--dimacs" => opts.dimacs = Some(PathBuf::from(value("--dimacs"))),
-            other => {
-                eprintln!("unknown option {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(format_args!("unknown option {other}")),
         }
     }
 
@@ -130,10 +123,7 @@ fn main() {
             ablation(&opts);
             sizes(&opts);
         }
-        other => {
-            eprintln!("unknown command {other}");
-            std::process::exit(2);
-        }
+        other => usage_error(format_args!("unknown command {other}")),
     }
 }
 

@@ -201,19 +201,6 @@ pub fn write_csv(path: &std::path::Path, samples: &[Sample]) -> std::io::Result<
     Ok(())
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn stats_json(s: &AlgoStats) -> String {
     format!(
         "{{\"heap_pushes\":{},\"heap_pops\":{},\"edges_scanned\":{},\
@@ -240,12 +227,14 @@ pub fn record_json(r: &RunRecord) -> String {
         Some(b) => b.to_string(),
         None => "null".into(),
     };
-    format!(
-        "{{\"algorithm\":\"{}\",\"workload\":\"{}\",\"threads\":{},\
+    let mut out = String::from("{\"algorithm\":\"");
+    telemetry::escape_json(s.algo.label(), &mut out);
+    out.push_str("\",\"workload\":\"");
+    telemetry::escape_json(&s.workload, &mut out);
+    out.push_str(&format!(
+        "\",\"threads\":{},\
          \"median_ms\":{:.6},\"min_ms\":{:.6},\"total_weight\":{:.6},\
          \"certified\":{},\"peak_rss_bytes\":{},\"stats\":{},\"telemetry\":{}}}",
-        json_escape(s.algo.label()),
-        json_escape(&s.workload),
         s.threads,
         s.median_ms,
         s.min_ms,
@@ -254,7 +243,8 @@ pub fn record_json(r: &RunRecord) -> String {
         peak_rss,
         stats_json(&s.stats),
         r.telemetry.to_json(),
-    )
+    ));
+    out
 }
 
 /// Writes run records as a structured JSON report to `path` (creating

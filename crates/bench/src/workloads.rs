@@ -41,7 +41,7 @@ impl std::fmt::Display for WorkloadKind {
 /// and solves in seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// ~10k vertices: smoke tests, criterion benches.
+    /// ~10k vertices: smoke tests.
     Small,
     /// ~120k vertices: default for `repro`.
     Medium,

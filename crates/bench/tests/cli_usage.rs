@@ -30,8 +30,26 @@ fn differential_rejects_bad_flag_values() {
 }
 
 #[test]
-fn microbench_rejects_zero_threads() {
-    let microbench = env!("CARGO_BIN_EXE_microbench");
-    assert_usage_error(microbench, &["--threads", "0"]);
-    assert_usage_error(microbench, &["--threads", "abc"]);
+fn ooc_bench_rejects_bad_flag_values() {
+    let ooc = env!("CARGO_BIN_EXE_ooc-bench");
+    let g = ["run", "--graph", "/nonexistent/g.bin"];
+    let with = |extra: &[&'static str]| [&g[..], extra].concat();
+    assert_usage_error(ooc, &["frobnicate"]);
+    assert_usage_error(ooc, &["run"]);
+    assert_usage_error(ooc, &["gen"]);
+    assert_usage_error(ooc, &with(&["--bogus"]));
+    assert_usage_error(ooc, &with(&["--threads", "abc"]));
+    for flag in ["--threads", "--shard-edges", "--read-ahead", "--shard-mb"] {
+        assert_usage_error(ooc, &with(&[flag, "0"]));
+    }
+    assert_usage_error(ooc, &with(&["--shard-mb", "99999999999999999"]));
+    assert_usage_error(ooc, &with(&["--shard-mb", "1", "--shard-edges", "1024"]));
+    // A well-formed command that fails while running is exit 1, not 2.
+    let out = Command::new(ooc).args(g).output().expect("binary runs");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }

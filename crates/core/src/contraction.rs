@@ -36,10 +36,8 @@ use llp_graph::{CsrGraph, Edge, EdgeKey};
 use llp_runtime::atomics::{as_atomic_u32, as_atomic_u64, mwe_idx, mwe_propose, weight_hi32, MWE_EMPTY};
 use llp_runtime::partition::{compact_map_into, count_scan_chunks};
 use llp_runtime::telemetry;
-use llp_runtime::{
-    parallel_for, Counter, ParallelForConfig, ScratchArena, ScratchVec, SendPtr, ThreadPool,
-};
-use std::sync::atomic::{AtomicBool, Ordering};
+use llp_runtime::{parallel_for, ParallelForConfig, ScratchArena, ScratchVec, SendPtr, ThreadPool};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Pointer-jumps the rooted forest `g` to a star forest with relaxed
 /// atomics (the inner LLP instance, Lemma 3/4): every vertex repeatedly
@@ -49,7 +47,7 @@ fn pointer_jump_to_roots(
     pool: &ThreadPool,
     cfg: ParallelForConfig,
     g: &mut [u32],
-    jumps: &Counter,
+    jumps: &AtomicU64,
     stats: &mut AlgoStats,
 ) {
     let n = g.len();
@@ -64,7 +62,7 @@ fn pointer_jump_to_roots(
                 let gp = g_cells[p as usize].load(Ordering::Relaxed);
                 if p != gp {
                     g_cells[j].store(gp, Ordering::Relaxed);
-                    jumps.incr();
+                    jumps.fetch_add(1, Ordering::Relaxed);
                     changed_ref.store(true, Ordering::Relaxed);
                 }
             });
@@ -152,9 +150,9 @@ pub struct Contraction {
     /// Original-edge indices chosen into the forest so far.
     pub chosen: Vec<u32>,
     /// Pointer-jump assignment counter.
-    pub jumps: Counter,
+    pub jumps: AtomicU64,
     /// Atomic RMW counter (MWE priority writes).
-    pub rmw: Counter,
+    pub rmw: AtomicU64,
     /// Reusable round-state buffers (MWE words, parents, renumber tables).
     pub arena: ScratchArena,
 }
@@ -189,8 +187,8 @@ impl Contraction {
             work_next: Vec::new(),
             n_cur: n,
             chosen: Vec::with_capacity(n.saturating_sub(1)),
-            jumps: Counter::new(),
-            rmw: Counter::new(),
+            jumps: AtomicU64::new(0),
+            rmw: AtomicU64::new(0),
             arena: ScratchArena::new(),
         }
     }
@@ -230,7 +228,7 @@ impl Contraction {
                 let exact = |wi: u32| tie_key(keys_ref, work_ref, wi);
                 mwe_propose(&best_cells[e.u as usize], e.whi, i as u32, exact);
                 mwe_propose(&best_cells[e.v as usize], e.whi, i as u32, exact);
-                rmw_ref.add(2);
+                rmw_ref.fetch_add(2, Ordering::Relaxed);
             });
         }
         let best_ro: &[u64] = &best;
@@ -321,8 +319,8 @@ impl Contraction {
     /// Flushes the atomic counters into `stats` and reports the arena's
     /// high-water footprint to telemetry.
     pub fn finish_stats(&self, stats: &mut AlgoStats) {
-        stats.pointer_jumps = self.jumps.get();
-        stats.atomic_rmw = self.rmw.get();
+        stats.pointer_jumps = self.jumps.load(Ordering::Relaxed);
+        stats.atomic_rmw = self.rmw.load(Ordering::Relaxed);
         self.arena.report_telemetry();
     }
 }

@@ -32,7 +32,7 @@ use llp_graph::{CsrGraph, Edge, EdgeKey, VertexId};
 use llp_runtime::atomics::{AtomicIndexMin, NO_INDEX};
 use llp_runtime::telemetry;
 use llp_runtime::{
-    parallel_for_chunks, parallel_for_chunks_ctx, Bag, Counter, ParallelForConfig, ThreadPool,
+    parallel_for_chunks, parallel_for_chunks_ctx, Bag, ParallelForConfig, ThreadPool,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -203,9 +203,9 @@ pub fn llp_prim_par_with_mwe(
     let fixed: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
     let best: Vec<AtomicIndexMin> = (0..n).map(|_| AtomicIndexMin::new()).collect();
     let parent_arc: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(NO_INDEX)).collect();
-    let rmw = Counter::new();
-    let scans = Counter::new();
-    let early = Counter::new();
+    let rmw = AtomicU64::new(0);
+    let scans = AtomicU64::new(0);
+    let early = AtomicU64::new(0);
 
     let mut frontier: Vec<VertexId> = Vec::new();
     let mut q_buf: Vec<VertexId> = Vec::new();
@@ -258,7 +258,7 @@ pub fn llp_prim_par_with_mwe(
                             }
                             let key = EdgeKey::new(w, j, k);
                             if key == mwe_ref[j as usize] || key == mwe_ref[k as usize] {
-                                rmw_ref.incr();
+                                rmw_ref.fetch_add(1, Ordering::Relaxed);
                                 if fixed_ref[k as usize]
                                     .compare_exchange(
                                         false,
@@ -270,11 +270,11 @@ pub fn llp_prim_par_with_mwe(
                                 {
                                     parent_ref[k as usize]
                                         .store(a as u64, Ordering::Release);
-                                    early_ref.incr();
+                                    early_ref.fetch_add(1, Ordering::Relaxed);
                                     next_ref.push(seg, k);
                                 }
                             } else {
-                                rmw_ref.incr();
+                                rmw_ref.fetch_add(1, Ordering::Relaxed);
                                 let improved = best_ref[k as usize].propose_min_by(
                                     a as u64,
                                     |arc| {
@@ -291,7 +291,7 @@ pub fn llp_prim_par_with_mwe(
                             }
                         }
                     }
-                    scans_ref.add(local_scans);
+                    scans_ref.fetch_add(local_scans, Ordering::Relaxed);
                 });
             }
             telemetry::record_value("bag-occupancy", next.len() as u64);
@@ -384,9 +384,9 @@ pub fn llp_prim_par_with_mwe(
     stats.heap_pushes = heap.pushes;
     stats.heap_pops = heap.pops;
     stats.heap_fixes = heap_fixes;
-    stats.early_fixes = early.get();
-    stats.edges_scanned = scans.get();
-    stats.atomic_rmw = rmw.get();
+    stats.early_fixes = early.into_inner();
+    stats.edges_scanned = scans.into_inner();
+    stats.atomic_rmw = rmw.into_inner();
     Ok(MstResult::from_edges(n, edges, stats))
 }
 

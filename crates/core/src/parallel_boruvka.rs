@@ -36,8 +36,8 @@ use llp_runtime::atomics::{as_atomic_u64, mwe_idx, mwe_propose, weight_hi32, MWE
 use llp_runtime::partition::compact_map_into;
 use llp_runtime::scan::pack_indices_in;
 use llp_runtime::telemetry;
-use llp_runtime::{parallel_for, Counter, ParallelForConfig, ScratchArena, ThreadPool};
-use std::sync::atomic::Ordering;
+use llp_runtime::{parallel_for, ParallelForConfig, ScratchArena, ThreadPool};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Parallel Boruvka; computes the canonical MSF.
 pub fn boruvka_par(graph: &CsrGraph, pool: &ThreadPool) -> MstResult {
@@ -69,7 +69,7 @@ where
     // unions and c_{r+1} <= c_r / 2), so this capacity never grows.
     let mut winners: Vec<u32> = Vec::with_capacity(n / 2 + 1);
     let mut chosen: Vec<Edge> = Vec::with_capacity(n.saturating_sub(1));
-    let rmw = Counter::new();
+    let rmw = AtomicU64::new(0);
     let mut round = 0usize;
 
     while !live.is_empty() {
@@ -101,7 +101,7 @@ where
                 let whi = whis_ref[ei as usize];
                 mwe_propose(&best_cells[ru as usize], whi, ei, exact);
                 mwe_propose(&best_cells[rv as usize], whi, ei, exact);
-                rmw_ref.add(2);
+                rmw_ref.fetch_add(2, Ordering::Relaxed);
             });
         }
 
@@ -135,7 +135,7 @@ where
                 if !won {
                     return false;
                 }
-                rmw_ref.incr();
+                rmw_ref.fetch_add(1, Ordering::Relaxed);
                 uf_ref.union(e.u, e.v)
             });
         }
@@ -180,7 +180,7 @@ where
     on_round(round);
 
     stats.cas_retries = uf.cas_retries();
-    stats.atomic_rmw = rmw.get();
+    stats.atomic_rmw = rmw.into_inner();
     arena.report_telemetry();
     MstResult::from_edges(n, chosen, stats)
 }

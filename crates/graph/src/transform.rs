@@ -1,7 +1,7 @@
 //! Graph transformations.
 //!
-//! Used by property tests (MST invariance under relabelling and monotone
-//! reweighting) and the microbenchmarks (shuffled vertex order).
+//! Used by property tests: MST invariance under relabelling and monotone
+//! reweighting, and tie-heavy certifier inputs.
 
 use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;

@@ -1,17 +1,14 @@
-//! Atomic utilities for weight relaxation and priority writes.
+//! Atomic utilities for priority writes.
 //!
-//! The MST algorithms need two lock-free idioms the standard library does
-//! not provide directly:
+//! The MST algorithms need atomic min-by-key writes, which the standard
+//! library does not provide directly: LLP-Prim's relaxation writes the
+//! *index* of the best incoming arc per vertex ([`AtomicIndexMin`]), and the
+//! Boruvka family's minimum-weight-edge selection writes a packed
+//! weight/index word per component ([`mwe_propose`]). GBBS calls this a
+//! `priority_write`.
 //!
-//! 1. **atomic `f64` min** — LLP-Prim relaxes tentative distances
-//!    concurrently (`d[k] = min(d[k], w)`), and
-//! 2. **atomic min-by-key over indices** — parallel Boruvka's
-//!    minimum-weight-edge selection writes the *index* of the best edge per
-//!    vertex/component, comparing by the edge's weight key (GBBS calls this
-//!    a `priority_write`).
-//!
-//! Both are built on compare-exchange loops over `AtomicU64`, using an
-//! order-preserving bijection between `f64` and `u64`.
+//! Both are built on compare-exchange loops over `AtomicU64`, keyed through
+//! an order-preserving bijection between `f64` and `u64`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -37,62 +34,6 @@ pub fn ordered_to_f64(bits: u64) -> f64 {
         f64::from_bits(bits & !(1 << 63))
     } else {
         f64::from_bits(!bits)
-    }
-}
-
-/// An `f64` with atomic load/store/fetch-min, stored order-preservingly.
-///
-/// `fetch_min` is the only read-modify-write operation exposed because it is
-/// the only one the algorithms need; keeping the encoding monotone lets the
-/// CAS loop compare raw `u64`s.
-pub struct AtomicF64 {
-    bits: AtomicU64,
-}
-
-impl AtomicF64 {
-    /// Creates a new atomic holding `value`.
-    #[inline]
-    pub fn new(value: f64) -> Self {
-        AtomicF64 {
-            bits: AtomicU64::new(f64_to_ordered(value)),
-        }
-    }
-
-    /// Loads the current value.
-    #[inline]
-    pub fn load(&self, order: Ordering) -> f64 {
-        ordered_to_f64(self.bits.load(order))
-    }
-
-    /// Stores `value`.
-    #[inline]
-    pub fn store(&self, value: f64, order: Ordering) {
-        self.bits.store(f64_to_ordered(value), order);
-    }
-
-    /// Atomically lowers the stored value to `min(current, value)`.
-    ///
-    /// Returns `true` when `value` strictly lowered the stored value.
-    #[inline]
-    pub fn fetch_min(&self, value: f64, order: Ordering) -> bool {
-        let new = f64_to_ordered(value);
-        let mut cur = self.bits.load(Ordering::Relaxed);
-        while new < cur {
-            match self
-                .bits
-                .compare_exchange_weak(cur, new, order, Ordering::Relaxed)
-            {
-                Ok(_) => return true,
-                Err(actual) => cur = actual,
-            }
-        }
-        false
-    }
-}
-
-impl std::fmt::Debug for AtomicF64 {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "AtomicF64({})", self.load(Ordering::Relaxed))
     }
 }
 
@@ -128,12 +69,6 @@ impl AtomicIndexMin {
     #[inline]
     pub fn load(&self, order: Ordering) -> u64 {
         self.idx.load(order)
-    }
-
-    /// Resets the cell to empty.
-    #[inline]
-    pub fn reset(&self) {
-        self.idx.store(NO_INDEX, Ordering::Relaxed);
     }
 
     /// Proposes `candidate`; keeps whichever of {current, candidate} has the
@@ -321,30 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn fetch_min_lowers_only() {
-        let a = AtomicF64::new(10.0);
-        assert!(a.fetch_min(5.0, Ordering::Relaxed));
-        assert!(!a.fetch_min(7.0, Ordering::Relaxed));
-        assert!(!a.fetch_min(5.0, Ordering::Relaxed));
-        assert_eq!(a.load(Ordering::Relaxed), 5.0);
-    }
-
-    #[test]
-    fn fetch_min_concurrent_converges_to_global_min() {
-        let pool = ThreadPool::new(4);
-        let a = AtomicF64::new(f64::INFINITY);
-        crate::parallel_for(
-            &pool,
-            0..10_000,
-            crate::ParallelForConfig::with_grain(64),
-            |i| {
-                a.fetch_min(1.0 + (i as f64 % 997.0), Ordering::Relaxed);
-            },
-        );
-        assert_eq!(a.load(Ordering::Relaxed), 1.0);
-    }
-
-    #[test]
     fn index_min_keeps_smallest_key() {
         let keys = [9u64, 3, 7, 1, 5];
         let cell = AtomicIndexMin::new();
@@ -370,14 +281,6 @@ mod tests {
             },
         );
         assert_eq!(cell.load(Ordering::Relaxed), n - 1);
-    }
-
-    #[test]
-    fn index_min_reset() {
-        let cell = AtomicIndexMin::new();
-        cell.propose_min_by(4, |j| j);
-        cell.reset();
-        assert_eq!(cell.load(Ordering::Relaxed), NO_INDEX);
     }
 
     #[test]

@@ -13,20 +13,17 @@
 //!   one closure on every thread (the caller participates as thread 0).
 //! * [`parallel_for()`](fn@parallel_for) / [`parallel_for_chunks`] — dynamically load-balanced
 //!   parallel loops over index ranges.
-//! * [`parallel_reduce`] / [`parallel_map_collect`] — parallel reductions.
+//! * [`parallel_map_collect`] — parallel map into a preallocated vector.
 //! * [`Bag`] — a per-thread insert bag (Galois `InsertBag` analogue) used to
 //!   collect next-round frontiers without synchronization on the hot path.
-//! * [`atomics`] — `AtomicF64`, order-preserving float encodings, atomic
-//!   fetch-min by key (GBBS `priority_write` analogue).
+//! * [`atomics`] — order-preserving float encodings, atomic fetch-min by
+//!   key (GBBS `priority_write` analogue) and packed MWE words.
 //! * [`scan`] — sequential and parallel exclusive prefix sums.
 //! * [`partition`] — scan-based counting distribution: stable parallel
 //!   three-way partition and parallel retain (Filter-Kruskal's pivot
 //!   partition and filter steps).
 //! * [`sort`] — parallel sample sort (counting distribution into buckets)
 //!   used by the Kruskal family.
-//! * [`counters`] — relaxed instrumentation counters that let benchmarks
-//!   report machine-independent work metrics (heap operations, rounds,
-//!   pointer jumps) alongside wall-clock times.
 //! * [`chaos`] — seeded schedule perturbation (randomized yields/delays at
 //!   chunk claims, shuffled broadcast start order, adversarial grains)
 //!   behind the `chaos` cargo feature, for concurrency testing.
@@ -37,7 +34,6 @@
 pub mod atomics;
 pub mod bag;
 pub mod chaos;
-pub mod counters;
 pub mod faults;
 pub mod parallel_for;
 pub mod partition;
@@ -51,10 +47,9 @@ pub mod sync;
 pub mod telemetry;
 
 pub use bag::Bag;
-pub use counters::Counter;
 pub use parallel_for::{parallel_for, parallel_for_chunks, parallel_for_chunks_ctx, ParallelForConfig};
 pub use pool::{ThreadPool, WorkerCtx};
-pub use reduce::{parallel_map_collect, parallel_reduce, SendPtr};
+pub use reduce::{parallel_map_collect, SendPtr};
 pub use scratch::{ScratchArena, ScratchVec};
 
 /// Number of hardware threads available to this process.

@@ -1,67 +1,8 @@
-//! Parallel reductions and map-collect over index ranges.
+//! Parallel map-collect over index ranges.
 
 use crate::parallel_for::ParallelForConfig;
 use crate::pool::ThreadPool;
-use crate::sync::Mutex;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Reduces `map(chunk)` results over disjoint chunks covering `range` with
-/// the associative, commutative `fold`.
-///
-/// `identity` must be a neutral element of `fold`. The reduction order is
-/// unspecified, so `fold` must be commutative for deterministic results —
-/// all uses in this workspace fold with `min`/`+` over independent values.
-pub fn parallel_reduce<T, M, F>(
-    pool: &ThreadPool,
-    range: Range<usize>,
-    config: ParallelForConfig,
-    identity: T,
-    map: M,
-    fold: F,
-) -> T
-where
-    T: Send,
-    M: Fn(Range<usize>) -> T + Sync,
-    F: Fn(T, T) -> T + Sync + Send,
-{
-    let len = range.end.saturating_sub(range.start);
-    if len == 0 {
-        return identity;
-    }
-    let grain = crate::chaos::perturb_grain(config.resolve_grain(len, pool.threads()), len);
-    if pool.threads() == 1 || len <= grain {
-        return fold(identity, map(range));
-    }
-
-    let start = range.start;
-    let cursor = AtomicUsize::new(0);
-    let partials: Mutex<Vec<T>> = Mutex::new(Vec::with_capacity(pool.threads()));
-    pool.broadcast(|ctx| {
-        let mut local: Option<T> = None;
-        loop {
-            crate::chaos::chunk_claim(ctx.tid);
-            let lo = cursor.fetch_add(grain, Ordering::Relaxed);
-            if lo >= len {
-                break;
-            }
-            let hi = (lo + grain).min(len);
-            let part = map(start + lo..start + hi);
-            local = Some(match local.take() {
-                Some(acc) => fold(acc, part),
-                None => part,
-            });
-        }
-        if let Some(v) = local {
-            partials.lock().push(v);
-        }
-    });
-
-    partials
-        .into_inner()
-        .into_iter()
-        .fold(identity, fold)
-}
 
 /// Produces `out[i] = f(i)` for the whole range, writing results in parallel.
 ///
@@ -117,37 +58,6 @@ impl<T> Copy for SendPtr<T> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reduce_sums_correctly() {
-        let pool = ThreadPool::new(4);
-        for n in [0usize, 1, 10, 12345] {
-            let got = parallel_reduce(
-                &pool,
-                0..n,
-                ParallelForConfig::with_grain(128),
-                0u64,
-                |c| c.map(|i| i as u64).sum::<u64>(),
-                |a, b| a + b,
-            );
-            assert_eq!(got, (0..n as u64).sum::<u64>(), "n={n}");
-        }
-    }
-
-    #[test]
-    fn reduce_min_finds_global_min() {
-        let pool = ThreadPool::new(3);
-        let data: Vec<i64> = (0..10_000).map(|i| ((i * 7919) % 10_007) as i64).collect();
-        let got = parallel_reduce(
-            &pool,
-            0..data.len(),
-            ParallelForConfig::with_grain(64),
-            i64::MAX,
-            |c| c.map(|i| data[i]).min().unwrap_or(i64::MAX),
-            |a, b| a.min(b),
-        );
-        assert_eq!(got, *data.iter().min().unwrap());
-    }
 
     #[test]
     fn map_collect_matches_sequential() {

@@ -106,11 +106,6 @@ pub fn par_sort_by_key_in<T, K, F>(
     });
 }
 
-/// Convenience: parallel sort of items that are themselves `Ord`.
-pub fn par_sort<T: Send + Sync + Clone + Ord + 'static>(pool: &ThreadPool, data: &mut [T]) {
-    par_sort_by_key(pool, data, |x| x.clone());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,7 +130,7 @@ mod tests {
                 let mut v = pseudo_random(n);
                 let mut want = v.clone();
                 want.sort_unstable();
-                par_sort(&pool, &mut v);
+                par_sort_by_key(&pool, &mut v, |&x| x);
                 assert_eq!(v, want, "threads={threads} n={n}");
             }
         }
@@ -153,7 +148,7 @@ mod tests {
     fn already_sorted_stays_sorted() {
         let pool = ThreadPool::new(3);
         let mut v: Vec<u64> = (0..20_000).collect();
-        par_sort(&pool, &mut v);
+        par_sort_by_key(&pool, &mut v, |&x| x);
         assert!(v.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(v.len(), 20_000);
     }
@@ -164,7 +159,7 @@ mod tests {
         let mut v: Vec<u64> = pseudo_random(30_000).into_iter().map(|x| x % 10).collect();
         let mut want = v.clone();
         want.sort_unstable();
-        par_sort(&pool, &mut v);
+        par_sort_by_key(&pool, &mut v, |&x| x);
         assert_eq!(v, want);
     }
 
@@ -173,7 +168,7 @@ mod tests {
         // Every element lands in a single bucket; still sorted, nothing lost.
         let pool = ThreadPool::new(4);
         let mut v = vec![42u64; 25_000];
-        par_sort(&pool, &mut v);
+        par_sort_by_key(&pool, &mut v, |&x| x);
         assert_eq!(v, vec![42u64; 25_000]);
     }
 

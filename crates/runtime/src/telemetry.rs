@@ -12,8 +12,8 @@
 //! * [`record_value`] — one sample of a per-wave quantity (frontier size,
 //!   bag occupancy, heap depth); aggregated as count/sum/min/max plus a
 //!   log2-bucketed histogram, so a million waves cost a fixed footprint.
-//! * [`counter_add`] — a named-counter registry extending [`crate::Counter`]
-//!   for events that do not belong to a single struct's `AlgoStats`.
+//! * [`counter_add`] — a named-counter registry for events that do not
+//!   belong to a single struct's `AlgoStats`.
 //!
 //! # Gating
 //!
@@ -24,7 +24,7 @@
 //!    to an empty inline function — zero code, zero data.
 //! 2. **Runtime**: recording happens only while enabled — either the
 //!    `LLP_TELEMETRY` environment variable is set to something other than
-//!    `0`/`false`/empty, or a harness called [`set_enabled]`(true)`.
+//!    `0`/`false`/empty, or a harness called [`set_enabled`]`(true)`.
 //!    When disabled, every call is a single relaxed atomic load and branch.
 //!
 //! # Collection
@@ -80,14 +80,14 @@ pub struct RunReport {
     pub counters: Vec<(String, u64)>,
 }
 
-fn escape_json(s: &str, out: &mut String) {
+/// Appends `s` to `out` as the body of a JSON string: `"` and `\` are
+/// backslash-escaped and every control character below U+0020 becomes a
+/// `\u00XX` escape, so the result is valid JSON whatever `s` holds.
+pub fn escape_json(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
@@ -586,6 +586,17 @@ mod tests {
         let opens = json.matches(['{', '[']).count();
         let closes = json.matches(['}', ']']).count();
         assert_eq!(opens, closes);
+    }
+
+    #[test]
+    fn escape_json_writes_control_characters_as_unicode_escapes() {
+        let mut out = String::new();
+        escape_json("/tmp/a\tb\n\u{1}\"q\"\\", &mut out);
+        assert_eq!(out, "/tmp/a\\u0009b\\u000a\\u0001\\\"q\\\"\\\\");
+        assert!(
+            out.chars().all(|c| c >= ' '),
+            "no raw control character: {out:?}"
+        );
     }
 
     #[test]

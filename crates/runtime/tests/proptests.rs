@@ -5,8 +5,7 @@
 
 use llp_runtime::rng::SmallRng;
 use llp_runtime::{
-    parallel_for, parallel_map_collect, parallel_reduce, scan, sort, Bag, ParallelForConfig,
-    ThreadPool,
+    parallel_for, parallel_map_collect, scan, sort, Bag, ParallelForConfig, ThreadPool,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -39,28 +38,6 @@ fn parallel_sum_matches_sequential() {
             values.iter().sum::<u64>(),
             "seed {seed}"
         );
-    }
-}
-
-#[test]
-fn parallel_reduce_min_matches() {
-    for seed in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut values = random_vec(&mut rng, 5000, 1_000_000);
-        if values.is_empty() {
-            values.push(rng.gen_range(0..1_000_000));
-        }
-        let values: Vec<i64> = values.into_iter().map(|v| v as i64).collect();
-        let pool = ThreadPool::new(rng.gen_range(1usize..5));
-        let got = parallel_reduce(
-            &pool,
-            0..values.len(),
-            ParallelForConfig::with_grain(64),
-            i64::MAX,
-            |c| c.map(|i| values[i]).min().unwrap_or(i64::MAX),
-            |a, b| a.min(b),
-        );
-        assert_eq!(got, *values.iter().min().unwrap(), "seed {seed}");
     }
 }
 
@@ -120,7 +97,7 @@ fn par_sort_matches_std() {
         let pool = ThreadPool::new(rng.gen_range(1usize..5));
         let mut want = values.clone();
         want.sort_unstable();
-        sort::par_sort(&pool, &mut values);
+        sort::par_sort_by_key(&pool, &mut values, |&x| x);
         assert_eq!(values, want, "seed {seed}");
     }
 }

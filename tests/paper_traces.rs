@@ -104,6 +104,39 @@ fn spec_and_implementation_agree() {
     assert_eq!(spec.total_weight, FIG1_MST_WEIGHT);
 }
 
+/// §V work counters on a 1-thread pool, where they are exact: LLP-Prim's
+/// early fixes, scanned edges and atomic RMWs, and the atomic RMWs and
+/// pointer jumps of the two Borůvka engines. More threads change the
+/// Borůvka counts (racing proposals and jumps), so only 1 thread is pinned.
+#[test]
+fn section5_work_counters_are_exact_on_one_thread() {
+    let pool = ThreadPool::new(1);
+    let road = llp_mst_suite::graph::generators::road_network(
+        llp_mst_suite::graph::generators::RoadParams::usa_like(40, 40, 3),
+    );
+    // (early_fixes, edges_scanned, atomic_rmw) of llp_prim_par,
+    // atomic_rmw of boruvka_par, (atomic_rmw, pointer_jumps) of llp_boruvka.
+    for (name, g, prim, boruvka, llp_boruvka_want) in [
+        ("fig1", fig1(), (3, 14, 7), 24, (20, 1)),
+        ("road 40x40", road, (1152, 5648, 2781), 15051, (11950, 696)),
+    ] {
+        let s = llp_prim_par(&g, 0, &pool).unwrap().stats;
+        assert_eq!(
+            (s.early_fixes, s.edges_scanned, s.atomic_rmw),
+            prim,
+            "{name}: llp_prim_par"
+        );
+        let s = boruvka_par(&g, &pool).stats;
+        assert_eq!(s.atomic_rmw, boruvka, "{name}: boruvka_par");
+        let s = llp_boruvka(&g, &pool).stats;
+        assert_eq!(
+            (s.atomic_rmw, s.pointer_jumps),
+            llp_boruvka_want,
+            "{name}: llp_boruvka"
+        );
+    }
+}
+
 /// Abstract claim of §I: "since each element of G can be tested for
 /// forbidden independently this produces opportunities for parallelism" —
 /// operationally, LLP-Prim must fix multiple vertices per heap extraction.
