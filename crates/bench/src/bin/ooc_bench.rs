@@ -12,7 +12,7 @@
 //! `gen` streams an RMAT / Erdős–Rényi sample straight to the binary
 //! file in bounded chunks — RAM stays at the chunk size no matter the
 //! scale, so graphs far bigger than memory can be produced. `run` solves
-//! and (by default) certifies the file with the sharded Borůvka-filter,
+//! and (by default) certifies the file with the sharded Borůvka solver,
 //! then gates the process peak RSS against
 //! `max_rss_frac · file_bytes + rss_baseline_mb`: the baseline term
 //! absorbs the fixed runtime footprint that dominates on tiny graphs,
@@ -31,8 +31,9 @@
 //! * 1 — the run failed: the RSS gate failed, certification rejected or
 //!   did not run, or an I/O error;
 //! * 2 — usage error: an unknown command or argument, a missing or
-//!   unparsable value, a count of 0, an out-of-range `--shard-mb`, or
-//!   both `--shard-mb` and `--shard-edges`;
+//!   unparsable value, a count of 0, an out-of-range `--shard-mb` or
+//!   `--rss-baseline-mb`, a `--max-rss-frac` that is negative, NaN or
+//!   infinite, or both `--shard-mb` and `--shard-edges`;
 //! * 3 — deliberately interrupted by `--stop-after-shards`; the same
 //!   command line resumes.
 //!
@@ -44,13 +45,16 @@
 //!   "graph": { "path": "g.bin", "n": 65536, "m": 1043931, "bytes": 16702924 },
 //!   "shard_edges": 262144, "shards": 4, "threads": 2, "read_ahead": 1,
 //!   "certified": true, "msf_edges": 65535, "total_weight": 123.456,
-//!   "candidate_edges": 180000, "filtered_edges": 9000,
+//!   "candidate_edges": 180000, "filtered_edges": 0,
 //!   "wall_ms": 1234.5,
 //!   "peak_rss_bytes": 52428800, "rss_frac": 0.31,
 //!   "gate": { "max_rss_frac": 0.5, "rss_baseline_mb": 24,
 //!             "limit_bytes": 33522462, "pass": true }
 //! }
 //! ```
+//!
+//! `filtered_edges` is always 0: the sharded solver has no cross-shard
+//! filter, and the key keeps the schema stable.
 
 use llp_bench::workloads::{stream_to_binary, StreamKind};
 use llp_bench::{parse_count, parse_flag, usage_error};
@@ -177,7 +181,8 @@ struct RunReport {
 impl RunReport {
     /// `max_rss_frac · file_bytes + rss_baseline_mb` in bytes.
     fn limit_bytes(&self) -> u64 {
-        (self.max_rss_frac * self.file_bytes as f64) as u64 + self.rss_baseline_mb * (1 << 20)
+        ((self.max_rss_frac * self.file_bytes as f64) as u64)
+            .saturating_add(self.rss_baseline_mb << 20)
     }
 
     /// The gate passes when peak RSS is measurable and under the limit.
@@ -252,7 +257,13 @@ fn cmd_run(args: &mut Vec<String>) -> Result<(), String> {
     let certify = !take_flag(args, "--no-certify");
     let report_path = take_opt(args, "--report");
     let max_rss_frac: f64 = take_parsed(args, "--max-rss-frac", 0.5);
+    if !(max_rss_frac.is_finite() && max_rss_frac >= 0.0) {
+        usage_error("--max-rss-frac must be a finite number >= 0");
+    }
     let rss_baseline_mb: u64 = take_parsed(args, "--rss-baseline-mb", 0);
+    if rss_baseline_mb.checked_mul(1 << 20).is_none() {
+        usage_error("--rss-baseline-mb is out of range");
+    }
     let checkpoint = take_opt(args, "--checkpoint").map(PathBuf::from);
     let stop_after_shards: Option<usize> =
         take_opt(args, "--stop-after-shards").map(|v| parse_flag("--stop-after-shards", &v));

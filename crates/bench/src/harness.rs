@@ -325,28 +325,23 @@ mod tests {
         assert_eq!(enabled(), was);
         assert!(rec.sample.median_ms > 0.0);
         assert!(rec.certified, "instrumented run must certify");
-        if cfg!(feature = "telemetry") {
-            assert!(rec.telemetry.enabled);
-            let names: Vec<&str> = rec
-                .telemetry
-                .phases
+        assert!(rec.telemetry.enabled);
+        let names: Vec<&str> = rec
+            .telemetry
+            .phases
+            .iter()
+            .map(|p| p.name.as_str())
+            .collect();
+        assert!(names.contains(&"frontier-wave"), "phases: {names:?}");
+        assert!(names.contains(&"q-flush"), "phases: {names:?}");
+        assert!(
+            rec.telemetry
+                .series
                 .iter()
-                .map(|p| p.name.as_str())
-                .collect();
-            assert!(names.contains(&"frontier-wave"), "phases: {names:?}");
-            assert!(names.contains(&"q-flush"), "phases: {names:?}");
-            assert!(
-                rec.telemetry
-                    .series
-                    .iter()
-                    .any(|s| s.name == "frontier-size" && s.count > 0),
-                "series: {:?}",
-                rec.telemetry.series
-            );
-        } else {
-            assert!(!rec.telemetry.enabled);
-            assert!(rec.telemetry.phases.is_empty());
-        }
+                .any(|s| s.name == "frontier-size" && s.count > 0),
+            "series: {:?}",
+            rec.telemetry.series
+        );
     }
 
     #[test]

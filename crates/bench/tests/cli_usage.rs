@@ -44,6 +44,10 @@ fn ooc_bench_rejects_bad_flag_values() {
     }
     assert_usage_error(ooc, &with(&["--shard-mb", "99999999999999999"]));
     assert_usage_error(ooc, &with(&["--shard-mb", "1", "--shard-edges", "1024"]));
+    for frac in ["nan", "inf", "-inf", "-1"] {
+        assert_usage_error(ooc, &with(&["--max-rss-frac", frac]));
+    }
+    assert_usage_error(ooc, &with(&["--rss-baseline-mb", "18446744073709551615"]));
     // A well-formed command that fails while running is exit 1, not 2.
     let out = Command::new(ooc).args(g).output().expect("binary runs");
     assert_eq!(

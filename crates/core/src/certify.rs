@@ -100,7 +100,12 @@ struct Scratch {
 /// maximum into a violation flag and a match count with no branching at
 /// all. Violations surface after the vertex, which is fine: they are
 /// terminal, and [`classify_vertex`] re-derives the precise error.
-#[inline]
+///
+/// Forced inline: the sweep calls it once per vertex. Left to the
+/// heuristic, an unrelated edit elsewhere in the crate moved it out of
+/// line, which made `certify_ms` ~10% slower on the benchmark's `rmat`
+/// workload (2-vCPU Xeon host).
+#[inline(always)]
 fn check_vertex(
     index: &PathMaxIndex,
     graph: &CsrGraph,

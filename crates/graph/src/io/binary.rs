@@ -944,8 +944,11 @@ mod tests {
         d
     }
 
+    // The file writer and reader go through `Faulty`: hold the fault
+    // lock so a seeded test running concurrently cannot inject into them.
     #[test]
     fn file_writer_round_trips_through_rename() {
+        let _g = faults::test_serial_lock();
         let dir = temp_dir("atomic");
         let dest = dir.join("g.bin");
         let g = erdos_renyi(40, 100, 13);
@@ -963,6 +966,7 @@ mod tests {
 
     #[test]
     fn file_writer_drop_removes_tmp_and_never_creates_dest() {
+        let _g = faults::test_serial_lock();
         let dir = temp_dir("drop");
         let dest = dir.join("g.bin");
         {

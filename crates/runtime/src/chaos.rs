@@ -12,7 +12,7 @@
 //!
 //! # Gating
 //!
-//! Chaos mirrors the [`crate::telemetry`] double gate:
+//! Chaos is double-gated:
 //!
 //! 1. **Compile-time**: the `chaos` cargo feature (off by default). Without
 //!    it every entry point here is an empty inline no-op, so production and

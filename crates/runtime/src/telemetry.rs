@@ -17,15 +17,11 @@
 //!
 //! # Gating
 //!
-//! Telemetry is double-gated so the Fig. 2 benchmark numbers are unaffected:
-//!
-//! 1. **Compile-time**: the `telemetry` cargo feature (on by default).
-//!    Building with `--no-default-features` compiles every entry point here
-//!    to an empty inline function — zero code, zero data.
-//! 2. **Runtime**: recording happens only while enabled — either the
-//!    `LLP_TELEMETRY` environment variable is set to something other than
-//!    `0`/`false`/empty, or a harness called [`set_enabled`]`(true)`.
-//!    When disabled, every call is a single relaxed atomic load and branch.
+//! The recorder is always compiled in and gated at run time only: it
+//! records while the `LLP_TELEMETRY` environment variable is set to
+//! something other than `0`/`false`/empty, or after a harness called
+//! [`set_enabled`]`(true)`. When disabled, every call is a single relaxed
+//! atomic load and branch, so the benchmark's timings are unaffected.
 //!
 //! # Collection
 //!
@@ -33,6 +29,12 @@
 //! returned [`RunReport`] serialises itself to JSON via
 //! [`RunReport::to_json`] (no external serialisation crates are available in
 //! hermetic builds).
+
+use crate::sync::Mutex;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::OnceLock;
+use std::time::Instant;
 
 /// Aggregate timing for one named phase.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,7 +72,7 @@ pub struct SeriesStat {
 /// Snapshot of everything recorded between [`begin_run`] and [`take_report`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunReport {
-    /// Whether telemetry was compiled in *and* enabled during the run.
+    /// Whether recording was enabled when the report was taken.
     pub enabled: bool,
     /// Per-phase timing aggregates, sorted by phase name.
     pub phases: Vec<PhaseStat>,
@@ -152,259 +154,197 @@ impl RunReport {
     }
 }
 
-#[cfg(feature = "telemetry")]
-mod imp {
-    use super::{PhaseStat, RunReport, SeriesStat};
-    use crate::sync::Mutex;
-    use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicU8, Ordering};
-    use std::sync::OnceLock;
-    use std::time::Instant;
+// 0 = read LLP_TELEMETRY on first use, 1 = off, 2 = on.
+static ENABLED: AtomicU8 = AtomicU8::new(0);
 
-    // 0 = read LLP_TELEMETRY on first use, 1 = off, 2 = on.
-    static ENABLED: AtomicU8 = AtomicU8::new(0);
+#[derive(Default)]
+struct PhaseAgg {
+    calls: u64,
+    total_ns: u64,
+    min_ns: u64,
+    max_ns: u64,
+}
 
-    #[derive(Default)]
-    struct PhaseAgg {
-        calls: u64,
-        total_ns: u64,
-        min_ns: u64,
-        max_ns: u64,
+struct SeriesAgg {
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+    buckets: [u64; 65],
+}
+
+impl Default for SeriesAgg {
+    fn default() -> Self {
+        SeriesAgg {
+            count: 0,
+            sum: 0,
+            min: 0,
+            max: 0,
+            buckets: [0; 65],
+        }
     }
+}
 
-    struct SeriesAgg {
-        count: u64,
-        sum: u64,
-        min: u64,
-        max: u64,
-        buckets: [u64; 65],
+#[derive(Default)]
+struct Registry {
+    phases: BTreeMap<&'static str, PhaseAgg>,
+    series: BTreeMap<&'static str, SeriesAgg>,
+    counters: BTreeMap<&'static str, u64>,
+}
+
+fn registry() -> &'static Mutex<Registry> {
+    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
+    REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
+}
+
+/// True when telemetry recording is active.
+#[inline]
+pub fn enabled() -> bool {
+    match ENABLED.load(Ordering::Relaxed) {
+        0 => init_from_env(),
+        1 => false,
+        _ => true,
     }
+}
 
-    impl Default for SeriesAgg {
-        fn default() -> Self {
-            SeriesAgg {
-                count: 0,
-                sum: 0,
-                min: 0,
-                max: 0,
-                buckets: [0; 65],
+#[cold]
+fn init_from_env() -> bool {
+    let on = match std::env::var("LLP_TELEMETRY") {
+        Ok(v) => !(v.is_empty() || v == "0" || v.eq_ignore_ascii_case("false")),
+        Err(_) => false,
+    };
+    ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    on
+}
+
+/// Programmatically enables or disables recording, overriding the
+/// `LLP_TELEMETRY` environment gate (harnesses call this).
+pub fn set_enabled(on: bool) {
+    ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+}
+
+/// Guard returned by [`span`]; accumulates elapsed time on drop.
+pub struct SpanGuard(Option<(&'static str, Instant)>);
+
+/// Starts a named phase span. Time from this call until the guard drops
+/// is accumulated under `name`.
+#[inline]
+pub fn span(name: &'static str) -> SpanGuard {
+    if enabled() {
+        SpanGuard(Some((name, Instant::now())))
+    } else {
+        SpanGuard(None)
+    }
+}
+
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        if let Some((name, start)) = self.0.take() {
+            let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+            let mut reg = registry().lock();
+            let agg = reg.phases.entry(name).or_default();
+            if agg.calls == 0 {
+                agg.min_ns = ns;
+                agg.max_ns = ns;
+            } else {
+                agg.min_ns = agg.min_ns.min(ns);
+                agg.max_ns = agg.max_ns.max(ns);
             }
+            agg.calls += 1;
+            agg.total_ns += ns;
         }
     }
+}
 
-    #[derive(Default)]
-    struct Registry {
-        phases: BTreeMap<&'static str, PhaseAgg>,
-        series: BTreeMap<&'static str, SeriesAgg>,
-        counters: BTreeMap<&'static str, u64>,
+/// Records one sample of a per-wave series (frontier size, bag
+/// occupancy, heap depth, ...).
+#[inline]
+pub fn record_value(series: &'static str, value: u64) {
+    if !enabled() {
+        return;
     }
-
-    fn registry() -> &'static Mutex<Registry> {
-        static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-        REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
+    let mut reg = registry().lock();
+    let agg = reg.series.entry(series).or_default();
+    if agg.count == 0 {
+        agg.min = value;
+        agg.max = value;
+    } else {
+        agg.min = agg.min.min(value);
+        agg.max = agg.max.max(value);
     }
+    agg.count += 1;
+    agg.sum += value;
+    agg.buckets[(64 - value.leading_zeros()) as usize] += 1;
+}
 
-    /// True when telemetry recording is active.
-    #[inline]
-    pub fn enabled() -> bool {
-        match ENABLED.load(Ordering::Relaxed) {
-            0 => init_from_env(),
-            1 => false,
-            _ => true,
-        }
+/// Adds `n` to the named registry counter.
+#[inline]
+pub fn counter_add(name: &'static str, n: u64) {
+    if !enabled() {
+        return;
     }
+    let mut reg = registry().lock();
+    *reg.counters.entry(name).or_default() += n;
+}
 
-    #[cold]
-    fn init_from_env() -> bool {
-        let on = match std::env::var("LLP_TELEMETRY") {
-            Ok(v) => !(v.is_empty() || v == "0" || v.eq_ignore_ascii_case("false")),
-            Err(_) => false,
-        };
-        ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-        on
-    }
+/// Clears all recorded data, starting a fresh measurement window.
+pub fn begin_run() {
+    let mut reg = registry().lock();
+    *reg = Registry::default();
+}
 
-    /// Programmatically enables or disables recording, overriding the
-    /// `LLP_TELEMETRY` environment gate (harnesses call this).
-    pub fn set_enabled(on: bool) {
-        ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    }
-
-    /// Guard returned by [`span`]; accumulates elapsed time on drop.
-    pub struct SpanGuard(Option<(&'static str, Instant)>);
-
-    /// Starts a named phase span. Time from this call until the guard drops
-    /// is accumulated under `name`.
-    #[inline]
-    pub fn span(name: &'static str) -> SpanGuard {
-        if enabled() {
-            SpanGuard(Some((name, Instant::now())))
-        } else {
-            SpanGuard(None)
-        }
-    }
-
-    impl Drop for SpanGuard {
-        fn drop(&mut self) {
-            if let Some((name, start)) = self.0.take() {
-                let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                let mut reg = registry().lock();
-                let agg = reg.phases.entry(name).or_default();
-                if agg.calls == 0 {
-                    agg.min_ns = ns;
-                    agg.max_ns = ns;
-                } else {
-                    agg.min_ns = agg.min_ns.min(ns);
-                    agg.max_ns = agg.max_ns.max(ns);
-                }
-                agg.calls += 1;
-                agg.total_ns += ns;
-            }
-        }
-    }
-
-    /// Records one sample of a per-wave series (frontier size, bag
-    /// occupancy, heap depth, ...).
-    #[inline]
-    pub fn record_value(series: &'static str, value: u64) {
-        if !enabled() {
-            return;
-        }
-        let mut reg = registry().lock();
-        let agg = reg.series.entry(series).or_default();
-        if agg.count == 0 {
-            agg.min = value;
-            agg.max = value;
-        } else {
-            agg.min = agg.min.min(value);
-            agg.max = agg.max.max(value);
-        }
-        agg.count += 1;
-        agg.sum += value;
-        agg.buckets[(64 - value.leading_zeros()) as usize] += 1;
-    }
-
-    /// Adds `n` to the named registry counter.
-    #[inline]
-    pub fn counter_add(name: &'static str, n: u64) {
-        if !enabled() {
-            return;
-        }
-        let mut reg = registry().lock();
-        *reg.counters.entry(name).or_default() += n;
-    }
-
-    /// Clears all recorded data, starting a fresh measurement window.
-    pub fn begin_run() {
-        let mut reg = registry().lock();
-        *reg = Registry::default();
-    }
-
-    /// Snapshots everything recorded since [`begin_run`] and clears it.
-    pub fn take_report() -> RunReport {
-        let mut reg = registry().lock();
-        let taken = std::mem::take(&mut *reg);
-        drop(reg);
-        RunReport {
-            enabled: enabled(),
-            phases: taken
-                .phases
-                .into_iter()
-                .map(|(name, a)| PhaseStat {
+/// Snapshots everything recorded since [`begin_run`] and clears it.
+pub fn take_report() -> RunReport {
+    let mut reg = registry().lock();
+    let taken = std::mem::take(&mut *reg);
+    drop(reg);
+    RunReport {
+        enabled: enabled(),
+        phases: taken
+            .phases
+            .into_iter()
+            .map(|(name, a)| PhaseStat {
+                name: name.to_string(),
+                calls: a.calls,
+                total_ns: a.total_ns,
+                min_ns: a.min_ns,
+                max_ns: a.max_ns,
+            })
+            .collect(),
+        series: taken
+            .series
+            .into_iter()
+            .map(|(name, a)| {
+                let top = a
+                    .buckets
+                    .iter()
+                    .rposition(|&n| n > 0)
+                    .map_or(0, |i| i + 1);
+                SeriesStat {
                     name: name.to_string(),
-                    calls: a.calls,
-                    total_ns: a.total_ns,
-                    min_ns: a.min_ns,
-                    max_ns: a.max_ns,
-                })
-                .collect(),
-            series: taken
-                .series
-                .into_iter()
-                .map(|(name, a)| {
-                    let top = a
-                        .buckets
-                        .iter()
-                        .rposition(|&n| n > 0)
-                        .map_or(0, |i| i + 1);
-                    SeriesStat {
-                        name: name.to_string(),
-                        count: a.count,
-                        sum: a.sum,
-                        min: a.min,
-                        max: a.max,
-                        buckets: a.buckets[..top].to_vec(),
-                    }
-                })
-                .collect(),
-            counters: taken
-                .counters
-                .into_iter()
-                .map(|(name, v)| (name.to_string(), v))
-                .collect(),
-        }
+                    count: a.count,
+                    sum: a.sum,
+                    min: a.min,
+                    max: a.max,
+                    buckets: a.buckets[..top].to_vec(),
+                }
+            })
+            .collect(),
+        counters: taken
+            .counters
+            .into_iter()
+            .map(|(name, v)| (name.to_string(), v))
+            .collect(),
     }
 }
-
-#[cfg(not(feature = "telemetry"))]
-mod imp {
-    use super::RunReport;
-
-    /// Always `false`: telemetry is compiled out.
-    #[inline(always)]
-    pub fn enabled() -> bool {
-        false
-    }
-
-    /// No-op: telemetry is compiled out.
-    #[inline(always)]
-    pub fn set_enabled(_on: bool) {}
-
-    /// Zero-sized no-op guard.
-    pub struct SpanGuard(());
-
-    // A (trivial) Drop impl keeps call sites uniform across both builds:
-    // callers may `drop(guard)` to end a span early without tripping
-    // `clippy::drop_non_drop` when telemetry is compiled out.
-    impl Drop for SpanGuard {
-        fn drop(&mut self) {}
-    }
-
-    /// No-op: telemetry is compiled out.
-    #[inline(always)]
-    pub fn span(_name: &'static str) -> SpanGuard {
-        SpanGuard(())
-    }
-
-    /// No-op: telemetry is compiled out.
-    #[inline(always)]
-    pub fn record_value(_series: &'static str, _value: u64) {}
-
-    /// No-op: telemetry is compiled out.
-    #[inline(always)]
-    pub fn counter_add(_name: &'static str, _n: u64) {}
-
-    /// No-op: telemetry is compiled out.
-    #[inline(always)]
-    pub fn begin_run() {}
-
-    /// Returns an empty disabled report.
-    #[inline(always)]
-    pub fn take_report() -> RunReport {
-        RunReport::default()
-    }
-}
-
-pub use imp::{begin_run, counter_add, enabled, record_value, set_enabled, span, take_report, SpanGuard};
 
 /// Peak resident set size of this process in bytes, read from the
 /// kernel's high-water mark (`VmHWM` in `/proc/self/status`) on Linux;
 /// `None` on other platforms or when procfs is unavailable.
 ///
 /// This is a process-lifetime gauge, not a phase measurement: it only
-/// ever rises, and it is independent of the `telemetry` feature gate so
-/// memory-budget checks (the out-of-core harness gate) work in every
-/// build configuration.
+/// ever rises, and it ignores the runtime gate so memory-budget checks
+/// (the out-of-core harness gate) work whether or not recording is on.
 pub fn peak_rss_bytes() -> Option<u64> {
     #[cfg(target_os = "linux")]
     {
@@ -433,31 +373,6 @@ fn parse_vm_hwm_bytes(status: &str) -> Option<u64> {
 }
 
 #[cfg(test)]
-mod rss_tests {
-    use super::*;
-
-    #[test]
-    fn parses_vm_hwm_lines() {
-        let status = "Name:\tcargo\nVmPeak:\t  123 kB\nVmHWM:\t   20512 kB\nVmRSS:\t 20000 kB\n";
-        assert_eq!(parse_vm_hwm_bytes(status), Some(20512 * 1024));
-        assert_eq!(parse_vm_hwm_bytes("Name:\tx\n"), None);
-        assert_eq!(parse_vm_hwm_bytes("VmHWM:\tgarbage kB\n"), None);
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn peak_rss_is_positive_and_monotone() {
-        let before = peak_rss_bytes().expect("procfs available");
-        assert!(before > 0);
-        // Touch a real allocation; the high-water mark can only rise.
-        let v = vec![1u8; 4 << 20];
-        std::hint::black_box(&v);
-        let after = peak_rss_bytes().expect("procfs available");
-        assert!(after >= before);
-    }
-}
-
-#[cfg(all(test, feature = "telemetry"))]
 mod tests {
     use super::*;
     use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -607,24 +522,24 @@ mod tests {
             "{\"enabled\":false,\"phases\":[],\"series\":[],\"counters\":{}}"
         );
     }
-}
-
-#[cfg(all(test, not(feature = "telemetry")))]
-mod tests_disabled {
-    use super::*;
 
     #[test]
-    fn all_entry_points_are_no_ops() {
-        set_enabled(true); // must still be a no-op
-        assert!(!enabled());
-        begin_run();
-        {
-            let _s = span("p");
-            record_value("v", 1);
-            counter_add("c", 1);
-        }
-        let r = take_report();
-        assert!(!r.enabled);
-        assert!(r.phases.is_empty() && r.series.is_empty() && r.counters.is_empty());
+    fn parses_vm_hwm_lines() {
+        let status = "Name:\tcargo\nVmPeak:\t  123 kB\nVmHWM:\t   20512 kB\nVmRSS:\t 20000 kB\n";
+        assert_eq!(parse_vm_hwm_bytes(status), Some(20512 * 1024));
+        assert_eq!(parse_vm_hwm_bytes("Name:\tx\n"), None);
+        assert_eq!(parse_vm_hwm_bytes("VmHWM:\tgarbage kB\n"), None);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn peak_rss_is_positive_and_monotone() {
+        let before = peak_rss_bytes().expect("procfs available");
+        assert!(before > 0);
+        // Touch a real allocation; the high-water mark can only rise.
+        let v = vec![1u8; 4 << 20];
+        std::hint::black_box(&v);
+        let after = peak_rss_bytes().expect("procfs available");
+        assert!(after >= before);
     }
 }

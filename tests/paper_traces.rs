@@ -160,16 +160,6 @@ fn llp_prim_fixes_many_vertices_per_heap_pop() {
 /// at every thread count.
 #[test]
 fn filter_kruskal_golden_trace_on_paper_graphs() {
-    // With the `telemetry` feature compiled out every probe is a no-op and
-    // there is no trace to pin; result agreement is covered elsewhere.
-    let was = telemetry::enabled();
-    telemetry::set_enabled(true);
-    let compiled_in = telemetry::enabled();
-    telemetry::set_enabled(was);
-    if !compiled_in {
-        return;
-    }
-
     fn fk_trace(g: &llp_mst_suite::graph::CsrGraph, pool: &ThreadPool) -> Trace {
         let was = telemetry::enabled();
         telemetry::set_enabled(true);
