@@ -2,7 +2,7 @@
 //! scheduling.
 //!
 //! ```text
-//! differential sweep [options]     (default command)
+//! differential sweep [options]
 //!   --families LIST   comma list of road,rmat,er,ba,rgg (default: road,rmat,er,ba)
 //!   --gen-seeds LIST  comma list of generator seeds (default: 1,2)
 //!   --chaos-seeds LIST comma list of chaos seeds (default: 1,2,3,4)
@@ -41,8 +41,16 @@
 //! a wrong answer anywhere fails the matrix, and a watchdog thread turns
 //! any hang into a hard exit. Without `--features faults` the command
 //! refuses to run rather than green-lighting an inert matrix.
+//!
+//! Flags are parsed by [`llp_bench::cli`]: the command word is required,
+//! each command accepts only its own flags, and a bad, missing or foreign
+//! flag is a usage error (exit 2). A failed sweep or matrix exits 1; an
+//! expired fault-matrix watchdog exits 4.
 
-use llp_bench::{parse_count, parse_flag, run_algorithm, usage_error, Algorithm};
+use llp_bench::cli::{
+    command, exit_status, no_leftovers, take_count, take_list, take_parsed, usage_error,
+};
+use llp_bench::{run_algorithm, Algorithm};
 use llp_graph::algo::largest_component;
 use llp_graph::generators::{
     barabasi_albert, erdos_renyi, random_geometric, rmat, road_network, RmatParams, RoadParams,
@@ -57,6 +65,7 @@ use llp_serve::protocol::{encode_queries, write_frame, Query};
 use llp_serve::server::{run_server, ServerConfig};
 use llp_serve::service::MsfService;
 use std::net::{TcpListener, TcpStream};
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -72,18 +81,22 @@ enum Family {
     Rgg,
 }
 
-impl Family {
-    fn parse(s: &str) -> Option<Family> {
+impl std::str::FromStr for Family {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Family, ()> {
         match s {
-            "road" => Some(Family::Road),
-            "rmat" => Some(Family::Rmat),
-            "er" => Some(Family::Er),
-            "ba" => Some(Family::Ba),
-            "rgg" => Some(Family::Rgg),
-            _ => None,
+            "road" => Ok(Family::Road),
+            "rmat" => Ok(Family::Rmat),
+            "er" => Ok(Family::Er),
+            "ba" => Ok(Family::Ba),
+            "rgg" => Ok(Family::Rgg),
+            _ => Err(()),
         }
     }
+}
 
+impl Family {
     fn label(&self) -> &'static str {
         match self {
             Family::Road => "road",
@@ -118,86 +131,21 @@ impl Family {
     }
 }
 
-struct Options {
-    families: Vec<Family>,
-    gen_seeds: Vec<u64>,
-    chaos_seeds: Vec<u64>,
-    fault_seeds: Vec<u64>,
-    threads: usize,
-    size: usize,
-    seed: u64,
-    watchdog_secs: u64,
+fn main() -> ExitCode {
+    let (cmd, mut args) = command(USAGE);
+    let result = match cmd.as_str() {
+        "sweep" => sweep(&mut args),
+        "fault-matrix" => fault_matrix(&mut args),
+        other => usage_error(format_args!("unknown command `{other}`\n{USAGE}")),
+    };
+    exit_status("differential", &cmd, result)
 }
 
-fn parse_list(name: &str, v: &str) -> Vec<u64> {
-    v.split(',').map(|s| parse_flag(name, s)).collect()
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (command, rest) = match args.first().map(String::as_str) {
-        Some("sweep") => ("sweep", &args[1..]),
-        Some("fault-matrix") => ("fault-matrix", &args[1..]),
-        Some(s) if s.starts_with("--") => ("sweep", &args[..]),
-        None => ("sweep", &args[..]),
-        Some(other) => usage_error(format_args!(
-            "unknown command {other}; usage: differential [sweep|fault-matrix] [options]"
-        )),
-    };
-
-    let mut opts = Options {
-        families: vec![Family::Road, Family::Rmat, Family::Er, Family::Ba],
-        gen_seeds: vec![1, 2],
-        chaos_seeds: vec![1, 2, 3, 4],
-        fault_seeds: (1..=16).collect(),
-        threads: 4,
-        size: 4000,
-        seed: 42,
-        watchdog_secs: 300,
-    };
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .unwrap_or_else(|| usage_error(format_args!("{name} needs a value")))
-        };
-        match flag.as_str() {
-            "--families" => {
-                let v = value("--families");
-                opts.families = v
-                    .split(',')
-                    .map(|s| {
-                        Family::parse(s.trim())
-                            .unwrap_or_else(|| usage_error(format_args!("unknown family '{s}'")))
-                    })
-                    .collect();
-            }
-            "--gen-seeds" => opts.gen_seeds = parse_list("--gen-seeds", &value("--gen-seeds")),
-            "--chaos-seeds" => {
-                opts.chaos_seeds = parse_list("--chaos-seeds", &value("--chaos-seeds"))
-            }
-            "--fault-seeds" => {
-                opts.fault_seeds = parse_list("--fault-seeds", &value("--fault-seeds"))
-            }
-            "--watchdog-secs" => {
-                opts.watchdog_secs = parse_flag("--watchdog-secs", &value("--watchdog-secs"))
-            }
-            "--threads" => opts.threads = parse_count("--threads", &value("--threads")),
-            "--size" => opts.size = parse_flag("--size", &value("--size")),
-            "--seed" => opts.seed = parse_flag("--seed", &value("--seed")),
-            other => usage_error(format_args!("unknown option {other}")),
-        }
-    }
-
-    let failed = match command {
-        "sweep" => sweep(&opts),
-        _ => fault_matrix(&opts),
-    };
-    if failed {
-        std::process::exit(1);
-    }
-}
+const USAGE: &str = "usage: differential <sweep|fault-matrix> [options]
+  sweep        [--families road,rmat,er,ba] [--gen-seeds 1,2] [--chaos-seeds 1,2,3,4]
+               [--threads 4] [--size 4000]
+  fault-matrix [--fault-seeds 1,2,...,16] [--threads 4] [--size 4000] [--seed 42]
+               [--watchdog-secs 300]   (needs --features faults)";
 
 /// One failing configuration, ordered for minimal-reproducer reporting.
 struct Failure {
@@ -209,20 +157,28 @@ struct Failure {
     what: String,
 }
 
-fn sweep(opts: &Options) -> bool {
+fn sweep(args: &mut Vec<String>) -> Result<(), String> {
+    let all = vec![Family::Road, Family::Rmat, Family::Er, Family::Ba];
+    let families = take_list(args, "--families", all);
+    let gen_seeds: Vec<u64> = take_list(args, "--gen-seeds", vec![1, 2]);
+    let chaos_seeds: Vec<u64> = take_list(args, "--chaos-seeds", vec![1, 2, 3, 4]);
+    let threads = take_count(args, "--threads", 4);
+    let size: usize = take_parsed(args, "--size", 4000);
+    no_leftovers(args);
+
     if !chaos::compiled_in() {
         println!(
             "note: chaos feature not compiled in — chaos seeds are inert \
              (rebuild with --features chaos for schedule perturbation)"
         );
     }
-    let pool = ThreadPool::new(opts.threads);
+    let pool = ThreadPool::new(threads);
     let mut failures: Vec<Failure> = Vec::new();
     let mut runs = 0usize;
 
-    for (family_rank, &family) in opts.families.iter().enumerate() {
-        for &gen_seed in &opts.gen_seeds {
-            let graph = family.build(opts.size, gen_seed);
+    for (family_rank, &family) in families.iter().enumerate() {
+        for &gen_seed in &gen_seeds {
+            let graph = family.build(size, gen_seed);
             println!(
                 "[{}/seed {}] n={} m={}",
                 family.label(),
@@ -246,7 +202,7 @@ fn sweep(opts: &Options) -> bool {
             }
             let reference_keys = reference.canonical_keys();
 
-            for &chaos_seed in &opts.chaos_seeds {
+            for &chaos_seed in &chaos_seeds {
                 chaos::set_seed(Some(chaos_seed));
                 for &algo in Algorithm::all() {
                     runs += 1;
@@ -287,19 +243,18 @@ fn sweep(opts: &Options) -> bool {
              all certified and agree",
             runs,
             Algorithm::all().len(),
-            opts.families.len(),
-            if opts.families.len() == 1 { "y" } else { "ies" },
-            opts.gen_seeds.len(),
-            if opts.gen_seeds.len() == 1 { "" } else { "s" },
-            opts.chaos_seeds.len(),
-            if opts.chaos_seeds.len() == 1 { "" } else { "s" },
+            families.len(),
+            if families.len() == 1 { "y" } else { "ies" },
+            gen_seeds.len(),
+            if gen_seeds.len() == 1 { "" } else { "s" },
+            chaos_seeds.len(),
+            if chaos_seeds.len() == 1 { "" } else { "s" },
         );
-        return false;
+        return Ok(());
     }
 
     failures.sort_by_key(|f| (f.family_rank, f.gen_seed, f.chaos_seed));
     let min = &failures[0];
-    println!("FAIL: {} of {} runs failed", failures.len(), runs);
     println!(
         "minimal reproducer: --families {} --gen-seeds {} --chaos-seeds {}",
         min.family.label(),
@@ -311,19 +266,26 @@ fn sweep(opts: &Options) -> bool {
     if chaos::compiled_in() {
         println!("  rerun with LLP_CHAOS_SEED={} --features chaos", min.chaos_seed);
     }
-    true
+    Err(format!("{} of {runs} runs failed", failures.len()))
 }
 
 /// The seeded fault-injection matrix: every `(seed, leg)` cell must end
 /// in a certified-correct result or a typed classified error — never a
-/// wrong answer, never a hang. Returns true on failure (like `sweep`).
-fn fault_matrix(opts: &Options) -> bool {
+/// wrong answer, never a hang.
+fn fault_matrix(args: &mut Vec<String>) -> Result<(), String> {
+    let fault_seeds: Vec<u64> = take_list(args, "--fault-seeds", (1..=16).collect());
+    let threads = take_count(args, "--threads", 4);
+    let size: usize = take_parsed(args, "--size", 4000);
+    let seed: u64 = take_parsed(args, "--seed", 42);
+    let watchdog_secs: u64 = take_parsed(args, "--watchdog-secs", 300);
+    no_leftovers(args);
+
     if !faults::compiled_in() {
-        eprintln!(
-            "fault-matrix needs fault injection compiled in; rebuild with --features faults \
+        return Err(
+            "fault injection is not compiled in; rebuild with --features faults \
              (an inert matrix would prove nothing)"
+                .into(),
         );
-        return true;
     }
     faults::set_seed(None);
 
@@ -333,7 +295,7 @@ fn fault_matrix(opts: &Options) -> bool {
     let done = Arc::new(AtomicBool::new(false));
     {
         let done = Arc::clone(&done);
-        let budget = Duration::from_secs(opts.watchdog_secs);
+        let budget = Duration::from_secs(watchdog_secs);
         std::thread::spawn(move || {
             let t0 = Instant::now();
             while t0.elapsed() < budget {
@@ -350,14 +312,14 @@ fn fault_matrix(opts: &Options) -> bool {
         });
     }
 
-    let pool = ThreadPool::new(opts.threads);
-    let graph = largest_component(&erdos_renyi(opts.size, opts.size * 4, opts.seed));
+    let pool = ThreadPool::new(threads);
+    let graph = largest_component(&erdos_renyi(size, size * 4, seed));
     println!(
         "fault matrix over n={} m={} ({} seeds x 4 legs, watchdog {}s)",
         graph.num_vertices(),
         graph.num_edges(),
-        opts.fault_seeds.len(),
-        opts.watchdog_secs
+        fault_seeds.len(),
+        watchdog_secs
     );
     let reference = kruskal(&graph);
     certify_msf(&graph, &reference).expect("reference Kruskal run must certify");
@@ -399,7 +361,7 @@ fn fault_matrix(opts: &Options) -> bool {
     let mut total_retries = 0u64;
     let mut failures: Vec<String> = Vec::new();
 
-    for &seed in &opts.fault_seeds {
+    for &seed in &fault_seeds {
         // Leg 1 — ingest read: the hardened reader either reconstructs
         // the exact graph or returns a typed IoError; a structurally
         // different Ok is a silent corruption escape.
@@ -451,10 +413,8 @@ fn fault_matrix(opts: &Options) -> bool {
         let _ = std::fs::remove_file(&ck);
         let cfg = ShardedConfig {
             shard_edges,
-            certify: true,
-            read_ahead: 1,
             checkpoint: Some(ck.clone()),
-            stop_after_shards: None,
+            ..ShardedConfig::default()
         };
         faults::set_seed(Some(seed));
         let sharded = sharded_msf_file(&src, &cfg, &pool);
@@ -537,14 +497,13 @@ fn fault_matrix(opts: &Options) -> bool {
         println!(
             "OK: fault matrix {} seeds x 4 legs -> {runs} runs, {clean} certified-clean, \
              {classified} classified errors, {total_retries} retries absorbed, 0 wrong answers",
-            opts.fault_seeds.len()
+            fault_seeds.len()
         );
-        return false;
+        return Ok(());
     }
-    println!("FAIL: {} of {runs} fault-matrix runs failed", failures.len());
     for f in &failures {
         println!("  {f}");
     }
     println!("rerun a cell with LLP_FAULT_SEED=<seed> --features faults");
-    true
+    Err(format!("{} of {runs} fault-matrix runs failed", failures.len()))
 }

@@ -3,21 +3,23 @@
 //! ```text
 //! ooc-bench gen --out g.bin [--kind rmat|er] [--scale 16] [--ef 16] [--seed 1]
 //!               [--chunk-edges N]
-//! ooc-bench run --graph g.bin [--shard-mb MB | --shard-edges N] [--threads T]
-//!               [--read-ahead K] [--no-certify] [--report out.json]
+//! ooc-bench run --graph g.bin [--shard-edges N] [--threads T] [--report out.json]
 //!               [--max-rss-frac 0.5] [--rss-baseline-mb 0]
 //!               [--checkpoint ck.llp] [--stop-after-shards N]
 //! ```
 //!
 //! `gen` streams an RMAT / Erdős–Rényi sample straight to the binary
 //! file in bounded chunks — RAM stays at the chunk size no matter the
-//! scale, so graphs far bigger than memory can be produced. `run` solves
-//! and (by default) certifies the file with the sharded Borůvka solver,
-//! then gates the process peak RSS against
+//! scale, so graphs far bigger than memory can be produced; it is the
+//! graph generator for every tool in this crate. `run` solves and
+//! certifies the file with the sharded Borůvka solver (the reader thread
+//! keeps one shard queued ahead of the one being contracted), then gates
+//! the process peak RSS against
 //! `max_rss_frac · file_bytes + rss_baseline_mb`: the baseline term
 //! absorbs the fixed runtime footprint that dominates on tiny graphs,
 //! the fractional term is the headline out-of-core claim (default: peak
-//! RSS at most half the edge list).
+//! RSS at most half the edge list). A shard costs about 64 B per edge
+//! while it is contracted, so `--shard-edges 8388608` is a 512 MiB shard.
 //!
 //! `--checkpoint` names a manifest that is fsync'd after every
 //! completed shard: a killed run re-launched with the same flags skips
@@ -25,15 +27,15 @@
 //! interrupts deliberately so CI can rehearse the kill-and-resume path
 //! without an actual SIGKILL.
 //!
+//! Flags are parsed by [`llp_bench::cli`], as in the crate's other tools.
 //! Exit codes:
 //!
 //! * 0 — success;
-//! * 1 — the run failed: the RSS gate failed, certification rejected or
-//!   did not run, or an I/O error;
+//! * 1 — the run failed: the RSS gate failed, certification rejected, or
+//!   an I/O error;
 //! * 2 — usage error: an unknown command or argument, a missing or
-//!   unparsable value, a count of 0, an out-of-range `--shard-mb` or
-//!   `--rss-baseline-mb`, a `--max-rss-frac` that is negative, NaN or
-//!   infinite, or both `--shard-mb` and `--shard-edges`;
+//!   unparsable value, a count of 0, an out-of-range `--rss-baseline-mb`,
+//!   or a `--max-rss-frac` that is negative, NaN or infinite;
 //! * 3 — deliberately interrupted by `--stop-after-shards`; the same
 //!   command line resumes.
 //!
@@ -53,11 +55,15 @@
 //! }
 //! ```
 //!
-//! `filtered_edges` is always 0: the sharded solver has no cross-shard
-//! filter, and the key keeps the schema stable.
+//! `read_ahead` is always 1 and `filtered_edges` always 0: the reader
+//! queues one shard ahead, the sharded solver has no cross-shard filter,
+//! and the keys keep the schema stable.
 
+use llp_bench::cli::{
+    command, exit_status, no_leftovers, parse_flag, take_count, take_opt, take_parsed,
+    take_required, take_threads, usage_error,
+};
 use llp_bench::workloads::{stream_to_binary, StreamKind};
-use llp_bench::{parse_count, parse_flag, usage_error};
 use llp_mst::prelude::*;
 use llp_runtime::{telemetry, ThreadPool};
 use std::path::PathBuf;
@@ -65,78 +71,24 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first().cloned() else {
-        usage_error(USAGE);
-    };
-    args.remove(0);
+    let (cmd, mut args) = command(USAGE);
     let result = match cmd.as_str() {
         "gen" => cmd_gen(&mut args),
         "run" => cmd_run(&mut args),
         other => usage_error(format_args!("unknown command `{other}`\n{USAGE}")),
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("ooc-bench {cmd}: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+    exit_status("ooc-bench", &cmd, result)
 }
 
 const USAGE: &str = "usage: ooc-bench <gen|run> [options]
   gen --out g.bin [--kind rmat|er] [--scale 16] [--ef 16] [--seed 1] [--chunk-edges N]
-  run --graph g.bin [--shard-mb MB | --shard-edges N] [--threads T] [--read-ahead K]
-      [--no-certify] [--report out.json] [--max-rss-frac 0.5] [--rss-baseline-mb 0]
+  run --graph g.bin [--shard-edges N] [--threads T] [--report out.json]
+      [--max-rss-frac 0.5] [--rss-baseline-mb 0]
       [--checkpoint ck.llp] [--stop-after-shards N]   (exit 3 = interrupted, resumable)";
-
-/// Removes `--name value` from `args`, if present.
-fn take_opt(args: &mut Vec<String>, name: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == name)?;
-    if i + 1 >= args.len() {
-        usage_error(format_args!("{name} needs a value"));
-    }
-    let v = args.remove(i + 1);
-    args.remove(i);
-    Some(v)
-}
-
-/// Removes the bare flag `--name` from `args`; true if it was present.
-fn take_flag(args: &mut Vec<String>, name: &str) -> bool {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return false;
-    };
-    args.remove(i);
-    true
-}
-
-/// Removes the required `--name value` from `args`.
-fn take_required(args: &mut Vec<String>, name: &str) -> String {
-    take_opt(args, name).unwrap_or_else(|| usage_error(format_args!("{name} is required")))
-}
-
-/// Parses `--name value`, or returns `default` when the flag is absent.
-fn take_parsed<T: std::str::FromStr>(args: &mut Vec<String>, name: &str, default: T) -> T {
-    take_opt(args, name).map_or(default, |v| parse_flag(name, &v))
-}
-
-/// [`take_parsed`] for a count that must be at least 1.
-fn take_count(args: &mut Vec<String>, name: &str, default: usize) -> usize {
-    take_opt(args, name).map_or(default, |v| parse_count(name, &v))
-}
-
-/// Rejects leftover (unrecognized) arguments.
-fn no_leftovers(args: &[String]) {
-    if !args.is_empty() {
-        usage_error(format_args!("unrecognized arguments: {}", args.join(" ")));
-    }
-}
 
 fn cmd_gen(args: &mut Vec<String>) -> Result<(), String> {
     let out = take_required(args, "--out");
-    let kind_s = take_opt(args, "--kind").unwrap_or_else(|| "rmat".into());
-    let kind = StreamKind::parse(&kind_s)
-        .unwrap_or_else(|| usage_error(format_args!("bad --kind {kind_s} (rmat|er)")));
+    let kind: StreamKind = take_parsed(args, "--kind", StreamKind::Rmat);
     let scale: u32 = take_parsed(args, "--scale", 16);
     let ef: usize = take_parsed(args, "--ef", 16);
     let seed: u64 = take_parsed(args, "--seed", 1);
@@ -166,7 +118,6 @@ struct RunReport {
     shard_edges: usize,
     shards: usize,
     threads: usize,
-    read_ahead: usize,
     certified: bool,
     msf_edges: usize,
     total_weight: f64,
@@ -205,7 +156,7 @@ impl RunReport {
         format!(
             "{{\"schema\":\"llp-mst-ooc-report/v1\",\
              \"graph\":{{\"path\":\"{}\",\"n\":{},\"m\":{},\"bytes\":{}}},\
-             \"shard_edges\":{},\"shards\":{},\"threads\":{},\"read_ahead\":{},\
+             \"shard_edges\":{},\"shards\":{},\"threads\":{},\"read_ahead\":1,\
              \"certified\":{},\"msf_edges\":{},\"total_weight\":{:.6},\
              \"candidate_edges\":{},\"filtered_edges\":{},\
              \"wall_ms\":{:.3},\"peak_rss_bytes\":{rss},\"rss_frac\":{frac},\
@@ -218,7 +169,6 @@ impl RunReport {
             self.shard_edges,
             self.shards,
             self.threads,
-            self.read_ahead,
             self.certified,
             self.msf_edges,
             self.total_weight,
@@ -235,26 +185,8 @@ impl RunReport {
 
 fn cmd_run(args: &mut Vec<String>) -> Result<(), String> {
     let graph = take_required(args, "--graph");
-    let shard_edges = match (
-        take_opt(args, "--shard-mb"),
-        take_opt(args, "--shard-edges"),
-    ) {
-        (Some(_), Some(_)) => usage_error("--shard-mb and --shard-edges are mutually exclusive"),
-        // ~64 B/edge peak working set per resident shard during
-        // contraction (see the sharded module docs); budget accordingly.
-        (Some(mb), None) => parse_count("--shard-mb", &mb)
-            .checked_mul((1 << 20) / 64)
-            .unwrap_or_else(|| usage_error("--shard-mb is out of range")),
-        (None, Some(n)) => parse_count("--shard-edges", &n),
-        (None, None) => ShardedConfig::default().shard_edges,
-    };
-    let threads = take_count(
-        args,
-        "--threads",
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-    );
-    let read_ahead = take_count(args, "--read-ahead", 1);
-    let certify = !take_flag(args, "--no-certify");
+    let shard_edges = take_count(args, "--shard-edges", ShardedConfig::default().shard_edges);
+    let threads = take_threads(args);
     let report_path = take_opt(args, "--report");
     let max_rss_frac: f64 = take_parsed(args, "--max-rss-frac", 0.5);
     if !(max_rss_frac.is_finite() && max_rss_frac >= 0.0) {
@@ -277,10 +209,9 @@ fn cmd_run(args: &mut Vec<String>) -> Result<(), String> {
     let pool = ThreadPool::new(threads);
     let cfg = ShardedConfig {
         shard_edges,
-        certify,
-        read_ahead,
         checkpoint,
         stop_after_shards,
+        ..ShardedConfig::default()
     };
 
     let t0 = Instant::now();
@@ -310,7 +241,6 @@ fn cmd_run(args: &mut Vec<String>) -> Result<(), String> {
         shard_edges: cfg.shard_edges,
         shards: run.shards,
         threads,
-        read_ahead,
         certified: run.certified,
         msf_edges: run.result.edges.len(),
         total_weight: run.result.total_weight,
@@ -350,9 +280,6 @@ fn cmd_run(args: &mut Vec<String>) -> Result<(), String> {
         println!("report written to {p}");
     }
 
-    if !report.certified && certify {
-        return Err("certification did not run".into());
-    }
     if !report.gate_pass() {
         return Err(format!(
             "RSS gate failed: peak {} > limit {} bytes",

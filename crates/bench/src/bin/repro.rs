@@ -8,27 +8,28 @@
 //!   --reps N                     timed repetitions per config (default: 3)
 //!   --max-threads N              top of the thread sweep (default: 8)
 //!   --seed N                     generator seed (default: 42)
-//!   --out DIR                    CSV output directory (default: results)
+//!   --out DIR                    report directory (default: results)
 //!   --dimacs FILE.gr             use a real DIMACS road graph for the
 //!                                road workload (e.g. USA-road-d.USA.gr)
 //! ```
 //!
-//! Output: paper-style text tables on stdout plus, per artifact in the
-//! output directory, one CSV of timing/work metrics and one structured
-//! JSON run report (schema `llp-mst-run-report/v1`) carrying per-phase
+//! Output: paper-style text tables on stdout plus, per artifact, one
+//! structured JSON run report `DIR/<artifact>.json` (schema
+//! `llp-mst-run-report/v1`) carrying timings, work counters, per-phase
 //! timings, per-wave histograms and telemetry counters for every
 //! (algorithm, workload, threads) configuration.
+//!
+//! Flags are parsed by [`llp_bench::cli`]: a bad or missing flag exits 2.
+//! `--out` is created before any timing; failing to create it, to read
+//! `--dimacs`, or to write a report exits 1 with the path.
 
-use llp_bench::harness::{
-    format_table, time_algorithm_with_report, write_csv, write_json_report, RunRecord, Sample,
+use llp_bench::cli::{
+    command, exit_status, no_leftovers, take_count, take_opt, take_parsed, usage_error,
 };
-use llp_bench::{parse_count, parse_flag, usage_error, Algorithm, Scale, Workload};
+use llp_bench::harness::{format_table, time_algorithm_with_report, write_json_report, RunRecord};
+use llp_bench::{Algorithm, Scale, Workload};
 use std::path::PathBuf;
-
-/// Peels the timing samples out of telemetry-bearing records for CSV output.
-fn samples_of(records: &[RunRecord]) -> Vec<Sample> {
-    records.iter().map(|r| r.sample.clone()).collect()
-}
+use std::process::ExitCode;
 
 struct Options {
     scale: Scale,
@@ -40,23 +41,16 @@ struct Options {
 }
 
 impl Options {
-    fn road_workload(&self) -> Workload {
-        if let Some(path) = &self.dimacs {
-            let file = std::fs::File::open(path).unwrap_or_else(|e| {
-                eprintln!("cannot open {}: {e}", path.display());
-                std::process::exit(2);
-            });
-            Workload::from_dimacs(
-                &path.file_stem().unwrap().to_string_lossy(),
-                std::io::BufReader::new(file),
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("cannot parse {}: {e}", path.display());
-                std::process::exit(2);
-            })
-        } else {
-            Workload::road(self.scale, self.seed)
-        }
+    fn road_workload(&self) -> Result<Workload, String> {
+        let Some(path) = &self.dimacs else {
+            return Ok(Workload::road(self.scale, self.seed));
+        };
+        let file = std::fs::File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
+        Workload::from_dimacs(
+            &path.file_stem().unwrap_or_default().to_string_lossy(),
+            std::io::BufReader::new(file),
+        )
+        .map_err(|e| format!("{}: {e}", path.display()))
     }
 
     fn thread_sweep(&self) -> Vec<usize> {
@@ -68,68 +62,51 @@ impl Options {
         }
         sweep
     }
+
+    /// Writes `records` as the JSON report `<out>/<artifact>.json`.
+    fn write_report(&self, artifact: &str, records: &[RunRecord]) -> Result<(), String> {
+        let path = self.out.join(format!("{artifact}.json"));
+        write_json_report(&path, records).map_err(|e| format!("{}: {e}", path.display()))
+    }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
-        usage_error("usage: repro <table1|fig2|fig3|fig4|ablation|sizes|all> [options]");
-    };
+/// Prints one table or figure and writes its report.
+type Artifact = fn(&Options) -> Result<(), String>;
 
-    let mut opts = Options {
-        scale: Scale::Medium,
-        reps: 3,
-        max_threads: 8,
-        seed: 42,
-        out: PathBuf::from("results"),
-        dimacs: None,
-    };
-    let mut it = args[1..].iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .unwrap_or_else(|| usage_error(format_args!("{name} needs a value")))
-        };
-        match flag.as_str() {
-            "--scale" => {
-                let v = value("--scale");
-                opts.scale = Scale::parse(&v)
-                    .unwrap_or_else(|| usage_error(format_args!("unknown scale '{v}'")));
-            }
-            "--reps" => opts.reps = parse_count("--reps", &value("--reps")),
-            "--max-threads" => {
-                opts.max_threads = parse_count("--max-threads", &value("--max-threads"))
-            }
-            "--seed" => opts.seed = parse_flag("--seed", &value("--seed")),
-            "--out" => opts.out = PathBuf::from(value("--out")),
-            "--dimacs" => opts.dimacs = Some(PathBuf::from(value("--dimacs"))),
-            other => usage_error(format_args!("unknown option {other}")),
-        }
-    }
+const USAGE: &str = "usage: repro <table1|fig2|fig3|fig4|ablation|sizes|all>
+  [--scale small|medium|large] [--reps 3] [--max-threads 8] [--seed 42] [--out results]
+  [--dimacs FILE.gr]";
 
-    match command.as_str() {
-        "table1" => table1(&opts),
-        "fig2" => fig2(&opts),
-        "fig3" => fig3(&opts),
-        "fig4" => fig4(&opts),
-        "ablation" => ablation(&opts),
-        "sizes" => sizes(&opts),
-        "all" => {
-            table1(&opts);
-            fig2(&opts);
-            fig3(&opts);
-            fig4(&opts);
-            ablation(&opts);
-            sizes(&opts);
-        }
-        other => usage_error(format_args!("unknown command {other}")),
-    }
+fn main() -> ExitCode {
+    let (cmd, mut args) = command(USAGE);
+    let opts = Options {
+        scale: take_parsed(&mut args, "--scale", Scale::Medium),
+        reps: take_count(&mut args, "--reps", 3),
+        max_threads: take_count(&mut args, "--max-threads", 8),
+        seed: take_parsed(&mut args, "--seed", 42),
+        out: take_opt(&mut args, "--out").map_or_else(|| PathBuf::from("results"), PathBuf::from),
+        dimacs: take_opt(&mut args, "--dimacs").map(PathBuf::from),
+    };
+    no_leftovers(&args);
+    let artifacts: &[Artifact] = match cmd.as_str() {
+        "table1" => &[table1],
+        "fig2" => &[fig2],
+        "fig3" => &[fig3],
+        "fig4" => &[fig4],
+        "ablation" => &[ablation],
+        "sizes" => &[sizes],
+        "all" => &[table1, fig2, fig3, fig4, ablation, sizes],
+        other => usage_error(format_args!("unknown command `{other}`\n{USAGE}")),
+    };
+    let result = std::fs::create_dir_all(&opts.out)
+        .map_err(|e| format!("{}: {e}", opts.out.display()))
+        .and_then(|()| artifacts.iter().try_for_each(|artifact| artifact(&opts)));
+    exit_status("repro", &cmd, result)
 }
 
 /// Table I: dataset summary.
-fn table1(opts: &Options) {
-    let workloads = [opts.road_workload(), Workload::rmat(opts.scale, opts.seed)];
+fn table1(opts: &Options) -> Result<(), String> {
+    let workloads = [opts.road_workload()?, Workload::rmat(opts.scale, opts.seed)];
     let rows: Vec<Vec<String>> = workloads
         .iter()
         .map(|w| {
@@ -152,11 +129,12 @@ fn table1(opts: &Options) {
             &rows,
         )
     );
+    Ok(())
 }
 
 /// Fig. 2: single-threaded Prim vs LLP-Prim (1T) vs Boruvka, road + rmat.
-fn fig2(opts: &Options) {
-    let workloads = [opts.road_workload(), Workload::rmat(opts.scale, opts.seed)];
+fn fig2(opts: &Options) -> Result<(), String> {
+    let workloads = [opts.road_workload()?, Workload::rmat(opts.scale, opts.seed)];
     let algos = [
         Algorithm::Prim,
         Algorithm::LlpPrimSeq,
@@ -188,16 +166,16 @@ fn fig2(opts: &Options) {
             &rows,
         )
     );
-    let _ = write_csv(&opts.out.join("fig2.csv"), &samples_of(&records));
-    let _ = write_json_report(&opts.out.join("fig2.json"), &records);
+    opts.write_report("fig2", &records)?;
     println!(
         "paper shape: LLP-Prim(1T) ≈ 1.21–1.27x faster than Prim; both ≈ 3x faster than Boruvka\n"
     );
+    Ok(())
 }
 
 /// Fig. 3: thread sweep on the road network.
-fn fig3(opts: &Options) {
-    let w = opts.road_workload();
+fn fig3(opts: &Options) -> Result<(), String> {
+    let w = opts.road_workload()?;
     let algos = [Algorithm::LlpPrim, Algorithm::Boruvka, Algorithm::LlpBoruvka];
     let mut records: Vec<RunRecord> = Vec::new();
     let mut rows = Vec::new();
@@ -231,19 +209,19 @@ fn fig3(opts: &Options) {
             &rows,
         )
     );
-    let _ = write_csv(&opts.out.join("fig3.csv"), &samples_of(&records));
-    let _ = write_json_report(&opts.out.join("fig3.json"), &records);
+    opts.write_report("fig3", &records)?;
     println!(
         "paper shape: LLP-Prim fastest at 1–4 threads, plateaus ~8; Boruvka-family scales,\n\
          crosses over ~8 threads; LLP-Boruvka ≤ Boruvka runtime throughout.\n\
-         NOTE: wall-clock scaling requires physical cores; see work metrics in the CSV\n\
-         (atomic_rmw, parallel_regions) for the machine-independent shape.\n"
+         NOTE: wall-clock scaling requires physical cores; see the work metrics in fig3.json\n\
+         (stats.atomic_rmw, stats.parallel_regions) for the machine-independent shape.\n"
     );
+    Ok(())
 }
 
 /// Fig. 4: low vs high core counts across graph types.
-fn fig4(opts: &Options) {
-    let workloads = [opts.road_workload(), Workload::rmat(opts.scale, opts.seed)];
+fn fig4(opts: &Options) -> Result<(), String> {
+    let workloads = [opts.road_workload()?, Workload::rmat(opts.scale, opts.seed)];
     let algos = [Algorithm::LlpPrim, Algorithm::Boruvka, Algorithm::LlpBoruvka];
     let low = 2usize;
     let high = opts.max_threads.max(4);
@@ -272,17 +250,17 @@ fn fig4(opts: &Options) {
             &rows,
         )
     );
-    let _ = write_csv(&opts.out.join("fig4.csv"), &samples_of(&records));
-    let _ = write_json_report(&opts.out.join("fig4.json"), &records);
+    opts.write_report("fig4", &records)?;
     println!(
         "paper shape: LLP-Prim best at low core counts (more so on denser graphs);\n\
          Boruvka-family best at high core counts with LLP-Boruvka modestly ahead.\n"
     );
+    Ok(())
 }
 
 /// Ablation: the §V mechanisms, as machine-independent work metrics.
-fn ablation(opts: &Options) {
-    let workloads = [opts.road_workload(), Workload::rmat(opts.scale, opts.seed)];
+fn ablation(opts: &Options) -> Result<(), String> {
+    let workloads = [opts.road_workload()?, Workload::rmat(opts.scale, opts.seed)];
     let mut rows = Vec::new();
     let mut records: Vec<RunRecord> = Vec::new();
     for w in &workloads {
@@ -346,14 +324,13 @@ fn ablation(opts: &Options) {
             &rows,
         )
     );
-    let _ = write_csv(&opts.out.join("ablation.csv"), &samples_of(&records));
-    let _ = write_json_report(&opts.out.join("ablation.json"), &records);
+    opts.write_report("ablation", &records)
 }
 
 /// §VII.C closing remark ("graphs of different sizes and the same
 /// morphology ... results were analogous"): a size sweep over the road
 /// morphology checking that the Fig. 2 ordering is size-stable.
-fn sizes(opts: &Options) {
+fn sizes(opts: &Options) -> Result<(), String> {
     let mut rows = Vec::new();
     let mut records: Vec<RunRecord> = Vec::new();
     for scale in [Scale::Small, Scale::Medium, Scale::Large] {
@@ -390,6 +367,5 @@ fn sizes(opts: &Options) {
             &rows,
         )
     );
-    let _ = write_csv(&opts.out.join("sizes.csv"), &samples_of(&records));
-    let _ = write_json_report(&opts.out.join("sizes.json"), &records);
+    opts.write_report("sizes", &records)
 }

@@ -1,4 +1,4 @@
-//! Timing, aggregation and table/CSV/JSON output.
+//! Timing, aggregation and table/JSON output.
 
 use crate::algorithms::{run_algorithm_with_mwe, Algorithm};
 use crate::workloads::Workload;
@@ -26,9 +26,6 @@ pub struct Sample {
     /// Total weight (sanity echo; all algorithms must agree).
     pub total_weight: f64,
 }
-
-/// Convenience alias used by the repro binary.
-pub type Measurement = Sample;
 
 /// Times `algo` on a workload with a dedicated pool of `threads`,
 /// returning the median of `reps` runs (first run warms caches and is
@@ -162,43 +159,6 @@ pub fn format_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> Stri
         out.push('\n');
     }
     out
-}
-
-/// Writes samples as CSV to `path` (creating parent directories).
-pub fn write_csv(path: &std::path::Path, samples: &[Sample]) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    writeln!(
-        f,
-        "algorithm,workload,threads,median_ms,min_ms,total_weight,heap_pushes,heap_pops,\
-         edges_scanned,early_fixes,heap_fixes,rounds,pointer_jumps,\
-         cas_retries,atomic_rmw,parallel_regions"
-    )?;
-    for s in samples {
-        writeln!(
-            f,
-            "{},{},{},{:.3},{:.3},{},{},{},{},{},{},{},{},{},{},{}",
-            s.algo.label(),
-            s.workload,
-            s.threads,
-            s.median_ms,
-            s.min_ms,
-            s.total_weight,
-            s.stats.heap_pushes,
-            s.stats.heap_pops,
-            s.stats.edges_scanned,
-            s.stats.early_fixes,
-            s.stats.heap_fixes,
-            s.stats.rounds,
-            s.stats.pointer_jumps,
-            s.stats.cas_retries,
-            s.stats.atomic_rmw,
-            s.stats.parallel_regions,
-        )?;
-    }
-    Ok(())
 }
 
 fn stats_json(s: &AlgoStats) -> String {
@@ -366,19 +326,6 @@ mod tests {
         let opens = text.matches(['{', '[']).count();
         let closes = text.matches(['}', ']']).count();
         assert_eq!(opens, closes);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn csv_round_trip_has_header_and_rows() {
-        let w = Workload::road(Scale::Small, 2);
-        let s = time_algorithm(Algorithm::Kruskal, &w, 1, 1);
-        let dir = std::env::temp_dir().join("llp-bench-test");
-        let path = dir.join("out.csv");
-        write_csv(&path, &[s]).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with("algorithm,workload"));
-        assert_eq!(text.lines().count(), 2);
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -16,36 +16,20 @@
 //! *shapes* are reproducible on any core count. End-to-end performance of
 //! the solve, out-of-core, serve and dynamic paths is measured by the
 //! repository's benchmark (`benchmark/`).
+//!
+//! The crate also owns every command-line tool of the workspace, all four
+//! on the one flag parser in [`cli`]: `repro`, `differential` (the
+//! certified chaos sweep and the fault-injection matrix), `ooc-bench`
+//! (streamed graph generation and the out-of-core run) and
+//! `llp-mst-serve` (the query server and its verifying load generator,
+//! over the `llp-serve` library). A usage error exits 2 and a run-time
+//! failure exits 1 in every one of them.
 
 pub mod algorithms;
+pub mod cli;
 pub mod harness;
 pub mod workloads;
 
 pub use algorithms::{run_algorithm, Algorithm};
-pub use harness::{format_table, time_algorithm, Measurement, Sample};
+pub use harness::{format_table, time_algorithm, Sample};
 pub use workloads::{stream_to_binary, Scale, StreamKind, StreamedFile, Workload, WorkloadKind};
-
-/// Prints `msg` and exits with status 2: a bad, missing or unknown flag
-/// is the caller's mistake, not a run failure (status 1) or a panic.
-pub fn usage_error(msg: impl std::fmt::Display) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(2);
-}
-
-/// Parses the value of the command-line flag `flag`, or exits through
-/// [`usage_error`].
-pub fn parse_flag<T: std::str::FromStr>(flag: &str, value: &str) -> T {
-    value
-        .trim()
-        .parse()
-        .unwrap_or_else(|_| usage_error(format_args!("{flag}: '{value}' is not a valid value")))
-}
-
-/// [`parse_flag`] for a count that must be at least 1 (threads,
-/// repetitions); 0 is a usage error with exit status 2.
-pub fn parse_count(flag: &str, value: &str) -> usize {
-    match parse_flag(flag, value) {
-        0 => usage_error(format_args!("{flag} must be at least 1")),
-        n => n,
-    }
-}

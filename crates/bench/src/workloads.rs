@@ -49,14 +49,16 @@ pub enum Scale {
     Large,
 }
 
-impl Scale {
-    /// Parses `small` / `medium` / `large`.
-    pub fn parse(s: &str) -> Option<Scale> {
+/// Parses `small` / `medium` / `large`.
+impl std::str::FromStr for Scale {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Scale, ()> {
         match s {
-            "small" => Some(Scale::Small),
-            "medium" => Some(Scale::Medium),
-            "large" => Some(Scale::Large),
-            _ => None,
+            "small" => Ok(Scale::Small),
+            "medium" => Ok(Scale::Medium),
+            "large" => Ok(Scale::Large),
+            _ => Err(()),
         }
     }
 }
@@ -157,13 +159,15 @@ pub enum StreamKind {
     ErdosRenyi,
 }
 
-impl StreamKind {
-    /// Parses `rmat` / `er`.
-    pub fn parse(s: &str) -> Option<StreamKind> {
+/// Parses `rmat` / `er`.
+impl std::str::FromStr for StreamKind {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<StreamKind, ()> {
         match s {
-            "rmat" => Some(StreamKind::Rmat),
-            "er" => Some(StreamKind::ErdosRenyi),
-            _ => None,
+            "rmat" => Ok(StreamKind::Rmat),
+            "er" => Ok(StreamKind::ErdosRenyi),
+            _ => Err(()),
         }
     }
 }
@@ -265,9 +269,9 @@ mod tests {
 
     #[test]
     fn scale_parses() {
-        assert_eq!(Scale::parse("small"), Some(Scale::Small));
-        assert_eq!(Scale::parse("medium"), Some(Scale::Medium));
-        assert_eq!(Scale::parse("huge"), None);
+        assert_eq!("small".parse(), Ok(Scale::Small));
+        assert_eq!("medium".parse(), Ok(Scale::Medium));
+        assert_eq!("huge".parse::<Scale>(), Err(()));
     }
 
     #[test]
@@ -296,9 +300,9 @@ mod tests {
 
     #[test]
     fn stream_kind_parses() {
-        assert_eq!(StreamKind::parse("rmat"), Some(StreamKind::Rmat));
-        assert_eq!(StreamKind::parse("er"), Some(StreamKind::ErdosRenyi));
-        assert_eq!(StreamKind::parse("road"), None);
+        assert_eq!("rmat".parse(), Ok(StreamKind::Rmat));
+        assert_eq!("er".parse(), Ok(StreamKind::ErdosRenyi));
+        assert_eq!("road".parse::<StreamKind>(), Err(()));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! 1. **Shard.** The edge file is cut into fixed-size record ranges and
 //!    streamed through [`llp_graph::io::read_binary_range`] by a reader
-//!    thread, with at most `read_ahead + 1` shards resident at once.
+//!    thread, with at most two shards resident at once.
 //! 2. **Contract locally.** Each shard's touched vertices are densely
 //!    renumbered in ascending global order (a monotone relabeling keeps
 //!    the local [`llp_graph::EdgeKey`] order isomorphic to the global
@@ -56,15 +56,12 @@ use std::sync::mpsc::{sync_channel, Receiver};
 #[derive(Clone, Debug)]
 pub struct ShardedConfig {
     /// Maximum edge records per shard. The build's transient memory is
-    /// roughly `64 B × shard_edges` (contraction buffers) plus the
-    /// read-ahead shards at 16 B per record.
+    /// roughly `64 B × shard_edges` (contraction buffers) plus the one
+    /// read-ahead shard at 16 B per record.
     pub shard_edges: usize,
     /// Re-stream the file after the build and certify the result
     /// end-to-end against a [`PathMaxIndex`] of the forest.
     pub certify: bool,
-    /// Shards the reader thread may buffer ahead of the consumer; total
-    /// resident shards are bounded by `read_ahead + 1`.
-    pub read_ahead: usize,
     /// Crash-safe checkpointing: after every completed shard the
     /// accumulated forest and stream position are written to this path
     /// (tmp + fsync + atomic rename), and a later run against the same
@@ -84,7 +81,6 @@ impl Default for ShardedConfig {
         ShardedConfig {
             shard_edges: 1 << 24,
             certify: true,
-            read_ahead: 1,
             checkpoint: None,
             stop_after_shards: None,
         }
@@ -167,17 +163,16 @@ impl From<VerifyError> for ShardedError {
 }
 
 /// Spawns a reader thread streaming the file's shards in order through a
-/// bounded channel: at most `read_ahead` shards queue ahead of the one
-/// the consumer holds. The reader owns its own file handle, so disk
+/// bounded channel: at most one shard queues ahead of the one the
+/// consumer holds. The reader owns its own file handle, so disk
 /// latency overlaps shard `s`'s compute with shard `s+1`'s read.
 fn stream_shards(
     path: &Path,
     total_edges: u64,
     shard_edges: usize,
-    read_ahead: usize,
     start_edge: u64,
 ) -> Receiver<Result<Vec<Edge>, IoError>> {
-    let (tx, rx) = sync_channel(read_ahead.max(1));
+    let (tx, rx) = sync_channel(1);
     let path: PathBuf = path.to_path_buf();
     let step = shard_edges.max(1) as u64;
     std::thread::spawn(move || {
@@ -441,13 +436,7 @@ pub fn sharded_msf_file(
 
     {
         let _s = telemetry::span("sharded-build");
-        let rx = stream_shards(
-            path,
-            m,
-            shard_edges,
-            cfg.read_ahead,
-            start_shard as u64 * shard_edges as u64,
-        );
+        let rx = stream_shards(path, m, shard_edges, start_shard as u64 * shard_edges as u64);
         for s in start_shard..shards {
             let mut edges = rx.recv().expect("shard reader hung up")?;
 
@@ -579,7 +568,7 @@ fn certify_streaming(
     let seen: Vec<AtomicU64> = (0..t.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
     let par = ParallelForConfig::with_grain(2048);
 
-    let rx = stream_shards(path, total_edges, cfg.shard_edges.max(1), cfg.read_ahead, 0);
+    let rx = stream_shards(path, total_edges, cfg.shard_edges.max(1), 0);
     let shards = total_edges.div_ceil(cfg.shard_edges.max(1) as u64);
     for _ in 0..shards {
         let edges = rx.recv().expect("shard reader hung up")?;
@@ -679,7 +668,6 @@ mod tests {
         let cfg = ShardedConfig {
             shard_edges: 100,
             certify: true,
-            read_ahead: 2,
             ..ShardedConfig::default()
         };
         let run = sharded_msf_file(&path, &cfg, &pool).unwrap();
@@ -711,7 +699,6 @@ mod tests {
         let cfg = ShardedConfig {
             shard_edges: 64,
             certify: false,
-            read_ahead: 1,
             ..ShardedConfig::default()
         };
         let run = sharded_msf_file(&path, &cfg, &pool).unwrap();
@@ -760,7 +747,6 @@ mod tests {
         let base = ShardedConfig {
             shard_edges: 128,
             certify: true,
-            read_ahead: 1,
             checkpoint: Some(ck.clone()),
             stop_after_shards: None,
         };
@@ -810,7 +796,6 @@ mod tests {
         let base = ShardedConfig {
             shard_edges: 100,
             certify: true,
-            read_ahead: 1,
             checkpoint: Some(ck.clone()),
             stop_after_shards: None,
         };
@@ -863,7 +848,6 @@ mod tests {
         let base = ShardedConfig {
             shard_edges: 100,
             certify: true,
-            read_ahead: 1,
             checkpoint: Some(ck.clone()),
             stop_after_shards: None,
         };

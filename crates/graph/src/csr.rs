@@ -424,7 +424,7 @@ mod tests {
 
     // Adversarial ingestion: ids >= n must fail with a descriptive error
     // in release builds, not an out-of-bounds scatter (companion to the
-    // binary-reader fuzz-ingest matrix, which covers the on-disk path).
+    // `io::binary` reader tests, which cover the on-disk path).
 
     #[test]
     #[should_panic(expected = "out of range")]

@@ -688,6 +688,11 @@ mod tests {
             parse_offset(read_binary_seek(std::io::Cursor::new(&buf)).unwrap_err()),
             20
         );
+        // A header cut inside the version field is reported at that field.
+        buf.truncate(10);
+        let msg = read_binary_slice(&buf).unwrap_err().to_string();
+        assert!(msg.contains("version"), "{msg}");
+        assert_eq!(parse_offset(read_binary_slice(&buf).unwrap_err()), 8);
     }
 
     #[test]
@@ -716,9 +721,11 @@ mod tests {
 
     #[test]
     fn huge_vertex_count_is_rejected() {
-        let buf = file(MAX_VERTICES + 1, 0, &[]);
-        let err = read_binary_slice(&buf).unwrap_err();
-        assert_eq!(parse_offset(err), 12);
+        for n in [MAX_VERTICES + 1, u64::MAX] {
+            let buf = file(n, 0, &[]);
+            let err = read_binary_slice(&buf).unwrap_err();
+            assert_eq!(parse_offset(err), 12, "n = {n}");
+        }
     }
 
     #[test]
@@ -740,6 +747,10 @@ mod tests {
         assert_eq!(parse_offset(err), HEADER_BYTES + EDGE_BYTES);
         let msg = read_binary_slice(&buf).unwrap_err().to_string();
         assert!(msg.contains("edge #1") && msg.contains("(1,7)"), "{msg}");
+        // Ids run 0..n: an endpoint equal to n is already out of range.
+        let buf = file(3, 1, &[(3, 0, 1.0)]);
+        let err = read_binary_slice(&buf).unwrap_err();
+        assert_eq!(parse_offset(err), HEADER_BYTES);
     }
 
     #[test]

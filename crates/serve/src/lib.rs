@@ -19,12 +19,11 @@
 //! - [`loadgen`] — batch-size sweep, latency percentiles and retry
 //!   counts, with every response optionally verified.
 //!
-//! The `llp-mst-serve` binary front-ends all of it: `gen`, `serve`,
-//! `loadgen` (with `--verify`, every response re-checked against a local
-//! certified index), and `fuzz-ingest` (the corrupt-file rejection
-//! matrix, plus a seeded fault-injection sweep when built with the
-//! `faults` feature). The repository's benchmark (`benchmark/`) measures
-//! serving throughput and latency.
+//! This crate is a library. The `llp-mst-serve` binary in `llp-bench`
+//! front-ends it with `serve` and `loadgen` (with `--verify`, every
+//! response re-checked against a local certified index); graph files come
+//! from `ooc-bench gen`. The repository's benchmark (`benchmark/`)
+//! measures serving throughput and latency.
 
 pub mod loadgen;
 pub mod protocol;
