@@ -9,7 +9,7 @@
 //!   --threads N       pool size per run (default: 4)
 //!   --size N          approximate vertex count per graph (default: 4000)
 //!
-//! differential fault-matrix [options]   (requires --features faults)
+//! differential fault-matrix [options]
 //!   --fault-seeds LIST  comma list of LLP_FAULT_SEED values (default: 1..16)
 //!   --threads N         pool size (default: 4)
 //!   --size N            approximate vertex count (default: 4000)
@@ -24,11 +24,6 @@
 //! reports the lexicographically minimal failing `(family, gen-seed,
 //! chaos-seed)` triple — the smallest reproducer — and exits nonzero.
 //!
-//! Chaos perturbation requires the `chaos` cargo feature
-//! (`cargo run --release --features chaos --bin differential`); without it
-//! the sweep still runs and certifies, but the chaos seeds are inert and
-//! the binary says so.
-//!
 //! `fault-matrix` is the robustness counterpart of `sweep`: instead of
 //! perturbing schedules it injects I/O faults (short reads/writes,
 //! `Interrupted`, `WouldBlock`, truncation, corruption, `ENOSPC`) via
@@ -39,8 +34,11 @@
 //! every response verified against the local certified index. Every run
 //! must end in a certified-correct result or a typed, classified error:
 //! a wrong answer anywhere fails the matrix, and a watchdog thread turns
-//! any hang into a hard exit. Without `--features faults` the command
-//! refuses to run rather than green-lighting an inert matrix.
+//! any hang into a hard exit.
+//!
+//! Both commands set their seeds per cell through `chaos::set_seed` /
+//! `faults::set_seed`, overriding `LLP_CHAOS_SEED` / `LLP_FAULT_SEED`, so
+//! a failure is reproduced by rerunning the command with the failing seed.
 //!
 //! Flags are parsed by [`llp_bench::cli`]: the command word is required,
 //! each command accepts only its own flags, and a bad, missing or foreign
@@ -145,7 +143,7 @@ const USAGE: &str = "usage: differential <sweep|fault-matrix> [options]
   sweep        [--families road,rmat,er,ba] [--gen-seeds 1,2] [--chaos-seeds 1,2,3,4]
                [--threads 4] [--size 4000]
   fault-matrix [--fault-seeds 1,2,...,16] [--threads 4] [--size 4000] [--seed 42]
-               [--watchdog-secs 300]   (needs --features faults)";
+               [--watchdog-secs 300]";
 
 /// One failing configuration, ordered for minimal-reproducer reporting.
 struct Failure {
@@ -166,12 +164,6 @@ fn sweep(args: &mut Vec<String>) -> Result<(), String> {
     let size: usize = take_parsed(args, "--size", 4000);
     no_leftovers(args);
 
-    if !chaos::compiled_in() {
-        println!(
-            "note: chaos feature not compiled in — chaos seeds are inert \
-             (rebuild with --features chaos for schedule perturbation)"
-        );
-    }
     let pool = ThreadPool::new(threads);
     let mut failures: Vec<Failure> = Vec::new();
     let mut runs = 0usize;
@@ -256,16 +248,14 @@ fn sweep(args: &mut Vec<String>) -> Result<(), String> {
     failures.sort_by_key(|f| (f.family_rank, f.gen_seed, f.chaos_seed));
     let min = &failures[0];
     println!(
-        "minimal reproducer: --families {} --gen-seeds {} --chaos-seeds {}",
+        "minimal reproducer: differential sweep --families {} --gen-seeds {} \
+         --chaos-seeds {} --threads {threads} --size {size}",
         min.family.label(),
         min.gen_seed,
         min.chaos_seed
     );
     println!("  algorithm: {}", min.algo.label());
     println!("  failure:   {}", min.what);
-    if chaos::compiled_in() {
-        println!("  rerun with LLP_CHAOS_SEED={} --features chaos", min.chaos_seed);
-    }
     Err(format!("{} of {runs} runs failed", failures.len()))
 }
 
@@ -280,13 +270,6 @@ fn fault_matrix(args: &mut Vec<String>) -> Result<(), String> {
     let watchdog_secs: u64 = take_parsed(args, "--watchdog-secs", 300);
     no_leftovers(args);
 
-    if !faults::compiled_in() {
-        return Err(
-            "fault injection is not compiled in; rebuild with --features faults \
-             (an inert matrix would prove nothing)"
-                .into(),
-        );
-    }
     faults::set_seed(None);
 
     // Watchdog: the never-hang guarantee is enforced, not assumed. Any
@@ -504,6 +487,9 @@ fn fault_matrix(args: &mut Vec<String>) -> Result<(), String> {
     for f in &failures {
         println!("  {f}");
     }
-    println!("rerun a cell with LLP_FAULT_SEED=<seed> --features faults");
+    println!(
+        "rerun a cell with: differential fault-matrix --fault-seeds <seed> \
+         --threads {threads} --size {size} --seed {seed}"
+    );
     Err(format!("{} of {runs} fault-matrix runs failed", failures.len()))
 }

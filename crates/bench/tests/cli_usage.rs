@@ -67,6 +67,17 @@ fn differential_rejects_bad_flag_values() {
 }
 
 #[test]
+fn differential_fault_matrix_runs_from_the_default_build() {
+    let differential = env!("CARGO_BIN_EXE_differential");
+    let args = ["fault-matrix", "--fault-seeds", "1", "--size", "50", "--threads", "2"];
+    let out = Command::new(differential).args(args).output().expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stdout}{stderr}");
+    assert!(stdout.contains("0 wrong answers"), "{stdout}");
+}
+
+#[test]
 fn ooc_bench_rejects_bad_flag_values() {
     let ooc = env!("CARGO_BIN_EXE_ooc-bench");
     let g = ["run", "--graph", "/nonexistent/g.bin"];

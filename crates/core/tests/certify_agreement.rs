@@ -282,8 +282,8 @@ fn certifiers_name_the_smallest_key_witness_at_every_thread_count() {
 fn filter_kruskal_par_certifies_and_rejects_mutations_under_chaos_seeds() {
     // The parallel partition/filter paths under every chaos seed the CI
     // matrix runs: genuine outputs are accepted by oracle and certifier,
-    // mutated ones rejected. Without the `chaos` feature the seeds are
-    // inert and this is a plain accept/reject sweep.
+    // mutated ones rejected.
+    let _serial = llp_runtime::test_serial_lock();
     let pool = ThreadPool::new(4);
     for chaos_seed in [1u64, 2, 3, 4] {
         chaos::set_seed(Some(chaos_seed));
@@ -345,7 +345,6 @@ fn filter_kruskal_par_certifies_and_rejects_mutations_under_chaos_seeds() {
                 );
             }
         }
-        chaos::set_seed(None);
     }
 }
 
@@ -358,6 +357,7 @@ fn sharded_ooc_certifies_and_agrees_under_chaos_seeds() {
     // cross-family agreement and in-RAM oracle + certifier acceptance —
     // and that replaying the same graph under the same chaos seed is
     // bit-identical (the forest is a pure function of the edge file).
+    let _serial = llp_runtime::test_serial_lock();
     let pool = ThreadPool::new(4);
     for chaos_seed in [1u64, 2, 3, 4] {
         chaos::set_seed(Some(chaos_seed));
@@ -389,6 +389,5 @@ fn sharded_ooc_certifies_and_agrees_under_chaos_seeds() {
                 }
             }
         }
-        chaos::set_seed(None);
     }
 }

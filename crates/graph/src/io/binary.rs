@@ -96,7 +96,7 @@ pub fn read_binary_seek<R: Read + Seek>(mut r: R) -> Result<CsrGraph, IoError> {
 /// active fault seed this path sees short reads, transient `Interrupted`
 /// errors, sticky truncation and `0xFF` corruption, all of which the
 /// validators above must turn into classified [`IoError`]s — never a wrong
-/// graph. With faults compiled out or seedless it is a plain buffered read.
+/// graph. With no fault seed it is a plain buffered read.
 pub fn read_binary_file(path: &Path) -> Result<CsrGraph, IoError> {
     let f = File::open(path)?;
     read_binary_seek(faulty_reader(f, "graph.file-read"))
@@ -538,7 +538,7 @@ fn read_u64<R: Read>(r: &mut R, offset: u64, what: &str) -> Result<u64, IoError>
     Ok(u64::from_le_bytes(b))
 }
 
-#[cfg(all(test, feature = "faults"))]
+#[cfg(test)]
 mod fault_tests {
     use super::*;
     use crate::generators::erdos_renyi;
@@ -549,7 +549,7 @@ mod fault_tests {
     /// fault-matrix sweep enforces end to end.
     #[test]
     fn faulted_file_read_is_correct_or_classified() {
-        let _g = faults::test_serial_lock();
+        let _g = llp_runtime::test_serial_lock();
         let dir = std::env::temp_dir().join(format!("llp-faultread-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -573,7 +573,6 @@ mod fault_tests {
                 Err(other) => panic!("seed {seed}: unexpected error class {other:?}"),
             }
         }
-        faults::set_seed(None);
         assert!(classified > 0, "32 seeds should fault at least once");
         // Transient-only seeds must still succeed sometimes, proving the
         // retry paths (read_exact over Interrupted/short reads) work.
@@ -585,7 +584,7 @@ mod fault_tests {
     /// nothing at all.
     #[test]
     fn faulted_file_write_installs_complete_file_or_nothing() {
-        let _g = faults::test_serial_lock();
+        let _g = llp_runtime::test_serial_lock();
         let dir = std::env::temp_dir().join(format!("llp-faultwrite-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -956,10 +955,12 @@ mod tests {
     }
 
     // The file writer and reader go through `Faulty`: hold the fault
-    // lock so a seeded test running concurrently cannot inject into them.
+    // lock so a seeded test running concurrently cannot inject into them,
+    // and clear a seed the run was started under (the guard restores it).
     #[test]
     fn file_writer_round_trips_through_rename() {
-        let _g = faults::test_serial_lock();
+        let _g = llp_runtime::test_serial_lock();
+        faults::set_seed(None);
         let dir = temp_dir("atomic");
         let dest = dir.join("g.bin");
         let g = erdos_renyi(40, 100, 13);
@@ -977,7 +978,8 @@ mod tests {
 
     #[test]
     fn file_writer_drop_removes_tmp_and_never_creates_dest() {
-        let _g = faults::test_serial_lock();
+        let _g = llp_runtime::test_serial_lock();
+        faults::set_seed(None);
         let dir = temp_dir("drop");
         let dest = dir.join("g.bin");
         {

@@ -26,10 +26,14 @@
 //!   used by the Kruskal family.
 //! * [`chaos`] — seeded schedule perturbation (randomized yields/delays at
 //!   chunk claims, shuffled broadcast start order, adversarial grains)
-//!   behind the `chaos` cargo feature, for concurrency testing.
+//!   for concurrency testing.
 //! * [`faults`] — seeded I/O fault injection (short reads/writes, transient
-//!   errors, truncation, detectable corruption, ENOSPC) behind the `faults`
-//!   cargo feature, for robustness testing of the I/O and serving stack.
+//!   errors, truncation, detectable corruption, ENOSPC) for robustness
+//!   testing of the I/O and serving stack.
+//!
+//! Both are always compiled in and fire only while a seed is set
+//! (`LLP_CHAOS_SEED` / `LLP_FAULT_SEED`, or their `set_seed`); with no seed
+//! each hook is a relaxed atomic load and a branch.
 
 pub mod atomics;
 pub mod bag;
@@ -42,6 +46,7 @@ pub mod reduce;
 pub mod rng;
 pub mod scan;
 pub mod scratch;
+mod seed_gate;
 pub mod sort;
 pub mod sync;
 pub mod telemetry;
@@ -59,6 +64,40 @@ pub fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+}
+
+/// Serializes tests (across crates) that set the process-global chaos or
+/// fault seed. Dropping the guard puts both seeds back as it found them, so
+/// a test that seeds chaos or faults does not switch off the seed a whole
+/// run was started under (`LLP_CHAOS_SEED=N cargo test`).
+#[doc(hidden)]
+#[must_use]
+pub fn test_serial_lock() -> TestSerial {
+    static GATE: std::sync::OnceLock<std::sync::Mutex<()>> = std::sync::OnceLock::new();
+    let lock = GATE
+        .get_or_init(|| std::sync::Mutex::new(()))
+        .lock()
+        .unwrap_or_else(|e| e.into_inner());
+    TestSerial {
+        chaos: chaos::seed_active(),
+        faults: faults::seed_active(),
+        _lock: lock,
+    }
+}
+
+/// Guard returned by [`test_serial_lock`].
+#[doc(hidden)]
+pub struct TestSerial {
+    chaos: Option<u64>,
+    faults: Option<u64>,
+    _lock: std::sync::MutexGuard<'static, ()>,
+}
+
+impl Drop for TestSerial {
+    fn drop(&mut self) {
+        chaos::set_seed(self.chaos);
+        faults::set_seed(self.faults);
+    }
 }
 
 #[cfg(test)]

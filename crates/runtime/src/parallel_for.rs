@@ -192,6 +192,10 @@ mod tests {
 
     #[test]
     fn ctx_variant_reports_valid_worker_ids() {
+        // A chaos seed may replace the grain: clear one the run was started
+        // under (the guard restores it) so the explicit grain is checked.
+        let _g = crate::test_serial_lock();
+        crate::chaos::set_seed(None);
         let pool = ThreadPool::new(4);
         let seen = crate::sync::Mutex::new(std::collections::HashSet::new());
         parallel_for_chunks_ctx(&pool, 0..10_000, ParallelForConfig::with_grain(64), |ctx, c| {

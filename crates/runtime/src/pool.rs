@@ -365,9 +365,8 @@ mod tests {
         // Regression: a panic on any thread index — including under chaos
         // start-order shuffling and delays — must propagate out of
         // `broadcast` without deadlocking on `remaining`, and the pool must
-        // stay usable. When the `chaos` feature is compiled in, this runs
-        // under an active seed; otherwise chaos calls are no-ops.
-        let _serial = crate::chaos::test_lock();
+        // stay usable. Runs under an active chaos seed.
+        let _serial = crate::test_serial_lock();
         crate::chaos::set_seed(Some(0xDEAD));
         let pool = ThreadPool::new(4);
         for victim in 0..pool.threads() {
@@ -389,7 +388,6 @@ mod tests {
             });
             assert_eq!(n.load(Ordering::Relaxed), pool.threads());
         }
-        crate::chaos::set_seed(None);
     }
 
     #[test]

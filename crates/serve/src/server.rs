@@ -30,7 +30,7 @@
 //!   doubles as the drain bound: an idle keep-alive peer cannot stall
 //!   shutdown longer than `read_timeout`.
 //!
-//! Under an active `LLP_FAULT_SEED` (the `faults` feature), roughly one
+//! Under an active `LLP_FAULT_SEED` (or `faults::set_seed`), roughly one
 //! accepted connection in five has its socket halves wrapped in the
 //! fault-injecting [`Faulty`] adapter, so short reads, `Interrupted`,
 //! `WouldBlock`, and mid-stream truncation exercise these paths in-process.

@@ -7,8 +7,6 @@
 //! Lives in its own integration-test binary (own process): the fault
 //! seed is process-global, and the unfaulted e2e tests must not see it.
 
-#![cfg(feature = "faults")]
-
 use llp_graph::generators::erdos_renyi;
 use llp_runtime::{faults, ThreadPool};
 use llp_serve::loadgen::{run_sweep, LoadgenConfig};
@@ -21,7 +19,7 @@ use std::time::Duration;
 
 #[test]
 fn faulted_connections_cost_retries_never_wrong_answers() {
-    let _guard = faults::test_serial_lock();
+    let _guard = llp_runtime::test_serial_lock();
     let graph = erdos_renyi(300, 520, 17);
     let pool = ThreadPool::new(2);
     let service = Arc::new(MsfService::build(&graph, &pool).unwrap());

@@ -1,11 +1,8 @@
 //! Chaos-seeded smoke run across every algorithm in the suite.
 //!
-//! With the `chaos` feature compiled in (`cargo test --features chaos`)
-//! each seed perturbs `parallel_for` chunk claims, broadcast start order
+//! Each seed perturbs `parallel_for` chunk claims, broadcast start order
 //! and grain choices, so the same assertions explore adversarial
-//! schedules; without the feature the seeds are inert and this remains a
-//! plain cross-algorithm certification smoke test, cheap enough for
-//! tier-1.
+//! schedules; the whole sweep stays cheap enough for tier-1.
 
 use llp_mst_suite::graph::algo::largest_component;
 use llp_mst_suite::graph::generators::{erdos_renyi, road_network, RoadParams};
@@ -14,6 +11,7 @@ use llp_mst_suite::runtime::chaos;
 
 #[test]
 fn all_algorithms_certify_under_chaos_seeds() {
+    let _serial = llp_mst_suite::runtime::test_serial_lock();
     let road = road_network(RoadParams::usa_like(28, 28, 9));
     let er = largest_component(&erdos_renyi(600, 2400, 7));
     let pool = ThreadPool::new(4);
@@ -51,6 +49,5 @@ fn all_algorithms_certify_under_chaos_seeds() {
                     .unwrap_or_else(|e| panic!("{name} on {gname}, seed {seed}: {e}"));
             }
         }
-        chaos::set_seed(None);
     }
 }
