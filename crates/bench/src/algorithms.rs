@@ -43,14 +43,6 @@ impl Algorithm {
         }
     }
 
-    /// True when the algorithm ignores the thread pool.
-    pub fn is_sequential(&self) -> bool {
-        matches!(
-            self,
-            Algorithm::Prim | Algorithm::Kruskal | Algorithm::LlpPrimSeq
-        )
-    }
-
     /// All algorithms.
     pub fn all() -> &'static [Algorithm] {
         &[
@@ -146,16 +138,5 @@ mod tests {
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), Algorithm::all().len());
-    }
-
-    #[test]
-    fn sequential_flag_consistent() {
-        assert!(Algorithm::Prim.is_sequential());
-        assert!(Algorithm::LlpPrimSeq.is_sequential());
-        assert!(Algorithm::Kruskal.is_sequential());
-        assert!(!Algorithm::FilterKruskalPar.is_sequential());
-        assert!(!Algorithm::LlpPrim.is_sequential());
-        assert!(!Algorithm::LlpBoruvka.is_sequential());
-        assert!(!Algorithm::Sharded.is_sequential());
     }
 }

@@ -281,8 +281,7 @@ mod tests {
         let info = stream_to_binary(&path, StreamKind::Rmat, 8, 8, 9, 100).unwrap();
         assert_eq!(info.num_vertices, 1 << 8);
         assert_eq!(info.file_bytes, 28 + 16 * info.num_edges);
-        let f = std::fs::File::open(&path).unwrap();
-        let g = llp_graph::io::read_binary_seek(std::io::BufReader::new(f)).unwrap();
+        let g = llp_graph::io::read_binary_file(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
         assert_eq!(g, llp_graph::generators::rmat(RmatParams::graph500(8, 8, 9)));
     }
@@ -292,8 +291,7 @@ mod tests {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("llp-bench-stream-er-{}.bin", std::process::id()));
         stream_to_binary(&path, StreamKind::ErdosRenyi, 7, 4, 3, 0).unwrap();
-        let f = std::fs::File::open(&path).unwrap();
-        let g = llp_graph::io::read_binary_seek(std::io::BufReader::new(f)).unwrap();
+        let g = llp_graph::io::read_binary_file(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
         assert_eq!(g, llp_graph::generators::erdos_renyi(1 << 7, 4 << 7, 3));
     }

@@ -34,7 +34,7 @@
 //! (skipped when they already arrive key-sorted, as Kruskal-family outputs
 //! do), never the `m` graph edges — and the replay detects cycles for
 //! free, so a successful build proves the input is a forest. Keys live as
-//! order-isomorphic `u128`s ([`key_bits`]), so every range-max comparison
+//! order-isomorphic `u128`s (`key_bits`), so every range-max comparison
 //! is branch-free integer ALU, and the packing is invertible: a query
 //! decodes the winning separator straight back to the bottleneck edge
 //! without storing edge payloads.
@@ -80,7 +80,7 @@ fn key_from_bits(k: u128) -> EdgeKey {
 ///
 /// Construction replays the forest's Kruskal merge order ([module
 /// docs](self)); the result is four `n`-sized arrays plus an
-/// O(n / [`BLOCK`] · log n) sparse table, all cache-resident at road/RMAT
+/// O(n / `BLOCK` · log n) sparse table, all cache-resident at road/RMAT
 /// scale. Building from a non-forest fails with
 /// [`VerifyError::Cycle`] / [`VerifyError::ForeignEdge`], so holding a
 /// `PathMaxIndex` is itself a structural certificate.

@@ -44,7 +44,9 @@ use crate::result::MstResult;
 use crate::stats::AlgoStats;
 use crate::union_find::UnionFind;
 use crate::verify::VerifyError;
-use llp_graph::io::{faulty_reader, read_binary_range, write_binary, IoError};
+use llp_graph::io::{
+    faulty_reader, install_durably, read_binary_range, tmp_path, write_binary, IoError,
+};
 use llp_graph::{CsrGraph, Edge, EdgeKey};
 use llp_runtime::sort::par_sort_by_key;
 use llp_runtime::{telemetry, ParallelForConfig, ScratchArena, ThreadPool};
@@ -233,9 +235,10 @@ fn fnv64(bytes: &[u8]) -> u64 {
 }
 
 /// Serializes and durably installs the checkpoint: body to `<path>.tmp`,
-/// fsync, atomic rename over `path`, parent-directory fsync (best
-/// effort). After this returns, a kill at any instant leaves either the
-/// previous complete manifest or this one — never a torn hybrid.
+/// then [`install_durably`]'s fsync, atomic rename over `path` and
+/// parent-directory fsync (best effort). After this returns, a kill at
+/// any instant leaves either the previous complete manifest or this one
+/// — never a torn hybrid.
 fn write_checkpoint(
     path: &Path,
     file_bytes: u64,
@@ -266,24 +269,10 @@ fn write_checkpoint(
     let sum = fnv64(&buf);
     buf.extend_from_slice(&sum.to_le_bytes());
 
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    let tmp = path.with_file_name(name);
+    let tmp = tmp_path(path);
     let mut f = std::fs::File::create(&tmp)?;
     std::io::Write::write_all(&mut f, &buf)?;
-    f.sync_all()?;
-    drop(f);
-    std::fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent() {
-        let dir = if dir.as_os_str().is_empty() {
-            Path::new(".")
-        } else {
-            dir
-        };
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
+    install_durably(f, &tmp, path)?;
     Ok(())
 }
 

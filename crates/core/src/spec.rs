@@ -144,10 +144,6 @@ impl LlpProblem for LlpPrimSpec<'_> {
         debug_assert_eq!(k, j as VertexId);
         Some(key)
     }
-
-    fn name(&self) -> &str {
-        "llp-prim-spec"
-    }
 }
 
 #[cfg(test)]
@@ -205,6 +201,33 @@ mod tests {
                 kruskal(&g).canonical_keys(),
                 "seed {seed}"
             );
+        }
+    }
+
+    /// Algorithm 1's parallel rounds (every forbidden index advanced
+    /// against a frozen snapshot) reach the same least vector as the
+    /// sequential sweeps on the MST instance, whatever the pool size.
+    #[test]
+    fn parallel_solver_reaches_the_sequential_state() {
+        use llp_core::solve_parallel;
+        use llp_graph::algo::largest_component;
+        use llp_graph::generators::erdos_renyi;
+        use llp_runtime::ThreadPool;
+
+        let mut graphs = vec![fig1()];
+        for seed in 0..6 {
+            let g = largest_component(&erdos_renyi(40, 100, seed));
+            assert!(g.num_vertices() <= 40);
+            graphs.push(g);
+        }
+        for threads in [1, 4] {
+            let pool = ThreadPool::new(threads);
+            for (i, g) in graphs.iter().enumerate() {
+                let spec = LlpPrimSpec::new(g, 0).unwrap();
+                let seq = solve_sequential(&spec).unwrap();
+                let par = solve_parallel(&spec, &pool).unwrap();
+                assert_eq!(par.state, seq.state, "graph {i}, {threads} threads");
+            }
         }
     }
 

@@ -39,27 +39,6 @@ impl AlgoStats {
     pub fn heap_ops(&self) -> u64 {
         self.heap_pushes + self.heap_pops
     }
-
-    /// Coarse synchronization score used by the ablation benches.
-    pub fn sync_score(&self) -> u64 {
-        self.atomic_rmw + self.cas_retries + self.parallel_regions
-    }
-
-    /// Component-wise sum (for aggregating repeated runs).
-    pub fn merge(&self, other: &AlgoStats) -> AlgoStats {
-        AlgoStats {
-            heap_pushes: self.heap_pushes + other.heap_pushes,
-            heap_pops: self.heap_pops + other.heap_pops,
-            edges_scanned: self.edges_scanned + other.edges_scanned,
-            early_fixes: self.early_fixes + other.early_fixes,
-            heap_fixes: self.heap_fixes + other.heap_fixes,
-            rounds: self.rounds + other.rounds,
-            pointer_jumps: self.pointer_jumps + other.pointer_jumps,
-            cas_retries: self.cas_retries + other.cas_retries,
-            atomic_rmw: self.atomic_rmw + other.atomic_rmw,
-            parallel_regions: self.parallel_regions + other.parallel_regions,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -77,26 +56,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_fields() {
-        let a = AlgoStats {
-            rounds: 2,
-            edges_scanned: 10,
-            ..Default::default()
-        };
-        let b = AlgoStats {
-            rounds: 3,
-            pointer_jumps: 7,
-            ..Default::default()
-        };
-        let m = a.merge(&b);
-        assert_eq!(m.rounds, 5);
-        assert_eq!(m.edges_scanned, 10);
-        assert_eq!(m.pointer_jumps, 7);
-    }
-
-    #[test]
     fn default_is_zero() {
         assert_eq!(AlgoStats::default().heap_ops(), 0);
-        assert_eq!(AlgoStats::default().sync_score(), 0);
     }
 }

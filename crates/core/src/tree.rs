@@ -3,7 +3,8 @@
 //! Algorithms return edge sets; consumers usually want the *rooted*
 //! structure the paper describes ("the problem of finding minimum spanning
 //! tree rooted at v0 can be reformulated as finding the parent for every
-//! node"): parent pointers, depths, subtree queries, path weights.
+//! node"): parent pointers, depths, and the naive tree-path maximum that
+//! serves as the cycle-property oracle.
 
 use crate::result::MstResult;
 use llp_graph::{VertexId, NO_VERTEX};
@@ -102,28 +103,6 @@ impl RootedForest {
         self.parent[v as usize] == v
     }
 
-    /// The path from `v` to its root (inclusive).
-    pub fn path_to_root(&self, v: VertexId) -> Vec<VertexId> {
-        let mut path = vec![v];
-        let mut cur = v;
-        while !self.is_root(cur) {
-            cur = self.parent[cur as usize];
-            path.push(cur);
-        }
-        path
-    }
-
-    /// Total edge weight along the path from `v` to its root.
-    pub fn weight_to_root(&self, v: VertexId) -> f64 {
-        let mut acc = 0.0;
-        let mut cur = v;
-        while !self.is_root(cur) {
-            acc += self.parent_weight[cur as usize];
-            cur = self.parent[cur as usize];
-        }
-        acc
-    }
-
     /// The heaviest edge key on the unique tree path between `u` and `v`
     /// (`None` when different trees or `u == v`). This is the query behind
     /// the MST *cycle property*: a non-tree edge is MST-consistent iff it
@@ -160,32 +139,6 @@ impl RootedForest {
         best
     }
 
-    /// Weight of the unique tree path between `u` and `v`, or `None` when
-    /// they live in different trees.
-    pub fn path_weight(&self, u: VertexId, v: VertexId) -> Option<f64> {
-        if self.root[u as usize] != self.root[v as usize] {
-            return None;
-        }
-        // Walk both ends up to the LCA, accumulating weights.
-        let (mut a, mut b) = (u, v);
-        let mut wa = 0.0;
-        let mut wb = 0.0;
-        while self.depth[a as usize] > self.depth[b as usize] {
-            wa += self.parent_weight[a as usize];
-            a = self.parent[a as usize];
-        }
-        while self.depth[b as usize] > self.depth[a as usize] {
-            wb += self.parent_weight[b as usize];
-            b = self.parent[b as usize];
-        }
-        while a != b {
-            wa += self.parent_weight[a as usize];
-            a = self.parent[a as usize];
-            wb += self.parent_weight[b as usize];
-            b = self.parent[b as usize];
-        }
-        Some(wa + wb)
-    }
 }
 
 #[cfg(test)]
@@ -216,17 +169,6 @@ mod tests {
     }
 
     #[test]
-    fn path_and_weight_queries() {
-        let f = fig1_forest();
-        assert_eq!(f.path_to_root(4), vec![4, 3, 1, 2, 0]);
-        assert_eq!(f.weight_to_root(4), 2.0 + 7.0 + 3.0 + 4.0);
-        assert_eq!(f.path_weight(4, 0), Some(16.0));
-        assert_eq!(f.path_weight(4, 3), Some(2.0));
-        assert_eq!(f.path_weight(2, 3), Some(3.0 + 7.0));
-        assert_eq!(f.path_weight(0, 0), Some(0.0));
-    }
-
-    #[test]
     fn path_max_key_finds_heaviest_edge() {
         let f = fig1_forest();
         // Path e..a: edges 2, 7, 3, 4 — the max is 7 = (b,d).
@@ -243,7 +185,7 @@ mod tests {
         let msf = kruskal(&g);
         let f = RootedForest::new(g.num_vertices(), &msf, 0);
         assert_eq!(f.num_trees(), 3);
-        assert!(f.path_weight(0, 3).is_none(), "different trees");
+        assert!(f.path_max_key(0, 3).is_none(), "different trees");
         assert!(f.is_root(5), "isolated vertex is its own root");
     }
 
@@ -256,18 +198,4 @@ mod tests {
         assert_eq!(f.root[3], 4);
     }
 
-    #[test]
-    fn tree_path_weights_match_mst_distance_on_random_graph() {
-        // In a tree, path weight is the sum of unique path edges; verify
-        // symmetric and triangle-degenerate properties.
-        let g = llp_graph::generators::road_network(
-            llp_graph::generators::RoadParams::usa_like(8, 8, 5),
-        );
-        let mst = kruskal(&g);
-        let f = RootedForest::new(g.num_vertices(), &mst, 0);
-        for (u, v) in [(0u32, 10u32), (3, 60), (12, 12)] {
-            assert_eq!(f.path_weight(u, v), f.path_weight(v, u));
-        }
-        assert_eq!(f.path_weight(7, 7), Some(0.0));
-    }
 }

@@ -1,9 +1,7 @@
 //! Basic graph algorithms used by generators, verification and Table I.
 
-pub mod bfs;
 pub mod connectivity;
 pub mod degree;
 
-pub use bfs::bfs_order;
 pub use connectivity::{connected_components, is_connected, largest_component, Components};
 pub use degree::{degree_stats, DegreeStats};

@@ -40,11 +40,6 @@ impl GraphBuilder {
         self.n
     }
 
-    /// Number of raw (unsanitised) edges added so far.
-    pub fn num_raw_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds the undirected edge `{u, v}` with weight `w`.
     ///
     /// # Panics

@@ -92,73 +92,6 @@ impl CsrGraph {
         }
     }
 
-    /// Parallel counterpart of [`CsrGraph::from_edges`]: counts degrees,
-    /// prefix-sums offsets and scatters arcs on the pool. Arc order within
-    /// an adjacency list differs from the sequential builder (scatter order
-    /// is nondeterministic), which no algorithm observes — they all reduce
-    /// over adjacency with order-free operations.
-    pub fn from_edges_parallel(pool: &ThreadPool, n: usize, edges: &[Edge]) -> Self {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        debug_assert!(edges.iter().all(|e| !e.is_self_loop()), "self-loop");
-        let cfg = ParallelForConfig::with_grain(2048);
-
-        // Degree count with atomic increments; endpoints validated here
-        // (release builds included) with a descriptive panic that the
-        // pool propagates to the caller.
-        let degree: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        {
-            let degree = &degree;
-            llp_runtime::parallel_for(pool, 0..edges.len(), cfg, |i| {
-                let e = edges[i];
-                check_endpoints(n, i, &e);
-                degree[e.u as usize].fetch_add(1, Ordering::Relaxed);
-                degree[e.v as usize].fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        let counts: Vec<u64> = degree.iter().map(|d| d.load(Ordering::Relaxed)).collect();
-        let (scanned, total) = llp_runtime::scan::exclusive_scan(pool, &counts);
-        let mut offsets = scanned;
-        offsets.push(total);
-
-        // Scatter with per-vertex atomic cursors.
-        let cursor: Vec<AtomicU64> = offsets[..n]
-            .iter()
-            .map(|&o| AtomicU64::new(o))
-            .collect();
-        let m2 = total as usize;
-        let mut targets = vec![0 as VertexId; m2];
-        let mut weights = vec![0.0 as Weight; m2];
-        {
-            struct Ptrs(*mut VertexId, *mut Weight);
-            // SAFETY: each arc slot is claimed exactly once via fetch_add.
-            unsafe impl Sync for Ptrs {}
-            let ptrs = Ptrs(targets.as_mut_ptr(), weights.as_mut_ptr());
-            let ptrs = &ptrs;
-            let cursor = &cursor;
-            llp_runtime::parallel_for(pool, 0..edges.len(), cfg, |i| {
-                let e = edges[i];
-                for (from, to) in [(e.u, e.v), (e.v, e.u)] {
-                    let slot =
-                        cursor[from as usize].fetch_add(1, Ordering::Relaxed) as usize;
-                    // SAFETY: slots within a vertex's range are unique by
-                    // the fetch_add; ranges of distinct vertices are
-                    // disjoint by the exclusive scan.
-                    unsafe {
-                        *ptrs.0.add(slot) = to;
-                        *ptrs.1.add(slot) = e.w;
-                    }
-                }
-            });
-        }
-
-        CsrGraph {
-            n,
-            offsets,
-            targets,
-            weights,
-        }
-    }
-
     /// An empty graph on `n` isolated vertices.
     pub fn empty(n: usize) -> Self {
         CsrGraph {
@@ -385,37 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_construction_matches_sequential_semantics() {
-        use crate::generators::erdos_renyi;
-        let g = erdos_renyi(300, 1500, 4);
-        let edges: Vec<Edge> = g.edges().collect();
-        for threads in [1, 4] {
-            let pool = ThreadPool::new(threads);
-            let p = CsrGraph::from_edges_parallel(&pool, g.num_vertices(), &edges);
-            p.validate().unwrap();
-            assert_eq!(p.num_edges(), g.num_edges());
-            // Same adjacency as sets (order may differ).
-            for v in 0..g.num_vertices() as VertexId {
-                let mut a: Vec<_> = g.neighbors(v).collect();
-                let mut b: Vec<_> = p.neighbors(v).collect();
-                a.sort_by(|x, y| x.partial_cmp(y).unwrap());
-                b.sort_by(|x, y| x.partial_cmp(y).unwrap());
-                assert_eq!(a, b, "vertex {v}");
-            }
-            // And identical MWE tables (order-free reduction).
-            assert_eq!(p.compute_mwe(&pool), g.compute_mwe(&pool));
-        }
-    }
-
-    #[test]
-    fn parallel_construction_empty() {
-        let pool = ThreadPool::new(2);
-        let p = CsrGraph::from_edges_parallel(&pool, 5, &[]);
-        assert_eq!(p.num_edges(), 0);
-        p.validate().unwrap();
-    }
-
-    #[test]
     fn average_degree() {
         let g = fig1();
         assert!((g.average_degree() - 14.0 / 5.0).abs() < 1e-12);
@@ -442,18 +344,5 @@ mod tests {
         assert!(msg.contains("edge 1"), "missing ordinal: {msg}");
         assert!(msg.contains("2 -- 7"), "missing endpoints: {msg}");
         assert!(msg.contains("3 vertices"), "missing vertex count: {msg}");
-    }
-
-    #[test]
-    fn from_edges_parallel_rejects_out_of_range_endpoint() {
-        let pool = ThreadPool::new(2);
-        let edges = vec![Edge::new(0, 1, 1.0), Edge::new(9, 1, 2.0)];
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            CsrGraph::from_edges_parallel(&pool, 3, &edges)
-        }));
-        assert!(r.is_err(), "parallel builder accepted an out-of-range id");
-        // The pool must survive the propagated panic.
-        let ok = CsrGraph::from_edges_parallel(&pool, 3, &[Edge::new(0, 2, 1.0)]);
-        ok.validate().unwrap();
     }
 }

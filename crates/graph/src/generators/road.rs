@@ -49,12 +49,6 @@ impl RoadParams {
             seed,
         }
     }
-
-    /// Square grid with `n ≈ side²` vertices.
-    pub fn usa_like_n(n: usize, seed: u64) -> Self {
-        let side = (n as f64).sqrt().ceil() as usize;
-        Self::usa_like(side.max(1), side.max(1), seed)
-    }
 }
 
 /// Generates a connected road-style network.
@@ -166,13 +160,6 @@ mod tests {
         let a = road_network(RoadParams::usa_like(10, 10, 3));
         let b = road_network(RoadParams::usa_like(10, 10, 3));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn usa_like_n_hits_target_size() {
-        let g = road_network(RoadParams::usa_like_n(1000, 0));
-        let n = g.num_vertices();
-        assert!((1000..1200).contains(&n), "n = {n}");
     }
 
     #[test]

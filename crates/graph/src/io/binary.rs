@@ -17,7 +17,7 @@
 //! force a multi-gigabyte allocation or a panic. The vertex count is
 //! bounded by the `u32` id space, edge-buffer pre-allocation is capped
 //! until the claimed `m` has been proven against the input's actual length
-//! ([`read_binary_slice`] / [`read_binary_seek`] check `m × 16` bytes
+//! ([`read_binary_slice`] / [`read_binary_file`] check `m × 16` bytes
 //! against the remaining input up front; the plain [`read_binary`]
 //! streaming path grows the buffer only as edges really arrive), and every
 //! violation — truncation, out-of-range endpoints, self-loops, non-finite
@@ -28,7 +28,9 @@
 //! a graph (for out-of-core sharding), and [`BinaryWriter`] streams a file
 //! out in bounded chunks (for generators too big to materialize).
 
-use super::{check_vertex_count, check_weight, IoError, PREALLOC_EDGES};
+use super::{
+    check_vertex_count, check_weight, install_durably, tmp_path, IoError, PREALLOC_EDGES,
+};
 use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
 use crate::edge::Edge;
@@ -64,7 +66,7 @@ pub fn write_binary<W: Write>(graph: &CsrGraph, mut w: W) -> std::io::Result<()>
 /// Streaming: the claimed edge count cannot be checked against an input
 /// length, so pre-allocation is capped and truncation surfaces as a
 /// [`IoError::ParseBytes`] naming the edge where the stream ended. Prefer
-/// [`read_binary_slice`] / [`read_binary_seek`] when the input's length is
+/// [`read_binary_slice`] / [`read_binary_file`] when the input's length is
 /// knowable — they reject a lying header before reading any edge.
 pub fn read_binary<R: Read>(r: R) -> Result<CsrGraph, IoError> {
     read_binary_impl(r, None)
@@ -77,29 +79,21 @@ pub fn read_binary_slice(buf: &[u8]) -> Result<CsrGraph, IoError> {
     read_binary_impl(buf, Some(buf.len() as u64))
 }
 
-/// [`read_binary`] over a seekable reader (e.g. a [`std::fs::File`]): the
-/// header is read and validated at the reader's **current** position
-/// first; only then is the remaining input length measured (one seek to
-/// the end and back) and checked against the claimed `m`, exactly like
-/// [`read_binary_slice`]. Header violations therefore surface at their
-/// own byte offsets even when the reader starts at a nonzero offset or
-/// its end cannot be measured at all.
-pub fn read_binary_seek<R: Read + Seek>(mut r: R) -> Result<CsrGraph, IoError> {
-    let header = read_header(&mut r)?;
-    check_payload(header.m, remaining_len(&mut r)?)?;
-    decode_graph(r, header, true)
-}
-
-/// Opens `path` and reads the whole graph, length-checked like
-/// [`read_binary_seek`]. The stream is routed through the seeded fault
+/// Opens `path` and reads the whole graph as a stream. The header is
+/// read and validated first; only then is the file's length measured (one
+/// seek to the end and back) and checked against the claimed `m`, exactly
+/// like [`read_binary_slice`], so header violations surface at their own
+/// byte offsets. The stream is routed through the seeded fault
 /// injector ([`llp_runtime::faults`], site `graph.file-read`): under an
 /// active fault seed this path sees short reads, transient `Interrupted`
 /// errors, sticky truncation and `0xFF` corruption, all of which the
 /// validators above must turn into classified [`IoError`]s — never a wrong
 /// graph. With no fault seed it is a plain buffered read.
 pub fn read_binary_file(path: &Path) -> Result<CsrGraph, IoError> {
-    let f = File::open(path)?;
-    read_binary_seek(faulty_reader(f, "graph.file-read"))
+    let mut r = faulty_reader(File::open(path)?, "graph.file-read");
+    let header = read_header(&mut r)?;
+    check_payload(header.m, remaining_len(&mut r)?)?;
+    decode_graph(r, header, true)
 }
 
 /// Wraps an open file in the fault injector at the record-aligned layer
@@ -256,7 +250,7 @@ pub struct EdgeRange {
 /// The header is read and validated at the reader's current position
 /// first; then the remaining length is measured and checked against the
 /// claimed `m` (a truncated file is rejected at offset 20 before any
-/// decoding, like [`read_binary_seek`]); then the reader seeks straight
+/// decoding, like [`read_binary_file`]); then the reader seeks straight
 /// to `lo_edge` and decodes the range. Per-edge violations — and a
 /// mid-range truncation behind a reader whose measured length lied — are
 /// reported with the edge's **global** ordinal and **absolute** byte
@@ -478,21 +472,8 @@ impl BinaryFileWriter {
             .into_inner()
             .into_inner()
             .map_err(|e| IoError::Io(e.into_error()))?;
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&self.tmp, &self.dest)?;
+        install_durably(f, &self.tmp, &self.dest)?;
         self.finished = true;
-        if let Some(dir) = self.dest.parent() {
-            // Persist the rename itself; non-fatal on filesystems that
-            // refuse to open or fsync directories.
-            if let Ok(d) = File::open(if dir.as_os_str().is_empty() {
-                Path::new(".")
-            } else {
-                dir
-            }) {
-                let _ = d.sync_all();
-            }
-        }
         Ok(m)
     }
 }
@@ -507,13 +488,6 @@ impl Drop for BinaryFileWriter {
             let _ = std::fs::remove_file(&self.tmp);
         }
     }
-}
-
-/// Sibling temporary path for [`BinaryFileWriter`]: `<dest>.tmp`.
-fn tmp_path(dest: &Path) -> PathBuf {
-    let mut name = dest.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    dest.with_file_name(name)
 }
 
 /// Maps an unexpected end-of-input to a [`IoError::ParseBytes`] naming
@@ -638,6 +612,20 @@ mod tests {
         buf
     }
 
+    /// [`read_binary_file`] over `buf` written to a scratch file, with the
+    /// fault injector held off (the guard restores a seed the run was
+    /// started under).
+    fn read_via_file(tag: &str, buf: &[u8]) -> Result<CsrGraph, IoError> {
+        let _g = llp_runtime::test_serial_lock();
+        faults::set_seed(None);
+        let dir = temp_dir(tag);
+        let path = dir.join("g.bin");
+        std::fs::write(&path, buf).unwrap();
+        let r = read_binary_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
+        r
+    }
+
     fn parse_offset(err: IoError) -> u64 {
         match err {
             IoError::ParseBytes(off, _) => off,
@@ -658,7 +646,7 @@ mod tests {
             assert_eq!(g, g2);
             let g3 = read_binary_slice(&buf).unwrap();
             assert_eq!(g, g3);
-            let g4 = read_binary_seek(std::io::Cursor::new(&buf)).unwrap();
+            let g4 = read_via_file("round-trip", &buf).unwrap();
             assert_eq!(g, g4);
         }
     }
@@ -683,10 +671,7 @@ mod tests {
         assert!(msg.contains(&format!("edge #{}", m - 1)), "{msg}");
         // Length-checked: rejected at the header, before any decoding.
         assert_eq!(parse_offset(read_binary_slice(&buf).unwrap_err()), 20);
-        assert_eq!(
-            parse_offset(read_binary_seek(std::io::Cursor::new(&buf)).unwrap_err()),
-            20
-        );
+        assert_eq!(parse_offset(read_via_file("truncated", &buf).unwrap_err()), 20);
         // A header cut inside the version field is reported at that field.
         buf.truncate(10);
         let msg = read_binary_slice(&buf).unwrap_err().to_string();
@@ -712,10 +697,7 @@ mod tests {
         let err = read_binary(buf.as_slice()).unwrap_err();
         assert_eq!(parse_offset(err), HEADER_BYTES);
         assert_eq!(parse_offset(read_binary_slice(&buf).unwrap_err()), 20);
-        assert_eq!(
-            parse_offset(read_binary_seek(std::io::Cursor::new(&buf)).unwrap_err()),
-            20
-        );
+        assert_eq!(parse_offset(read_via_file("huge-m", &buf).unwrap_err()), 20);
     }
 
     #[test]
@@ -824,7 +806,7 @@ mod tests {
         buf.extend_from_slice(&VERSION.to_le_bytes());
         buf.extend_from_slice(&0u64.to_le_bytes());
         buf.extend_from_slice(&0u64.to_le_bytes());
-        let err = read_binary_seek(SeekEndFails(Cursor::new(buf))).unwrap_err();
+        let err = read_binary_range(SeekEndFails(Cursor::new(buf)), 0, 0).unwrap_err();
         assert_eq!(parse_offset(err), 0);
     }
 
@@ -834,9 +816,6 @@ mod tests {
         let mut buf = vec![0xAB; 13]; // arbitrary preamble before the header
         write_binary(&g, &mut buf).unwrap();
         let mut c = Cursor::new(&buf);
-        c.seek(SeekFrom::Start(13)).unwrap();
-        assert_eq!(read_binary_seek(&mut c).unwrap(), g);
-        // The range reader honours the same convention.
         c.seek(SeekFrom::Start(13)).unwrap();
         let r = read_binary_range(&mut c, 0, g.num_edges() as u64).unwrap();
         assert_eq!(r.edges.len(), g.num_edges());
@@ -939,7 +918,7 @@ mod tests {
         let (cur, m) = w.finish().unwrap();
         assert_eq!(m, edges.len() as u64);
         let buf = cur.into_inner();
-        assert_eq!(read_binary_seek(Cursor::new(&buf)).unwrap(), g);
+        assert_eq!(read_binary_slice(&buf).unwrap(), g);
         let r = read_binary_range(Cursor::new(&buf), 0, m).unwrap();
         assert_eq!(r.edges.len(), edges.len());
     }
@@ -999,6 +978,8 @@ mod tests {
         // m = 0) + some prefix of records + no rename. Readers never look
         // at `*.tmp` paths, and even read directly the torn file must be
         // rejected, not half-parsed.
+        let _g = llp_runtime::test_serial_lock();
+        faults::set_seed(None);
         let dir = temp_dir("kill");
         let dest = dir.join("g.bin");
         let torn = {
@@ -1016,7 +997,7 @@ mod tests {
         assert!(!dest.exists(), "no rename happened, dest must not exist");
         let err = read_binary_slice(&torn).unwrap_err();
         assert_eq!(parse_offset(err), 20, "placeholder header vs payload");
-        let err = read_binary_seek(Cursor::new(&torn)).unwrap_err();
+        let err = read_binary_file(&tmp_path(&dest)).unwrap_err();
         assert_eq!(parse_offset(err), 20);
         let err = read_binary_range(Cursor::new(&torn), 0, 0).unwrap_err();
         assert_eq!(parse_offset(err), 20);
@@ -1038,7 +1019,7 @@ mod tests {
         assert_eq!(r.edges.len(), 2);
         // ...while the whole-graph reader collapses the duplicate to the
         // minimum weight through GraphBuilder.
-        let g = read_binary_seek(Cursor::new(cur.get_ref())).unwrap();
+        let g = read_binary_slice(cur.get_ref()).unwrap();
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.min_edge(0).unwrap().weight(), 1.0);
     }

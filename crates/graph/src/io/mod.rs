@@ -6,6 +6,10 @@
 //! * [`binary`] — a fast little-endian binary format for caching generated
 //!   workloads between benchmark runs.
 //!
+//! [`install_durably`] is the crash-safe install (`<dest>.tmp`, fsync,
+//! atomic rename, directory fsync) shared by [`BinaryFileWriter`] and the
+//! out-of-core solver's checkpoint.
+//!
 //! Both readers treat their input as untrusted and make the same
 //! decisions through the helpers below: a vertex count past the `u32` id
 //! space, a non-finite weight or an unverifiable edge count never reaches
@@ -15,10 +19,45 @@ pub mod binary;
 pub mod dimacs;
 
 pub use binary::{
-    faulty_reader, read_binary, read_binary_file, read_binary_range, read_binary_seek,
-    read_binary_slice, write_binary, BinaryFileWriter, BinaryWriter, EdgeRange,
+    faulty_reader, read_binary, read_binary_file, read_binary_range, read_binary_slice,
+    write_binary, BinaryFileWriter, BinaryWriter, EdgeRange,
 };
 pub use dimacs::{read_dimacs, write_dimacs};
+
+use std::fs::File;
+use std::path::{Path, PathBuf};
+
+/// Sibling temporary path a file is written under before
+/// [`install_durably`] moves it into place: `<dest>.tmp`.
+pub fn tmp_path(dest: &Path) -> PathBuf {
+    let mut name = dest.file_name().unwrap_or_default().to_os_string();
+    name.push(".tmp");
+    dest.with_file_name(name)
+}
+
+/// Durably installs a fully written temporary file: fsyncs `file` (the
+/// open handle of `tmp`), closes it, atomically renames `tmp` onto `dest`
+/// and fsyncs the parent directory (best effort). A crash at any instant
+/// leaves either the previous `dest` or the complete new one; on error
+/// `dest` is untouched and `tmp` is left for the caller to remove.
+pub fn install_durably(file: File, tmp: &Path, dest: &Path) -> std::io::Result<()> {
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(tmp, dest)?;
+    if let Some(dir) = dest.parent() {
+        // Persist the rename itself; non-fatal on filesystems that
+        // refuse to open or fsync directories.
+        let dir = if dir.as_os_str().is_empty() {
+            Path::new(".")
+        } else {
+            dir
+        };
+        if let Ok(d) = File::open(dir) {
+            let _ = d.sync_all();
+        }
+    }
+    Ok(())
+}
 
 /// Errors produced by graph readers.
 #[derive(Debug)]

@@ -4,14 +4,14 @@
 //! plus everything the paper's evaluation needs around them:
 //!
 //! * [`csr::CsrGraph`] — immutable CSR adjacency (structure-of-arrays),
-//!   built sequentially or in parallel from edge lists.
+//!   built from edge lists.
 //! * [`generators`] — synthetic workloads standing in for the paper's
 //!   datasets: RMAT/Kronecker graphs (Graph500's generator family) and grid
 //!   road networks (USA-road morphology), plus Erdős–Rényi, random geometric
 //!   and classic fixed topologies for tests.
 //! * [`io`] — DIMACS `.gr` reader/writer (the format the real USA road
 //!   dataset ships in) and a fast binary format.
-//! * [`algo`] — BFS, connected components and degree statistics (Table I).
+//! * [`algo`] — connected components and degree statistics (Table I).
 //!
 //! ## Unique-weight semantics
 //!

@@ -99,21 +99,6 @@ fn csr_edges_round_trip() {
 }
 
 #[test]
-fn parallel_csr_equals_sequential() {
-    for seed in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let (n, raw) = raw_edges(&mut rng, 40, 300);
-        let threads = rng.gen_range(1usize..5);
-        let g = build(n, &raw);
-        let edges: Vec<Edge> = g.edges().collect();
-        let pool = ThreadPool::new(threads);
-        let p = CsrGraph::from_edges_parallel(&pool, n as usize, &edges);
-        assert!(p.validate().is_ok(), "seed {seed}");
-        assert_eq!(p.compute_mwe(&pool), g.compute_mwe(&pool), "seed {seed}");
-    }
-}
-
-#[test]
 fn binary_io_round_trips_any_graph() {
     for seed in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(seed);

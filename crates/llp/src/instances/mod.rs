@@ -1,14 +1,11 @@
-//! Classic LLP problem instances.
+//! LLP problem instances.
 //!
-//! These are the instantiations the LLP literature (cited in the paper's
-//! §III) uses to demonstrate the framework; here they double as framework
-//! validation: each instance's solver output is checked against an
-//! independent classical algorithm in its tests.
+//! The MST-side instance of the generic solver: pointer jumping, the inner
+//! LLP instance of the paper's LLP-Boruvka. Its solver output is checked
+//! against a sequential pointer walk in its tests. (The other MST instance,
+//! Algorithm 4's LLP-Prim, needs a graph and lives in `llp-mst`'s `spec`
+//! module.)
 
 pub mod pointer_jump;
-pub mod shortest_paths;
-pub mod stable_marriage;
 
 pub use pointer_jump::PointerJump;
-pub use shortest_paths::ShortestPaths;
-pub use stable_marriage::StableMarriage;

@@ -79,10 +79,6 @@ impl LlpProblem for PointerJump {
     fn advance(&self, g: &[usize], j: usize) -> Option<usize> {
         Some(g[g[j]])
     }
-
-    fn name(&self) -> &str {
-        "llp-pointer-jump"
-    }
 }
 
 #[cfg(test)]

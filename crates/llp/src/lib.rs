@@ -10,22 +10,18 @@
 //! what [`solve_sequential`] and [`solve_parallel`] implement.
 //!
 //! [`problem::LlpProblem`] captures a problem instance as the triple
-//! `(bottom, forbidden, advance)`. Three classic instances from the LLP
-//! literature ship in [`instances`]:
+//! `(bottom, forbidden, advance)`. The paper's two MST instances of it
+//! are:
 //!
-//! * [`instances::shortest_paths`] — Bellman-Ford-style single-source
-//!   shortest paths (cited in §III as prior LLP work),
-//! * [`instances::stable_marriage`] — Gale–Shapley as predicate detection,
 //! * [`instances::pointer_jump`] — rooted-tree → rooted-star conversion,
-//!   the inner LLP instance of the paper's LLP-Boruvka (Lemma 3/4).
-//!
-//! The MST algorithms themselves live in the `llp-mst` crate; `llp-mst`'s
-//! `spec` module runs the paper's Algorithm 4 (LLP-Prim) literally through
-//! this solver as an executable specification.
+//!   the inner LLP instance of the paper's LLP-Boruvka (Lemma 3/4);
+//! * Algorithm 4's LLP-Prim — `llp-mst`'s `spec::LlpPrimSpec`, run
+//!   literally through this solver as an executable specification. It
+//!   needs a graph, so it lives beside the MST algorithms in `llp-mst`.
 
 pub mod instances;
 pub mod problem;
 pub mod solver;
 
 pub use problem::LlpProblem;
-pub use solver::{solve_chaotic, solve_parallel, solve_sequential, LlpError, LlpSolution, LlpStats};
+pub use solver::{solve_parallel, solve_sequential, LlpError, LlpSolution, LlpStats};

@@ -57,20 +57,4 @@ pub trait LlpProblem: Sync {
     ///
     /// Only called when `forbidden(g, j)` holds.
     fn advance(&self, g: &[Self::State], j: usize) -> Option<Self::State>;
-
-    /// Optional human-readable name used in diagnostics.
-    fn name(&self) -> &str {
-        "llp-problem"
-    }
-
-    /// Indices whose `forbidden` status may change when index `j` advances
-    /// (the *dependents* of `j`), or `None` when the problem cannot bound
-    /// them — the worklist solver then falls back to re-checking everything.
-    ///
-    /// Providing dependents turns [`crate::solver::solve_chaotic`] from
-    /// repeated global sweeps into a Bellman-Ford-style worklist algorithm:
-    /// only indices that could have become forbidden are re-examined.
-    fn dependents(&self, _j: usize) -> Option<Vec<usize>> {
-        None
-    }
 }

@@ -142,67 +142,6 @@ pub fn solve_parallel<P: LlpProblem>(
     }
 }
 
-/// Finds the least feasible vector with an asynchronous worklist
-/// ("chaotic relaxation").
-///
-/// Indices are re-examined only when enqueued: initially all of them, then
-/// — after `j` advances — `j` itself and its
-/// [`dependents`](LlpProblem::dependents). Lattice-linearity guarantees the
-/// same least fixpoint as the sweep solvers for *any* execution order; this
-/// order does asymptotically less work when dependency lists are sparse
-/// (e.g. shortest paths re-checks only out-neighbours, as Bellman-Ford's
-/// queue variant does).
-///
-/// Problems whose `dependents` returns `None` fall back to re-enqueueing
-/// every index after an advance, degrading gracefully to sweep behaviour.
-pub fn solve_chaotic<P: LlpProblem>(problem: &P) -> Result<LlpSolution<P::State>, LlpError> {
-    let n = problem.num_indices();
-    let mut state: Vec<P::State> = (0..n).map(|j| problem.bottom(j)).collect();
-    let mut stats = LlpStats::default();
-
-    let mut queue: std::collections::VecDeque<usize> = (0..n).collect();
-    let mut queued = vec![true; n];
-
-    while let Some(j) = queue.pop_front() {
-        queued[j] = false;
-        stats.forbidden_checks += 1;
-        if !problem.forbidden(&state, j) {
-            continue;
-        }
-        let next = problem
-            .advance(&state, j)
-            .ok_or(LlpError::Infeasible { index: j })?;
-        debug_assert!(next != state[j], "advance must strictly increase");
-        state[j] = next;
-        stats.advances += 1;
-
-        // j may still be forbidden at its new value; dependents may have
-        // become forbidden because of j's move.
-        let mut enqueue = |k: usize, queue: &mut std::collections::VecDeque<usize>| {
-            if !queued[k] {
-                queued[k] = true;
-                queue.push_back(k);
-            }
-        };
-        enqueue(j, &mut queue);
-        match problem.dependents(j) {
-            Some(deps) => {
-                for k in deps {
-                    enqueue(k, &mut queue);
-                }
-            }
-            None => {
-                for k in 0..n {
-                    enqueue(k, &mut queue);
-                }
-            }
-        }
-    }
-    // The worklist counts no rounds; report one logical round.
-    stats.rounds = 1;
-    Ok(LlpSolution { state, stats })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,80 +249,6 @@ mod tests {
         // propagates in one Gauss–Seidel sweep plus a verification sweep.
         assert!(seq.stats.rounds <= 3);
         assert!(par.stats.rounds >= 50);
-    }
-
-    #[test]
-    fn chaotic_matches_sequential_without_dependents() {
-        let p = AtLeast {
-            target: (0..60).map(|i| (i * 11) % 9).collect(),
-            top: 20,
-        };
-        let seq = solve_sequential(&p).unwrap();
-        let cha = solve_chaotic(&p).unwrap();
-        assert_eq!(seq.state, cha.state);
-    }
-
-    /// Reversed chain: `G[j]` must reach `G[j+1]` and the last index must
-    /// reach `k`, so information flows *against* the FIFO scan order —
-    /// pessimal for sweeps, ideal for a dependent-directed worklist
-    /// (advancing j only affects j-1).
-    struct ReversedChain {
-        n: usize,
-        k: u32,
-        deps: bool,
-    }
-
-    impl LlpProblem for ReversedChain {
-        type State = u32;
-        fn num_indices(&self) -> usize {
-            self.n
-        }
-        fn bottom(&self, _j: usize) -> u32 {
-            0
-        }
-        fn forbidden(&self, g: &[u32], j: usize) -> bool {
-            if j == self.n - 1 {
-                g[j] < self.k
-            } else {
-                g[j] < g[j + 1]
-            }
-        }
-        fn advance(&self, g: &[u32], j: usize) -> Option<u32> {
-            Some(if j == self.n - 1 { self.k } else { g[j + 1] })
-        }
-        fn dependents(&self, j: usize) -> Option<Vec<usize>> {
-            if !self.deps {
-                return None;
-            }
-            Some(if j > 0 { vec![j - 1] } else { vec![] })
-        }
-    }
-
-    #[test]
-    fn chaotic_with_dependents_does_less_work() {
-        let n = 200;
-        let with_deps = solve_chaotic(&ReversedChain { n, k: 5, deps: true }).unwrap();
-        let without = solve_chaotic(&ReversedChain { n, k: 5, deps: false }).unwrap();
-        assert_eq!(with_deps.state, without.state);
-        assert!(with_deps.state.iter().all(|&x| x == 5));
-        assert!(
-            with_deps.stats.forbidden_checks * 10 < without.stats.forbidden_checks,
-            "dependents should prune re-checks: {} vs {}",
-            with_deps.stats.forbidden_checks,
-            without.stats.forbidden_checks
-        );
-    }
-
-    #[test]
-    fn chaotic_detects_infeasibility() {
-        let p = AtLeast {
-            target: vec![9],
-            top: 3,
-        };
-        assert!(matches!(
-            solve_chaotic(&p),
-            Err(LlpError::Infeasible { index: 0 })
-        ));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! SPMD runtime can survive a test suite that only ever sees the "friendly"
 //! schedules an idle machine produces. This module makes the runtime an
 //! adversary: when active, it injects randomized yields and bounded spin
-//! delays at every chunk-claim point of [`crate::parallel_for`], staggers
+//! delays at every chunk-claim point of [`crate::parallel_for()`], staggers
 //! worker start order inside [`crate::ThreadPool::broadcast`] regions, and
 //! sweeps adversarial grain sizes, so the same tests explore radically
 //! different interleavings.

@@ -7,7 +7,7 @@
 //! counting-distribution machinery backs the sample sort in [`crate::sort`].
 //! The shape mirrors [`crate::scan::exclusive_scan`]: fixed chunks claimed
 //! through an atomic cursor (chaos-instrumented like
-//! [`crate::parallel_for`]), per-chunk class counts, one sequential
+//! [`crate::parallel_for()`]), per-chunk class counts, one sequential
 //! exclusive scan of the small count matrix, then a disjoint scatter
 //! through raw pointers. Elements move bitwise through a `MaybeUninit`
 //! scratch buffer, so no `Clone` bound is needed.

@@ -46,8 +46,6 @@ pub struct ScratchArena {
     footprint: AtomicU64,
     /// Peak of `footprint` over the arena's lifetime.
     high_water: AtomicU64,
-    /// Total leases served.
-    leases: AtomicU64,
     /// Leases served from a shelved buffer (no fresh allocation).
     reuses: AtomicU64,
 }
@@ -65,7 +63,6 @@ impl ScratchArena {
             shelves: Mutex::new(HashMap::new()),
             footprint: AtomicU64::new(0),
             high_water: AtomicU64::new(0),
-            leases: AtomicU64::new(0),
             reuses: AtomicU64::new(0),
         }
     }
@@ -78,7 +75,6 @@ impl ScratchArena {
     /// concurrent lease instead of many undersized ones). Only that growth —
     /// or a completely empty shelf — touches the allocator.
     pub fn lease<T: Send + 'static>(&self, capacity: usize) -> ScratchVec<'_, T> {
-        self.leases.fetch_add(1, Ordering::Relaxed);
         let reused: Option<Box<Vec<T>>> = {
             let mut shelves = self.shelves.lock();
             match shelves.get_mut(&TypeId::of::<Vec<T>>()) {
@@ -182,11 +178,6 @@ impl ScratchArena {
     /// Current resident footprint in bytes.
     pub fn footprint_bytes(&self) -> u64 {
         self.footprint.load(Ordering::Relaxed)
-    }
-
-    /// Total leases served.
-    pub fn lease_count(&self) -> u64 {
-        self.leases.load(Ordering::Relaxed)
     }
 
     /// Leases served by recycling a shelved buffer.

@@ -21,7 +21,7 @@
 //! recording.
 
 use crate::protocol::{Query, Response};
-use llp_graph::io::{read_binary_slice, IoError};
+use llp_graph::io::{read_binary_file, IoError};
 use llp_graph::{CsrGraph, Edge};
 use llp_mst::certify::certify_against;
 use llp_mst::dynamic::{DynamicError, DynamicMsf};
@@ -214,21 +214,10 @@ impl MsfService {
         self.shared.current.lock().epoch
     }
 
-    /// Whether this service accepts `insert`/`delete` queries.
-    pub fn is_dynamic(&self) -> bool {
-        self.dynamic
-    }
-
     /// The most recent update-batch failure, if any. A failed batch never
     /// unpublishes the previous certified epoch.
     pub fn last_update_error(&self) -> Option<String> {
         self.shared.update.lock().last_error.clone()
-    }
-
-    /// Updates queued and not yet applied (static services: always 0).
-    pub fn pending_updates(&self) -> usize {
-        let s = self.shared.update.lock();
-        s.inserts.len() + s.deletes.len()
     }
 
     /// Answers one query against the latest snapshot. Out-of-range vertex
@@ -362,11 +351,11 @@ fn updater_loop(mut dynamic: DynamicMsf, shared: Arc<Shared>, threads: usize) {
 }
 
 /// Loads and validates a binary graph file with the hardened,
-/// length-checked reader (`serve-load` span).
+/// length-checked file reader, which streams it through the fault
+/// injector's `graph.file-read` site (`serve-load` span).
 pub fn load_graph(path: &std::path::Path) -> Result<CsrGraph, IoError> {
     let _s = telemetry::span("serve-load");
-    let bytes = std::fs::read(path)?;
-    read_binary_slice(&bytes)
+    read_binary_file(path)
 }
 
 #[cfg(test)]
@@ -425,7 +414,6 @@ mod tests {
     #[test]
     fn static_service_rejects_updates_but_answers_epoch() {
         let svc = service();
-        assert!(!svc.is_dynamic());
         assert_eq!(svc.answer(&Query::Insert(0, 1, 1.0)), Response::Invalid);
         assert_eq!(svc.answer(&Query::Delete(0, 1)), Response::Invalid);
         assert_eq!(
@@ -462,7 +450,6 @@ mod tests {
         let g = llp_graph::generators::erdos_renyi(100, 160, 9);
         let pool = ThreadPool::new(2);
         let svc = MsfService::build_dynamic(&g, &pool, 2).unwrap();
-        assert!(svc.is_dynamic());
         assert_eq!(svc.epoch(), 0);
 
         // Self-loops and out-of-range updates are rejected up front.

@@ -1,12 +1,10 @@
-//! The generic LLP framework beyond MST.
+//! The generic LLP framework on the paper's two MST instances.
 //!
 //! The paper's §II framework (Algorithm 1) solves any problem expressed as
-//! (bottom, forbidden, advance). This example instantiates it four ways:
+//! (bottom, forbidden, advance). This example runs it on:
 //!
-//! 1. single-source shortest paths (Bellman-Ford style),
-//! 2. stable marriage (Gale–Shapley style),
-//! 3. pointer jumping (the inner instance of LLP-Boruvka),
-//! 4. the literal LLP-Prim of the paper's Algorithm 4, as an executable
+//! 1. pointer jumping (the inner instance of LLP-Boruvka),
+//! 2. the literal LLP-Prim of the paper's Algorithm 4, as an executable
 //!    specification cross-checked against the optimised implementation.
 //!
 //! ```text
@@ -14,62 +12,25 @@
 //! ```
 
 use llp_mst_suite::graph::samples::fig1;
-use llp_mst_suite::llp::instances::{PointerJump, ShortestPaths, StableMarriage};
-use llp_mst_suite::llp::{solve_chaotic, solve_parallel, solve_sequential};
+use llp_mst_suite::llp::instances::PointerJump;
+use llp_mst_suite::llp::solve_parallel;
 use llp_mst_suite::mst::spec::LlpPrimSpec;
 use llp_mst_suite::prelude::*;
 
 fn main() {
     let pool = ThreadPool::with_available_threads();
 
-    // 1. Shortest paths: the lattice of distance vectors; a vertex is
-    // forbidden while its distance is below its cheapest justification.
-    let edges = [
-        (0usize, 1usize, 4.0),
-        (0, 2, 1.0),
-        (2, 1, 2.0),
-        (1, 3, 1.0),
-        (2, 3, 5.0),
-    ];
-    let sp = ShortestPaths::new(4, &edges, 0);
-    let sol = solve_parallel(&sp, &pool).unwrap();
-    println!("shortest paths from 0: {:?}", sol.state);
-    println!(
-        "  ({} rounds, {} advances)",
-        sol.stats.rounds, sol.stats.advances
-    );
-    assert_eq!(sol.state, vec![0.0, 3.0, 1.0, 4.0]);
-
-    // The same instance through the asynchronous worklist solver: the
-    // `dependents` hint (out-neighbours) turns global sweeps into a
-    // Bellman-Ford-style queue — same least fixpoint, less work.
-    let cha = solve_chaotic(&sp).unwrap();
-    assert_eq!(cha.state, sol.state);
-    println!(
-        "  worklist solver: same answer with {} forbidden-checks",
-        cha.stats.forbidden_checks
-    );
-
-    // 2. Stable marriage: proposers advance down their preference lists
-    // while a rival their candidate prefers points at the same candidate.
-    let sm = StableMarriage::new(
-        vec![vec![0, 1, 2], vec![1, 0, 2], vec![0, 1, 2]],
-        vec![vec![1, 0, 2], vec![0, 1, 2], vec![0, 1, 2]],
-    );
-    let sol = solve_sequential(&sm).unwrap();
-    println!("\nstable matching (proposer -> candidate): {:?}", sm.matching(&sol.state));
-
-    // 3. Pointer jumping: forbidden(j) ≡ G[j] != G[G[j]] — Lemma 3/4 of
+    // 1. Pointer jumping: forbidden(j) ≡ G[j] != G[G[j]] — Lemma 3/4 of
     // the paper, the synchronization-free core of LLP-Boruvka.
     let chain = PointerJump::new(vec![0, 0, 1, 2, 3, 4, 5, 6]);
     let sol = solve_parallel(&chain, &pool).unwrap();
     println!(
-        "\npointer jumping flattened an 8-chain to a star in {} rounds: {:?}",
+        "pointer jumping flattened an 8-chain to a star in {} rounds: {:?}",
         sol.stats.rounds, sol.state
     );
     assert!(sol.state.iter().all(|&p| p == 0));
 
-    // 4. Algorithm 4 verbatim: LLP-Prim as predicate detection, solved by
+    // 2. Algorithm 4 verbatim: LLP-Prim as predicate detection, solved by
     // the generic engine and compared with the optimised implementation.
     let graph = fig1();
     let spec_mst = LlpPrimSpec::new(&graph, 0).unwrap().solve().unwrap();
