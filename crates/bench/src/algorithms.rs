@@ -23,8 +23,9 @@ pub enum Algorithm {
     LlpPrim,
     /// LLP-Boruvka, Algorithm 6.
     LlpBoruvka,
-    /// Out-of-core sharded Borůvka-filter (edge file sharded to disk,
-    /// per-shard contraction + cross-shard filter, certified streaming).
+    /// Out-of-core sharded Borůvka (edge file sharded to disk, per-shard
+    /// contraction, each shard's forest merged into the accumulated one by
+    /// a Kruskal scan, certified streaming).
     Sharded,
 }
 

@@ -6,6 +6,21 @@
 //! edge list, [`crate::sharded`] runs it per shard of an out-of-core file,
 //! and [`crate::dynamic`] rebuilds dirty components through it.
 //!
+//! ## Round 1 straight off the CSR
+//!
+//! Over a graph, [`Contraction::from_csr`] runs round 1 the way the paper's
+//! step (a) states it, vertex-centric: every vertex picks its MWE arc from
+//! its own adjacency ([`CsrGraph::min_arc`]), with no atomics and no edge
+//! list. A choice is mutual when both endpoints chose the same
+//! `(weight, endpoint pair)`, so verbatim-duplicate arcs still commit once.
+//! Hooking, pointer jumping and renumbering are the later rounds' own
+//! steps. One count–scan–scatter pass over the `u < v` arcs then writes
+//! round 2's [`WorkEdge`]s and their original edges, for cross-component
+//! edges only. Identity arrays therefore hold 32 B per edge that survives
+//! round 1 (`orig_edges` 16 B + `work` 16 B), never the whole input.
+//! [`Contraction::from_edge_list`] is the entry for callers that hold an
+//! edge list; all its rounds run on the edge-centric engine below.
+//!
 //! ## Flat-memory round engine
 //!
 //! Round state lives in plain `u64`/`u32` buffers leased from a
@@ -14,11 +29,9 @@
 //!
 //! * the per-vertex MWE cell is a single packed [`AtomicU64`] word —
 //!   weight discriminant high, edge index low (see
-//!   [`llp_runtime::atomics::mwe_propose`]) — replacing the old two-word
-//!   `AtomicIndexMin` protocol whose key function chased `work -> keys`
-//!   through two extra cache lines per propose; discriminant ties fall
-//!   back to the total key `(EdgeKey, orig)` (see `tie_key`), so both
-//!   endpoint cells of an edge always pick the same winner, even among
+//!   [`llp_runtime::atomics::mwe_propose`]); discriminant ties fall back
+//!   to the total key `(EdgeKey, orig)` (see `tie_key`), so both endpoint
+//!   cells of an edge always pick the same winner, even among
 //!   verbatim-duplicate records;
 //! * the survivor filter and endpoint relabel are fused into one
 //!   count–scan–scatter pass into a double-buffered [`WorkEdge`] array
@@ -28,13 +41,14 @@
 //!   leased buffer — no `u32::MAX` prefill pass.
 //!
 //! Because component counts shrink geometrically, every leased buffer fits
-//! inside its round-1 incarnation; from round 2 on the engine performs zero
-//! heap allocations (pinned by `tests/zero_alloc.rs`).
+//! inside its round-1 incarnation. [`Contraction::from_csr`] leaves the
+//! arena and the double buffer warm, so every [`Contraction::round`] after
+//! it performs zero heap allocations (pinned by `tests/zero_alloc.rs`).
 
 use crate::stats::AlgoStats;
 use llp_graph::{CsrGraph, Edge, EdgeKey};
 use llp_runtime::atomics::{as_atomic_u32, as_atomic_u64, mwe_idx, mwe_propose, weight_hi32, MWE_EMPTY};
-use llp_runtime::partition::{compact_map_into, count_scan_chunks};
+use llp_runtime::partition::{compact_map_into, count_buffer_capacity, count_scan_chunks};
 use llp_runtime::telemetry;
 use llp_runtime::{parallel_for, ParallelForConfig, ScratchArena, ScratchVec, SendPtr, ThreadPool};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -129,17 +143,20 @@ pub struct WorkEdge {
 /// copies, the choice would not be mutual, and both copies would enter
 /// the forest. The original index makes the key a total order over edge
 /// records, so every cell's winner is independent of proposal order.
-fn tie_key(keys: &[EdgeKey], work: &[WorkEdge], wi: u32) -> (EdgeKey, u32) {
+/// The key is computed from `orig_edges`: only discriminant ties get here.
+fn tie_key(orig_edges: &[Edge], work: &[WorkEdge], wi: u32) -> (EdgeKey, u32) {
     let orig = work[wi as usize].orig;
-    (keys[orig as usize], orig)
+    (orig_edges[orig as usize].key(), orig)
 }
+
+/// No MWE arc: the vertex has no arc to another vertex.
+const NO_ARC: u64 = u64::MAX;
 
 /// Mutable contraction state threaded through rounds.
 pub struct Contraction {
-    /// Original edges (immutable identities for the final forest).
+    /// Original edges of the live work edges (immutable identities for the
+    /// final forest), indexed by [`WorkEdge::orig`].
     pub orig_edges: Vec<Edge>,
-    /// Canonical keys of the original edges.
-    pub keys: Vec<EdgeKey>,
     /// Live contracted edges.
     pub work: Vec<WorkEdge>,
     /// Scatter target for the fused filter+relabel; swapped with `work`
@@ -147,20 +164,181 @@ pub struct Contraction {
     work_next: Vec<WorkEdge>,
     /// Vertices in the current contracted space.
     pub n_cur: usize,
-    /// Original-edge indices chosen into the forest so far.
-    pub chosen: Vec<u32>,
+    /// Forest edges chosen so far, in commit order.
+    pub chosen: Vec<Edge>,
     /// Pointer-jump assignment counter.
     pub jumps: AtomicU64,
-    /// Atomic RMW counter (MWE priority writes).
-    pub rmw: AtomicU64,
+    /// Atomic RMW count of the MWE priority writes (two per live edge per
+    /// edge-centric round).
+    pub rmw: u64,
     /// Reusable round-state buffers (MWE words, parents, renumber tables).
     pub arena: ScratchArena,
 }
 
 impl Contraction {
-    /// Initial state over a graph.
-    pub fn new(graph: &CsrGraph) -> Self {
-        Self::from_edge_list(graph.num_vertices(), graph.edges().collect())
+    /// Initial state over a graph, with round 1 already run straight off
+    /// the CSR (see the module docs): vertex-centric MWE with no atomics,
+    /// the usual hook, pointer jump and renumber, then one fused pass that
+    /// emits round 2's cross-component edges. `stats` counts the round as
+    /// [`Contraction::round`] would, minus the priority writes it never
+    /// makes. The arena and the double buffer are left warm for round 2.
+    ///
+    /// The graph must have no self-loops (the [`CsrGraph`] contract);
+    /// self-loop arcs are skipped all the same.
+    pub fn from_csr(
+        graph: &CsrGraph,
+        pool: &ThreadPool,
+        cfg: ParallelForConfig,
+        stats: &mut AlgoStats,
+    ) -> Self {
+        let n = graph.num_vertices();
+        let m = graph.num_edges();
+        let mut c = Contraction {
+            orig_edges: Vec::new(),
+            work: Vec::new(),
+            work_next: Vec::new(),
+            n_cur: n,
+            chosen: Vec::new(),
+            jumps: AtomicU64::new(0),
+            rmw: 0,
+            arena: ScratchArena::new(),
+        };
+        if m == 0 {
+            return c;
+        }
+        stats.rounds += 1;
+        stats.parallel_regions += 4;
+        stats.edges_scanned += m as u64;
+        telemetry::record_value("live-edges", m as u64);
+        telemetry::record_value("live-vertices", n as u64);
+        let arena = &c.arena;
+
+        // Step 1a: every vertex's MWE arc, read from its own adjacency.
+        let mwe_span = telemetry::span("mwe-compute");
+        let best = arena.lease_init_with::<u64, _>(pool, cfg, n, |v| {
+            graph.min_arc(v as u32).map_or(NO_ARC, |a| a as u64)
+        });
+        // Later rounds lease a count–scan buffer beside the MWE array;
+        // shelve one now so round 2 finds it (the passes below may run
+        // serially and lease none).
+        let count_buffer = count_buffer_capacity(pool);
+        if count_buffer > 0 {
+            drop(arena.lease::<u64>(count_buffer));
+        }
+        let best_ro: &[u64] = &best;
+
+        // Step 1b: hook. The choice is mutual when `w` chose the same
+        // `(weight bits, endpoint)` pair back; the smaller endpoint roots.
+        let mut g = arena.lease_init_with::<u32, _>(pool, cfg, n, |v| {
+            let a = best_ro[v];
+            if a == NO_ARC {
+                return v as u32; // isolated
+            }
+            let (w, wt) = graph.arc(a as usize);
+            let b = best_ro[w as usize];
+            let mutual = b != NO_ARC && {
+                let (x, xt) = graph.arc(b as usize);
+                x == v as u32 && xt.to_bits() == wt.to_bits()
+            };
+            if mutual && (v as u32) < w {
+                v as u32
+            } else {
+                w
+            }
+        });
+
+        // Step 1c: every non-root's MWE joins the forest as `{u < v}`, in
+        // vertex order. `chosen` is sized here for the whole run (a forest
+        // has fewer than `n` edges), so later rounds only append.
+        {
+            let g_ro: &[u32] = &g;
+            compact_map_into(pool, arena, n, &mut c.chosen, |v| {
+                (g_ro[v] != v as u32).then(|| {
+                    let (w, wt) = graph.arc(best_ro[v] as usize);
+                    let v = v as u32;
+                    Edge::new(v.min(w), v.max(w), wt)
+                })
+            });
+        }
+        drop(mwe_span);
+
+        // Step 2: pointer jumping, as in every round.
+        let jump_span = telemetry::span("pointer-jump");
+        pointer_jump_to_roots(pool, cfg, &mut g, &c.jumps, stats);
+        drop(jump_span);
+
+        // Step 3: renumber roots, then one count–scan–scatter pass over the
+        // `u < v` arcs writes round 2's work edges and their original
+        // edges, cross-component edges only. Output is reserved for all `m`
+        // edges and shrunk to the survivors afterwards: the count pass an
+        // exact size would need costs a second sweep over the arcs.
+        let contract_span = telemetry::span("contract");
+        let g_ro: &[u32] = &g;
+        let (mut new_id, n_roots) = renumber_roots(pool, arena, g_ro);
+        let mut orig_edges: Vec<Edge> = Vec::with_capacity(m);
+        let mut work: Vec<WorkEdge> = Vec::with_capacity(m);
+        let m_next = {
+            let nid_ptr = SendPtr::new(new_id.as_mut_ptr());
+            let orig_ptr = SendPtr::new(orig_edges.as_mut_ptr());
+            let work_ptr = SendPtr::new(work.as_mut_ptr());
+            // Cross-component `u < v` arcs of vertex `u`, in arc order —
+            // the order of `CsrGraph::edges`.
+            let cross = move |u: usize| {
+                let ru = g_ro[u];
+                let (targets, weights) = graph.neighbor_slices(u as u32);
+                targets
+                    .iter()
+                    .zip(weights)
+                    .filter(move |&(&v, _)| v as usize > u && g_ro[v as usize] != ru)
+                    .map(move |(&v, &w)| (ru, v, w))
+            };
+            count_scan_chunks(
+                pool,
+                n,
+                arena,
+                |r| r.map(|u| cross(u).count() as u64).sum(),
+                |r, base| {
+                    let mut k = base as usize;
+                    for u in r {
+                        for (ru, v, w) in cross(u) {
+                            let rv = g_ro[v as usize];
+                            // SAFETY: scanned bases keep chunk output
+                            // ranges disjoint within the `m` reserved
+                            // slots; `ru`/`rv` are roots, whose `new_id`
+                            // slots the renumbering pass initialised.
+                            unsafe {
+                                orig_ptr.get().add(k).write(Edge::new(u as u32, v, w));
+                                work_ptr.get().add(k).write(WorkEdge {
+                                    u: *nid_ptr.get().add(ru as usize),
+                                    v: *nid_ptr.get().add(rv as usize),
+                                    orig: k as u32,
+                                    whi: weight_hi32(w),
+                                });
+                            }
+                            k += 1;
+                        }
+                    }
+                    (k - base as usize) as u64
+                },
+            )
+        };
+        // SAFETY: exactly the leading `m_next` slots of both were written.
+        unsafe {
+            orig_edges.set_len(m_next);
+            work.set_len(m_next);
+        }
+        orig_edges.shrink_to_fit();
+        work.shrink_to_fit();
+        drop(new_id);
+        drop(g);
+        drop(best);
+        drop(contract_span);
+
+        c.work_next = Vec::with_capacity(m_next);
+        c.orig_edges = orig_edges;
+        c.work = work;
+        c.n_cur = n_roots;
+        c
     }
 
     /// Initial state over a raw undirected edge list (no CSR required —
@@ -168,7 +346,6 @@ impl Contraction {
     /// Parallel edges, verbatim duplicates included, are allowed: the
     /// `(EdgeKey, orig)` tie key picks one record per endpoint pair.
     pub fn from_edge_list(n: usize, orig_edges: Vec<Edge>) -> Self {
-        let keys: Vec<EdgeKey> = orig_edges.iter().map(Edge::key).collect();
         let work: Vec<WorkEdge> = orig_edges
             .iter()
             .enumerate()
@@ -182,13 +359,12 @@ impl Contraction {
             .collect();
         Contraction {
             orig_edges,
-            keys,
             work,
             work_next: Vec::new(),
             n_cur: n,
             chosen: Vec::with_capacity(n.saturating_sub(1)),
             jumps: AtomicU64::new(0),
-            rmw: AtomicU64::new(0),
+            rmw: 0,
             arena: ScratchArena::new(),
         }
     }
@@ -221,16 +397,16 @@ impl Contraction {
         {
             let best_cells = as_atomic_u64(&mut best);
             let work_ref: &[WorkEdge] = &self.work;
-            let keys_ref: &[EdgeKey] = &self.keys;
-            let rmw_ref = &self.rmw;
+            let orig_ref: &[Edge] = &self.orig_edges;
             parallel_for(pool, 0..m_cur, cfg, |i| {
                 let e = work_ref[i];
-                let exact = |wi: u32| tie_key(keys_ref, work_ref, wi);
+                let exact = |wi: u32| tie_key(orig_ref, work_ref, wi);
                 mwe_propose(&best_cells[e.u as usize], e.whi, i as u32, exact);
                 mwe_propose(&best_cells[e.v as usize], e.whi, i as u32, exact);
-                rmw_ref.fetch_add(2, Ordering::Relaxed);
             });
         }
+        // Two priority writes per live edge, counted once per round.
+        self.rmw += 2 * m_cur as u64;
         let best_ro: &[u64] = &best;
 
         // Step 1b: choose parents with symmetry breaking; G becomes a
@@ -267,7 +443,9 @@ impl Contraction {
             compact_map_into(pool, arena, n_cur, &mut round_chosen, |v| {
                 (g_ro[v] != v as u32).then(|| work_ref[mwe_idx(best_ro[v]) as usize].orig)
             });
-            self.chosen.extend_from_slice(&round_chosen);
+            let orig_ref: &[Edge] = &self.orig_edges;
+            self.chosen
+                .extend(round_chosen.iter().map(|&o| orig_ref[o as usize]));
         }
 
         drop(mwe_span);
@@ -308,19 +486,11 @@ impl Contraction {
         self.n_cur = n_roots;
     }
 
-    /// Materialises the chosen original edges.
-    pub fn chosen_edges(&self) -> Vec<Edge> {
-        self.chosen
-            .iter()
-            .map(|&i| self.orig_edges[i as usize])
-            .collect()
-    }
-
-    /// Flushes the atomic counters into `stats` and reports the arena's
+    /// Flushes the counters into `stats` and reports the arena's
     /// high-water footprint to telemetry.
     pub fn finish_stats(&self, stats: &mut AlgoStats) {
         stats.pointer_jumps = self.jumps.load(Ordering::Relaxed);
-        stats.atomic_rmw = self.rmw.load(Ordering::Relaxed);
+        stats.atomic_rmw = self.rmw;
         self.arena.report_telemetry();
     }
 }
@@ -331,33 +501,61 @@ mod tests {
     use llp_graph::samples::fig1;
     use std::sync::atomic::AtomicU64;
 
+    fn cfg() -> ParallelForConfig {
+        ParallelForConfig::with_grain(64)
+    }
+
     #[test]
-    fn one_round_on_fig1_contracts_to_two_vertices() {
+    fn csr_round_one_on_fig1_contracts_to_two_vertices() {
         let g = fig1();
         let pool = ThreadPool::new(2);
-        let mut c = Contraction::new(&g);
         let mut stats = AlgoStats::default();
-        c.round(&pool, ParallelForConfig::with_grain(64), &mut stats);
-        // Paper trace: after round 1, components {a,b,c} and {d,e}.
+        let mut c = Contraction::from_csr(&g, &pool, cfg(), &mut stats);
+        // Paper trace: after round 1, components {a,b,c} and {d,e}, edges
+        // {4, 3, 2} chosen, and the three edges 7, 9, 11 cross.
+        assert_eq!(stats.rounds, 1);
         assert_eq!(c.n_cur, 2);
-        assert_eq!(c.chosen.len(), 3); // edges {4, 3, 2}
+        let ws: Vec<f64> = c.chosen.iter().map(|e| e.w).collect();
+        assert_eq!(ws, vec![4.0, 3.0, 2.0]);
+        assert_eq!(c.work.len(), 3);
         assert!(!c.is_done());
-        c.round(&pool, ParallelForConfig::with_grain(64), &mut stats);
+        c.round(&pool, cfg(), &mut stats);
         assert!(c.is_done());
         assert_eq!(c.chosen.len(), 4);
+        c.finish_stats(&mut stats);
+        // Only round 2 made priority writes: two per live edge.
+        assert_eq!(stats.atomic_rmw, 6);
+    }
+
+    #[test]
+    fn csr_round_one_emits_cross_edges_in_edge_order() {
+        let g = llp_graph::generators::erdos_renyi(200, 700, 5);
+        let pool = ThreadPool::new(1);
+        let c = Contraction::from_csr(&g, &pool, cfg(), &mut AlgoStats::default());
+        // The survivors are a subsequence of `edges()`, each carrying its
+        // own index into `orig_edges` and its weight discriminant.
+        let all: Vec<Edge> = g.edges().collect();
+        let mut it = all.iter();
+        for (k, (w, e)) in c.work.iter().zip(&c.orig_edges).enumerate() {
+            assert!(it.any(|x| x == e), "survivor {k} out of edge order");
+            assert_eq!(w.orig as usize, k);
+            assert_eq!(w.whi, weight_hi32(e.w));
+            assert_ne!(w.u, w.v, "survivor {k} is intra-component");
+        }
+        assert_eq!(c.work.len(), c.orig_edges.len());
     }
 
     #[test]
     fn rounds_preserve_edge_identity() {
         let g = llp_graph::generators::erdos_renyi(80, 300, 4);
         let pool = ThreadPool::new(2);
-        let mut c = Contraction::new(&g);
         let mut stats = AlgoStats::default();
+        let mut c = Contraction::from_csr(&g, &pool, cfg(), &mut stats);
         while !c.is_done() {
-            c.round(&pool, ParallelForConfig::with_grain(64), &mut stats);
+            c.round(&pool, cfg(), &mut stats);
         }
         // Every chosen edge exists in the input graph.
-        for e in c.chosen_edges() {
+        for e in &c.chosen {
             assert!(g.neighbors(e.u).any(|(v, w)| v == e.v && w == e.w));
         }
     }
@@ -369,7 +567,7 @@ mod tests {
         // sees the copies in opposite orders; the cells must still agree,
         // or the hook step would commit both copies.
         let c = Contraction::from_edge_list(2, vec![Edge::new(0, 1, 1.0); 2]);
-        let exact = |wi: u32| tie_key(&c.keys, &c.work, wi);
+        let exact = |wi: u32| tie_key(&c.orig_edges, &c.work, wi);
         let whi = c.work[0].whi;
         let (u, v) = (AtomicU64::new(MWE_EMPTY), AtomicU64::new(MWE_EMPTY));
         mwe_propose(&u, whi, 1, exact);
@@ -384,7 +582,7 @@ mod tests {
     #[test]
     fn work_edges_cache_their_weight_discriminant() {
         let g = fig1();
-        let c = Contraction::new(&g);
+        let c = Contraction::from_edge_list(g.num_vertices(), g.edges().collect());
         for e in &c.work {
             assert_eq!(e.whi, weight_hi32(c.orig_edges[e.orig as usize].w));
         }
@@ -392,20 +590,36 @@ mod tests {
 
     #[test]
     fn steady_state_rounds_do_not_grow_the_arena() {
+        // The CSR constructor warms the arena and the double buffer, so no
+        // round after it grows either.
         let g = llp_graph::generators::erdos_renyi(3000, 20_000, 7);
         let pool = ThreadPool::new(4);
-        let mut c = Contraction::new(&g);
+        let cfg = ParallelForConfig::with_grain(256);
         let mut stats = AlgoStats::default();
-        c.round(&pool, ParallelForConfig::with_grain(256), &mut stats);
+        let mut c = Contraction::from_csr(&g, &pool, cfg, &mut stats);
         let footprint = c.arena.footprint_bytes();
-        let caps = c.work.capacity().max(c.work_next.capacity());
+        let caps = (
+            c.work.capacity(),
+            c.work_next.capacity(),
+            c.chosen.capacity(),
+        );
+        assert!(!c.is_done());
         while !c.is_done() {
-            c.round(&pool, ParallelForConfig::with_grain(256), &mut stats);
-            assert_eq!(c.arena.footprint_bytes(), footprint, "arena grew after round 1");
+            c.round(&pool, cfg, &mut stats);
             assert_eq!(
-                c.work.capacity().max(c.work_next.capacity()),
-                caps,
-                "double buffer reallocated after round 1"
+                c.arena.footprint_bytes(),
+                footprint,
+                "arena grew after the CSR round"
+            );
+            let now = (
+                c.work.capacity(),
+                c.work_next.capacity(),
+                c.chosen.capacity(),
+            );
+            assert_eq!(
+                (now.0.max(now.1), now.2),
+                (caps.0.max(caps.1), caps.2),
+                "double buffer or forest reallocated after the CSR round"
             );
         }
         assert!(c.arena.reuse_count() > 0);

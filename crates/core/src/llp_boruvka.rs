@@ -20,7 +20,12 @@
 //!
 //! The per-round machinery is the flat-memory engine in
 //! [`crate::contraction`], which the out-of-core [`crate::sharded`] solver
-//! and the [`crate::dynamic`] rebuild share. Compare with
+//! and the [`crate::dynamic`] rebuild share. Over a graph, round 1 is
+//! vertex-centric, as step 1 reads: each vertex scans its own CSR
+//! adjacency for its MWE, with no atomics and no m-sized edge list, and
+//! only the edges that survive round 1 are copied into the engine (32 B
+//! each). Later rounds, and every round of [`llp_boruvka_from_edges`], run
+//! edge-centric over the contracted edge list. Compare with
 //! [`crate::parallel_boruvka`], which synchronises through shared
 //! per-component CAS cells and a concurrent union–find every round.
 
@@ -31,8 +36,15 @@ use llp_graph::{CsrGraph, Edge};
 use llp_runtime::{ParallelForConfig, ThreadPool};
 
 /// LLP-Boruvka; computes the canonical MSF.
+///
+/// Round 1 runs straight off the CSR, vertex-centric as in step (a)
+/// ([`Contraction::from_csr`]); the returned forest is bit-identical to
+/// [`llp_boruvka_from_edges`] over `graph.edges()`, in edge order and
+/// orientation.
 pub fn llp_boruvka(graph: &CsrGraph, pool: &ThreadPool) -> MstResult {
-    drive(Contraction::new(graph), graph.num_vertices(), pool)
+    let mut stats = AlgoStats::default();
+    let c = Contraction::from_csr(graph, pool, config(), &mut stats);
+    drive(c, graph.num_vertices(), pool, stats)
 }
 
 /// LLP-Boruvka over a raw undirected edge list — the Boruvka family never
@@ -45,17 +57,24 @@ pub fn llp_boruvka_from_edges(n: usize, edges: Vec<Edge>, pool: &ThreadPool) -> 
         edges.iter().all(|e| (e.u as usize) < n && (e.v as usize) < n),
         "edge endpoint out of range"
     );
-    drive(Contraction::from_edge_list(n, edges), n, pool)
+    drive(
+        Contraction::from_edge_list(n, edges),
+        n,
+        pool,
+        AlgoStats::default(),
+    )
 }
 
-fn drive(mut c: Contraction, n: usize, pool: &ThreadPool) -> MstResult {
-    let mut stats = AlgoStats::default();
-    let cfg = ParallelForConfig::with_grain(512);
+fn config() -> ParallelForConfig {
+    ParallelForConfig::with_grain(512)
+}
+
+fn drive(mut c: Contraction, n: usize, pool: &ThreadPool, mut stats: AlgoStats) -> MstResult {
     while !c.is_done() {
-        c.round(pool, cfg, &mut stats);
+        c.round(pool, config(), &mut stats);
     }
     c.finish_stats(&mut stats);
-    MstResult::from_edges(n, c.chosen_edges(), stats)
+    MstResult::from_edges(n, c.chosen, stats)
 }
 
 #[cfg(test)]
@@ -138,6 +157,43 @@ mod tests {
         assert_eq!(llp.canonical_keys(), base.canonical_keys());
     }
 
+    /// The forest as exact bits: order, orientation and weight.
+    fn edge_bits(r: &MstResult) -> Vec<(u32, u32, u64)> {
+        r.edges.iter().map(|e| (e.u, e.v, e.w.to_bits())).collect()
+    }
+
+    /// `llp_boruvka(&g)`, whose round 1 runs off the CSR, against the
+    /// edge-centric engine over `g.edges()`: bit-identical edges, the same
+    /// rounds and scanned edges, and exactly `2m` fewer atomic RMWs (round
+    /// 1 makes no priority writes). Pointer jumps race on more than one
+    /// thread, so they are compared on the 1-thread pool.
+    fn assert_csr_round_matches_edge_list(name: &str, g: &CsrGraph) {
+        for pool in pools() {
+            let t = pool.threads();
+            let csr = llp_boruvka(g, &pool);
+            let list = llp_boruvka_from_edges(g.num_vertices(), g.edges().collect(), &pool);
+            assert_eq!(
+                edge_bits(&csr),
+                edge_bits(&list),
+                "{name}, {t} threads: edges"
+            );
+            let (c, l) = (csr.stats, list.stats);
+            assert_eq!(c.rounds, l.rounds, "{name}, {t} threads: rounds");
+            assert_eq!(
+                c.edges_scanned, l.edges_scanned,
+                "{name}, {t} threads: edges_scanned"
+            );
+            assert_eq!(
+                c.atomic_rmw + 2 * g.num_edges() as u64,
+                l.atomic_rmw,
+                "{name}, {t} threads: atomic_rmw"
+            );
+            if t == 1 {
+                assert_eq!(c.pointer_jumps, l.pointer_jumps, "{name}: pointer_jumps");
+            }
+        }
+    }
+
     #[test]
     fn edge_list_entry_matches_csr_entry() {
         let pool = ThreadPool::new(2);
@@ -146,7 +202,97 @@ mod tests {
             let edges: Vec<llp_graph::Edge> = g.edges().collect();
             let via_csr = llp_boruvka(&g, &pool);
             let via_edges = llp_boruvka_from_edges(g.num_vertices(), edges, &pool);
-            assert_eq!(via_csr.canonical_keys(), via_edges.canonical_keys());
+            assert_eq!(via_csr.edges, via_edges.edges, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn csr_round_matches_edge_list_on_paper_and_empty_graphs() {
+        assert_csr_round_matches_edge_list("fig1", &fig1());
+        assert_csr_round_matches_edge_list("no vertices", &CsrGraph::empty(0));
+        assert_csr_round_matches_edge_list("3 isolated vertices", &CsrGraph::empty(3));
+    }
+
+    #[test]
+    fn csr_round_matches_edge_list_on_all_equal_weights() {
+        for n in [2, 5, 16, 40] {
+            let g = llp_graph::samples::all_equal_weights(n);
+            assert_csr_round_matches_edge_list(&format!("K{n}, all weights 1"), &g);
+        }
+    }
+
+    #[test]
+    fn csr_round_matches_edge_list_on_parallel_and_duplicate_edges() {
+        // Parallel edges of different weights, and verbatim duplicates
+        // (the same weight bits both ways), which tie in both endpoints'
+        // scans and must still commit once.
+        let g = CsrGraph::from_edges(
+            6,
+            &[
+                Edge::new(0, 1, 2.0),
+                Edge::new(1, 0, 1.0),
+                Edge::new(0, 1, 1.0),
+                Edge::new(1, 2, 3.0),
+                Edge::new(2, 1, 3.0),
+                Edge::new(2, 3, 1.0),
+                Edge::new(3, 2, 1.0),
+                Edge::new(3, 4, 0.5),
+                Edge::new(4, 3, 0.75),
+                Edge::new(4, 5, 1.0),
+                Edge::new(4, 5, 1.0),
+                Edge::new(0, 5, 1.0),
+            ],
+        );
+        assert_csr_round_matches_edge_list("hand-made multigraph", &g);
+        // Seeded multigraphs: three weights, one edge in three duplicated.
+        for seed in 0..16u64 {
+            let mut rng = llp_runtime::rng::SmallRng::seed_from_u64(seed);
+            let n = rng.gen_range(2usize..60);
+            let mut edges = Vec::new();
+            for _ in 0..rng.gen_range(0usize..200) {
+                let u = rng.gen_range(0..n as u32);
+                let v = rng.gen_range(0..n as u32);
+                if u == v {
+                    continue;
+                }
+                let e = Edge::new(u, v, rng.gen_range(1u32..4) as f64);
+                edges.push(e);
+                if rng.gen_range(0u32..3) == 0 {
+                    edges.push(e);
+                }
+            }
+            let g = CsrGraph::from_edges(n, &edges);
+            assert_csr_round_matches_edge_list(&format!("multigraph seed {seed}"), &g);
+        }
+    }
+
+    #[test]
+    fn csr_round_matches_edge_list_on_forests_with_isolated_vertices() {
+        assert_csr_round_matches_edge_list("small forest", &small_forest());
+        let g = CsrGraph::from_edges(
+            10,
+            &[
+                Edge::new(2, 3, 1.0),
+                Edge::new(5, 7, 2.0),
+                Edge::new(7, 8, 2.0),
+            ],
+        );
+        assert_csr_round_matches_edge_list("forest with isolated vertices", &g);
+        let sparse = llp_graph::generators::erdos_renyi(3000, 1500, 9);
+        assert_csr_round_matches_edge_list("sparse ER forest", &sparse);
+    }
+
+    #[test]
+    fn csr_round_matches_edge_list_on_seeded_er_and_rmat() {
+        // Over 4096 vertices, so the 4-thread pool runs the chunked
+        // vertex-range emission, not its serial path.
+        for seed in 0..3 {
+            let er = llp_graph::generators::erdos_renyi(5000, 20_000, seed);
+            assert_csr_round_matches_edge_list(&format!("ER seed {seed}"), &er);
+            let rmat = llp_graph::generators::rmat(llp_graph::generators::RmatParams::graph500(
+                13, 8, seed,
+            ));
+            assert_csr_round_matches_edge_list(&format!("RMAT seed {seed}"), &rmat);
         }
     }
 

@@ -36,7 +36,7 @@ use llp_runtime::atomics::{as_atomic_u64, mwe_idx, mwe_propose, weight_hi32, MWE
 use llp_runtime::partition::compact_map_into;
 use llp_runtime::scan::pack_indices_in;
 use llp_runtime::telemetry;
-use llp_runtime::{parallel_for, ParallelForConfig, ScratchArena, ThreadPool};
+use llp_runtime::{parallel_for, parallel_for_chunks, ParallelForConfig, ScratchArena, ThreadPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Parallel Boruvka; computes the canonical MSF.
@@ -89,26 +89,35 @@ where
             let whis_ref: &[u32] = &whis;
             let uf_ref = &uf;
             let rmw_ref = &rmw;
-            parallel_for(pool, 0..live.len(), cfg, |i| {
-                let ei = live_ref[i];
-                let e = edges_ref[ei as usize];
-                let ru = uf_ref.find(e.u);
-                let rv = uf_ref.find(e.v);
-                if ru == rv {
-                    return;
+            parallel_for_chunks(pool, 0..live.len(), cfg, |r| {
+                // Two priority writes per proposing edge, summed per chunk.
+                let mut writes = 0u64;
+                for i in r {
+                    let ei = live_ref[i];
+                    let e = edges_ref[ei as usize];
+                    let ru = uf_ref.find(e.u);
+                    let rv = uf_ref.find(e.v);
+                    if ru == rv {
+                        continue;
+                    }
+                    let exact = |idx: u32| keys_ref[idx as usize];
+                    let whi = whis_ref[ei as usize];
+                    mwe_propose(&best_cells[ru as usize], whi, ei, exact);
+                    mwe_propose(&best_cells[rv as usize], whi, ei, exact);
+                    writes += 2;
                 }
-                let exact = |idx: u32| keys_ref[idx as usize];
-                let whi = whis_ref[ei as usize];
-                mwe_propose(&best_cells[ru as usize], whi, ei, exact);
-                mwe_propose(&best_cells[rv as usize], whi, ei, exact);
-                rmw_ref.fetch_add(2, Ordering::Relaxed);
+                rmw_ref.fetch_add(writes, Ordering::Relaxed);
             });
         }
 
         // Phase 2: hook every component along its winning edge. The
         // exactly-once pack (the predicate commits `union` as a side
         // effect) collects winners in ascending live order — deterministic
-        // without the old bag-drain-and-sort.
+        // without the old bag-drain-and-sort. Each edge that won a slot
+        // counts one RMW: the committed ones are `winners`, counted after
+        // the pack; a won edge whose `union` finds its endpoints already
+        // joined (a verbatim duplicate of an edge that won the other slot)
+        // is rare and counted in place.
         let hook_span = telemetry::span("contract");
         {
             let best_ro: &[u64] = &best;
@@ -135,10 +144,14 @@ where
                 if !won {
                     return false;
                 }
-                rmw_ref.fetch_add(1, Ordering::Relaxed);
-                uf_ref.union(e.u, e.v)
+                let committed = uf_ref.union(e.u, e.v);
+                if !committed {
+                    rmw_ref.fetch_add(1, Ordering::Relaxed);
+                }
+                committed
             });
         }
+        rmw.fetch_add(winners.len() as u64, Ordering::Relaxed);
         if winners.is_empty() {
             break;
         }

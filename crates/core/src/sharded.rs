@@ -441,7 +441,7 @@ pub fn sharded_msf_file(
                 c.round(pool, par, &mut stats);
             }
             c.finish_stats(&mut stats);
-            let mut cand = c.chosen_edges();
+            let mut cand = std::mem::take(&mut c.chosen);
             arena = std::mem::replace(&mut c.arena, ScratchArena::new());
             drop(c);
             for e in cand.iter_mut() {

@@ -161,7 +161,7 @@ fn traced_run(n: usize, edges: Vec<Edge>, pool: &ThreadPool) -> (RoundTrace, Mst
         c.round(pool, cfg, &mut stats);
     }
     c.finish_stats(&mut stats);
-    (trace, MstResult::from_edges(n, c.chosen_edges(), stats))
+    (trace, MstResult::from_edges(n, c.chosen, stats))
 }
 
 #[test]

@@ -1,17 +1,18 @@
 //! Pins the flat-memory round engine's central claim: once the scratch
-//! arena and double buffers are warm (after round 1), contraction rounds
-//! perform **zero heap allocations** — for the LLP-Boruvka engine
+//! arena and double buffers are warm, contraction rounds perform **zero
+//! heap allocations** — for the LLP-Boruvka engine
 //! ([`llp_mst::contraction::Contraction`], whose round loop *is*
 //! `llp_boruvka`'s drive loop), and for the GBBS-style baseline
-//! ([`llp_mst::parallel_boruvka::boruvka_par_observed`]).
+//! ([`llp_mst::parallel_boruvka::boruvka_par_observed`]). The LLP engine's
+//! CSR constructor runs round 1 and warms everything, so *every*
+//! `round()` after it allocates nothing; the baseline warms in its round 1.
 //!
 //! Method: a counting global allocator tallies every `alloc`/`realloc`
 //! across all threads; the tests snapshot the tally at exact round
-//! boundaries and assert the per-round delta is zero from the second
-//! round on. Telemetry is disabled and no chaos seed is set, so the
-//! measured windows contain only algorithm work (both subsystems are
-//! allocation-free when off; pool broadcasts dispatch through a raw task
-//! pointer and never box).
+//! boundaries and assert the per-round delta is zero. Telemetry is
+//! disabled and no chaos seed is set, so the measured windows contain
+//! only algorithm work (both subsystems are allocation-free when off; pool
+//! broadcasts dispatch through a raw task pointer and never box).
 
 use llp_mst::contraction::Contraction;
 use llp_mst::parallel_boruvka::boruvka_par_observed;
@@ -63,7 +64,7 @@ fn test_graph() -> llp_graph::CsrGraph {
 }
 
 #[test]
-fn llp_contraction_rounds_are_allocation_free_after_warmup() {
+fn llp_contraction_rounds_are_allocation_free_after_the_csr_round() {
     let _serial = SERIAL.lock().unwrap();
     telemetry::set_enabled(false);
     chaos::set_seed(None);
@@ -71,8 +72,8 @@ fn llp_contraction_rounds_are_allocation_free_after_warmup() {
     let g = test_graph();
     let pool = ThreadPool::new(4);
     let cfg = ParallelForConfig::with_grain(256);
-    let mut c = Contraction::new(&g);
     let mut stats = AlgoStats::default();
+    let mut c = Contraction::from_csr(&g, &pool, cfg, &mut stats);
 
     let mut per_round = Vec::with_capacity(64);
     while !c.is_done() {
@@ -85,13 +86,13 @@ fn llp_contraction_rounds_are_allocation_free_after_warmup() {
 
     assert!(
         per_round.len() >= 3,
-        "graph too small to exercise steady state: {} rounds",
+        "graph too small to exercise steady state: {} rounds after the CSR round",
         per_round.len()
     );
-    // Round 1 warms the arena and the double buffer; every later round
-    // must run entirely out of reused storage.
+    // The CSR constructor warms the arena and the double buffer; every
+    // round after it must run entirely out of reused storage.
     assert!(
-        per_round[1..].iter().all(|&d| d == 0),
+        per_round.iter().all(|&d| d == 0),
         "steady-state rounds allocated: per-round counts {per_round:?}"
     );
 }

@@ -7,7 +7,7 @@
 //! what lets the parallel algorithms read it without synchronization.
 
 use crate::edge::Edge;
-use crate::weight::{EdgeKey, Weight};
+use crate::weight::{f64_to_ordered, EdgeKey, Weight};
 use crate::VertexId;
 use llp_runtime::{parallel_map_collect, ParallelForConfig, ThreadPool};
 
@@ -158,12 +158,39 @@ impl CsrGraph {
         t.iter().copied().zip(w.iter().copied())
     }
 
+    /// The arc index of `v`'s minimum-weight edge under the canonical
+    /// order, or `None` when `v` has no arc to another vertex.
+    ///
+    /// The one MWE scan of the workspace: it backs [`CsrGraph::min_edge`],
+    /// [`CsrGraph::compute_mwe`] (LLP-Prim) and LLP-Borůvka's first round.
+    /// Among one vertex's arcs, [`EdgeKey`] order equals
+    /// `(f64_to_ordered(w), neighbour)` order, so the scan compares that
+    /// pair and builds no keys. Verbatim-duplicate arcs tie; the first
+    /// wins. Self-loop arcs are skipped.
+    #[inline]
+    pub fn min_arc(&self, v: VertexId) -> Option<usize> {
+        let lo = self.offsets[v as usize] as usize;
+        let (targets, weights) = self.neighbor_slices(v);
+        // Every non-NaN weight encodes below `u64::MAX`, so any real arc
+        // beats the sentinel.
+        let mut best_key = (u64::MAX, 0);
+        let mut best = None;
+        for (i, (&to, &w)) in targets.iter().zip(weights).enumerate() {
+            let key = (f64_to_ordered(w), to);
+            if to != v && key < best_key {
+                best_key = key;
+                best = Some(lo + i);
+            }
+        }
+        best
+    }
+
     /// The minimum-weight edge adjacent to `v` under the canonical order,
     /// or `None` for isolated vertices.
+    #[inline]
     pub fn min_edge(&self, v: VertexId) -> Option<EdgeKey> {
-        self.neighbors(v)
-            .map(|(to, w)| EdgeKey::new(w, v, to))
-            .min()
+        self.min_arc(v)
+            .map(|a| EdgeKey::new(self.weights[a], v, self.targets[a]))
     }
 
     /// Computes every vertex's minimum-weight edge in parallel.

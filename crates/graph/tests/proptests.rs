@@ -149,6 +149,54 @@ fn edge_key_total_order_is_strict_on_distinct_edges() {
     }
 }
 
+/// The one MWE scan, `min_arc`, against the definition: its arc is `v`'s
+/// arc with the `EdgeKey`-minimum edge, the first such arc among ties, and
+/// `min_edge` is its key. Tie-heavy multigraphs: three raw weights (signed
+/// zeros among them), parallel edges and verbatim duplicates, built with
+/// `CsrGraph::from_edges` so the parallel arcs survive.
+#[test]
+fn min_arc_gives_the_edge_key_minimum_on_tie_heavy_graphs() {
+    const WEIGHTS: [f64; 4] = [-0.0, 0.0, 1.0, 1.0];
+    for seed in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
+        let n = rng.gen_range(1u32..40);
+        let mut edges = Vec::new();
+        for _ in 0..rng.gen_range(0usize..160) {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if u == v {
+                continue;
+            }
+            let e = Edge::new(u, v, WEIGHTS[rng.gen_range(0..4u32) as usize]);
+            edges.push(e);
+            if rng.gen_range(0u32..4) == 0 {
+                edges.push(e);
+            }
+        }
+        let g = CsrGraph::from_edges(n as usize, &edges);
+        for v in 0..n {
+            let key_of = |a: usize| {
+                let (to, w) = g.arc(a);
+                EdgeKey::new(w, v, to)
+            };
+            let (lo, hi) = g.arc_range(v);
+            let want = (lo..hi).map(key_of).min();
+            let got = g.min_arc(v);
+            assert_eq!(got.map(key_of), want, "seed {seed}, vertex {v}");
+            assert_eq!(g.min_edge(v), want, "seed {seed}, vertex {v}");
+            if let Some(a) = got {
+                assert!(
+                    (lo..hi).contains(&a),
+                    "seed {seed}, vertex {v}: foreign arc"
+                );
+                assert!(
+                    (lo..a).all(|b| key_of(b) != key_of(a)),
+                    "seed {seed}, vertex {v}: not the first tied arc"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn er_generator_is_deterministic_and_valid() {
     for seed in 0..CASES {

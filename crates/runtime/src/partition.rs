@@ -175,6 +175,17 @@ pub fn distribute_by_class_in<T, F>(
     }
 }
 
+/// The largest per-chunk count buffer [`count_scan_chunks`] leases on
+/// `pool`, for any `n` (0 on one thread, where it leases none). A caller
+/// that must leave an arena warm for later passes leases this much.
+pub fn count_buffer_capacity(pool: &ThreadPool) -> usize {
+    if pool.threads() == 1 {
+        0
+    } else {
+        pool.threads() * 8
+    }
+}
+
 /// Chunked count–scan–emit skeleton over `0..n`, with the per-chunk count
 /// buffer leased from `arena`.
 ///
@@ -204,7 +215,7 @@ where
     if pool.threads() == 1 || n < PAR_THRESHOLD {
         return emit(0..n, 0) as usize;
     }
-    let nchunks = (pool.threads() * 8).min(n);
+    let nchunks = count_buffer_capacity(pool).min(n);
     let chunk = n.div_ceil(nchunks);
     let nchunks = n.div_ceil(chunk);
 
