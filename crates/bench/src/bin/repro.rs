@@ -286,9 +286,10 @@ fn ablation(opts: &Options) -> Result<(), String> {
             llp.stats.early_fixes.to_string(),
             format!("{:.1}% of n", 100.0 * llp.stats.early_fixes as f64 / n),
         ]);
-        // Synchronization: parallel Boruvka vs LLP-Boruvka.
-        let bor_r = time_algorithm_with_report(Algorithm::Boruvka, w, 2, 1);
-        let llb_r = time_algorithm_with_report(Algorithm::LlpBoruvka, w, 2, 1);
+        // Synchronization: parallel Boruvka vs LLP-Boruvka, on one thread,
+        // where both RMW counts are exact (pinned by `tests/paper_traces.rs`).
+        let bor_r = time_algorithm_with_report(Algorithm::Boruvka, w, 1, 1);
+        let llb_r = time_algorithm_with_report(Algorithm::LlpBoruvka, w, 1, 1);
         let (bor, llb) = (&bor_r.sample, &llb_r.sample);
         rows.push(vec![
             w.name.clone(),
@@ -299,13 +300,6 @@ fn ablation(opts: &Options) -> Result<(), String> {
                 "{:.1}% saved",
                 100.0 * (1.0 - llb.stats.atomic_rmw as f64 / bor.stats.atomic_rmw.max(1) as f64)
             ),
-        ]);
-        rows.push(vec![
-            w.name.clone(),
-            "CAS retries".into(),
-            bor.stats.cas_retries.to_string(),
-            llb.stats.cas_retries.to_string(),
-            String::new(),
         ]);
         rows.push(vec![
             w.name.clone(),

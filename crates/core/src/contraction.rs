@@ -21,13 +21,18 @@
 //! [`Contraction::from_edge_list`] is the entry for callers that hold an
 //! edge list; all its rounds run on the edge-centric engine below.
 //!
+//! Every round's pointer jumping is [`solve_parallel`], llp-core's
+//! Algorithm 1 engine, on [`PointerJump`] over the round's parent array:
+//! its sweeps count as `parallel_regions`, its advances as `pointer_jumps`.
+//!
 //! ## Flat-memory round engine
 //!
 //! Round state lives in plain `u64`/`u32` buffers leased from a
 //! [`ScratchArena`] and viewed as atomics only inside the parallel regions
 //! that need concurrency:
 //!
-//! * the per-vertex MWE cell is a single packed [`AtomicU64`] word —
+//! * the per-vertex MWE cell is a single packed
+//!   [`AtomicU64`](std::sync::atomic::AtomicU64) word —
 //!   weight discriminant high, edge index low (see
 //!   [`llp_runtime::atomics::mwe_propose`]); discriminant ties fall back
 //!   to the total key `(EdgeKey, orig)` (see `tie_key`), so both endpoint
@@ -46,46 +51,13 @@
 //! it performs zero heap allocations (pinned by `tests/zero_alloc.rs`).
 
 use crate::stats::AlgoStats;
+use llp_core::instances::PointerJump;
+use llp_core::solve_parallel;
 use llp_graph::{CsrGraph, Edge, EdgeKey};
-use llp_runtime::atomics::{as_atomic_u32, as_atomic_u64, mwe_idx, mwe_propose, weight_hi32, MWE_EMPTY};
+use llp_runtime::atomics::{as_atomic_u64, mwe_idx, mwe_propose, weight_hi32, MWE_EMPTY};
 use llp_runtime::partition::{compact_map_into, count_buffer_capacity, count_scan_chunks};
 use llp_runtime::telemetry;
 use llp_runtime::{parallel_for, ParallelForConfig, ScratchArena, ScratchVec, SendPtr, ThreadPool};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// Pointer-jumps the rooted forest `g` to a star forest with relaxed
-/// atomics (the inner LLP instance, Lemma 3/4): every vertex repeatedly
-/// adopts its grandparent until the whole forest is flat. Assignments are
-/// counted into `jumps`; each sweep is one parallel region in `stats`.
-fn pointer_jump_to_roots(
-    pool: &ThreadPool,
-    cfg: ParallelForConfig,
-    g: &mut [u32],
-    jumps: &AtomicU64,
-    stats: &mut AlgoStats,
-) {
-    let n = g.len();
-    let g_cells = as_atomic_u32(g);
-    loop {
-        stats.parallel_regions += 1;
-        let changed = AtomicBool::new(false);
-        {
-            let changed_ref = &changed;
-            parallel_for(pool, 0..n, cfg, |j| {
-                let p = g_cells[j].load(Ordering::Relaxed);
-                let gp = g_cells[p as usize].load(Ordering::Relaxed);
-                if p != gp {
-                    g_cells[j].store(gp, Ordering::Relaxed);
-                    jumps.fetch_add(1, Ordering::Relaxed);
-                    changed_ref.store(true, Ordering::Relaxed);
-                }
-            });
-        }
-        if !changed.load(Ordering::Relaxed) {
-            break;
-        }
-    }
-}
 
 /// Renumbers the roots of the star forest `g` densely: returns a leased
 /// buffer whose *root* slots hold `0..n_roots` in ascending root order,
@@ -166,11 +138,6 @@ pub struct Contraction {
     pub n_cur: usize,
     /// Forest edges chosen so far, in commit order.
     pub chosen: Vec<Edge>,
-    /// Pointer-jump assignment counter.
-    pub jumps: AtomicU64,
-    /// Atomic RMW count of the MWE priority writes (two per live edge per
-    /// edge-centric round).
-    pub rmw: u64,
     /// Reusable round-state buffers (MWE words, parents, renumber tables).
     pub arena: ScratchArena,
 }
@@ -199,8 +166,6 @@ impl Contraction {
             work_next: Vec::new(),
             n_cur: n,
             chosen: Vec::new(),
-            jumps: AtomicU64::new(0),
-            rmw: 0,
             arena: ScratchArena::new(),
         };
         if m == 0 {
@@ -264,7 +229,9 @@ impl Contraction {
 
         // Step 2: pointer jumping, as in every round.
         let jump_span = telemetry::span("pointer-jump");
-        pointer_jump_to_roots(pool, cfg, &mut g, &c.jumps, stats);
+        let llp = solve_parallel(&PointerJump, &mut g, pool, cfg).expect("always feasible");
+        stats.parallel_regions += llp.rounds;
+        stats.pointer_jumps += llp.advances;
         drop(jump_span);
 
         // Step 3: renumber roots, then one count–scan–scatter pass over the
@@ -363,8 +330,6 @@ impl Contraction {
             work_next: Vec::new(),
             n_cur: n,
             chosen: Vec::with_capacity(n.saturating_sub(1)),
-            jumps: AtomicU64::new(0),
-            rmw: 0,
             arena: ScratchArena::new(),
         }
     }
@@ -376,7 +341,8 @@ impl Contraction {
 
     /// Runs one full LLP-Boruvka round: per-vertex MWE selection with
     /// symmetry breaking, relaxed pointer jumping to stars, contraction.
-    /// Updates `stats` round/region/scan counters.
+    /// Adds the round's counters into `stats` (rounds, regions, scanned
+    /// edges, priority writes, pointer jumps), so one `stats` can sum runs.
     pub fn round(&mut self, pool: &ThreadPool, cfg: ParallelForConfig, stats: &mut AlgoStats) {
         debug_assert!(!self.is_done());
         stats.rounds += 1;
@@ -406,7 +372,7 @@ impl Contraction {
             });
         }
         // Two priority writes per live edge, counted once per round.
-        self.rmw += 2 * m_cur as u64;
+        stats.atomic_rmw += 2 * m_cur as u64;
         let best_ro: &[u64] = &best;
 
         // Step 1b: choose parents with symmetry breaking; G becomes a
@@ -450,10 +416,12 @@ impl Contraction {
 
         drop(mwe_span);
 
-        // Step 2: pointer jumping with relaxed atomics until G is a star
-        // forest (the inner LLP instance, Lemma 3/4).
+        // Step 2: pointer jumping until G is a star forest (the inner LLP
+        // instance, Lemma 3/4).
         let jump_span = telemetry::span("pointer-jump");
-        pointer_jump_to_roots(pool, cfg, &mut g, &self.jumps, stats);
+        let llp = solve_parallel(&PointerJump, &mut g, pool, cfg).expect("always feasible");
+        stats.parallel_regions += llp.rounds;
+        stats.pointer_jumps += llp.advances;
         drop(jump_span);
 
         // Step 3: contract. `g` now maps every vertex to its root.
@@ -485,21 +453,13 @@ impl Contraction {
         self.work_next.clear();
         self.n_cur = n_roots;
     }
-
-    /// Flushes the counters into `stats` and reports the arena's
-    /// high-water footprint to telemetry.
-    pub fn finish_stats(&self, stats: &mut AlgoStats) {
-        stats.pointer_jumps = self.jumps.load(Ordering::Relaxed);
-        stats.atomic_rmw = self.rmw;
-        self.arena.report_telemetry();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use llp_graph::samples::fig1;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn cfg() -> ParallelForConfig {
         ParallelForConfig::with_grain(64)
@@ -522,7 +482,6 @@ mod tests {
         c.round(&pool, cfg(), &mut stats);
         assert!(c.is_done());
         assert_eq!(c.chosen.len(), 4);
-        c.finish_stats(&mut stats);
         // Only round 2 made priority writes: two per live edge.
         assert_eq!(stats.atomic_rmw, 6);
     }

@@ -10,10 +10,11 @@
 //!    non-root's chosen edge joins the MSF.
 //! 2. **LLP pointer jumping** — the rooted trees are flattened to rooted
 //!    stars with the predicate `B ≡ ∀j : G[j] = G[G[j]]`
-//!    (`forbidden(j) ≡ G[j] ≠ G[G[j]]`, `advance: G[j] := G[G[j]]`),
-//!    run with relaxed atomic loads/stores — no CAS, no locks (Lemma 3/4:
-//!    every intermediate pointer is a valid ancestor, so racy readers only
-//!    ever observe correct states).
+//!    (`forbidden(j) ≡ G[j] ≠ G[G[j]]`, `advance: G[j] := G[G[j]]`): the
+//!    `llp_core` engine `solve_parallel` on `PointerJump`, with relaxed
+//!    atomic loads/stores — no CAS, no locks (Lemma 3/4: every intermediate
+//!    pointer is a valid ancestor, so racy readers only ever observe
+//!    correct states).
 //! 3. **Contraction** — roots are renumbered densely; edges with distinct
 //!    root labels survive into the recursive instance, carrying their
 //!    original edge identity so the final forest references input vertices.
@@ -73,7 +74,7 @@ fn drive(mut c: Contraction, n: usize, pool: &ThreadPool, mut stats: AlgoStats) 
     while !c.is_done() {
         c.round(pool, config(), &mut stats);
     }
-    c.finish_stats(&mut stats);
+    c.arena.report_telemetry();
     MstResult::from_edges(n, c.chosen, stats)
 }
 

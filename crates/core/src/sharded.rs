@@ -440,7 +440,7 @@ pub fn sharded_msf_file(
             while !c.is_done() {
                 c.round(pool, par, &mut stats);
             }
-            c.finish_stats(&mut stats);
+            c.arena.report_telemetry();
             let mut cand = std::mem::take(&mut c.chosen);
             arena = std::mem::replace(&mut c.arena, ScratchArena::new());
             drop(c);
@@ -643,6 +643,18 @@ mod tests {
             let got = sharded_msf_graph(&g, 257, &pool);
             assert_eq!(got.canonical_keys(), want, "{name}");
         }
+    }
+
+    #[test]
+    fn multi_shard_runs_count_every_shards_priority_writes() {
+        // Every sharded round is edge-centric: on one thread, exactly two
+        // priority writes per edge scanned, summed over all shards.
+        let g = erdos_renyi(300, 1200, 7);
+        let shard_edges = 257;
+        assert!(g.num_edges().div_ceil(shard_edges) >= 3);
+        let stats = sharded_msf_graph(&g, shard_edges, &ThreadPool::new(1)).stats;
+        assert!(stats.edges_scanned > g.num_edges() as u64);
+        assert_eq!(stats.atomic_rmw, 2 * stats.edges_scanned);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! `E' = {(i,k) : fixed(i) ∧ ¬fixed(k)}`; advancing sets `G[j]` to that
 //! cut edge.
 //!
-//! Run through the generic `llp-core` solver this is O(n·m) per advance —
+//! Run through `llp-core`'s sequential solver this is O(n·m) per advance —
 //! useless as an implementation, invaluable as an oracle: the optimised
 //! [`crate::llp_prim`] must produce exactly the same tree. Requires a
 //! connected graph (the paper's stated precondition for LLP-Prim); on a
@@ -24,6 +24,7 @@ use llp_graph::{CsrGraph, Edge, EdgeKey, VertexId};
 pub struct LlpPrimSpec<'g> {
     graph: &'g CsrGraph,
     root: VertexId,
+    /// Algorithm 1's starting vector: every vertex's minimum adjacent edge.
     bottom: Vec<EdgeKey>,
 }
 
@@ -49,7 +50,7 @@ impl<'g> LlpPrimSpec<'g> {
 
     /// Which vertices are fixed under proposal vector `g`: those whose
     /// proposed-edge path reaches the root.
-    fn fixed_set(&self, g: &[EdgeKey]) -> Vec<bool> {
+    fn fixed_set(&self, g: impl Fn(usize) -> EdgeKey) -> Vec<bool> {
         let n = self.graph.num_vertices();
         let mut fixed = vec![false; n];
         fixed[self.root as usize] = true;
@@ -58,10 +59,11 @@ impl<'g> LlpPrimSpec<'g> {
         loop {
             let mut changed = false;
             for v in 0..n as VertexId {
-                if fixed[v as usize] || g[v as usize] == EdgeKey::infinite() {
+                let gv = g(v as usize);
+                if fixed[v as usize] || gv == EdgeKey::infinite() {
                     continue;
                 }
-                let to = g[v as usize].other(v);
+                let to = gv.other(v);
                 if fixed[to as usize] {
                     fixed[v as usize] = true;
                     changed = true;
@@ -74,7 +76,7 @@ impl<'g> LlpPrimSpec<'g> {
     }
 
     /// The minimum cut edge of `E'(G)` with its non-fixed endpoint, if any.
-    fn min_cut_edge(&self, g: &[EdgeKey]) -> Option<(EdgeKey, VertexId)> {
+    fn min_cut_edge(&self, g: impl Fn(usize) -> EdgeKey) -> Option<(EdgeKey, VertexId)> {
         let fixed = self.fixed_set(g);
         let mut best: Option<(EdgeKey, VertexId)> = None;
         for i in 0..self.graph.num_vertices() as VertexId {
@@ -97,19 +99,22 @@ impl<'g> LlpPrimSpec<'g> {
     /// Solves the spec and assembles the MST.
     pub fn solve(&self) -> Result<MstResult, MstError> {
         let n = self.graph.num_vertices();
-        let solution =
-            solve_sequential(self).expect("advance never leaves the lattice in Algorithm 4");
-        let fixed = self.fixed_set(&solution.state);
+        let mut state = self.bottom.clone();
+        let llp = solve_sequential(self, &mut state)
+            .expect("advance never leaves the lattice in Algorithm 4");
+        let fixed = self.fixed_set(|i| state[i]);
         let reached = fixed.iter().filter(|&&f| f).count();
         if reached < n {
             return Err(MstError::Disconnected { reached, total: n });
         }
-        let mut stats = AlgoStats::default();
-        stats.rounds = solution.stats.rounds;
+        let stats = AlgoStats {
+            rounds: llp.rounds,
+            ..AlgoStats::default()
+        };
         let edges: Vec<Edge> = (0..n as VertexId)
             .filter(|&v| v != self.root)
             .map(|v| {
-                let key = solution.state[v as usize];
+                let key = state[v as usize];
                 Edge::new(key.other(v), v, key.weight())
             })
             .collect();
@@ -120,15 +125,7 @@ impl<'g> LlpPrimSpec<'g> {
 impl LlpProblem for LlpPrimSpec<'_> {
     type State = EdgeKey;
 
-    fn num_indices(&self) -> usize {
-        self.graph.num_vertices()
-    }
-
-    fn bottom(&self, j: usize) -> EdgeKey {
-        self.bottom[j]
-    }
-
-    fn forbidden(&self, g: &[EdgeKey], j: usize) -> bool {
+    fn forbidden(&self, g: impl Fn(usize) -> EdgeKey, j: usize) -> bool {
         // The root never proposes; isolated vertices are unreachable.
         if j as VertexId == self.root {
             return false;
@@ -139,7 +136,7 @@ impl LlpProblem for LlpPrimSpec<'_> {
         }
     }
 
-    fn advance(&self, g: &[EdgeKey], j: usize) -> Option<EdgeKey> {
+    fn advance(&self, g: impl Fn(usize) -> EdgeKey, j: usize) -> Option<EdgeKey> {
         let (key, k) = self.min_cut_edge(g).expect("forbidden implies cut edge");
         debug_assert_eq!(k, j as VertexId);
         Some(key)
@@ -166,10 +163,10 @@ mod tests {
         let g = fig1();
         let spec = LlpPrimSpec::new(&g, 0).unwrap();
         // Paper: initially G[b]=3, G[c]=3, G[d]=2, G[e]=2.
-        assert_eq!(spec.bottom(1).weight(), 3.0);
-        assert_eq!(spec.bottom(2).weight(), 3.0);
-        assert_eq!(spec.bottom(3).weight(), 2.0);
-        assert_eq!(spec.bottom(4).weight(), 2.0);
+        assert_eq!(spec.bottom[1].weight(), 3.0);
+        assert_eq!(spec.bottom[2].weight(), 3.0);
+        assert_eq!(spec.bottom[3].weight(), 2.0);
+        assert_eq!(spec.bottom[4].weight(), 2.0);
     }
 
     #[test]
@@ -201,33 +198,6 @@ mod tests {
                 kruskal(&g).canonical_keys(),
                 "seed {seed}"
             );
-        }
-    }
-
-    /// Algorithm 1's parallel rounds (every forbidden index advanced
-    /// against a frozen snapshot) reach the same least vector as the
-    /// sequential sweeps on the MST instance, whatever the pool size.
-    #[test]
-    fn parallel_solver_reaches_the_sequential_state() {
-        use llp_core::solve_parallel;
-        use llp_graph::algo::largest_component;
-        use llp_graph::generators::erdos_renyi;
-        use llp_runtime::ThreadPool;
-
-        let mut graphs = vec![fig1()];
-        for seed in 0..6 {
-            let g = largest_component(&erdos_renyi(40, 100, seed));
-            assert!(g.num_vertices() <= 40);
-            graphs.push(g);
-        }
-        for threads in [1, 4] {
-            let pool = ThreadPool::new(threads);
-            for (i, g) in graphs.iter().enumerate() {
-                let spec = LlpPrimSpec::new(g, 0).unwrap();
-                let seq = solve_sequential(&spec).unwrap();
-                let par = solve_parallel(&spec, &pool).unwrap();
-                assert_eq!(par.state, seq.state, "graph {i}, {threads} threads");
-            }
         }
     }
 

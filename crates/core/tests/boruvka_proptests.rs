@@ -160,7 +160,6 @@ fn traced_run(n: usize, edges: Vec<Edge>, pool: &ThreadPool) -> (RoundTrace, Mst
         }
         c.round(pool, cfg, &mut stats);
     }
-    c.finish_stats(&mut stats);
     (trace, MstResult::from_edges(n, c.chosen, stats))
 }
 

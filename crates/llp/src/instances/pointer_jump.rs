@@ -6,78 +6,29 @@
 //! by `G[j] := G[G[j]]`. When no node is forbidden every tree has become a
 //! star: each node points directly at its root.
 //!
-//! `llp-mst`'s LLP-Boruvka inlines this computation with relaxed atomics
-//! (the paper's "little to no synchronization" point); this module is the
-//! same predicate expressed through the generic solver, used as its
-//! executable specification and for the framework example.
+//! This is the predicate's only definition. `llp-mst`'s LLP-Borůvka runs
+//! it through [`crate::solve_parallel`] on its parent array, in place and
+//! with relaxed atomics (the paper's "little to no synchronization" point).
+//! The starting vector must be a rooted forest: following parents from
+//! any node reaches a root, and every pointer is in range.
 
 use crate::problem::LlpProblem;
 
-/// A pointer-jumping LLP instance over an initial parent assignment.
-#[derive(Debug, Clone)]
-pub struct PointerJump {
-    parent: Vec<usize>,
-}
-
-impl PointerJump {
-    /// Creates the instance from initial parent pointers.
-    ///
-    /// The pointers must form a rooted forest: following parents from any
-    /// node must reach a self-loop (root). Cycles of length ≥ 2 would make
-    /// the predicate unsatisfiable; a debug check rejects them.
-    pub fn new(parent: Vec<usize>) -> Self {
-        let n = parent.len();
-        for &p in &parent {
-            assert!(p < n, "parent pointer out of range");
-        }
-        debug_assert!(
-            (0..n).all(|mut v| {
-                // A rooted forest reaches a self-loop within n hops.
-                for _ in 0..=n {
-                    let p = parent[v];
-                    if p == v {
-                        return true;
-                    }
-                    v = p;
-                }
-                false
-            }),
-            "parent pointers contain a cycle of length >= 2"
-        );
-        PointerJump { parent }
-    }
-
-    /// The root each node would reach by walking pointers (reference
-    /// semantics for tests).
-    pub fn roots_by_walking(&self) -> Vec<usize> {
-        (0..self.parent.len())
-            .map(|mut v| {
-                while self.parent[v] != v {
-                    v = self.parent[v];
-                }
-                v
-            })
-            .collect()
-    }
-}
+/// The pointer-jumping predicate over parent pointers. It holds no state:
+/// the solver advances the caller's parent array.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PointerJump;
 
 impl LlpProblem for PointerJump {
-    type State = usize;
+    type State = u32;
 
-    fn num_indices(&self) -> usize {
-        self.parent.len()
+    fn forbidden(&self, g: impl Fn(usize) -> u32, j: usize) -> bool {
+        let p = g(j);
+        p != g(p as usize)
     }
 
-    fn bottom(&self, j: usize) -> usize {
-        self.parent[j]
-    }
-
-    fn forbidden(&self, g: &[usize], j: usize) -> bool {
-        g[j] != g[g[j]]
-    }
-
-    fn advance(&self, g: &[usize], j: usize) -> Option<usize> {
-        Some(g[g[j]])
+    fn advance(&self, g: impl Fn(usize) -> u32, j: usize) -> Option<u32> {
+        Some(g(g(j) as usize))
     }
 }
 
@@ -85,72 +36,89 @@ impl LlpProblem for PointerJump {
 mod tests {
     use super::*;
     use crate::solver::{solve_parallel, solve_sequential};
-    use llp_runtime::ThreadPool;
+    use llp_runtime::rng::SmallRng;
+    use llp_runtime::{ParallelForConfig, ThreadPool};
 
-    #[test]
-    fn chain_becomes_star() {
-        // 0 <- 1 <- 2 <- 3 <- 4
-        let p = PointerJump::new(vec![0, 0, 1, 2, 3]);
-        let sol = solve_sequential(&p).unwrap();
-        assert_eq!(sol.state, vec![0; 5]);
+    /// The root each node reaches by walking pointers: Lemma 3's
+    /// consequence, the reference both solvers must reproduce.
+    fn roots_by_walking(parent: &[u32]) -> Vec<u32> {
+        (0..parent.len() as u32)
+            .map(|mut v| {
+                while parent[v as usize] != v {
+                    v = parent[v as usize];
+                }
+                v
+            })
+            .collect()
+    }
+
+    /// A random rooted forest on `n` nodes whose labels are shuffled, so
+    /// parents sit both before and after their children in index order.
+    fn random_forest(n: usize, seed: u64) -> Vec<u32> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut label: Vec<u32> = (0..n as u32).collect();
+        rng.shuffle(&mut label);
+        let mut parent: Vec<u32> = (0..n as u32).collect();
+        for v in 1..n {
+            // One node in ten stays a root; the rest hang off an earlier one.
+            if !rng.gen_bool(0.1) {
+                parent[label[v] as usize] = label[rng.gen_range(0..v)];
+            }
+        }
+        parent
+    }
+
+    /// Both solvers flatten `parent` to `roots_by_walking(parent)` on 1-
+    /// and 4-thread pools, and one thread sweeps exactly as the oracle does.
+    /// Returns the most rounds a pool took.
+    fn check(parent: &[u32]) -> u64 {
+        let want = roots_by_walking(parent);
+        let mut seq = parent.to_vec();
+        let seq_stats = solve_sequential(&PointerJump, &mut seq).unwrap();
+        assert_eq!(seq, want);
+        let mut rounds = 0;
+        for threads in [1, 4] {
+            let mut par = parent.to_vec();
+            let pool = ThreadPool::new(threads);
+            let cfg = ParallelForConfig::with_grain(16);
+            let stats = solve_parallel(&PointerJump, &mut par, &pool, cfg).unwrap();
+            assert_eq!(par, want, "{threads} threads");
+            if threads == 1 {
+                assert_eq!(stats, seq_stats);
+            }
+            rounds = rounds.max(stats.rounds);
+        }
+        rounds
     }
 
     #[test]
-    fn forest_becomes_stars() {
-        // two trees rooted at 0 and 3
-        let p = PointerJump::new(vec![0, 0, 1, 3, 3, 4]);
-        let sol = solve_sequential(&p).unwrap();
-        assert_eq!(sol.state, vec![0, 0, 0, 3, 3, 3]);
-        assert_eq!(sol.state, p.roots_by_walking());
-    }
-
-    #[test]
-    fn already_star_is_feasible_immediately() {
-        let p = PointerJump::new(vec![0, 0, 0, 0]);
-        let sol = solve_sequential(&p).unwrap();
-        assert_eq!(sol.stats.advances, 0);
-        assert_eq!(sol.state, vec![0; 4]);
+    fn small_forests_become_stars() {
+        // A chain 0 <- 1 <- 2 <- 3 <- 4, two trees rooted at 0 and 3.
+        assert_eq!(
+            roots_by_walking(&[0, 0, 1, 3, 3, 4]),
+            vec![0, 0, 0, 3, 3, 3]
+        );
+        check(&[0, 0, 1, 2, 3]);
+        check(&[0, 0, 1, 3, 3, 4]);
+        // A star is feasible at once: one sweep, no advance.
+        assert_eq!(check(&[0, 0, 0, 0]), 1);
     }
 
     #[test]
     fn parallel_matches_sequential_on_random_forests() {
-        use llp_runtime::rng::SmallRng;
-        let pool = ThreadPool::new(4);
         for seed in 0..6 {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let n = 200;
-            // Random forest: each node's parent has a smaller index (or is
-            // itself, making it a root).
-            let parent: Vec<usize> = (0..n)
-                .map(|v| if v == 0 || rng.gen_bool(0.1) { v } else { rng.gen_range(0..v) })
-                .collect();
-            let p = PointerJump::new(parent);
-            let seq = solve_sequential(&p).unwrap();
-            let par = solve_parallel(&p, &pool).unwrap();
-            assert_eq!(seq.state, par.state, "seed {seed}");
-            assert_eq!(seq.state, p.roots_by_walking(), "seed {seed}");
+            check(&random_forest(200, seed));
         }
     }
 
     #[test]
-    fn parallel_rounds_are_logarithmic() {
-        // A chain of 1024 nodes needs ~log2(1024) = 10 doubling rounds
-        // (plus the final all-clear round).
-        let n = 1024;
-        let parent: Vec<usize> = (0..n).map(|v: usize| v.saturating_sub(1)).collect();
-        let p = PointerJump::new(parent);
-        let pool = ThreadPool::new(2);
-        let sol = solve_parallel(&p, &pool).unwrap();
-        assert!(
-            sol.stats.rounds <= 12,
-            "pointer jumping should double depth each round; took {} rounds",
-            sol.stats.rounds
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn rejects_out_of_range_parent() {
-        let _ = PointerJump::new(vec![5]);
+    fn deep_chains_flatten_in_logarithmic_rounds() {
+        // Chains of 1024 nodes need at most ~log2(1024) = 10 doubling
+        // rounds plus the final all-clear round: in-place reads only ever
+        // see pointers at least as far up as the round's start. Parents
+        // after their children in index order defeat a single sweep.
+        let n = 1024u32;
+        assert!(check(&(0..n).map(|v| v.saturating_sub(1)).collect::<Vec<_>>()) <= 12);
+        assert!(check(&(0..n).map(|v| (v + 1).min(n - 1)).collect::<Vec<_>>()) <= 12);
     }
 }

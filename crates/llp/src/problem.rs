@@ -1,10 +1,14 @@
-//! The LLP problem abstraction: bottom / forbidden / advance.
+//! The LLP problem abstraction: forbidden / advance.
 
 /// A lattice-linear predicate detection problem (paper §II).
 ///
-/// The global state is a vector `G` of `num_indices()` per-index states
-/// drawn from a lattice ordered by repeated [`advance`](Self::advance):
-/// advancing must move `G[j]` strictly up its (finite-height) chain.
+/// The global state is a vector `G` of per-index states drawn from a
+/// lattice ordered by repeated [`advance`](Self::advance): advancing must
+/// move `G[j]` strictly up its (finite-height) chain. The caller holds `G`
+/// and hands the solvers Algorithm 1's starting vector, so its length is
+/// the problem's dimension. The predicate reads `G` through an accessor,
+/// `g(i) = G[i]`, so one definition serves both the sequential solver
+/// (a plain slice) and the in-place parallel one (live atomic cells).
 ///
 /// Implementations must satisfy the lattice-linearity contract:
 ///
@@ -30,31 +34,24 @@
 ///
 /// impl LlpProblem for AtLeast {
 ///     type State = u32;
-///     fn num_indices(&self) -> usize { self.0.len() }
-///     fn bottom(&self, _j: usize) -> u32 { 0 }
-///     fn forbidden(&self, g: &[u32], j: usize) -> bool { g[j] < self.0[j] }
-///     fn advance(&self, g: &[u32], j: usize) -> Option<u32> { Some(g[j] + 1) }
+///     fn forbidden(&self, g: impl Fn(usize) -> u32, j: usize) -> bool { g(j) < self.0[j] }
+///     fn advance(&self, g: impl Fn(usize) -> u32, j: usize) -> Option<u32> { Some(g(j) + 1) }
 /// }
 ///
-/// let sol = solve_sequential(&AtLeast(vec![2, 0, 5])).unwrap();
-/// assert_eq!(sol.state, vec![2, 0, 5]);
+/// let mut g = vec![0; 3];
+/// solve_sequential(&AtLeast(vec![2, 0, 5]), &mut g).unwrap();
+/// assert_eq!(g, vec![2, 0, 5]);
 /// ```
 pub trait LlpProblem: Sync {
     /// Per-index state type.
     type State: Clone + PartialEq + Send + Sync + std::fmt::Debug;
 
-    /// Dimension of the state vector.
-    fn num_indices(&self) -> usize;
-
-    /// The bottom (least) state of index `j`'s chain.
-    fn bottom(&self, j: usize) -> Self::State;
-
-    /// True when index `j` is forbidden in `g` (Definition 1).
-    fn forbidden(&self, g: &[Self::State], j: usize) -> bool;
+    /// True when index `j` is forbidden in `G` (Definition 1).
+    fn forbidden(&self, g: impl Fn(usize) -> Self::State, j: usize) -> bool;
 
     /// The state `G[j]` must advance to (Definition 3), or `None` when the
     /// advance would leave the lattice (no feasible vector exists).
     ///
-    /// Only called when `forbidden(g, j)` holds.
-    fn advance(&self, g: &[Self::State], j: usize) -> Option<Self::State>;
+    /// Only called when `forbidden(G, j)` holds.
+    fn advance(&self, g: impl Fn(usize) -> Self::State, j: usize) -> Option<Self::State>;
 }

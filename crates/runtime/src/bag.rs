@@ -29,12 +29,6 @@ impl<T> Bag<T> {
         }
     }
 
-    /// Number of per-thread segments.
-    #[inline]
-    pub fn segments(&self) -> usize {
-        self.segments.len()
-    }
-
     /// Pushes `value` into thread `tid`'s segment.
     ///
     /// The mutex is uncontended when each thread pushes only to its own
@@ -43,11 +37,6 @@ impl<T> Bag<T> {
     #[inline]
     pub fn push(&self, tid: usize, value: T) {
         self.segments[tid].0.lock().push(value);
-    }
-
-    /// Pushes many values at once into thread `tid`'s segment.
-    pub fn extend<I: IntoIterator<Item = T>>(&self, tid: usize, values: I) {
-        self.segments[tid].0.lock().extend(values);
     }
 
     /// Total number of elements across all segments.
@@ -60,32 +49,17 @@ impl<T> Bag<T> {
         self.segments.iter().all(|s| s.0.lock().is_empty())
     }
 
-    /// Moves every element into a single `Vec`, leaving the bag empty.
+    /// Moves every element into a caller-provided buffer (clearing it
+    /// first), leaving the bag empty and reusing the buffer's capacity
+    /// across rounds.
     ///
     /// Elements appear grouped by producing thread, in push order within a
     /// thread; the cross-thread order is by thread id, making drains
     /// deterministic for a fixed assignment of work to threads.
-    pub fn drain_to_vec(&self) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.len());
-        for seg in &self.segments {
-            out.append(&mut seg.0.lock());
-        }
-        out
-    }
-
-    /// Drains into a caller-provided buffer (clearing it first), reusing its
-    /// capacity across rounds.
     pub fn drain_into(&self, out: &mut Vec<T>) {
         out.clear();
         for seg in &self.segments {
             out.append(&mut seg.0.lock());
-        }
-    }
-
-    /// Removes all elements without observing them.
-    pub fn clear(&self) {
-        for seg in &self.segments {
-            seg.0.lock().clear();
         }
     }
 }
@@ -103,7 +77,8 @@ mod tests {
         bag.push(2, 3);
         bag.push(0, 4);
         assert_eq!(bag.len(), 4);
-        let mut v = bag.drain_to_vec();
+        let mut v = Vec::new();
+        bag.drain_into(&mut v);
         v.sort_unstable();
         assert_eq!(v, vec![1, 2, 3, 4]);
         assert!(bag.is_empty());
@@ -116,7 +91,9 @@ mod tests {
         bag.push(0, 'a');
         bag.push(0, 'b');
         bag.push(1, 'd');
-        assert_eq!(bag.drain_to_vec(), vec!['a', 'b', 'c', 'd']);
+        let mut v = Vec::new();
+        bag.drain_into(&mut v);
+        assert_eq!(v, vec!['a', 'b', 'c', 'd']);
     }
 
     #[test]
@@ -129,7 +106,8 @@ mod tests {
             }
         });
         assert_eq!(bag.len(), 4000);
-        let v = bag.drain_to_vec();
+        let mut v = Vec::new();
+        bag.drain_into(&mut v);
         assert_eq!(v.len(), 4000);
     }
 
@@ -137,22 +115,13 @@ mod tests {
     fn drain_into_reuses_buffer() {
         let bag = Bag::new(2);
         let mut buf = Vec::with_capacity(100);
-        bag.extend(0, 0..10);
+        (0..10).for_each(|i| bag.push(0, i));
         bag.drain_into(&mut buf);
         assert_eq!(buf.len(), 10);
         assert!(buf.capacity() >= 100);
-        bag.extend(1, 0..5);
+        (0..5).for_each(|i| bag.push(1, i));
         bag.drain_into(&mut buf);
         assert_eq!(buf.len(), 5);
-    }
-
-    #[test]
-    fn clear_empties_all_segments() {
-        let bag = Bag::new(2);
-        bag.extend(0, 0..10);
-        bag.extend(1, 0..10);
-        bag.clear();
-        assert!(bag.is_empty());
     }
 
     #[test]

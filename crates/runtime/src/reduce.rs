@@ -46,7 +46,10 @@ impl<T> SendPtr<T> {
         self.0
     }
 }
+// SAFETY: the wrapper only hands the pointer out; every dereference is the
+// caller's, under the disjoint-write contract above, on whatever thread.
 unsafe impl<T> Sync for SendPtr<T> {}
+// SAFETY: as for `Sync`.
 unsafe impl<T> Send for SendPtr<T> {}
 impl<T> Clone for SendPtr<T> {
     fn clone(&self) -> Self {

@@ -115,7 +115,8 @@ fn bag_preserves_all_elements() {
             bag.push(seg, v);
         }
         assert_eq!(bag.len(), pushes.len(), "seed {seed}");
-        let mut got = bag.drain_to_vec();
+        let mut got = Vec::new();
+        bag.drain_into(&mut got);
         got.sort_unstable();
         let mut want: Vec<u32> = pushes.iter().map(|&(_, v)| v).collect();
         want.sort_unstable();

@@ -5,7 +5,7 @@ use llp_mst_suite::llp::instances::PointerJump;
 use llp_mst_suite::llp::{solve_parallel, solve_sequential};
 use llp_mst_suite::mst::spec::LlpPrimSpec;
 use llp_mst_suite::prelude::*;
-use llp_mst_suite::runtime::telemetry;
+use llp_mst_suite::runtime::{telemetry, ParallelForConfig};
 
 /// §IV: "the edges are added to the tree in the order 4, 3, 7, 2" (Prim
 /// from vertex a).
@@ -74,23 +74,24 @@ fn llp_boruvka_fig1_two_rounds() {
 #[test]
 fn fig1_round1_pointer_jump_roots() {
     // Round-1 parents from the paper: a->c, b->b, c->b, d->d, e->d.
-    let pj = PointerJump::new(vec![2, 1, 1, 3, 3]);
-    let sol = solve_sequential(&pj).unwrap();
-    assert_eq!(sol.state, vec![1, 1, 1, 3, 3]); // stars rooted at b and d
+    let mut g = vec![2, 1, 1, 3, 3];
+    solve_sequential(&PointerJump, &mut g).unwrap();
+    assert_eq!(g, vec![1, 1, 1, 3, 3]); // stars rooted at b and d
 }
 
-/// Lemma 4: the pointer-jumping predicate is lattice-linear and the
-/// parallel solver terminates with the same answer as the sequential one.
+/// Lemma 4: the pointer-jumping predicate is lattice-linear, so the
+/// in-place parallel engine, racing on the live vector, terminates with
+/// the same answer as the sequential oracle.
 #[test]
 fn pointer_jump_parallel_equals_sequential_on_deep_trees() {
-    let n = 500usize;
-    let parent: Vec<usize> = (0..n).map(|v| v.saturating_sub(1)).collect();
-    let pj = PointerJump::new(parent);
-    let pool = ThreadPool::new(4);
-    let seq = solve_sequential(&pj).unwrap();
-    let par = solve_parallel(&pj, &pool).unwrap();
-    assert_eq!(seq.state, par.state);
-    assert!(par.stats.rounds as usize <= 2 + n.ilog2() as usize);
+    let n = 500u32;
+    let mut seq: Vec<u32> = (0..n).map(|v| v.saturating_sub(1)).collect();
+    let mut par = seq.clone();
+    let (pool, cfg) = (ThreadPool::new(4), ParallelForConfig::with_grain(16));
+    solve_sequential(&PointerJump, &mut seq).unwrap();
+    let stats = solve_parallel(&PointerJump, &mut par, &pool, cfg);
+    assert_eq!(seq, par);
+    assert!(stats.unwrap().rounds <= 2 + n.ilog2() as u64);
 }
 
 /// Algorithm 4 (the executable spec) and Algorithm 5 (the optimised
