@@ -14,10 +14,12 @@
 //! list. A choice is mutual when both endpoints chose the same
 //! `(weight, endpoint pair)`, so verbatim-duplicate arcs still commit once.
 //! Hooking, pointer jumping and renumbering are the later rounds' own
-//! steps. One count–scan–scatter pass over the `u < v` arcs then writes
-//! round 2's [`WorkEdge`]s and their original edges, for cross-component
-//! edges only. Identity arrays therefore hold 32 B per edge that survives
-//! round 1 (`orig_edges` 16 B + `work` 16 B), never the whole input.
+//! steps. One pass over the `u < v` arcs then writes round 2's
+//! [`WorkEdge`]s and their original edges, for cross-component edges only
+//! (a larger pool counts each chunk's survivors first, so every chunk
+//! writes exactly its own parts of the two arrays). Identity arrays
+//! therefore hold 32 B per edge that survives round 1 (`orig_edges` 16 B +
+//! `work` 16 B), never the whole input.
 //! [`Contraction::from_edge_list`] is the entry for callers that hold an
 //! edge list; all its rounds run on the edge-centric engine below.
 //!
@@ -42,8 +44,9 @@
 //!   count–scan–scatter pass into a double-buffered [`WorkEdge`] array
 //!   (buffers swap between rounds, so steady-state rounds allocate
 //!   nothing);
-//! * the dense root renumbering writes only root slots of an uninitialised
-//!   leased buffer — no `u32::MAX` prefill pass.
+//! * the dense root renumbering writes every slot of a leased buffer in
+//!   the one pass that reads the parent array: roots get `0..n_roots`,
+//!   other vertices a sentinel, so the relabel steps index it safely.
 //!
 //! Because component counts shrink geometrically, every leased buffer fits
 //! inside its round-1 incarnation. [`Contraction::from_csr`] leaves the
@@ -55,52 +58,60 @@ use llp_core::instances::PointerJump;
 use llp_core::solve_parallel;
 use llp_graph::{CsrGraph, Edge, EdgeKey};
 use llp_runtime::atomics::{as_atomic_u64, mwe_idx, mwe_propose, weight_hi32, MWE_EMPTY};
-use llp_runtime::partition::{compact_map_into, count_buffer_capacity, count_scan_chunks};
+use llp_runtime::partition::{compact_map_into, count_buffer_capacity, ChunkCounts};
 use llp_runtime::telemetry;
-use llp_runtime::{parallel_for, ParallelForConfig, ScratchArena, ScratchVec, SendPtr, ThreadPool};
+use llp_runtime::{
+    parallel_for, split_by_lens, ParallelForConfig, ScratchArena, ScratchVec, ThreadPool,
+};
+
+/// `new_id` of a vertex that is not a root.
+const NOT_ROOT: u32 = u32::MAX;
 
 /// Renumbers the roots of the star forest `g` densely: returns a leased
-/// buffer whose *root* slots hold `0..n_roots` in ascending root order,
-/// plus the root count. Non-root slots stay uninitialised (the returned
-/// `ScratchVec` keeps len 0) — read root slots through raw pointers only,
-/// exactly as the renumber pass wrote them.
+/// buffer holding `0..n_roots` at the roots, in ascending root order, and
+/// [`NOT_ROOT`] everywhere else, plus the root count.
 fn renumber_roots<'a>(
     pool: &ThreadPool,
     arena: &'a ScratchArena,
     g: &[u32],
 ) -> (ScratchVec<'a, u32>, usize) {
     let n = g.len();
+    let is_root = |v: usize| g[v] == v as u32;
     let mut new_id = arena.lease::<u32>(n);
-    let n_roots = {
-        let nid_ptr = SendPtr::new(new_id.as_mut_ptr());
-        count_scan_chunks(
-            pool,
-            n,
-            arena,
-            |r| r.filter(|&v| g[v] == v as u32).count() as u64,
-            |r, base| {
-                let mut k = base;
-                for v in r {
-                    if g[v] == v as u32 {
-                        // SAFETY: root slots are disjoint across chunks
-                        // and written exactly once; non-root slots are
-                        // never touched.
-                        unsafe { *nid_ptr.get().add(v) = k as u32 };
-                        k += 1;
-                    }
-                }
-                k - base
-            },
-        )
+    let count = |r: std::ops::Range<usize>| r.filter(|&v| is_root(v)).count();
+    let Some(counts) = ChunkCounts::count(pool, arena, n, count) else {
+        let mut k = 0;
+        new_id.extend((0..n).map(|v| {
+            if !is_root(v) {
+                return NOT_ROOT;
+            }
+            k += 1;
+            k - 1
+        }));
+        return (new_id, k as usize);
     };
-    (new_id, n_roots)
+    new_id.resize(n, NOT_ROOT);
+    counts.emit(
+        pool,
+        new_id.chunks_mut(counts.chunk_len()),
+        |r, base, part| {
+            let mut k = base;
+            for (v, id) in r.zip(part) {
+                let root = is_root(v);
+                *id = if root { k as u32 } else { NOT_ROOT };
+                k += usize::from(root);
+            }
+            k - base
+        },
+    );
+    (new_id, counts.total())
 }
 
 /// A contracted edge: endpoints in the current (renumbered) vertex space,
 /// the index of the original edge it stands for, and the cached weight
 /// discriminant (high 32 bits of the order-preserving weight encoding) so
 /// the MWE propose fast path touches no other arrays.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct WorkEdge {
     pub u: u32,
     pub v: u32,
@@ -183,12 +194,11 @@ impl Contraction {
         let best = arena.lease_init_with::<u64, _>(pool, cfg, n, |v| {
             graph.min_arc(v as u32).map_or(NO_ARC, |a| a as u64)
         });
-        // Later rounds lease a count–scan buffer beside the MWE array;
-        // shelve one now so round 2 finds it (the passes below may run
-        // serially and lease none).
+        // Later rounds lease a count buffer; shelve one now so round 2
+        // finds it (the passes below may run serially and lease none).
         let count_buffer = count_buffer_capacity(pool);
         if count_buffer > 0 {
-            drop(arena.lease::<u64>(count_buffer));
+            drop(arena.lease::<usize>(count_buffer));
         }
         let best_ro: &[u64] = &best;
 
@@ -234,68 +244,74 @@ impl Contraction {
         stats.pointer_jumps += llp.advances;
         drop(jump_span);
 
-        // Step 3: renumber roots, then one count–scan–scatter pass over the
-        // `u < v` arcs writes round 2's work edges and their original
-        // edges, cross-component edges only. Output is reserved for all `m`
-        // edges and shrunk to the survivors afterwards: the count pass an
-        // exact size would need costs a second sweep over the arcs.
+        // Step 3: renumber roots, then one pass over the `u < v` arcs
+        // writes round 2's work edges and their original edges,
+        // cross-component edges only. On one thread that pass is the only
+        // sweep: output is reserved for all `m` edges and shrunk to the
+        // survivors afterwards. A larger pool counts each chunk's
+        // survivors first and hands every chunk its exact output parts.
         let contract_span = telemetry::span("contract");
         let g_ro: &[u32] = &g;
-        let (mut new_id, n_roots) = renumber_roots(pool, arena, g_ro);
-        let mut orig_edges: Vec<Edge> = Vec::with_capacity(m);
-        let mut work: Vec<WorkEdge> = Vec::with_capacity(m);
-        let m_next = {
-            let nid_ptr = SendPtr::new(new_id.as_mut_ptr());
-            let orig_ptr = SendPtr::new(orig_edges.as_mut_ptr());
-            let work_ptr = SendPtr::new(work.as_mut_ptr());
-            // Cross-component `u < v` arcs of vertex `u`, in arc order —
-            // the order of `CsrGraph::edges`.
-            let cross = move |u: usize| {
-                let ru = g_ro[u];
-                let (targets, weights) = graph.neighbor_slices(u as u32);
-                targets
-                    .iter()
-                    .zip(weights)
-                    .filter(move |&(&v, _)| v as usize > u && g_ro[v as usize] != ru)
-                    .map(move |(&v, &w)| (ru, v, w))
+        let (new_id, n_roots) = renumber_roots(pool, arena, g_ro);
+        let nid: &[u32] = &new_id;
+        // Cross-component `u < v` arcs of vertex `u`, in arc order — the
+        // order of `CsrGraph::edges`.
+        let cross = move |u: usize| {
+            let ru = g_ro[u];
+            let (targets, weights) = graph.neighbor_slices(u as u32);
+            targets
+                .iter()
+                .zip(weights)
+                .filter(move |&(&v, _)| v as usize > u && g_ro[v as usize] != ru)
+                .map(move |(&v, &w)| (ru, v, w))
+        };
+        // Survivor `k`: arc `u → v` of weight `w`, between roots `ru` and
+        // `g[v]`, as its original edge and its round-2 work edge.
+        let survivor = move |k: usize, u: usize, ru: u32, v: u32, w: f64| {
+            let rv = g_ro[v as usize];
+            let work = WorkEdge {
+                u: nid[ru as usize],
+                v: nid[rv as usize],
+                orig: k as u32,
+                whi: weight_hi32(w),
             };
-            count_scan_chunks(
-                pool,
-                n,
-                arena,
-                |r| r.map(|u| cross(u).count() as u64).sum(),
-                |r, base| {
-                    let mut k = base as usize;
+            (Edge::new(u as u32, v, w), work)
+        };
+        let count = |r: std::ops::Range<usize>| r.map(|u| cross(u).count()).sum();
+        let (orig_edges, work) = match ChunkCounts::count(pool, arena, n, count) {
+            None => {
+                let mut orig_edges: Vec<Edge> = Vec::with_capacity(m);
+                let mut work: Vec<WorkEdge> = Vec::with_capacity(m);
+                for u in 0..n {
+                    for (ru, v, w) in cross(u) {
+                        let (e, we) = survivor(orig_edges.len(), u, ru, v, w);
+                        orig_edges.push(e);
+                        work.push(we);
+                    }
+                }
+                orig_edges.shrink_to_fit();
+                work.shrink_to_fit();
+                (orig_edges, work)
+            }
+            Some(counts) => {
+                let mut orig_edges = vec![Edge::default(); counts.total()];
+                let mut work = vec![WorkEdge::default(); counts.total()];
+                let parts = split_by_lens(&mut orig_edges, counts.lens())
+                    .zip(split_by_lens(&mut work, counts.lens()));
+                counts.emit(pool, parts, |r, base, (orig_part, work_part)| {
+                    let mut k = 0;
                     for u in r {
                         for (ru, v, w) in cross(u) {
-                            let rv = g_ro[v as usize];
-                            // SAFETY: scanned bases keep chunk output
-                            // ranges disjoint within the `m` reserved
-                            // slots; `ru`/`rv` are roots, whose `new_id`
-                            // slots the renumbering pass initialised.
-                            unsafe {
-                                orig_ptr.get().add(k).write(Edge::new(u as u32, v, w));
-                                work_ptr.get().add(k).write(WorkEdge {
-                                    u: *nid_ptr.get().add(ru as usize),
-                                    v: *nid_ptr.get().add(rv as usize),
-                                    orig: k as u32,
-                                    whi: weight_hi32(w),
-                                });
-                            }
+                            (orig_part[k], work_part[k]) = survivor(base + k, u, ru, v, w);
                             k += 1;
                         }
                     }
-                    (k - base as usize) as u64
-                },
-            )
+                    k
+                });
+                (orig_edges, work)
+            }
         };
-        // SAFETY: exactly the leading `m_next` slots of both were written.
-        unsafe {
-            orig_edges.set_len(m_next);
-            work.set_len(m_next);
-        }
-        orig_edges.shrink_to_fit();
-        work.shrink_to_fit();
+        let m_next = work.len();
         drop(new_id);
         drop(g);
         drop(best);
@@ -425,25 +441,21 @@ impl Contraction {
         drop(jump_span);
 
         // Step 3: contract. `g` now maps every vertex to its root.
-        // Renumber roots densely into a leased buffer whose non-root slots
-        // stay uninitialised (only root slots are ever written or read),
-        // then filter + relabel surviving edges in one fused pass into the
-        // double buffer.
+        // Renumber roots densely, then filter + relabel surviving edges in
+        // one fused pass into the double buffer.
         let _t = telemetry::span("contract");
         let g_ro: &[u32] = &g;
-        let (mut new_id, n_roots) = renumber_roots(pool, arena, g_ro);
+        let (new_id, n_roots) = renumber_roots(pool, arena, g_ro);
         {
-            let nid_ptr = SendPtr::new(new_id.as_mut_ptr());
+            let new_id: &[u32] = &new_id;
             let work_ref: &[WorkEdge] = &self.work;
-            compact_map_into(pool, arena, m_cur, &mut self.work_next, |i| {
+            compact_map_into(pool, arena, m_cur, &mut self.work_next, move |i| {
                 let e = work_ref[i];
                 let ru = g_ro[e.u as usize];
                 let rv = g_ro[e.v as usize];
                 (ru != rv).then(|| WorkEdge {
-                    // SAFETY: `ru`/`rv` are roots, whose slots the
-                    // renumbering pass initialised.
-                    u: unsafe { *nid_ptr.get().add(ru as usize) },
-                    v: unsafe { *nid_ptr.get().add(rv as usize) },
+                    u: new_id[ru as usize],
+                    v: new_id[rv as usize],
                     orig: e.orig,
                     whi: e.whi,
                 })

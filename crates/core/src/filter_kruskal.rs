@@ -31,7 +31,7 @@ use crate::union_find::UnionFind;
 use llp_graph::{CsrGraph, Edge, EdgeKey};
 use llp_runtime::partition::{partition3_in_place, retain_parallel};
 use llp_runtime::sort::par_sort_by_key;
-use llp_runtime::{telemetry, ThreadPool};
+use llp_runtime::{telemetry, ScratchArena, ThreadPool};
 
 /// Below this many edges, sort-and-scan beats further partitioning:
 /// partition and filter passes scale with the pool, the base-case union
@@ -72,7 +72,7 @@ pub fn filter_kruskal_par_with_base_case(
     let FilterCtx {
         mut chosen, stats, ..
     } = ctx;
-    par_sort_by_key(pool, &mut chosen, Edge::key); // canonical output order
+    par_sort_by_key(pool, &mut chosen, &ScratchArena::new(), Edge::key); // canonical output order
     MstResult::from_edges(n, chosen, stats)
 }
 
@@ -121,7 +121,7 @@ impl FilterCtx<'_> {
     /// Base case: sort the remaining edges and grow the forest.
     fn sort_and_scan(&mut self, edges: &mut Vec<Edge>) {
         self.stats.parallel_regions += 1;
-        par_sort_by_key(self.pool, edges, Edge::key);
+        par_sort_by_key(self.pool, edges, &ScratchArena::new(), Edge::key);
         for e in edges.drain(..) {
             self.stats.edges_scanned += 1;
             if self.uf.union(e.u, e.v) {

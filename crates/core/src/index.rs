@@ -45,7 +45,7 @@ use crate::verify::VerifyError;
 use llp_graph::weight::{ordered_to_f64, Weight};
 use llp_graph::{Edge, EdgeKey, VertexId};
 use llp_runtime::sort::par_sort_by_key;
-use llp_runtime::{telemetry, ThreadPool};
+use llp_runtime::{telemetry, ScratchArena, ThreadPool};
 
 const NO_NODE: u32 = u32::MAX;
 
@@ -168,7 +168,7 @@ impl PathMaxIndex {
                 .collect();
             if !keyed.windows(2).all(|w| w[0].0 <= w[1].0) {
                 match pool {
-                    Some(pool) => par_sort_by_key(pool, &mut keyed, |p| p.0),
+                    Some(pool) => par_sort_by_key(pool, &mut keyed, &ScratchArena::new(), |p| p.0),
                     None => keyed.sort_unstable(),
                 }
             }

@@ -32,7 +32,7 @@ use llp_graph::{CsrGraph, Edge, EdgeKey, VertexId};
 use llp_runtime::atomics::{AtomicIndexMin, NO_INDEX};
 use llp_runtime::telemetry;
 use llp_runtime::{
-    parallel_for_chunks, parallel_for_chunks_ctx, Bag, ParallelForConfig, ThreadPool,
+    parallel_for_chunks_ctx, parallel_for_chunks_mut, Bag, ParallelForConfig, ThreadPool,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -222,7 +222,7 @@ pub fn llp_prim_par_with_mwe(
 
     let key_of_arc = |a: u64| -> EdgeKey {
         let a = a as usize;
-        let (targets, weights) = arc_slices(graph, a);
+        let (targets, weights) = graph.arc(a);
         EdgeKey::new(weights, arc_source[a], targets)
     };
 
@@ -249,10 +249,10 @@ pub fn llp_prim_par_with_mwe(
                     let mut local_scans = 0u64;
                     for fi in chunk {
                         let j = frontier_ref[fi];
-                        let (lo, hi) = graph_arc_range(graph, j);
+                        let (lo, hi) = graph.arc_range(j);
                         for a in lo..hi {
                             local_scans += 1;
-                            let (k, w) = arc_slices(graph, a);
+                            let (k, w) = graph.arc(a);
                             if fixed_ref[k as usize].load(Ordering::Relaxed) {
                                 continue;
                             }
@@ -275,10 +275,9 @@ pub fn llp_prim_par_with_mwe(
                                 }
                             } else {
                                 rmw_ref.fetch_add(1, Ordering::Relaxed);
-                                let improved = best_ref[k as usize].propose_min_by(
-                                    a as u64,
-                                    |arc| {
-                                        let (_, wt) = arc_slices(graph, arc as usize);
+                                let improved =
+                                    best_ref[k as usize].propose_min_by(a as u64, |arc| {
+                                        let (_, wt) = graph.arc(arc as usize);
                                         (
                                             llp_graph::weight::f64_to_ordered(wt),
                                             arc_source_ref[arc as usize],
@@ -369,7 +368,7 @@ pub fn llp_prim_par_with_mwe(
             fixed_count += 1;
             if v as VertexId != root {
                 let arc = parent_arc[v].load(Ordering::Relaxed) as usize;
-                let (_, w) = arc_slices(graph, arc);
+                let (_, w) = graph.arc(arc);
                 edges.push(Edge::new(arc_source[arc], v as VertexId, w));
             }
         }
@@ -395,68 +394,40 @@ pub fn llp_prim_par_with_mwe(
 /// The fill is memory-bound, so it parallelises over *arc* chunks rather
 /// than vertices (vertex chunks would be badly skewed on power-law
 /// graphs). Each chunk locates its first source vertex by binary search
-/// on the CSR offsets, then walks the ranges forward; chunks write
-/// disjoint slices of `out`.
+/// on the CSR offsets, then walks the ranges forward through its own part
+/// of `out`.
 fn build_arc_sources(graph: &CsrGraph, pool: &ThreadPool) -> Vec<VertexId> {
     let _t = telemetry::span("arc-sources");
-    let m = graph.num_arcs();
+    let mut out = vec![0 as VertexId; graph.num_arcs()];
     let n = graph.num_vertices();
-    let mut out = vec![0 as VertexId; m];
-    if m == 0 {
-        return out;
-    }
-
-    struct Ptr(*mut VertexId);
-    // SAFETY: chunks are disjoint index ranges; each slot is written once.
-    unsafe impl Sync for Ptr {}
-    let ptr = Ptr(out.as_mut_ptr());
-    let ptr = &ptr;
-    parallel_for_chunks(
+    parallel_for_chunks_mut(
         pool,
-        0..m,
+        &mut out,
         ParallelForConfig::with_grain(4096),
-        move |chunk| {
+        |start, part| {
             // First vertex whose arc range extends past the chunk start.
             let (mut lo_v, mut hi_v) = (0usize, n);
             while lo_v < hi_v {
                 let mid = lo_v + (hi_v - lo_v) / 2;
-                if graph_arc_range(graph, mid as VertexId).1 <= chunk.start {
+                if graph.arc_range(mid as VertexId).1 <= start {
                     lo_v = mid + 1;
                 } else {
                     hi_v = mid;
                 }
             }
-            let mut v = lo_v;
-            let mut a = chunk.start;
-            while a < chunk.end {
-                let (_, hi) = graph_arc_range(graph, v as VertexId);
-                let stop = hi.min(chunk.end);
-                for i in a..stop {
-                    // SAFETY: `i` lies in this chunk only.
-                    unsafe { *ptr.0.add(i) = v as VertexId };
-                }
-                a = a.max(stop);
-                if hi <= chunk.end {
-                    v += 1; // range exhausted (empty ranges just skip ahead)
-                } else {
-                    break;
-                }
+            // Arc ranges are consecutive, so each vertex fills the next
+            // `[a, stop)` of the part (empty ranges fill nothing).
+            let end = start + part.len();
+            let (mut v, mut a) = (lo_v, start);
+            while a < end {
+                let stop = graph.arc_range(v as VertexId).1.min(end);
+                part[a - start..stop - start].fill(v as VertexId);
+                a = stop;
+                v += 1;
             }
         },
     );
     out
-}
-
-/// The arc index range of vertex `v` (positions in the CSR arc arrays).
-#[inline]
-fn graph_arc_range(graph: &CsrGraph, v: VertexId) -> (usize, usize) {
-    graph.arc_range(v)
-}
-
-/// Target and weight of arc `a`.
-#[inline]
-fn arc_slices(graph: &CsrGraph, a: usize) -> (VertexId, f64) {
-    graph.arc(a)
 }
 
 #[cfg(test)]

@@ -450,7 +450,7 @@ pub fn sharded_msf_file(
             }
             candidate_edges += cand.len() as u64;
 
-            par_sort_by_key(pool, &mut cand, Edge::key);
+            par_sort_by_key(pool, &mut cand, &ScratchArena::new(), Edge::key);
 
             // Merge-scan the two key-sorted forests through a fresh
             // union-find: the Kruskal scan over MSF(acc) ∪ MSF(shard)

@@ -1,12 +1,14 @@
 //! Seed-sweep agreement between the oracle-free certifier and the
 //! Kruskal-oracle verifier, in both directions: genuine MSFs must be
-//! accepted by both, mutated forests rejected by both. Cases are
-//! deterministic seed sweeps (hermetic builds cannot depend on
-//! `proptest`).
+//! accepted by both, mutated forests rejected by both. A deliberately
+//! naive reference certifier, walking explicit tree paths, must reach the
+//! same verdict as both certifiers, and the same path maxima as
+//! `PathMaxIndex`. Cases are deterministic seed sweeps (hermetic builds
+//! cannot depend on `proptest`).
 
 use llp_graph::generators::{erdos_renyi, random_geometric, road_network, RoadParams};
 use llp_graph::transform::map_weights;
-use llp_graph::{CsrGraph, Edge};
+use llp_graph::{CsrGraph, Edge, EdgeKey};
 use llp_mst::index::PathMaxIndex;
 use llp_mst::prelude::{
     certify_msf, certify_msf_par, filter_kruskal_par, filter_kruskal_par_with_base_case, kruskal,
@@ -44,9 +46,9 @@ fn canonical(e: Edge) -> Edge {
     Edge::new(u, v, e.w)
 }
 
-/// Indices into `tree` of the edges on the forest path from `u` to `v`,
-/// which must lie in the same tree.
-fn tree_path(n: usize, tree: &[Edge], u: u32, v: u32) -> Vec<usize> {
+/// Indices into `tree` of the edges on the forest path from `u` to `v`, or
+/// `None` when they lie in different trees.
+fn tree_path(n: usize, tree: &[Edge], u: u32, v: u32) -> Option<Vec<usize>> {
     let mut adj: Vec<Vec<(u32, usize)>> = vec![Vec::new(); n];
     for (i, e) in tree.iter().enumerate() {
         adj[e.u as usize].push((e.v, i));
@@ -66,14 +68,65 @@ fn tree_path(n: usize, tree: &[Edge], u: u32, v: u32) -> Vec<usize> {
             }
         }
     }
+    if !seen[v as usize] {
+        return None;
+    }
     let mut path = Vec::new();
     let mut x = v;
     while x != u {
-        let i = via[x as usize].expect("u and v lie in one tree");
+        let i = via[x as usize].expect("reached by a tree edge");
         path.push(i);
         x = if tree[i].u == x { tree[i].v } else { tree[i].u };
     }
-    path
+    Some(path)
+}
+
+/// The maximum key on the forest path from `u` to `v`: `None` when the
+/// path is empty (`u == v`) or the vertices lie in different trees.
+fn naive_path_max(n: usize, tree: &[Edge], u: u32, v: u32) -> Option<EdgeKey> {
+    tree_path(n, tree, u, v)?.into_iter().map(|i| tree[i].key()).max()
+}
+
+/// A deliberately naive reference certifier, O(m·n) and for small graphs
+/// only, built on [`tree_path`] rather than on any index. `f` is the
+/// canonical minimum spanning forest of `g` when:
+/// * every forest edge is a graph edge (weight included);
+/// * no forest edge joins two vertices that earlier forest edges already
+///   connect (the forest is acyclic);
+/// * every graph edge's endpoints lie in one tree (it spans);
+/// * every non-tree edge's key exceeds the maximum key on its tree path.
+fn naive_certify(g: &CsrGraph, f: &MstResult) -> Result<(), &'static str> {
+    let n = g.num_vertices();
+    let mut graph_keys: Vec<EdgeKey> = g.edges().map(|e| e.key()).collect();
+    graph_keys.sort_unstable();
+    if f.edges.iter().any(|e| graph_keys.binary_search(&e.key()).is_err()) {
+        return Err("foreign edge");
+    }
+    for (i, e) in f.edges.iter().enumerate() {
+        if tree_path(n, &f.edges[..i], e.u, e.v).is_some() {
+            return Err("cycle");
+        }
+    }
+    let mut tree_keys: Vec<EdgeKey> = f.edges.iter().map(Edge::key).collect();
+    tree_keys.sort_unstable();
+    for e in g.edges() {
+        let Some(path) = tree_path(n, &f.edges, e.u, e.v) else {
+            return Err("not spanning");
+        };
+        let on_tree = tree_keys.binary_search(&e.key()).is_ok();
+        if !on_tree && path.iter().any(|&i| f.edges[i].key() > e.key()) {
+            return Err("cut violation");
+        }
+    }
+    Ok(())
+}
+
+/// `certify_msf`, `certify_msf_par` and [`naive_certify`] reach one
+/// verdict on `f`, and it is `want_ok`.
+fn assert_verdicts(g: &CsrGraph, f: &MstResult, pool: &ThreadPool, want_ok: bool, what: &str) {
+    assert_eq!(naive_certify(g, f).is_ok(), want_ok, "naive/{what}");
+    assert_eq!(certify_msf(g, f).is_ok(), want_ok, "certify/{what}");
+    assert_eq!(certify_msf_par(g, f, pool).is_ok(), want_ok, "certify_par/{what}");
 }
 
 #[test]
@@ -87,6 +140,7 @@ fn certifier_and_oracle_accept_genuine_msfs() {
                 .unwrap_or_else(|e| panic!("certifier seed {seed} graph {gi}: {e}"));
             certify_msf_par(&g, &msf, &pool)
                 .unwrap_or_else(|e| panic!("par certifier seed {seed} graph {gi}: {e}"));
+            assert_verdicts(&g, &msf, &pool, true, &format!("genuine {seed}/{gi}"));
         }
     }
 }
@@ -126,6 +180,7 @@ fn certifier_and_oracle_reject_mutated_forests() {
             let dropped = forest(n, edges);
             assert!(verify_msf(&g, &dropped).is_err(), "oracle/drop {seed}/{gi}");
             assert!(certify_msf(&g, &dropped).is_err(), "certify/drop {seed}/{gi}");
+            assert_verdicts(&g, &dropped, &pool, false, &format!("drop {seed}/{gi}"));
             // The dropped edge is the lightest across the cut it leaves.
             assert_witness(
                 &dropped,
@@ -140,6 +195,7 @@ fn certifier_and_oracle_reject_mutated_forests() {
             let heavier = forest(n, edges);
             assert!(verify_msf(&g, &heavier).is_err(), "oracle/heavy {seed}/{gi}");
             assert!(certify_msf(&g, &heavier).is_err(), "certify/heavy {seed}/{gi}");
+            assert_verdicts(&g, &heavier, &pool, false, &format!("heavy {seed}/{gi}"));
             // The original edge is lighter than every other edge whose
             // tree path now crosses the heavier copy.
             assert_witness(
@@ -154,6 +210,7 @@ fn certifier_and_oracle_reject_mutated_forests() {
             let cyclic = forest(n, edges);
             assert!(verify_msf(&g, &cyclic).is_err(), "oracle/cycle {seed}/{gi}");
             assert!(certify_msf(&g, &cyclic).is_err(), "certify/cycle {seed}/{gi}");
+            assert_verdicts(&g, &cyclic, &pool, false, &format!("cycle {seed}/{gi}"));
             assert_witness(&cyclic, VerifyError::Cycle(msf.edges[i]), "cycle");
 
             // Longer cycle: append a non-tree graph edge. Its endpoints are
@@ -175,6 +232,7 @@ fn certifier_and_oracle_reject_mutated_forests() {
                     verify_msf(&g, &cyclic).is_err(),
                     "oracle/long-cycle {seed}/{gi}"
                 );
+                assert_verdicts(&g, &cyclic, &pool, false, &format!("long-cycle {seed}/{gi}"));
                 assert_witness(&cyclic, VerifyError::Cycle(e), "long-cycle");
             }
 
@@ -184,6 +242,7 @@ fn certifier_and_oracle_reject_mutated_forests() {
             // a cycle through the heavier-keyed replacement.
             let flip = non_tree.iter().find_map(|&e| {
                 tree_path(n, &msf.edges, e.u, e.v)
+                    .expect("a non-tree edge's endpoints share a tree")
                     .into_iter()
                     .find(|&t| msf.edges[t].w == e.w)
                     .map(|t| (t, e))
@@ -200,6 +259,7 @@ fn certifier_and_oracle_reject_mutated_forests() {
                     verify_msf(&g, &swapped).is_err(),
                     "oracle/tie-flip {seed}/{gi}"
                 );
+                assert_verdicts(&g, &swapped, &pool, false, &format!("tie-flip {seed}/{gi}"));
                 assert_witness(
                     &swapped,
                     VerifyError::CutViolation(canonical(msf.edges[t])),
@@ -237,6 +297,34 @@ fn certifier_and_oracle_reject_mutated_forests() {
                     foreign,
                     "certify_par/mask {seed}/{gi}"
                 );
+                assert_verdicts(&doubled, &masked, &pool, false, &format!("mask {seed}/{gi}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn path_max_index_matches_naive_tree_paths() {
+    /// Position of the sparse, disconnected forest in [`graphs`].
+    const DISCONNECTED: usize = 2;
+    for seed in 0..CASES {
+        for (gi, g) in graphs(seed).into_iter().enumerate() {
+            let n = g.num_vertices();
+            let msf = kruskal(&g);
+            let index = PathMaxIndex::build(n, &msf).expect("a forest");
+            let mut rng = SmallRng::seed_from_u64(seed * 17 + gi as u64);
+            let mut apart = 0;
+            for _ in 0..64 {
+                let u = rng.gen_range(0..n as u32);
+                let v = if rng.gen_range(0u32..8) == 0 { u } else { rng.gen_range(0..n as u32) };
+                let want = naive_path_max(n, &msf.edges, u, v);
+                let joined = tree_path(n, &msf.edges, u, v).is_some();
+                assert_eq!(index.path_max(u, v), want, "path_max({u}, {v}) {seed}/{gi}");
+                assert_eq!(index.connected(u, v), joined, "connected({u}, {v}) {seed}/{gi}");
+                apart += usize::from(!joined);
+            }
+            if gi == DISCONNECTED {
+                assert!(apart > 0, "no pair in different trees sampled ({seed})");
             }
         }
     }

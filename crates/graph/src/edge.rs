@@ -6,8 +6,9 @@ use crate::VertexId;
 /// An undirected weighted edge `{u, v}` with weight `w`.
 ///
 /// The struct stores the endpoints as given; identity and ordering go
-/// through [`Edge::key`], which canonicalises orientation.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// through [`Edge::key`], which canonicalises orientation. The default is
+/// a zero-weight loop at vertex 0, a fill value for preallocated buffers.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Edge {
     /// One endpoint.
     pub u: VertexId,

@@ -13,15 +13,19 @@
 //!   one closure on every thread (the caller participates as thread 0).
 //! * [`parallel_for()`](fn@parallel_for) / [`parallel_for_chunks`] — dynamically load-balanced
 //!   parallel loops over index ranges.
+//! * [`parallel_for_each`] — the one way to write a buffer in parallel:
+//!   workers claim items — disjoint `&mut` parts cut by `chunks_mut`
+//!   ([`parallel_for_chunks_mut`]) or [`split_by_lens`] — one at a time.
+//!   No parallel write goes through a raw pointer.
 //! * [`parallel_map_collect`] — parallel map into a preallocated vector.
 //! * [`Bag`] — a per-thread insert bag (Galois `InsertBag` analogue) used to
 //!   collect next-round frontiers without synchronization on the hot path.
 //! * [`atomics`] — order-preserving float encodings, atomic fetch-min by
 //!   key (GBBS `priority_write` analogue) and packed MWE words.
-//! * [`scan`] — sequential and parallel exclusive prefix sums.
-//! * [`partition`] — scan-based counting distribution: stable parallel
-//!   three-way partition and parallel retain (Filter-Kruskal's pivot
-//!   partition and filter steps).
+//! * [`scan`] — exclusive prefix sum and the exactly-once parallel pack.
+//! * [`partition`] — scan-based counting distribution (stable parallel
+//!   three-way partition and parallel retain: Filter-Kruskal's pivot
+//!   partition and filter steps) and count–scan–emit compaction.
 //! * [`sort`] — parallel sample sort (counting distribution into buckets)
 //!   used by the Kruskal family.
 //! * [`chaos`] — seeded schedule perturbation (randomized yields/delays at
@@ -52,9 +56,12 @@ pub mod sync;
 pub mod telemetry;
 
 pub use bag::Bag;
-pub use parallel_for::{parallel_for, parallel_for_chunks, parallel_for_chunks_ctx, ParallelForConfig};
+pub use parallel_for::{
+    parallel_for, parallel_for_chunks, parallel_for_chunks_ctx, parallel_for_chunks_mut,
+    parallel_for_each, split_by_lens, ParallelForConfig,
+};
 pub use pool::{ThreadPool, WorkerCtx};
-pub use reduce::{parallel_map_collect, SendPtr};
+pub use reduce::parallel_map_collect;
 pub use scratch::{ScratchArena, ScratchVec};
 
 /// Number of hardware threads available to this process.

@@ -1,11 +1,17 @@
-//! Dynamically load-balanced parallel loops over index ranges.
+//! Dynamically load-balanced parallel loops over index ranges and items.
 //!
 //! The loops hand out chunks of `grain` indices from a shared atomic cursor,
 //! which is the scheduling model both Galois (`do_all` with a chunked
 //! worklist) and GBBS (`parallel_for` with granularity control) use for flat
 //! loops over vertex or edge ranges.
+//!
+//! Parallel writes go through [`parallel_for_each`]: its items are disjoint
+//! `&mut` parts of the output — cut by `chunks_mut`
+//! ([`parallel_for_chunks_mut`]) or by [`split_by_lens`] — so no thread
+//! can write another's slots and no raw pointer is involved.
 
 use crate::pool::ThreadPool;
+use crate::sync::Mutex;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -129,6 +135,94 @@ pub fn parallel_for_chunks_ctx<F>(
         let hi = (lo + grain).min(len);
         f(ctx, start + lo..start + hi);
     });
+}
+
+/// Runs `f` on every item of `items`, the pool's threads claiming items
+/// one at a time under a lock. On a one-thread pool it is a plain
+/// `for_each`.
+///
+/// The items are typically disjoint `&mut` parts of one buffer, which makes
+/// this the safe way to write a buffer in parallel.
+///
+/// ```
+/// use llp_runtime::{parallel_for_each, ThreadPool};
+///
+/// let pool = ThreadPool::new(2);
+/// let mut v = vec![0u32; 100];
+/// parallel_for_each(&pool, v.chunks_mut(10).enumerate(), |(b, part)| {
+///     part.fill(b as u32);
+/// });
+/// assert_eq!(v[95], 9);
+/// ```
+pub fn parallel_for_each<I, F>(pool: &ThreadPool, items: I, f: F)
+where
+    I: Iterator + Send,
+    F: Fn(I::Item) + Sync,
+{
+    if pool.threads() == 1 {
+        items.for_each(f);
+        return;
+    }
+    let items = Mutex::new(items);
+    pool.broadcast(|ctx| loop {
+        crate::chaos::chunk_claim(ctx.tid);
+        let Some(item) = items.lock().next() else {
+            break;
+        };
+        f(item);
+    });
+}
+
+/// Runs `f(start, part)` over consecutive parts of `data`, one grain each
+/// (the grain resolved as in [`parallel_for_chunks`]); `start` is the
+/// part's offset in `data`. Single-thread pools and slices of at most one
+/// grain run as one `f(0, data)` call.
+pub fn parallel_for_chunks_mut<T, F>(
+    pool: &ThreadPool,
+    data: &mut [T],
+    config: ParallelForConfig,
+    f: F,
+) where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    let len = data.len();
+    if len == 0 {
+        return;
+    }
+    let grain = crate::chaos::perturb_grain(config.resolve_grain(len, pool.threads()), len);
+    if pool.threads() == 1 || len <= grain {
+        f(0, data);
+        return;
+    }
+    parallel_for_each(pool, data.chunks_mut(grain).enumerate(), |(b, part)| {
+        f(b * grain, part)
+    });
+}
+
+/// Cuts `data` into consecutive parts of the given lengths, in order.
+///
+/// # Panics
+/// Panics when the lengths do not sum to `data.len()` — before any part is
+/// handed out, so a caller cannot write a partial layout.
+pub fn split_by_lens<'a, T, L>(mut data: &'a mut [T], lens: L) -> impl Iterator<Item = &'a mut [T]>
+where
+    L: IntoIterator<Item = usize>,
+    L::IntoIter: Clone + 'a,
+{
+    let lens = lens.into_iter();
+    let total: usize = lens.clone().sum();
+    assert_eq!(
+        total,
+        data.len(),
+        "part lengths sum to {total}, the slice holds {}",
+        data.len()
+    );
+    lens.map(move |len| {
+        let (part, rest) = std::mem::take(&mut data).split_at_mut(len);
+        data = rest;
+        part
+    })
 }
 
 #[cfg(test)]
@@ -255,5 +349,90 @@ mod tests {
             acc.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(acc.load(Ordering::Relaxed), 10);
+    }
+
+    #[test]
+    fn for_each_visits_every_item_exactly_once() {
+        for threads in [1, 4] {
+            let pool = ThreadPool::new(threads);
+            for n in [0usize, 1, 7, 1000] {
+                let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+                parallel_for_each(&pool, 0..n, |i| {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                });
+                assert!(
+                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                    "threads={threads} n={n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn for_each_writes_disjoint_parts_including_empty_ones() {
+        for threads in [1, 4] {
+            let pool = ThreadPool::new(threads);
+            let lens = [0usize, 3, 0, 0, 5, 1, 0, 64, 0];
+            let mut v = vec![u32::MAX; lens.iter().sum()];
+            parallel_for_each(
+                &pool,
+                split_by_lens(&mut v, lens).enumerate(),
+                |(b, part)| {
+                    part.fill(b as u32);
+                },
+            );
+            let want: Vec<u32> = lens
+                .iter()
+                .enumerate()
+                .flat_map(|(b, &l)| std::iter::repeat_n(b as u32, l))
+                .collect();
+            assert_eq!(v, want, "threads={threads}");
+            // An empty slice cut into empty parts hands out only those.
+            let mut empty: [u32; 0] = [];
+            let parts = std::sync::atomic::AtomicUsize::new(0);
+            parallel_for_each(&pool, split_by_lens(&mut empty, [0, 0, 0]), |part| {
+                assert!(part.is_empty());
+                parts.fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(parts.load(Ordering::Relaxed), 3);
+        }
+    }
+
+    #[test]
+    fn chunks_mut_fill_matches_offsets() {
+        for threads in [1, 4] {
+            let pool = ThreadPool::new(threads);
+            for n in [0usize, 1, 63, 64, 65, 10_000] {
+                let mut v = vec![0usize; n];
+                parallel_for_chunks_mut(
+                    &pool,
+                    &mut v,
+                    ParallelForConfig::with_grain(64),
+                    |start, part| {
+                        for (k, x) in part.iter_mut().enumerate() {
+                            *x = start + k;
+                        }
+                    },
+                );
+                assert!(
+                    v.iter().enumerate().all(|(i, &x)| x == i),
+                    "threads={threads} n={n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "part lengths sum to 5, the slice holds 6")]
+    fn split_by_lens_rejects_lengths_short_of_the_slice() {
+        let mut v = [0u8; 6];
+        let _ = split_by_lens(&mut v, [2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "part lengths sum to 7, the slice holds 6")]
+    fn split_by_lens_rejects_lengths_past_the_slice() {
+        let mut v = [0u8; 6];
+        let _ = split_by_lens(&mut v, [2, 5]);
     }
 }

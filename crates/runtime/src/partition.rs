@@ -1,37 +1,45 @@
 //! Scan-based parallel partitioning: counting distribution, stable
-//! three-way partition, and parallel retain.
+//! three-way partition, parallel retain, and count–scan–emit compaction.
 //!
 //! Filter-Kruskal's two data-parallel steps — pivot partition and the
 //! filter pass — are both instances of one pattern: classify every element,
-//! prefix-sum the class counts, scatter each element to its slot. The same
-//! counting-distribution machinery backs the sample sort in [`crate::sort`].
-//! The shape mirrors [`crate::scan::exclusive_scan`]: fixed chunks claimed
-//! through an atomic cursor (chaos-instrumented like
-//! [`crate::parallel_for()`]), per-chunk class counts, one sequential
-//! exclusive scan of the small count matrix, then a disjoint scatter
-//! through raw pointers. Elements move bitwise through a `MaybeUninit`
-//! scratch buffer, so no `Clone` bound is needed.
+//! prefix-sum the class counts, move each element to its slot. The same
+//! counting distribution backs the sample sort in [`crate::sort`].
+//!
+//! Every parallel write here goes through [`parallel_for_each`] over
+//! disjoint `&mut` parts (`chunks_mut` or [`split_by_lens`]), so the parts
+//! cannot overlap and no raw pointer is involved. Elements are `Copy`:
+//! they move by plain assignment and `copy_from_slice`.
 
+use crate::parallel_for::{parallel_for_each, split_by_lens};
 use crate::pool::ThreadPool;
-use crate::reduce::SendPtr;
 use crate::scan::exclusive_scan_in_place;
-use crate::scratch::ScratchArena;
+use crate::scratch::{ScratchArena, ScratchVec};
 use std::cmp::Ordering as CmpOrdering;
-use std::mem::MaybeUninit;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Below this many elements the sequential path wins.
 pub(crate) const PAR_THRESHOLD: usize = 4096;
 
 /// Stably reorders `data` so elements of class `0`, `1`, …, `nclasses - 1`
 /// appear in that order, each class keeping its input order (counting
-/// distribution). Returns the class boundaries: `bounds[c]..bounds[c + 1]`
-/// is the range of class `c`, with `bounds.len() == nclasses + 1`.
+/// distribution). `bounds` is cleared and refilled with the class
+/// boundaries: `bounds[c]..bounds[c + 1]` is the range of class `c`, with
+/// `bounds.len() == nclasses + 1`.
+///
+/// The round state — cached class ids, the count matrix and the scratch
+/// copy of `data` — is leased from `arena`, so repeated calls with a warm
+/// arena perform no heap allocations.
 ///
 /// `class_of` is called exactly once per element (classes are cached), so
 /// expensive classifiers — union-find lookups, splitter binary searches —
 /// are not re-evaluated during the scatter.
+///
+/// The data is cut into chunks (one on a one-thread pool or below
+/// 4096 elements). Each chunk classifies its elements and
+/// stably counting-sorts itself in place, from a scratch copy; then each
+/// (class, chunk) run is copied to its class-major place. With one chunk
+/// the chunk's order already is the class order, and that copy is skipped.
 ///
 /// # Panics
 /// Panics when `class_of` returns a value `>= nclasses`.
@@ -39,143 +47,111 @@ pub fn distribute_by_class<T, F>(
     pool: &ThreadPool,
     data: &mut [T],
     nclasses: usize,
-    class_of: F,
-) -> Vec<usize>
-where
-    T: Send + Sync + 'static,
-    F: Fn(&T) -> usize + Sync,
-{
-    let arena = ScratchArena::new();
-    let mut bounds = Vec::with_capacity(nclasses + 1);
-    distribute_by_class_in(pool, data, nclasses, &arena, &mut bounds, class_of);
-    bounds
-}
-
-/// [`distribute_by_class`] with all round state leased from `arena`:
-/// the cached class ids, the class-major count matrix, and the scatter
-/// scratch buffer. `bounds` is cleared and refilled in place, so repeated
-/// calls with a warm arena perform no heap allocations.
-pub fn distribute_by_class_in<T, F>(
-    pool: &ThreadPool,
-    data: &mut [T],
-    nclasses: usize,
     arena: &ScratchArena,
     bounds: &mut Vec<usize>,
     class_of: F,
 ) where
-    T: Send + Sync + 'static,
+    T: Copy + Send + Sync + 'static,
     F: Fn(&T) -> usize + Sync,
 {
     assert!(nclasses >= 1, "need at least one class");
     assert!(nclasses <= u16::MAX as usize, "class ids are stored as u16");
     let n = data.len();
     bounds.clear();
+    bounds.push(0);
     if n == 0 {
         bounds.resize(nclasses + 1, 0);
         return;
     }
-    if pool.threads() == 1 || n < PAR_THRESHOLD {
-        bounds.extend_from_slice(&distribute_seq(data, nclasses, &class_of));
-        return;
-    }
-
-    let nchunks = (pool.threads() * 8).min(n);
+    let nchunks = if pool.threads() == 1 || n < PAR_THRESHOLD {
+        1
+    } else {
+        (pool.threads() * 8).min(n)
+    };
     let chunk = n.div_ceil(nchunks);
     let nchunks = n.div_ceil(chunk);
 
-    // Pass 1: classify, caching class ids and per-chunk class counts.
-    // Counts are laid out class-major (`[class][chunk]`) so a single
-    // exclusive scan yields every (class, chunk) scatter base offset.
-    // Chunk `b` exclusively owns column `b` of the matrix, so workers
-    // increment it directly — no per-worker count buffers, no merge.
-    let mut classes = arena.lease::<u16>(n);
-    let mut counts = arena.lease::<u64>(nclasses * nchunks);
-    counts.resize(nclasses * nchunks, 0);
-    {
-        let classes_ptr = SendPtr::new(classes.as_mut_ptr());
-        let counts_ptr = SendPtr::new(counts.as_mut_ptr());
-        let data_ro: &[T] = data;
-        let class_of = &class_of;
-        let cursor = AtomicUsize::new(0);
-        pool.broadcast(|ctx| loop {
-            crate::chaos::chunk_claim(ctx.tid);
-            let b = cursor.fetch_add(1, Ordering::Relaxed);
-            if b >= nchunks {
-                break;
-            }
-            let lo = b * chunk;
-            let hi = ((b + 1) * chunk).min(n);
-            for (i, x) in data_ro.iter().enumerate().take(hi).skip(lo) {
-                let c = class_of(x);
-                assert!(c < nclasses, "class {c} out of range (nclasses {nclasses})");
-                // SAFETY: chunks are disjoint index ranges of `classes`,
-                // and chunk `b` is the only writer of matrix column `b`.
-                unsafe {
-                    *classes_ptr.get().add(i) = c as u16;
-                    *counts_ptr.get().add(c * nchunks + b) += 1;
-                }
-            }
-        });
-        // SAFETY: the chunks partition 0..n, so every id slot was written.
-        unsafe { classes.set_len(n) };
-    }
-
-    // Pass 2 (sequential, nclasses * nchunks entries): scan the count matrix.
-    let total = exclusive_scan_in_place(&mut counts);
-    debug_assert_eq!(total as usize, n);
-    bounds.extend((0..nclasses).map(|c| counts[c * nchunks] as usize));
-    bounds.push(n);
-
-    // Pass 3: scatter each chunk's elements to their class slots. The
-    // scratch lease's len stays 0 — elements move in and back out bitwise
-    // through raw pointers, so returning the buffer never drops a `T`.
-    // The scanned offset matrix doubles as the per-(class, chunk) write
-    // cursors: chunk `b` still owns column `b`, so it advances those
-    // entries in place.
+    // Pass 1: every chunk counting-sorts itself in place from its scratch
+    // copy, with its own class ids and its own row of the chunk-major
+    // count matrix. Each row ends as its chunk's class end offsets.
+    let mut ids = arena.lease::<u16>(n);
+    ids.resize(n, 0);
+    let mut ends = arena.lease::<u64>(nclasses * nchunks);
+    ends.resize(nclasses * nchunks, 0);
     let mut scratch = arena.lease::<T>(n);
-    {
-        let scratch_ptr = SendPtr::new(scratch.as_mut_ptr());
-        let offsets_ptr = SendPtr::new(counts.as_mut_ptr());
-        let data_ro: &[T] = data;
-        let classes_ro: &[u16] = &classes;
-        let cursor = AtomicUsize::new(0);
-        pool.broadcast(|ctx| loop {
-            crate::chaos::chunk_claim(ctx.tid);
-            let b = cursor.fetch_add(1, Ordering::Relaxed);
-            if b >= nchunks {
-                break;
-            }
-            let lo = b * chunk;
-            let hi = ((b + 1) * chunk).min(n);
-            for (i, &cls) in classes_ro.iter().enumerate().take(hi).skip(lo) {
-                let c = cls as usize;
-                // SAFETY: the scan makes (class, chunk) destination ranges
-                // disjoint and chunk `b` is the sole reader/writer of its
-                // cursor column, so each scratch slot is written exactly
-                // once; the element is moved bitwise — never dropped or
-                // aliased.
-                unsafe {
-                    let slot = offsets_ptr.get().add(c * nchunks + b);
-                    let dst = *slot as usize;
-                    *slot += 1;
-                    std::ptr::copy_nonoverlapping(
-                        data_ro.as_ptr().add(i),
-                        scratch_ptr.get().add(dst),
-                        1,
-                    );
-                }
-            }
-        });
+    scratch.extend_from_slice(data);
+    let chunks = data
+        .chunks_mut(chunk)
+        .zip(scratch.chunks(chunk))
+        .zip(ids.chunks_mut(chunk))
+        .zip(ends.chunks_mut(nclasses));
+    parallel_for_each(pool, chunks, |(((part, copy), ids), row)| {
+        counting_sort_chunk(part, copy, ids, row, &class_of)
+    });
+
+    // The (class, chunk) run lengths, read off the rows of end offsets.
+    let run_len = |b: usize, c: usize| {
+        let row = &ends[b * nclasses..(b + 1) * nclasses];
+        (row[c] - if c == 0 { 0 } else { row[c - 1] }) as usize
+    };
+    for c in 0..nclasses {
+        let class_len: usize = (0..nchunks).map(|b| run_len(b, c)).sum();
+        bounds.push(bounds[c] + class_len);
     }
-    // SAFETY: every element of `data` was moved into `scratch` exactly once;
-    // copying the permutation back restores ownership in `data`. `scratch`
-    // keeps len 0, so returning it to the arena drops no `T`.
-    unsafe {
-        std::ptr::copy_nonoverlapping(scratch.as_ptr(), data.as_mut_ptr(), n);
+    if nchunks == 1 {
+        return;
+    }
+
+    // Pass 2: copy every (class, chunk) run into its class-major part of
+    // `scratch`, then the result back into `data`.
+    let sorted: &[T] = data;
+    let class_lens = bounds.windows(2).map(|w| w[1] - w[0]);
+    parallel_for_each(
+        pool,
+        split_by_lens(&mut scratch, class_lens).enumerate(),
+        |(c, mut part)| {
+            for b in 0..nchunks {
+                let start = b * chunk + (ends[b * nclasses + c] as usize - run_len(b, c));
+                let (run, rest) = part.split_at_mut(run_len(b, c));
+                run.copy_from_slice(&sorted[start..start + run.len()]);
+                part = rest;
+            }
+        },
+    );
+    parallel_for_each(
+        pool,
+        data.chunks_mut(chunk).zip(scratch.chunks(chunk)),
+        |(to, from)| to.copy_from_slice(from),
+    );
+}
+
+/// Stably counting-sorts one chunk of [`distribute_by_class`]: classifies
+/// `part` into `ids` and `row` (one count per class), then scatters `copy`
+/// (the chunk's elements as they were) back into `part` class by class,
+/// leaving `row` as the class end offsets. A function of its own, not a
+/// closure body: its `&mut` arguments are known not to alias, which keeps
+/// the one-thread path as fast as the scatter it replaced.
+fn counting_sort_chunk<T, F>(part: &mut [T], copy: &[T], ids: &mut [u16], row: &mut [u64], class_of: &F)
+where
+    T: Copy,
+    F: Fn(&T) -> usize,
+{
+    let nclasses = row.len();
+    for (x, id) in part.iter().zip(ids.iter_mut()) {
+        let c = class_of(x);
+        assert!(c < nclasses, "class {c} out of range (nclasses {nclasses})");
+        *id = c as u16;
+        row[c] += 1;
+    }
+    exclusive_scan_in_place(row);
+    for (&x, &c) in copy.iter().zip(ids.iter()) {
+        let slot = &mut row[c as usize];
+        part[*slot as usize] = x;
+        *slot += 1;
     }
 }
 
-/// The largest per-chunk count buffer [`count_scan_chunks`] leases on
+/// The largest per-chunk count buffer [`ChunkCounts::count`] leases on
 /// `pool`, for any `n` (0 on one thread, where it leases none). A caller
 /// that must leave an arena warm for later passes leases this much.
 pub fn count_buffer_capacity(pool: &ThreadPool) -> usize {
@@ -186,92 +162,111 @@ pub fn count_buffer_capacity(pool: &ThreadPool) -> usize {
     }
 }
 
-/// Chunked count–scan–emit skeleton over `0..n`, with the per-chunk count
-/// buffer leased from `arena`.
+/// A chunked count–scan–emit over `0..n`, after its count pass: how many
+/// outputs each chunk of a fixed chunk grid produces, in a buffer leased
+/// from an arena.
 ///
-/// The range is cut into a fixed grid of chunks (the same grid both
-/// passes use). Pass 1 calls `count(chunk)` for every chunk; the counts
-/// are exclusively scanned; pass 2 calls `emit(chunk, base)` where `base`
-/// is the chunk's scanned output offset, and `emit` must return how many
-/// outputs it produced (checked against the scan under debug assertions).
-/// Returns the total output count.
-///
-/// Single-thread pools and small `n` skip straight to one `emit(0..n, 0)`
-/// call, so `emit` must subsume `count`'s work on that path.
-pub fn count_scan_chunks<C, E>(
-    pool: &ThreadPool,
+/// [`ChunkCounts::count`] runs the count pass; the caller sizes its
+/// output to [`ChunkCounts::total`] and cuts it into one part per chunk —
+/// `split_by_lens(out, counts.lens())` for a compaction,
+/// `chunks_mut(counts.chunk_len())` for an input-aligned fill — and
+/// [`ChunkCounts::emit`] hands each chunk its part.
+pub struct ChunkCounts<'a> {
+    counts: ScratchVec<'a, usize>,
+    chunk: usize,
     n: usize,
-    arena: &ScratchArena,
-    count: C,
-    emit: E,
-) -> usize
-where
-    C: Fn(Range<usize>) -> u64 + Sync,
-    E: Fn(Range<usize>, u64) -> u64 + Sync,
-{
-    if n == 0 {
-        return 0;
-    }
-    if pool.threads() == 1 || n < PAR_THRESHOLD {
-        return emit(0..n, 0) as usize;
-    }
-    let nchunks = count_buffer_capacity(pool).min(n);
-    let chunk = n.div_ceil(nchunks);
-    let nchunks = n.div_ceil(chunk);
+    total: usize,
+}
 
-    let mut counts = arena.lease::<u64>(nchunks);
+impl<'a> ChunkCounts<'a> {
+    /// Runs `count(chunk)` on every chunk of `0..n` across the pool.
+    ///
+    /// Returns `None`, having counted nothing, when the range runs better
+    /// as one sequential sweep: on a one-thread pool or below
+    /// 4096 indices. The caller then writes its output
+    /// directly, with no count pass.
+    pub fn count<C>(pool: &ThreadPool, arena: &'a ScratchArena, n: usize, count: C) -> Option<Self>
+    where
+        C: Fn(Range<usize>) -> usize + Sync,
     {
-        let counts_ptr = SendPtr::new(counts.as_mut_ptr());
-        let count = &count;
-        let cursor = AtomicUsize::new(0);
-        pool.broadcast(|ctx| loop {
-            crate::chaos::chunk_claim(ctx.tid);
-            let b = cursor.fetch_add(1, Ordering::Relaxed);
-            if b >= nchunks {
-                break;
-            }
-            let lo = b * chunk;
-            let hi = ((b + 1) * chunk).min(n);
-            // SAFETY: one writer per chunk slot.
-            unsafe { *counts_ptr.get().add(b) = count(lo..hi) };
+        if pool.threads() == 1 || n < PAR_THRESHOLD {
+            return None;
+        }
+        let nchunks = count_buffer_capacity(pool).min(n);
+        let chunk = n.div_ceil(nchunks);
+        let nchunks = n.div_ceil(chunk);
+        let mut counts = arena.lease::<usize>(nchunks);
+        counts.resize(nchunks, 0);
+        parallel_for_each(pool, counts.iter_mut().enumerate(), |(b, slot)| {
+            *slot = count(b * chunk..((b + 1) * chunk).min(n));
         });
-        // SAFETY: the chunk grid covers 0..nchunks, every slot written.
-        unsafe { counts.set_len(nchunks) };
+        let total = counts.iter().sum();
+        Some(ChunkCounts {
+            counts,
+            chunk,
+            n,
+            total,
+        })
     }
-    let total = exclusive_scan_in_place(&mut counts);
+
+    /// Outputs over all chunks.
+    pub fn total(&self) -> usize {
+        self.total
+    }
+
+    /// Indices per chunk (the last chunk may be shorter).
+    pub fn chunk_len(&self) -> usize {
+        self.chunk
+    }
+
+    /// Each chunk's output count, in chunk order.
+    pub fn lens(&self) -> impl Iterator<Item = usize> + Clone + '_ {
+        self.counts.iter().copied()
+    }
+
+    /// The emit pass: runs `emit(chunk, base, part)` on every chunk across
+    /// the pool, where `base` is the chunk's first output index (the
+    /// exclusive scan of the counts) and `part` the chunk's item of
+    /// `parts`. `emit` returns how many outputs it produced.
+    ///
+    /// # Panics
+    /// Panics, in every build, when a chunk's `emit` produced a different
+    /// number of outputs than its `count` counted.
+    pub fn emit<P, E>(&self, pool: &ThreadPool, parts: P, emit: E)
+    where
+        P: IntoIterator,
+        P::IntoIter: Send,
+        E: Fn(Range<usize>, usize, P::Item) -> usize + Sync,
     {
-        let counts_ro: &[u64] = &counts;
-        let emit = &emit;
-        let cursor = AtomicUsize::new(0);
-        pool.broadcast(|ctx| loop {
-            crate::chaos::chunk_claim(ctx.tid);
-            let b = cursor.fetch_add(1, Ordering::Relaxed);
-            if b >= nchunks {
-                break;
-            }
-            let lo = b * chunk;
-            let hi = ((b + 1) * chunk).min(n);
-            let emitted = emit(lo..hi, counts_ro[b]);
-            let expected =
-                if b + 1 < nchunks { counts_ro[b + 1] } else { total } - counts_ro[b];
-            if cfg!(debug_assertions) {
+        let (chunk, n) = (self.chunk, self.n);
+        let bases = self.counts.iter().scan(0, |next, &count| {
+            let base = *next;
+            *next += count;
+            Some((base, count))
+        });
+        parallel_for_each(
+            pool,
+            bases.zip(parts).enumerate(),
+            |(b, ((base, counted), part))| {
+                let emitted = emit(b * chunk..((b + 1) * chunk).min(n), base, part);
                 assert_eq!(
-                    emitted, expected,
-                    "emit for chunk {b} produced {emitted} outputs, counted {expected}"
+                    emitted, counted,
+                    "emit for chunk {b} produced {emitted} outputs, counted {counted}"
                 );
-            }
-        });
+            },
+        );
     }
-    total as usize
 }
 
 /// Parallel filtered map: `out` receives `f(i)` for every `i` in `0..n`
 /// where `f` returns `Some`, in index order. `out` is cleared and refilled
-/// in place; all intermediate state comes from `arena`, so once `out`'s
-/// capacity has grown to its steady-state size the call allocates nothing.
+/// in place, with capacity for `n`; all intermediate state comes from
+/// `arena`, so once `out`'s capacity has grown to its steady-state size
+/// the call allocates nothing.
 ///
-/// `f` is evaluated twice per index (count pass + emit pass) and must be
-/// deterministic; side-effecting predicates belong in
+/// On the parallel path `f` is evaluated twice per index (count pass +
+/// emit pass) and must be deterministic — a chunk whose two passes
+/// disagree panics; side-effecting predicates belong in
 /// [`crate::scan::pack_indices_in`], which evaluates exactly once.
 pub fn compact_map_into<T, F>(
     pool: &ThreadPool,
@@ -280,70 +275,31 @@ pub fn compact_map_into<T, F>(
     out: &mut Vec<T>,
     f: F,
 ) where
-    T: Send + 'static,
+    T: Copy + Default + Send,
     F: Fn(usize) -> Option<T> + Sync,
 {
     out.clear();
     out.reserve(n);
-    let out_ptr = SendPtr::new(out.as_mut_ptr());
-    let f = &f;
-    let total = count_scan_chunks(
-        pool,
-        n,
-        arena,
-        |r| r.filter(|&i| f(i).is_some()).count() as u64,
-        |r, base| {
-            let mut k = base as usize;
-            for i in r {
-                if let Some(v) = f(i) {
-                    // SAFETY: scanned bases make chunk output ranges
-                    // disjoint, and `out` has capacity for n >= total
-                    // elements; each slot in 0..total written exactly once.
-                    unsafe { out_ptr.get().add(k).write(v) };
-                    k += 1;
-                }
+    let count = |r: Range<usize>| r.filter(|&i| f(i).is_some()).count();
+    let Some(counts) = ChunkCounts::count(pool, arena, n, count) else {
+        // A push loop: `extend` over a `filter_map` compiles to a slower
+        // loop here (rounds of LLP-Borůvka on rmat s17 ran ~15% slower).
+        for i in 0..n {
+            if let Some(v) = f(i) {
+                out.push(v);
             }
-            (k - base as usize) as u64
-        },
-    );
-    // SAFETY: exactly `total` leading slots were initialised above.
-    unsafe { out.set_len(total) };
-}
-
-/// Sequential [`distribute_by_class`] (same counting scatter, one thread).
-fn distribute_seq<T, F>(data: &mut [T], nclasses: usize, class_of: &F) -> Vec<usize>
-where
-    F: Fn(&T) -> usize,
-{
-    let n = data.len();
-    let mut classes: Vec<u16> = Vec::with_capacity(n);
-    let mut counts: Vec<u64> = vec![0; nclasses];
-    for x in data.iter() {
-        let c = class_of(x);
-        assert!(c < nclasses, "class {c} out of range (nclasses {nclasses})");
-        classes.push(c as u16);
-        counts[c] += 1;
-    }
-    exclusive_scan_in_place(&mut counts);
-    let mut bounds: Vec<usize> = counts.iter().map(|&c| c as usize).collect();
-    bounds.push(n);
-    let mut cursors: Vec<usize> = bounds[..nclasses].to_vec();
-    let mut scratch: Vec<MaybeUninit<T>> = Vec::with_capacity(n);
-    // SAFETY: `MaybeUninit` needs no initialisation; every slot is written
-    // exactly once below before the copy back reads it.
-    unsafe { scratch.set_len(n) };
-    for (i, &c) in classes.iter().enumerate() {
-        let dst = cursors[c as usize];
-        cursors[c as usize] += 1;
-        // SAFETY: one cursor step per element keeps destinations disjoint;
-        // the element is moved bitwise, never dropped here.
-        unsafe { scratch[dst].write(std::ptr::read(&data[i])) };
-    }
-    // SAFETY: as in the parallel path — each element moved exactly once.
-    unsafe {
-        std::ptr::copy_nonoverlapping(scratch.as_ptr() as *const T, data.as_mut_ptr(), n);
-    }
-    bounds
+        }
+        return;
+    };
+    out.resize(counts.total(), T::default());
+    counts.emit(pool, split_by_lens(out, counts.lens()), |r, _, part| {
+        let mut k = 0;
+        for v in r.filter_map(&f) {
+            part[k] = v;
+            k += 1;
+        }
+        k
+    });
 }
 
 /// Stable three-way partition by an [`Ordering`](CmpOrdering)-valued
@@ -351,14 +307,22 @@ where
 /// class keeping its input order. Returns `(lt_len, eq_len)`.
 pub fn partition3_in_place<T, F>(pool: &ThreadPool, data: &mut [T], classify: F) -> (usize, usize)
 where
-    T: Send + Sync + 'static,
+    T: Copy + Send + Sync + 'static,
     F: Fn(&T) -> CmpOrdering + Sync,
 {
-    let bounds = distribute_by_class(pool, data, 3, |x| match classify(x) {
-        CmpOrdering::Less => 0,
-        CmpOrdering::Equal => 1,
-        CmpOrdering::Greater => 2,
-    });
+    let mut bounds = Vec::with_capacity(4);
+    distribute_by_class(
+        pool,
+        data,
+        3,
+        &ScratchArena::new(),
+        &mut bounds,
+        |x| match classify(x) {
+            CmpOrdering::Less => 0,
+            CmpOrdering::Equal => 1,
+            CmpOrdering::Greater => 2,
+        },
+    );
     (bounds[1], bounds[2] - bounds[1])
 }
 
@@ -367,10 +331,13 @@ where
 /// across the pool (exactly once per element).
 pub fn retain_parallel<T, F>(pool: &ThreadPool, data: &mut Vec<T>, keep: F)
 where
-    T: Send + Sync + 'static,
+    T: Copy + Send + Sync + 'static,
     F: Fn(&T) -> bool + Sync,
 {
-    let bounds = distribute_by_class(pool, data, 2, |x| usize::from(!keep(x)));
+    let mut bounds = Vec::with_capacity(3);
+    distribute_by_class(pool, data, 2, &ScratchArena::new(), &mut bounds, |x| {
+        usize::from(!keep(x))
+    });
     data.truncate(bounds[1]);
 }
 
@@ -378,8 +345,30 @@ where
 mod tests {
     use super::*;
     use crate::sync::Mutex;
-    use std::sync::atomic::AtomicUsize as StdAtomicUsize;
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// [`distribute_by_class`] with a fresh arena, returning the bounds.
+    fn distribute<T, F>(
+        pool: &ThreadPool,
+        data: &mut [T],
+        nclasses: usize,
+        class_of: F,
+    ) -> Vec<usize>
+    where
+        T: Copy + Send + Sync + 'static,
+        F: Fn(&T) -> usize + Sync,
+    {
+        let mut bounds = Vec::new();
+        distribute_by_class(
+            pool,
+            data,
+            nclasses,
+            &ScratchArena::new(),
+            &mut bounds,
+            class_of,
+        );
+        bounds
+    }
 
     fn pseudo_random(n: usize) -> Vec<u64> {
         let mut x = 0x9E3779B97F4A7C15u64;
@@ -407,9 +396,7 @@ mod tests {
                     let mut want = v.clone();
                     want.sort_by_key(|&(x, _)| x as usize % nclasses); // stable
                     let bounds =
-                        distribute_by_class(&pool, &mut v, nclasses, |&(x, _)| {
-                            x as usize % nclasses
-                        });
+                        distribute(&pool, &mut v, nclasses, |&(x, _)| x as usize % nclasses);
                     assert_eq!(v, want, "threads={threads} n={n} nclasses={nclasses}");
                     assert_eq!(bounds.len(), nclasses + 1);
                     assert_eq!(bounds[0], 0);
@@ -454,40 +441,6 @@ mod tests {
         }
     }
 
-    /// A non-`Clone` payload whose drops are counted: proves the scatter
-    /// neither duplicates nor leaks elements, and that `retain_parallel`
-    /// drops exactly the rejected ones.
-    struct Tracked {
-        value: u64,
-        drops: Arc<StdAtomicUsize>,
-    }
-    impl Drop for Tracked {
-        fn drop(&mut self) {
-            self.drops.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    #[test]
-    fn retain_drops_each_rejected_element_exactly_once() {
-        let pool = ThreadPool::new(4);
-        let drops = Arc::new(StdAtomicUsize::new(0));
-        let n = 20_000usize;
-        let mut v: Vec<Tracked> = pseudo_random(n)
-            .into_iter()
-            .map(|x| Tracked {
-                value: x,
-                drops: Arc::clone(&drops),
-            })
-            .collect();
-        retain_parallel(&pool, &mut v, |t| t.value % 4 != 0);
-        let kept = v.len();
-        let rejected = n - kept;
-        assert_eq!(drops.load(Ordering::Relaxed), rejected);
-        assert!(v.iter().all(|t| t.value % 4 != 0));
-        drop(v);
-        assert_eq!(drops.load(Ordering::Relaxed), n, "every element dropped once");
-    }
-
     #[test]
     fn distribute_in_steady_state_reuses_arena() {
         let pool = ThreadPool::new(4);
@@ -496,13 +449,11 @@ mod tests {
         let v0 = pseudo_random(50_000);
         // Warm-up round grows the arena; later rounds must not.
         let mut v = v0.clone();
-        distribute_by_class_in(&pool, &mut v, 16, &arena, &mut bounds, |&x| x as usize % 16);
+        distribute_by_class(&pool, &mut v, 16, &arena, &mut bounds, |&x| x as usize % 16);
         let footprint = arena.footprint_bytes();
         for round in 0..3 {
             let mut v = v0.clone();
-            distribute_by_class_in(&pool, &mut v, 16, &arena, &mut bounds, |&x| {
-                x as usize % 16
-            });
+            distribute_by_class(&pool, &mut v, 16, &arena, &mut bounds, |&x| x as usize % 16);
             let mut want = v0.clone();
             want.sort_by_key(|&x| x as usize % 16);
             assert_eq!(v, want, "round={round}");
@@ -516,32 +467,40 @@ mod tests {
     }
 
     #[test]
-    fn count_scan_chunks_matches_sequential_filter() {
+    fn chunk_counts_hand_each_chunk_its_part() {
         for threads in [1, 2, 4] {
             let pool = ThreadPool::new(threads);
             let arena = ScratchArena::new();
             for n in [0usize, 1, 4095, 4096, 60_000] {
                 let keep = |i: usize| i.is_multiple_of(3);
-                let out = Mutex::new(vec![false; n]);
-                let total = count_scan_chunks(
+                let counts =
+                    ChunkCounts::count(&pool, &arena, n, |r| r.filter(|&i| keep(i)).count());
+                let Some(counts) = counts else {
+                    assert!(threads == 1 || n < PAR_THRESHOLD, "threads={threads} n={n}");
+                    continue;
+                };
+                assert_eq!(counts.total(), (0..n).filter(|&i| keep(i)).count(), "n={n}");
+                let seen = Mutex::new(vec![false; n]);
+                let mut out = vec![0usize; counts.total()];
+                counts.emit(
                     &pool,
-                    n,
-                    &arena,
-                    |r| r.filter(|&i| keep(i)).count() as u64,
-                    |r, _base| {
-                        let mut m = out.lock();
+                    split_by_lens(&mut out, counts.lens()),
+                    |r, base, part| {
+                        let mut seen = seen.lock();
                         let mut k = 0;
-                        for i in r {
-                            if keep(i) {
-                                m[i] = true;
-                                k += 1;
-                            }
+                        for i in r.filter(|&i| keep(i)) {
+                            seen[i] = true;
+                            part[k] = base + k;
+                            k += 1;
                         }
                         k
                     },
                 );
-                assert_eq!(total, (0..n).filter(|&i| keep(i)).count(), "n={n}");
-                assert!(out.lock().iter().enumerate().all(|(i, &v)| v == keep(i)));
+                assert!(
+                    out.iter().enumerate().all(|(k, &x)| x == k),
+                    "bases are the scan"
+                );
+                assert!(seen.lock().iter().enumerate().all(|(i, &v)| v == keep(i)));
             }
         }
     }
@@ -566,8 +525,29 @@ mod tests {
         let pool = ThreadPool::new(1);
         let mut v = vec![1u64, 2, 3];
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            distribute_by_class(&pool, &mut v, 2, |&x| x as usize);
+            distribute(&pool, &mut v, 2, |&x| x as usize);
         }));
         assert!(r.is_err());
+    }
+
+    // Item closures whose second call per index (the emit pass) yields a
+    // different count than the first (the count pass). Not gated on debug
+    // assertions: the emitted-vs-counted check runs in every build.
+    #[test]
+    #[should_panic]
+    fn compaction_whose_emit_yields_fewer_than_counted_panics() {
+        let (pool, n) = (ThreadPool::new(4), 20_000);
+        let calls = AtomicUsize::new(0);
+        let first = move |i: usize| (calls.fetch_add(1, Ordering::Relaxed) < n).then_some(i);
+        compact_map_into(&pool, &ScratchArena::new(), n, &mut Vec::new(), first);
+    }
+
+    #[test]
+    #[should_panic]
+    fn compaction_whose_emit_yields_more_than_counted_panics() {
+        let (pool, n) = (ThreadPool::new(4), 20_000);
+        let calls = AtomicUsize::new(0);
+        let later = move |i: usize| (calls.fetch_add(1, Ordering::Relaxed) >= n).then_some(i);
+        compact_map_into(&pool, &ScratchArena::new(), n, &mut Vec::new(), later);
     }
 }

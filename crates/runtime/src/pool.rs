@@ -178,7 +178,7 @@ impl ThreadPool {
             fn drop(&mut self) {
                 let mut st = self.0.state.lock();
                 while st.remaining > 0 {
-                    self.0.done.wait(&mut st);
+                    st = self.0.done.wait(st);
                 }
                 st.task = None;
             }
@@ -249,7 +249,7 @@ fn worker_loop(shared: Arc<Shared>, tid: usize, nthreads: usize) {
         let task = {
             let mut st = shared.state.lock();
             while st.epoch == last_epoch && !st.shutdown {
-                shared.start.wait(&mut st);
+                st = shared.start.wait(st);
             }
             if st.shutdown {
                 return;

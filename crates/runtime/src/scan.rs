@@ -1,15 +1,13 @@
-//! Exclusive prefix sums (scans), sequential and parallel.
+//! Exclusive prefix sums and the pack they drive.
 //!
-//! Boruvka contraction renumbers surviving component roots with a prefix sum
-//! over indicator flags, and CSR construction turns per-vertex degree counts
-//! into offset arrays. Both are classic scan applications; GBBS exposes the
-//! same primitive as `pbbslib::scan`.
+//! The counting distribution in [`crate::partition`] turns per-chunk class
+//! counts into offsets with [`exclusive_scan_in_place`], and Boruvka
+//! contraction packs surviving indices with [`pack_indices_in`]. Both are
+//! classic scan applications; GBBS exposes the same primitives as
+//! `pbbslib::scan` and `pbbslib::pack_index`.
 
 use crate::parallel_for::ParallelForConfig;
 use crate::pool::ThreadPool;
-use crate::reduce::SendPtr;
-use crate::sync::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// In-place sequential exclusive prefix sum. Returns the total.
 ///
@@ -24,111 +22,14 @@ pub fn exclusive_scan_in_place(values: &mut [u64]) -> u64 {
     acc
 }
 
-/// Parallel exclusive prefix sum. Returns `(scanned, total)`.
-///
-/// Two-pass block algorithm: per-block sums, sequential scan of block sums,
-/// then per-block local scans offset by the block prefix.
-pub fn exclusive_scan(pool: &ThreadPool, values: &[u64]) -> (Vec<u64>, u64) {
-    let n = values.len();
-    if n == 0 {
-        return (Vec::new(), 0);
-    }
-    let nthreads = pool.threads();
-    if nthreads == 1 || n < 4096 {
-        let mut out = values.to_vec();
-        let total = exclusive_scan_in_place(&mut out);
-        return (out, total);
-    }
-
-    let nblocks = (nthreads * 8).min(n);
-    let block = n.div_ceil(nblocks);
-    let nblocks = n.div_ceil(block);
-
-    // Pass 1: per-block sums.
-    let block_sums: Mutex<Vec<u64>> = Mutex::new(vec![0; nblocks]);
-    let cursor = AtomicUsize::new(0);
-    pool.broadcast(|_| loop {
-        let b = cursor.fetch_add(1, Ordering::Relaxed);
-        if b >= nblocks {
-            break;
-        }
-        let lo = b * block;
-        let hi = ((b + 1) * block).min(n);
-        let s: u64 = values[lo..hi].iter().sum();
-        block_sums.lock()[b] = s;
-    });
-
-    // Scan of block sums (tiny, sequential).
-    let mut block_offsets = block_sums.into_inner();
-    let total = exclusive_scan_in_place(&mut block_offsets);
-
-    // Pass 2: local scans with block offsets.
-    let mut out = vec![0u64; n];
-    let out_ptr = SendPtr::new(out.as_mut_ptr());
-    let block_offsets = &block_offsets;
-    let cursor = AtomicUsize::new(0);
-    pool.broadcast(|_| loop {
-        let b = cursor.fetch_add(1, Ordering::Relaxed);
-        if b >= nblocks {
-            break;
-        }
-        let lo = b * block;
-        let hi = ((b + 1) * block).min(n);
-        let mut acc = block_offsets[b];
-        for (i, &v) in values.iter().enumerate().take(hi).skip(lo) {
-            // SAFETY: blocks are disjoint; each index written once.
-            unsafe {
-                *out_ptr.get().add(i) = acc;
-            }
-            acc += v;
-        }
-    });
-
-    (out, total)
-}
-
-/// Parallel pack: collects indices `i` of `range` where `keep(i)` is true,
-/// preserving index order. Equivalent to a filtered collect; used to extract
-/// surviving vertices/edges during Boruvka contraction.
-pub fn pack_indices<F>(
-    pool: &ThreadPool,
-    n: usize,
-    config: ParallelForConfig,
-    keep: F,
-) -> Vec<usize>
-where
-    F: Fn(usize) -> bool + Sync,
-{
-    if n == 0 {
-        return Vec::new();
-    }
-    if pool.threads() == 1 || n < 4096 {
-        return (0..n).filter(|&i| keep(i)).collect();
-    }
-    // Flags -> scan -> scatter.
-    let flags: Vec<u64> =
-        crate::parallel_map_collect(pool, 0..n, config, |i| u64::from(keep(i)));
-    let (offsets, total) = exclusive_scan(pool, &flags);
-    let mut out = vec![0usize; total as usize];
-    let out_ptr = SendPtr::new(out.as_mut_ptr());
-    crate::parallel_for(pool, 0..n, config, |i| {
-        if flags[i] == 1 {
-            // SAFETY: offsets are a scan of the flags, so positions are unique.
-            unsafe {
-                *out_ptr.get().add(offsets[i] as usize) = i;
-            }
-        }
-    });
-    out
-}
-
-/// [`pack_indices`] with every intermediate buffer leased from `arena` and
-/// the output written into `out` (cleared and refilled in place, as `u32`
-/// indices). With a warm arena and a pre-grown `out`, the call performs no
-/// heap allocations.
+/// Parallel pack: writes into `out` (cleared and refilled in place) the
+/// indices `i` in `0..n` where `keep(i)` is true, in index order, as `u32`.
+/// Every intermediate buffer is leased from `arena`: with a warm arena and
+/// a pre-grown `out`, the call performs no heap allocations. Boruvka
+/// contraction uses it to extract the surviving vertices or edges.
 ///
 /// Unlike [`crate::partition::compact_map_into`], `keep` is evaluated
-/// **exactly once per index** (a flags pass runs before the count/scatter),
+/// **exactly once per index** (a flags pass runs before the compaction),
 /// so predicates with side effects — the Boruvka winner scan commits
 /// union-find merges inside its predicate — are safe here.
 pub fn pack_indices_in<F>(
@@ -143,50 +44,24 @@ pub fn pack_indices_in<F>(
 {
     debug_assert!(n <= u32::MAX as usize, "indices are packed as u32");
     out.clear();
-    if n == 0 {
-        return;
-    }
     if pool.threads() == 1 || n < crate::partition::PAR_THRESHOLD {
-        out.extend((0..n).filter(|&i| keep(i)).map(|i| i as u32));
+        for i in 0..n {
+            if keep(i) {
+                out.push(i as u32);
+            }
+        }
         return;
     }
     // Flags pass: the single point where `keep` runs.
-    let mut flags = arena.lease::<u8>(n);
-    {
-        let flags_ptr = SendPtr::new(flags.as_mut_ptr());
-        crate::parallel_for_chunks(pool, 0..n, config, |r| {
-            for i in r {
-                // SAFETY: chunks are disjoint; each index written once.
-                unsafe { *flags_ptr.get().add(i) = u8::from(keep(i)) };
-            }
-        });
-        // SAFETY: the loop covered 0..n.
-        unsafe { flags.set_len(n) };
-    }
-    // Count/scan/scatter over the flags.
-    out.reserve(n);
-    let out_ptr = SendPtr::new(out.as_mut_ptr());
-    let flags_ro: &[u8] = &flags;
-    let total = crate::partition::count_scan_chunks(
-        pool,
-        n,
-        arena,
-        |r| r.map(|i| flags_ro[i] as u64).sum(),
-        |r, base| {
-            let mut k = base as usize;
-            for i in r {
-                if flags_ro[i] != 0 {
-                    // SAFETY: scanned bases keep chunk output ranges
-                    // disjoint; capacity reserved above covers total <= n.
-                    unsafe { *out_ptr.get().add(k) = i as u32 };
-                    k += 1;
-                }
-            }
-            (k - base as usize) as u64
-        },
-    );
-    // SAFETY: exactly `total` leading slots initialised.
-    unsafe { out.set_len(total) };
+    let mut flags = arena.lease::<bool>(n);
+    flags.resize(n, false);
+    crate::parallel_for_chunks_mut(pool, &mut flags, config, |start, part| {
+        for (i, flag) in (start..).zip(part) {
+            *flag = keep(i);
+        }
+    });
+    let flags: &[bool] = &flags;
+    crate::partition::compact_map_into(pool, arena, n, out, |i| flags[i].then_some(i as u32));
 }
 
 #[cfg(test)]
@@ -208,32 +83,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_scan_matches_sequential() {
-        let pool = ThreadPool::new(4);
-        for n in [0usize, 1, 10, 4095, 4096, 100_000] {
-            let values: Vec<u64> = (0..n).map(|i| ((i * 31) % 17) as u64).collect();
-            let mut want = values.clone();
-            let want_total = exclusive_scan_in_place(&mut want);
-            let (got, got_total) = exclusive_scan(&pool, &values);
-            assert_eq!(got_total, want_total, "n={n}");
-            assert_eq!(got, want, "n={n}");
-        }
-    }
-
-    #[test]
-    fn pack_matches_filter() {
-        let pool = ThreadPool::new(4);
-        for n in [0usize, 5, 4096, 50_000] {
-            let keep = |i: usize| i.is_multiple_of(3) || i.is_multiple_of(7);
-            let got = pack_indices(&pool, n, ParallelForConfig::with_grain(128), keep);
-            let want: Vec<usize> = (0..n).filter(|&i| keep(i)).collect();
-            assert_eq!(got, want, "n={n}");
-        }
-    }
-
-    #[test]
     fn pack_in_matches_pack_and_runs_predicate_once() {
-        use std::sync::atomic::AtomicUsize as Calls;
+        use std::sync::atomic::{AtomicUsize as Calls, Ordering};
         for threads in [1, 2, 4] {
             let pool = ThreadPool::new(threads);
             let arena = crate::scratch::ScratchArena::new();
@@ -277,15 +128,5 @@ mod tests {
             });
             assert_eq!(arena.footprint_bytes(), footprint);
         }
-    }
-
-    #[test]
-    fn pack_all_and_none() {
-        let pool = ThreadPool::new(2);
-        let all = pack_indices(&pool, 10_000, ParallelForConfig::default(), |_| true);
-        assert_eq!(all.len(), 10_000);
-        assert_eq!(all[9999], 9999);
-        let none = pack_indices(&pool, 10_000, ParallelForConfig::default(), |_| false);
-        assert!(none.is_empty());
     }
 }

@@ -21,15 +21,14 @@
 //! **zero heap allocations** — the property `tests/zero_alloc.rs` pins down
 //! with a counting global allocator.
 //!
-//! Parallel first-touch initialisation ([`ScratchArena::lease_filled`],
-//! [`ScratchArena::lease_init_with`]) writes the buffer through the pool so
-//! large round state is faulted in and initialised by the threads that will
-//! use it. High-water telemetry ([`ScratchArena::high_water_bytes`]) reports
-//! the peak resident footprint for run reports.
+//! Parallel initialisation ([`ScratchArena::lease_filled`],
+//! [`ScratchArena::lease_init_with`]) writes the buffer through the pool,
+//! each chunk by one worker. High-water telemetry
+//! ([`ScratchArena::high_water_bytes`]) reports the peak resident footprint
+//! for run reports.
 
-use crate::parallel_for::{parallel_for_chunks, ParallelForConfig};
+use crate::parallel_for::{parallel_for_chunks_mut, ParallelForConfig};
 use crate::pool::ThreadPool;
-use crate::reduce::SendPtr;
 use crate::sync::Mutex;
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -124,8 +123,7 @@ impl ScratchArena {
         }
     }
 
-    /// Leases a buffer of `len` copies of `value`, written in parallel
-    /// through `pool` (first-touch initialisation by the consuming threads).
+    /// Leases a buffer of `len` copies of `value`.
     pub fn lease_filled<T>(
         &self,
         pool: &ThreadPool,
@@ -134,13 +132,14 @@ impl ScratchArena {
         value: T,
     ) -> ScratchVec<'_, T>
     where
-        T: Copy + Send + Sync + 'static,
+        T: Copy + Default + Send + Sync + 'static,
     {
         self.lease_init_with(pool, cfg, len, move |_| value)
     }
 
-    /// Leases a buffer with `buf[i] = init(i)` for `i in 0..len`, written in
-    /// parallel through `pool`.
+    /// Leases a buffer with `buf[i] = init(i)` for `i in 0..len`. A
+    /// one-thread pool fills it in one sweep; a larger pool sizes it, then
+    /// has each chunk written by one worker.
     pub fn lease_init_with<T, F>(
         &self,
         pool: &ThreadPool,
@@ -149,22 +148,19 @@ impl ScratchArena {
         init: F,
     ) -> ScratchVec<'_, T>
     where
-        T: Send + Sync + 'static,
+        T: Copy + Default + Send + Sync + 'static,
         F: Fn(usize) -> T + Sync,
     {
         let mut sv = self.lease::<T>(len);
-        {
-            let v: &mut Vec<T> = &mut sv;
-            let ptr = SendPtr::new(v.as_mut_ptr());
-            parallel_for_chunks(pool, 0..len, cfg, |chunk| {
-                for i in chunk {
-                    // SAFETY: capacity >= len, chunks are disjoint, and every
-                    // index in 0..len is written exactly once before set_len.
-                    unsafe { ptr.get().add(i).write(init(i)) };
+        if pool.threads() == 1 {
+            sv.extend((0..len).map(init));
+        } else {
+            sv.resize(len, T::default());
+            parallel_for_chunks_mut(pool, &mut sv, cfg, |start, part| {
+                for (i, slot) in (start..).zip(part) {
+                    *slot = init(i);
                 }
             });
-            // SAFETY: the loop above initialised exactly 0..len.
-            unsafe { v.set_len(len) };
         }
         sv
     }

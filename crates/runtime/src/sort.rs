@@ -4,16 +4,13 @@
 //! sample sort for the same purpose, and so does this module: sample keys
 //! at fixed strides, pick equally spaced splitters, classify every element
 //! into a bucket with a binary search over the splitters, move it there
-//! with the counting-distribution scatter from [`crate::partition`], and
-//! sort the buckets in parallel. Elements move bitwise through the
-//! distribution's scratch buffer, so — unlike the chunked merge sort this
-//! replaces — the hot path needs no `Clone` bound and performs no
-//! per-element clones.
+//! with the counting distribution from [`crate::partition`], and sort the
+//! buckets — disjoint parts of the slice — in parallel.
 
-use crate::partition::distribute_by_class_in;
+use crate::parallel_for::{parallel_for_each, split_by_lens};
+use crate::partition::distribute_by_class;
 use crate::pool::ThreadPool;
 use crate::scratch::ScratchArena;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Below this many elements `slice::sort_unstable_by_key` wins outright.
 const SEQ_CUTOFF: usize = 8192;
@@ -22,33 +19,18 @@ const SEQ_CUTOFF: usize = 8192;
 const OVERSAMPLE: usize = 8;
 
 /// Sorts `data` by `key`, using the pool to classify, scatter and sort
-/// buckets.
+/// buckets. The distribution's scratch buffers (element copies, class
+/// ids, count matrix, bucket bounds) are leased from `arena`, so sorts
+/// inside round loops reuse storage instead of reallocating it; a
+/// one-thread pool or a short slice sorts in place and leases nothing.
 ///
 /// The sort is not stable; all callers in this workspace use strictly
 /// totally ordered keys, where stability is vacuous. `key` is recomputed
 /// per comparison (as with `sort_unstable_by_key`), so it should stay
 /// cheap.
-pub fn par_sort_by_key<T, K, F>(pool: &ThreadPool, data: &mut [T], key: F)
+pub fn par_sort_by_key<T, K, F>(pool: &ThreadPool, data: &mut [T], arena: &ScratchArena, key: F)
 where
-    T: Send + Sync + 'static,
-    K: Ord + Sync,
-    F: Fn(&T) -> K + Sync,
-{
-    let arena = ScratchArena::new();
-    par_sort_by_key_in(pool, data, &arena, key);
-}
-
-/// [`par_sort_by_key`] with the distribution's scratch buffers (element
-/// scatter space, class ids, count matrix, bucket bounds) leased from
-/// `arena` — sorts inside round loops reuse storage instead of
-/// reallocating it.
-pub fn par_sort_by_key_in<T, K, F>(
-    pool: &ThreadPool,
-    data: &mut [T],
-    arena: &ScratchArena,
-    key: F,
-) where
-    T: Send + Sync + 'static,
+    T: Copy + Send + Sync + 'static,
     K: Ord + Sync,
     F: Fn(&T) -> K + Sync,
 {
@@ -77,32 +59,16 @@ pub fn par_sort_by_key_in<T, K, F>(
 
     // Bucket b holds the keys k with splitters[b-1] <= k < splitters[b]
     // (duplicate splitter runs simply leave some buckets empty).
-    let key_ref = &key;
-    let splitters_ref = &splitters;
     let mut bounds = arena.lease::<usize>(nbuckets + 1);
-    distribute_by_class_in(pool, data, nbuckets, arena, &mut bounds, |x| {
-        let k = key_ref(x);
-        splitters_ref.partition_point(|s| *s <= k)
+    distribute_by_class(pool, data, nbuckets, arena, &mut bounds, |x| {
+        let k = key(x);
+        splitters.partition_point(|s| *s <= k)
     });
 
-    // Sort the buckets in parallel: disjoint sub-slices claimed through an
-    // atomic cursor, chaos-instrumented like `parallel_for` chunks.
-    let base = crate::reduce::SendPtr::new(data.as_mut_ptr());
-    let bounds_ref: &[usize] = &bounds;
-    let cursor = AtomicUsize::new(0);
-    pool.broadcast(|ctx| loop {
-        crate::chaos::chunk_claim(ctx.tid);
-        let b = cursor.fetch_add(1, Ordering::Relaxed);
-        if b >= nbuckets {
-            break;
-        }
-        let (lo, hi) = (bounds_ref[b], bounds_ref[b + 1]);
-        if hi - lo > 1 {
-            // SAFETY: buckets are disjoint index ranges of `data`.
-            let bucket =
-                unsafe { std::slice::from_raw_parts_mut(base.get().add(lo), hi - lo) };
-            bucket.sort_unstable_by_key(|a| key_ref(a));
-        }
+    // Sort the buckets in parallel, each one claimed by one worker.
+    let buckets = split_by_lens(data, bounds.windows(2).map(|w| w[1] - w[0]));
+    parallel_for_each(pool, buckets, |bucket| {
+        bucket.sort_unstable_by_key(|a| key(a))
     });
 }
 
@@ -130,7 +96,7 @@ mod tests {
                 let mut v = pseudo_random(n);
                 let mut want = v.clone();
                 want.sort_unstable();
-                par_sort_by_key(&pool, &mut v, |&x| x);
+                par_sort_by_key(&pool, &mut v, &ScratchArena::new(), |&x| x);
                 assert_eq!(v, want, "threads={threads} n={n}");
             }
         }
@@ -140,7 +106,9 @@ mod tests {
     fn sort_by_key_descending() {
         let pool = ThreadPool::new(4);
         let mut v = pseudo_random(50_000);
-        par_sort_by_key(&pool, &mut v, |&x| std::cmp::Reverse(x));
+        par_sort_by_key(&pool, &mut v, &ScratchArena::new(), |&x| {
+            std::cmp::Reverse(x)
+        });
         assert!(v.windows(2).all(|w| w[0] >= w[1]));
     }
 
@@ -148,7 +116,7 @@ mod tests {
     fn already_sorted_stays_sorted() {
         let pool = ThreadPool::new(3);
         let mut v: Vec<u64> = (0..20_000).collect();
-        par_sort_by_key(&pool, &mut v, |&x| x);
+        par_sort_by_key(&pool, &mut v, &ScratchArena::new(), |&x| x);
         assert!(v.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(v.len(), 20_000);
     }
@@ -159,7 +127,7 @@ mod tests {
         let mut v: Vec<u64> = pseudo_random(30_000).into_iter().map(|x| x % 10).collect();
         let mut want = v.clone();
         want.sort_unstable();
-        par_sort_by_key(&pool, &mut v, |&x| x);
+        par_sort_by_key(&pool, &mut v, &ScratchArena::new(), |&x| x);
         assert_eq!(v, want);
     }
 
@@ -168,26 +136,7 @@ mod tests {
         // Every element lands in a single bucket; still sorted, nothing lost.
         let pool = ThreadPool::new(4);
         let mut v = vec![42u64; 25_000];
-        par_sort_by_key(&pool, &mut v, |&x| x);
+        par_sort_by_key(&pool, &mut v, &ScratchArena::new(), |&x| x);
         assert_eq!(v, vec![42u64; 25_000]);
-    }
-
-    /// Deliberately neither `Clone` nor `Copy`: the sample sort must move
-    /// elements bitwise instead of cloning them.
-    struct NoClone(u64, #[allow(dead_code)] Box<u64>);
-
-    #[test]
-    fn sorts_non_clone_payloads() {
-        let pool = ThreadPool::new(4);
-        let mut v: Vec<NoClone> = pseudo_random(20_000)
-            .into_iter()
-            .map(|x| NoClone(x, Box::new(x ^ 0xFF)))
-            .collect();
-        let mut want: Vec<u64> = v.iter().map(|e| e.0).collect();
-        want.sort_unstable();
-        par_sort_by_key(&pool, &mut v, |e| e.0);
-        let got: Vec<u64> = v.iter().map(|e| e.0).collect();
-        assert_eq!(got, want);
-        assert!(v.iter().all(|e| *e.1 == e.0 ^ 0xFF), "payload boxes intact");
     }
 }

@@ -3,10 +3,11 @@
 //! The workspace builds in hermetic environments with no registry access, so
 //! the runtime cannot pull in `parking_lot`. These wrappers keep the ergonomic
 //! API the rest of the crate was written against — `lock()` returning a guard
-//! directly and `Condvar::wait(&mut guard)` — while delegating to the standard
-//! library. Poisoning is deliberately ignored (parking_lot semantics): a
-//! panicked critical section in this codebase only ever holds plain data, and
-//! the pool already propagates worker panics explicitly.
+//! directly — while delegating to the standard library; `Condvar::wait`
+//! keeps std's by-value signature. Poisoning is deliberately ignored
+//! (parking_lot semantics): a panicked critical section in this codebase
+//! only ever holds plain data, and the pool already propagates worker
+//! panics explicitly.
 
 use std::sync::PoisonError;
 
@@ -37,7 +38,7 @@ impl<T: ?Sized> Mutex<T> {
     }
 }
 
-/// A condition variable whose `wait` reacquires through a `&mut` guard.
+/// A condition variable whose `wait` ignores poison.
 #[derive(Debug, Default)]
 pub struct Condvar(std::sync::Condvar);
 
@@ -47,20 +48,10 @@ impl Condvar {
         Condvar(std::sync::Condvar::new())
     }
 
-    /// Blocks until notified, atomically releasing and reacquiring the lock
-    /// behind `guard` (parking_lot-style `&mut` signature).
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        // SAFETY: `ptr::read` temporarily duplicates the guard so it can be
-        // passed by value to `std::sync::Condvar::wait`; the original slot is
-        // immediately overwritten with the reacquired guard. `wait` returns
-        // `Err` (poison) rather than panicking for every failure mode reachable
-        // here — each Condvar in this crate is paired with exactly one mutex —
-        // so the duplicated guard cannot be double-dropped.
-        unsafe {
-            let taken = std::ptr::read(guard);
-            let reacquired = self.0.wait(taken).unwrap_or_else(PoisonError::into_inner);
-            std::ptr::write(guard, reacquired);
-        }
+    /// Blocks until notified, atomically releasing the lock behind `guard`
+    /// and returning it reacquired: `let st = cv.wait(st)`, as in std.
+    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        self.0.wait(guard).unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Wakes one waiter.
@@ -114,7 +105,7 @@ mod tests {
             let mut done = lock.lock();
             r2.store(true, Ordering::SeqCst);
             while !*done {
-                cv.wait(&mut done);
+                done = cv.wait(done);
             }
         });
         while !ready.load(Ordering::SeqCst) {

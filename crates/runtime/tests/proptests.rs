@@ -5,7 +5,7 @@
 
 use llp_runtime::rng::SmallRng;
 use llp_runtime::{
-    parallel_for, parallel_map_collect, scan, sort, Bag, ParallelForConfig, ThreadPool,
+    parallel_for, parallel_map_collect, sort, Bag, ParallelForConfig, ScratchArena, ThreadPool,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -58,37 +58,6 @@ fn map_collect_matches_iterator() {
 }
 
 #[test]
-fn scan_matches_running_sum() {
-    for seed in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let values = random_vec(&mut rng, 6000, 1000);
-        let pool = ThreadPool::new(rng.gen_range(1usize..5));
-        let (scanned, total) = scan::exclusive_scan(&pool, &values);
-        let mut acc = 0u64;
-        for (i, &v) in values.iter().enumerate() {
-            assert_eq!(scanned[i], acc, "seed {seed} index {i}");
-            acc += v;
-        }
-        assert_eq!(total, acc, "seed {seed}");
-    }
-}
-
-#[test]
-fn pack_matches_filter() {
-    for seed in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let len = rng.gen_range(0usize..6000);
-        let flags: Vec<bool> = (0..len).map(|_| rng.gen::<bool>()).collect();
-        let pool = ThreadPool::new(rng.gen_range(1usize..5));
-        let got = scan::pack_indices(&pool, flags.len(), ParallelForConfig::with_grain(64), |i| {
-            flags[i]
-        });
-        let want: Vec<usize> = (0..flags.len()).filter(|&i| flags[i]).collect();
-        assert_eq!(got, want, "seed {seed}");
-    }
-}
-
-#[test]
 fn par_sort_matches_std() {
     for seed in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -97,7 +66,7 @@ fn par_sort_matches_std() {
         let pool = ThreadPool::new(rng.gen_range(1usize..5));
         let mut want = values.clone();
         want.sort_unstable();
-        sort::par_sort_by_key(&pool, &mut values, |&x| x);
+        sort::par_sort_by_key(&pool, &mut values, &ScratchArena::new(), |&x| x);
         assert_eq!(values, want, "seed {seed}");
     }
 }

@@ -134,7 +134,7 @@ impl ConnQueue {
             if s.1 {
                 return None;
             }
-            self.ready.wait(&mut s);
+            s = self.ready.wait(s);
         }
     }
 }

@@ -332,7 +332,7 @@ fn updater_loop(mut dynamic: DynamicMsf, shared: Arc<Shared>, threads: usize) {
                         std::mem::take(&mut s.deletes),
                     );
                 }
-                shared.ready.wait(&mut s);
+                s = shared.ready.wait(s);
             }
         };
         match dynamic.apply_batch(&inserts, &deletes, &pool) {
