@@ -27,8 +27,11 @@
 //!
 //! The per-query constant is kept deliberately lean:
 //!
-//! * keys live in the index as order-isomorphic `u128`s, so every
-//!   range-max comparison is branch-free integer ALU;
+//! * graph edges are packed into the same order-isomorphic `u128` keys
+//!   the index answers with, so each check is one integer compare against
+//!   `path_max_at`: an in-block answer is a separator key read directly,
+//!   a cross-block one a `u32` merge-rank maximum decoded through the
+//!   index's sorted tree-key table;
 //! * no tree-edge hash lookups — a tree edge's key *equals* its own path
 //!   maximum, so check 1 degenerates to counting exact key matches (a
 //!   mismatch triggers a slow per-edge scan to name the foreign edge).
@@ -672,6 +675,49 @@ mod tests {
             certify_edges(&edges, &lighter, &index, &pool),
             Err(VerifyError::ForeignEdge(lighter.edges[0]))
         );
+    }
+
+    #[test]
+    fn edge_slice_certifier_agrees_with_the_csr_sweep_on_mutations() {
+        // `certify_edges` is the other reader of `path_max_at` (the
+        // dynamic and out-of-core paths): over every mutation class it must
+        // reach `certify_msf`'s verdict and name the same witness.
+        let pool = ThreadPool::new(3);
+        let er = llp_graph::generators::erdos_renyi(160, 420, 23);
+        let tied = llp_graph::transform::map_weights(&er, |w| (w * 4.0).floor());
+        for (name, g) in [("er", er), ("tie-heavy", tied)] {
+            let n = g.num_vertices();
+            let edges: Vec<Edge> = g.edges().collect();
+            let msf = kruskal(&g);
+            let via_edges = |f: &MstResult| {
+                let index = PathMaxIndex::build_par(n, f, &pool)?;
+                certify_edges(&edges, f, &index, &pool)
+            };
+            assert_eq!(via_edges(&msf), Ok(()), "{name}/genuine");
+            let t = msf.edges.len();
+            for i in (0..t).step_by(t / 8 + 1) {
+                let mutate = |f: &dyn Fn(&mut Vec<Edge>)| {
+                    let mut e = msf.edges.clone();
+                    f(&mut e);
+                    MstResult::from_edges(n, e, AlgoStats::default())
+                };
+                for (what, mutant) in [
+                    (
+                        "drop",
+                        mutate(&|e| {
+                            e.remove(i);
+                        }),
+                    ),
+                    ("heavier", mutate(&|e| e[i].w += 0.5)),
+                    ("cycle", mutate(&|e| e.push(e[i]))),
+                    ("foreign", mutate(&|e| e[i].w -= 0.5)),
+                ] {
+                    let want = certify_msf(&g, &mutant);
+                    assert!(want.is_err(), "{name}/{what} {i}: certify_msf accepted");
+                    assert_eq!(via_edges(&mutant), want, "{name}/{what} {i}");
+                }
+            }
+        }
     }
 
     #[test]

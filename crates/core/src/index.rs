@@ -7,7 +7,7 @@
 //! key of the merge that first united `u` and `v`, which — because merge
 //! keys only grow — is exactly the **largest separator between `u` and `v`
 //! in the final chain order**. The whole Borůvka-tree LCA machinery
-//! collapses to one array of `n` separator keys plus a two-level range-max
+//! collapses to one array of `n` separators plus a two-level range-max
 //! structure (per-block monotone-stack bitmasks, block prefix/suffix
 //! maxima, a sparse table over per-block maxima), and every query is a
 //! handful of independent loads.
@@ -33,11 +33,17 @@
 //! Build cost is O(n log n) — sorting only the `t ≤ n − 1` tree edges
 //! (skipped when they already arrive key-sorted, as Kruskal-family outputs
 //! do), never the `m` graph edges — and the replay detects cycles for
-//! free, so a successful build proves the input is a forest. Keys live as
-//! order-isomorphic `u128`s (`key_bits`), so every range-max comparison
-//! is branch-free integer ALU, and the packing is invertible: a query
-//! decodes the winning separator straight back to the bottleneck edge
-//! without storing edge payloads.
+//! free, so a successful build proves the input is a forest. Keys are
+//! packed into order-isomorphic `u128`s (`key_bits`), and the one sorted
+//! table of them does three jobs: it is the sort's output, the replay's
+//! input (endpoints decode from the low 64 bits) and the decoder of merge
+//! ranks. Merges replay in key order, so rank order is key order, and the
+//! range-max levels (block prefix/suffix maxima, sparse table) hold `u32`
+//! ranks, a quarter of the bytes. A cross-block query is four `u32` loads
+//! plus one decode, `keys[max rank]`; an in-block query reads the one
+//! position-ordered array of `u128` separator keys, beside the masks, with
+//! no decode. The packing is invertible, so the winning key decodes
+//! straight back to the bottleneck edge without storing edge payloads.
 
 use crate::result::MstResult;
 use crate::union_find::UnionFind;
@@ -75,15 +81,34 @@ fn key_from_bits(k: u128) -> EdgeKey {
     EdgeKey::new(ordered_to_f64((k >> 64) as u64), (k >> 32) as u32, k as u32)
 }
 
+/// The `edges` record, exactly as given, whose merge closed a cycle at
+/// rank `r` of the sorted `keys`. Cold: the replay reads keys, not
+/// records. Equal keys are indistinguishable in the table, so the `d`-th
+/// repeat of a key is taken to be its `d`-th record, as a stable sort
+/// would place it.
+#[cold]
+fn cycle_witness(edges: &[Edge], keys: &[u128], r: usize) -> Edge {
+    let k = keys[r];
+    let repeat = keys[..r].iter().rev().take_while(|&&x| x == k).count();
+    *edges
+        .iter()
+        .filter(|e| key_bits(e.w, e.u, e.v) == k)
+        .nth(repeat)
+        .expect("every sorted key is some record's key")
+}
+
 /// O(1) component / path-max / threshold-connectivity queries over a
 /// certified minimum spanning forest.
 ///
 /// Construction replays the forest's Kruskal merge order ([module
-/// docs](self)); the result is four `n`-sized arrays plus an
-/// O(n / `BLOCK` · log n) sparse table, all cache-resident at road/RMAT
-/// scale. Building from a non-forest fails with
-/// [`VerifyError::Cycle`] / [`VerifyError::ForeignEdge`], so holding a
-/// `PathMaxIndex` is itself a structural certificate.
+/// docs](self)). The result is the sorted table of the `t` tree-edge keys
+/// (plus the sentinel), the `n`-sized position, component, separator-key
+/// and mask arrays, and `u32` merge ranks for the block prefix/suffix
+/// maxima and the O(n / `BLOCK` · log n) sparse table: about 52 B per
+/// vertex, 26 MB on the benchmark's 490k-vertex road graph. Building from
+/// a non-forest fails with [`VerifyError::Cycle`] /
+/// [`VerifyError::ForeignEdge`], so holding a `PathMaxIndex` is itself a
+/// structural certificate.
 ///
 /// Queries take vertex ids in `0..num_vertices` and panic on out-of-range
 /// ids, mirroring the rest of the workspace's slice-indexed APIs; wire
@@ -95,25 +120,31 @@ pub struct PathMaxIndex {
     comp: Vec<u32>,
     /// Number of trees in the forest (isolated vertices included).
     num_components: usize,
+    /// `keys[r]`: packed key of the merge of rank `r`, i.e. of the `r`-th
+    /// tree edge in key order; `keys[t]` is [`INF_KEY`], the component
+    /// boundary sentinel. Decodes every rank the range-max levels hold.
+    keys: Vec<u128>,
     /// `sep[p]`: key of the merge that joined position `p`'s prefix to its
     /// suffix within one component, or [`INF_KEY`] where position `p` ends
-    /// a component.
+    /// a component. Read only by in-block queries, which then need no
+    /// decode.
     pub(crate) sep: Vec<u128>,
     /// Monotone-stack bitmask per position: bit `j` of `mask[i]` is set
     /// iff `sep[i - j]` is larger than every separator in `(i-j, i]`. The
     /// argmax of any in-block range `[l, r]` is then `r - msb(mask[r] &
     /// window)`. Used only when a query fits inside one block.
     mask: Vec<u32>,
-    /// Running max of `sep` from the enclosing block's start through each
-    /// position (inclusive).
-    prefix: Vec<u128>,
-    /// Running max of `sep` from each position through the enclosing
-    /// block's end (inclusive).
-    suffix: Vec<u128>,
-    /// `sparse[k][b]`: max separator across blocks `b .. b + 2^k` (level 0
-    /// is the per-block max). Values, not positions: a cross-block query
-    /// is then four independent loads with no argmax indirection.
-    sparse: Vec<Vec<u128>>,
+    /// Running max separator rank from the enclosing block's start
+    /// through each position (inclusive).
+    prefix: Vec<u32>,
+    /// Running max separator rank from each position through the
+    /// enclosing block's end (inclusive).
+    suffix: Vec<u32>,
+    /// `sparse[k][b]`: max separator rank across blocks `b .. b + 2^k`
+    /// (level 0 is the per-block max). Values, not positions: a
+    /// cross-block query is then four independent `u32` loads and one
+    /// decode through `keys`.
+    sparse: Vec<Vec<u32>>,
     /// When the forest is one spanning tree, the weight of its heaviest
     /// edge: a graph edge strictly heavier passes the cycle property with
     /// a single register compare (no cross-tree queries can exist, so the
@@ -156,97 +187,92 @@ impl PathMaxIndex {
             return Err(VerifyError::ForeignEdge(*e));
         }
 
-        // Tree edges in increasing key order. Kruskal-family results are
-        // already sorted — detect that in O(t) and skip the sort.
-        let keyed: Vec<(EdgeKey, u32)> = {
+        // Tree-edge keys in increasing order, then the sentinel: `keys[r]`
+        // is the key of merge rank `r`, and rank `t` decodes to `INF_KEY`.
+        // Kruskal-family results are already sorted — detect that in O(t)
+        // and skip the sort. Sized once, so the sentinel's push never
+        // grows the table.
+        let t = result.edges.len();
+        let keys: Vec<u128> = {
             let _s = telemetry::span("index-build-sort");
-            let mut keyed: Vec<(EdgeKey, u32)> = result
-                .edges
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (e.key(), i as u32))
-                .collect();
-            if !keyed.windows(2).all(|w| w[0].0 <= w[1].0) {
+            let mut keys: Vec<u128> = Vec::with_capacity(t + 1);
+            keys.extend(result.edges.iter().map(|e| key_bits(e.w, e.u, e.v)));
+            if !keys.windows(2).all(|w| w[0] <= w[1]) {
                 match pool {
-                    Some(pool) => par_sort_by_key(pool, &mut keyed, &ScratchArena::new(), |p| p.0),
-                    None => keyed.sort_unstable(),
+                    Some(pool) => par_sort_by_key(pool, &mut keys, &ScratchArena::new(), |&k| k),
+                    None => keys.sort_unstable(),
                 }
             }
-            keyed
+            keys.push(INF_KEY);
+            keys
         };
 
-        // Merge replay. Each component is a chain (`head`/`last` are valid
-        // at union-find roots); a merge concatenates the chains in O(1)
-        // and stamps the merge key on the single separator where they now
-        // touch. A separator is stamped at most once: once a vertex has a
-        // successor it is interior to its chain forever. A merge of an
-        // already-joined component is the cycle witness.
+        // Merge replay, straight off the sorted keys (their low 64 bits
+        // are the endpoints). Each component is a chain whose `[head,
+        // last]` is valid at its union-find root; a merge concatenates the
+        // chains in O(1) and stamps its rank on the single separator where
+        // they now touch, beside the successor link in `after`. A
+        // separator is stamped at most once: once a vertex has a successor
+        // it is interior to its chain forever. A merge of an
+        // already-joined component is the cycle witness. Ranks fit `u32`:
+        // `n` vertices take at most `n - 1` merges, so a longer list meets
+        // its cycle by rank `n - 1`, and a sentinel rank `t` that survives
+        // the replay is below `n`.
         let _s = telemetry::span("index-build-merge");
-        let t = keyed.len();
-        let pass_above = if t + 1 == n && t > 0 {
-            result.edges[keyed[t - 1].1 as usize].w
-        } else {
-            f64::INFINITY
-        };
         let mut uf = UnionFind::new(n);
-        let mut next: Vec<u32> = vec![NO_NODE; n];
-        let mut head: Vec<u32> = (0..n as u32).collect();
-        let mut last: Vec<u32> = (0..n as u32).collect();
-        let mut sep_after: Vec<u128> = vec![INF_KEY; n];
-        for &(_, ei) in &keyed {
-            let e = &result.edges[ei as usize];
-            let ra = uf.find(e.u) as usize;
-            let rb = uf.find(e.v) as usize;
+        let mut ends: Vec<[u32; 2]> = (0..n as u32).map(|v| [v, v]).collect();
+        let sentinel = t as u32;
+        let mut after: Vec<[u32; 2]> = vec![[NO_NODE, sentinel]; n];
+        for (r, &k) in keys[..t].iter().enumerate() {
+            let ra = uf.find((k >> 32) as u32) as usize;
+            let rb = uf.find(k as u32) as usize;
             if ra == rb {
-                return Err(VerifyError::Cycle(*e));
+                return Err(VerifyError::Cycle(cycle_witness(&result.edges, &keys, r)));
             }
-            let joint = last[ra] as usize;
-            sep_after[joint] = key_bits(e.w, e.u, e.v);
-            next[joint] = head[rb];
-            let (h, l) = (head[ra], last[rb]);
-            uf.union(ra as VertexId, rb as VertexId);
-            let r = uf.find(ra as VertexId) as usize;
-            head[r] = h;
-            last[r] = l;
+            let ([ha, la], [hb, lb]) = (ends[ra], ends[rb]);
+            after[la as usize] = [hb, r as u32];
+            let root = uf.link(ra as VertexId, rb as VertexId) as usize;
+            ends[root] = [ha, lb];
         }
-        drop(keyed);
         drop(_s);
 
         // Walk each root's chain once to lay out positions, component ids
-        // and the separators in merge order. Chain tails keep their
-        // infinite separator, which is exactly the component boundary
-        // sentinel.
+        // and the separator ranks in merge order. Chain tails keep the
+        // sentinel rank, which is exactly the component boundary.
         let _s = telemetry::span("index-build-scatter");
         let mut pos = vec![0u32; n];
         let mut comp = vec![0u32; n];
         let mut num_components = 0usize;
-        let mut sep: Vec<u128> = Vec::with_capacity(n);
+        let mut rank: Vec<u32> = Vec::with_capacity(n);
         for v in 0..n as VertexId {
             if uf.find(v) != v {
                 continue;
             }
             let c = num_components as u32;
             num_components += 1;
-            let mut x = head[v as usize];
+            let mut x = ends[v as usize][0];
             while x != NO_NODE {
-                pos[x as usize] = sep.len() as u32;
+                pos[x as usize] = rank.len() as u32;
                 comp[x as usize] = c;
-                sep.push(sep_after[x as usize]);
-                x = next[x as usize];
+                let [nx, r] = after[x as usize];
+                rank.push(r);
+                x = nx;
             }
         }
-        debug_assert_eq!(sep.len(), n);
+        debug_assert_eq!(rank.len(), n);
+        drop((uf, ends, after));
         drop(_s);
 
-        // Two-level range-max over `sep`: per-position monotone-stack
+        // Two-level range-max over the ranks: per-position monotone-stack
         // masks for O(1) in-block queries; block prefix/suffix maxima and
-        // a sparse table over per-block maxima for everything wider.
+        // a sparse table over per-block maxima for everything wider. Rank
+        // order is key order, so every comparison is a `u32` one.
         let _s = telemetry::span("index-build-rmq");
         let nblocks = n.div_ceil(BLOCK).max(1);
         let mut mask = vec![0u32; n];
-        let mut prefix: Vec<u128> = Vec::with_capacity(n);
-        let mut suffix: Vec<u128> = vec![INF_KEY; n];
-        let mut block_max = vec![INF_KEY; nblocks];
+        let mut prefix: Vec<u32> = Vec::with_capacity(n);
+        let mut suffix: Vec<u32> = vec![sentinel; n];
+        let mut block_max = vec![sentinel; nblocks];
         for (b, bmax) in block_max.iter_mut().enumerate() {
             let lo = b * BLOCK;
             let hi = ((b + 1) * BLOCK).min(n);
@@ -254,42 +280,50 @@ impl PathMaxIndex {
                 continue; // only the n = 0 degenerate block
             }
             let mut m = 0u32;
-            let mut run = sep[lo];
+            let mut run = rank[lo];
             for i in lo..hi {
                 m <<= 1;
-                while m != 0 && sep[i - m.trailing_zeros() as usize] <= sep[i] {
+                while m != 0 && rank[i - m.trailing_zeros() as usize] <= rank[i] {
                     m &= m - 1;
                 }
                 m |= 1;
                 mask[i] = m;
-                run = run.max(sep[i]);
+                run = run.max(rank[i]);
                 prefix.push(run);
             }
             *bmax = run;
-            let mut run = sep[hi - 1];
+            let mut run = rank[hi - 1];
             for i in (lo..hi).rev() {
-                run = run.max(sep[i]);
+                run = run.max(rank[i]);
                 suffix[i] = run;
             }
         }
         let levels = usize::BITS as usize - nblocks.leading_zeros() as usize;
-        let mut sparse: Vec<Vec<u128>> = Vec::with_capacity(levels);
+        let mut sparse: Vec<Vec<u32>> = Vec::with_capacity(levels);
         sparse.push(block_max);
         let mut k = 1;
         while (1 << k) <= nblocks {
             let prev = &sparse[k - 1];
             let width = 1 << (k - 1);
-            let level: Vec<u128> = (0..=nblocks - (1 << k))
+            let level: Vec<u32> = (0..=nblocks - (1 << k))
                 .map(|b| prev[b].max(prev[b + width]))
                 .collect();
             sparse.push(level);
             k += 1;
         }
+        // In-block answers read keys in position order, beside `mask`.
+        let sep: Vec<u128> = rank.iter().map(|&r| keys[r as usize]).collect();
 
+        let pass_above = if t + 1 == n && t > 0 {
+            key_from_bits(keys[t - 1]).weight()
+        } else {
+            f64::INFINITY
+        };
         Ok(PathMaxIndex {
             pos,
             comp,
             num_components,
+            keys,
             sep,
             mask,
             prefix,
@@ -382,8 +416,8 @@ impl PathMaxIndex {
             return self.inblock(lo, hi);
         }
         // `lo`'s block tail, `hi`'s block head, and (via the sparse table)
-        // the whole blocks strictly between: four independent loads,
-        // combined branch-free.
+        // the whole blocks strictly between: four independent rank loads,
+        // combined branch-free, then one decode.
         let mut best = self.suffix[lo].max(self.prefix[hi]);
         if bl + 1 < bh {
             let (a, b) = (bl + 1, bh - 1);
@@ -392,7 +426,7 @@ impl PathMaxIndex {
                 .max(self.sparse[k][a])
                 .max(self.sparse[k][b + 1 - (1 << k)]);
         }
-        best
+        self.keys[best as usize]
     }
 
     /// Raw maximum tree-edge key on the forest path between the vertices
@@ -564,6 +598,38 @@ mod tests {
             PathMaxIndex::build(4, &oob),
             Err(VerifyError::ForeignEdge(e)) if e.v == 7
         ));
+    }
+
+    #[test]
+    fn cycle_witness_is_the_record_as_given() {
+        // The replay reads sorted keys, which are canonical; the witness
+        // must still be the `result.edges` record that closed the cycle,
+        // orientation included.
+        let reversed = Edge::new(2, 0, 3.0);
+        let cyclic = MstResult::from_edges(
+            3,
+            vec![Edge::new(0, 1, 1.0), Edge::new(1, 2, 2.0), reversed],
+            AlgoStats::default(),
+        );
+        assert_eq!(
+            PathMaxIndex::build(3, &cyclic).err(),
+            Some(VerifyError::Cycle(reversed))
+        );
+
+        // A verbatim repeat: the first copy merges, the second (the last
+        // record here) closes the two-edge cycle.
+        let tree = [
+            Edge::new(3, 1, 0.5),
+            Edge::new(0, 1, -1.0),
+            Edge::new(2, 3, 0.5),
+        ];
+        let mut edges = tree.to_vec();
+        edges.push(tree[0]);
+        let repeated = MstResult::from_edges(4, edges, AlgoStats::default());
+        let witness = Some(VerifyError::Cycle(tree[0]));
+        assert_eq!(PathMaxIndex::build(4, &repeated).err(), witness);
+        let pool = ThreadPool::new(2);
+        assert_eq!(PathMaxIndex::build_par(4, &repeated, &pool).err(), witness);
     }
 
     #[test]

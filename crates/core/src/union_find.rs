@@ -69,6 +69,15 @@ impl UnionFind {
         if ra == rb {
             return false;
         }
+        self.link(ra, rb);
+        true
+    }
+
+    /// Merges the sets whose roots are `ra` and `rb` (two distinct
+    /// roots, as [`Self::find`] returned them) and returns the new root:
+    /// a caller that already holds both roots pays no further `find`.
+    pub fn link(&mut self, ra: u32, rb: u32) -> u32 {
+        debug_assert!(ra != rb && self.parent[ra as usize] == ra && self.parent[rb as usize] == rb);
         let (hi, lo) = if self.rank[ra as usize] >= self.rank[rb as usize] {
             (ra, rb)
         } else {
@@ -79,7 +88,7 @@ impl UnionFind {
             self.rank[hi as usize] += 1;
         }
         self.components -= 1;
-        true
+        hi
     }
 
     /// True when `a` and `b` are in the same set.

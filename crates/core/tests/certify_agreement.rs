@@ -2,9 +2,9 @@
 //! Kruskal-oracle verifier, in both directions: genuine MSFs must be
 //! accepted by both, mutated forests rejected by both. A deliberately
 //! naive reference certifier, walking explicit tree paths, must reach the
-//! same verdict as both certifiers, and the same path maxima as
-//! `PathMaxIndex`. Cases are deterministic seed sweeps (hermetic builds
-//! cannot depend on `proptest`).
+//! same verdict as both certifiers, and the same path maxima, components
+//! and threshold connectivity as `PathMaxIndex`. Cases are deterministic
+//! seed sweeps (hermetic builds cannot depend on `proptest`).
 
 use llp_graph::generators::{erdos_renyi, random_geometric, road_network, RoadParams};
 use llp_graph::transform::map_weights;
@@ -314,18 +314,60 @@ fn path_max_index_matches_naive_tree_paths() {
             let index = PathMaxIndex::build(n, &msf).expect("a forest");
             let mut rng = SmallRng::seed_from_u64(seed * 17 + gi as u64);
             let mut apart = 0;
+            let mut ties = 0;
             for _ in 0..64 {
                 let u = rng.gen_range(0..n as u32);
                 let v = if rng.gen_range(0u32..8) == 0 { u } else { rng.gen_range(0..n as u32) };
+                let path = tree_path(n, &msf.edges, u, v);
                 let want = naive_path_max(n, &msf.edges, u, v);
-                let joined = tree_path(n, &msf.edges, u, v).is_some();
+                let joined = path.is_some();
                 assert_eq!(index.path_max(u, v), want, "path_max({u}, {v}) {seed}/{gi}");
-                assert_eq!(index.connected(u, v), joined, "connected({u}, {v}) {seed}/{gi}");
+                assert_eq!(
+                    index.connected(u, v),
+                    joined,
+                    "connected({u}, {v}) {seed}/{gi}"
+                );
+                assert_eq!(
+                    index.component(u) == index.component(v),
+                    joined,
+                    "component({u}) vs component({v}) {seed}/{gi}"
+                );
                 apart += usize::from(!joined);
+
+                // Thresholds at the forest's own weights hit ties at
+                // exactly λ; the path's own maximum is always among them.
+                let mut lambdas = vec![f64::NEG_INFINITY, f64::INFINITY];
+                lambdas.extend((0..4).map(|_| msf.edges[rng.gen_range(0..msf.edges.len())].w));
+                lambdas.extend(want.map(|k| k.weight()));
+                for lambda in lambdas {
+                    let naive = path
+                        .as_ref()
+                        .is_some_and(|p| p.iter().all(|&i| msf.edges[i].w <= lambda));
+                    ties += usize::from(want.is_some_and(|k| k.weight() == lambda));
+                    assert_eq!(
+                        index.connected_under(u, v, lambda),
+                        naive,
+                        "connected_under({u}, {v}, {lambda}) {seed}/{gi}"
+                    );
+                }
             }
             if gi == DISCONNECTED {
                 assert!(apart > 0, "no pair in different trees sampled ({seed})");
             }
+            assert!(ties > 0, "no threshold tied a path maximum ({seed}/{gi})");
+
+            // Component ids are dense: every id in `0..num_components` names
+            // a tree, and there is one tree per vertex a tree edge does not
+            // add.
+            assert_eq!(index.num_components(), n - msf.edges.len(), "{seed}/{gi}");
+            let mut seen = vec![false; index.num_components()];
+            for u in 0..n as u32 {
+                seen[index.component(u) as usize] = true;
+            }
+            assert!(
+                seen.iter().all(|&s| s),
+                "component ids not dense ({seed}/{gi})"
+            );
         }
     }
 }

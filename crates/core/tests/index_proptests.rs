@@ -9,10 +9,14 @@
 //! counts straddling the 32-position block size (31/32/33/63/64/65 and
 //! random non-multiples), long paths whose queries cross many block
 //! boundaries, and multi-component forests where queries must answer
-//! `None` across trees.
+//! `None` across trees. The sentinel merge rank `t` (which decodes to the
+//! infinite key) is pinned at its extremes: no tree edges at all, and one
+//! spanning tree whose heaviest key is the last real rank, with `-0.0`
+//! and negative weights.
 
-use llp_graph::Edge;
+use llp_graph::{CsrGraph, Edge};
 use llp_mst::index::PathMaxIndex;
+use llp_mst::prelude::{certify_msf, kruskal};
 use llp_mst::result::MstResult;
 use llp_mst::union_find::UnionFind;
 use llp_runtime::rng::SmallRng;
@@ -207,5 +211,130 @@ fn parallel_build_is_bit_identical_to_sequential() {
             assert_eq!(seq.path_max(u, v), par.path_max(u, v), "seed {seed}");
             assert_eq!(seq.component(u), par.component(u), "seed {seed}");
         }
+    }
+}
+
+/// Every pair's `path_max`, `bottleneck` and `connected_under` (at each
+/// of `lambdas`) against [`naive_path_max`].
+fn assert_all_pairs_match(
+    what: &str,
+    n: usize,
+    index: &PathMaxIndex,
+    edges: &[Edge],
+    lambdas: &[f64],
+) {
+    for u in 0..n as u32 {
+        for v in 0..n as u32 {
+            let want = naive_path_max(n, edges, u, v);
+            assert_eq!(
+                index.path_max(u, v),
+                want.map(|e| e.key()),
+                "{what}: path_max({u}, {v})"
+            );
+            let got = index.bottleneck(u, v);
+            assert_eq!(
+                got.map(|e| e.key()),
+                want.map(|e| e.key()),
+                "{what}: bottleneck({u}, {v})"
+            );
+            if let (Some(b), Some(w)) = (got, want) {
+                assert_eq!(
+                    b.w.to_bits(),
+                    w.w.to_bits(),
+                    "{what}: decoded weight ({u}, {v})"
+                );
+            }
+            for &lambda in lambdas {
+                assert_eq!(
+                    index.connected_under(u, v, lambda),
+                    u == v || want.is_some_and(|e| e.w <= lambda),
+                    "{what}: connected_under({u}, {v}, {lambda})"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn sentinel_rank_edge_cases() {
+    let lambdas = [
+        f64::NEG_INFINITY,
+        -2.5,
+        -1.0,
+        -0.0,
+        0.0,
+        0.5,
+        1.0,
+        f64::INFINITY,
+    ];
+
+    // t = 0: every vertex isolated, so the key table is the sentinel alone
+    // and every range-max level holds rank 0.
+    for n in [1usize, 2, 33, 65] {
+        let (index, edges) = build(n, Vec::new());
+        assert_eq!(index.num_components(), n);
+        assert_all_pairs_match(&format!("isolated n {n}"), n, &index, &edges, &lambdas);
+    }
+
+    // t + 1 = n: one spanning tree, whose heaviest key (`keys[t - 1]`)
+    // also gives the certifier's weight filter. Weights include -0.0, 0.0
+    // and negatives, whose packed order flips sign bits.
+    let weights = [-2.5, -1.0, -0.0, 0.0, 0.5, 1.0];
+    for seed in 0..8u64 {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x5e17);
+        let n = rng.gen_range(2usize..80);
+        let tree: Vec<Edge> = (1..n as u32)
+            .map(|v| {
+                Edge::new(
+                    rng.gen_range(0..v),
+                    v,
+                    weights[rng.gen_range(0..weights.len())],
+                )
+            })
+            .collect();
+        let (index, edges) = build(n, tree);
+        assert_eq!(index.num_components(), 1, "seed {seed}");
+        assert_all_pairs_match(
+            &format!("spanning seed {seed}"),
+            n,
+            &index,
+            &edges,
+            &lambdas,
+        );
+
+        // The filter retires only edges heavier than the heaviest tree
+        // edge: the tree plus heavier and lighter extra edges certifies
+        // as its graph's MSF exactly when Kruskal agrees.
+        let mut graph_edges = edges.clone();
+        for _ in 0..n {
+            let (a, b) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+            if a != b {
+                graph_edges.push(Edge::new(
+                    a,
+                    b,
+                    weights[rng.gen_range(0..weights.len())] + 0.25,
+                ));
+            }
+        }
+        let g = CsrGraph::from_edges(n, &graph_edges);
+        let msf = kruskal(&g);
+        assert_eq!(certify_msf(&g, &msf), Ok(()), "seed {seed}");
+        let given = MstResult::from_edges(n, edges, Default::default());
+        assert_eq!(
+            certify_msf(&g, &given).is_ok(),
+            given.canonical_keys() == msf.canonical_keys(),
+            "seed {seed}"
+        );
+    }
+
+    // A single spanning path at sizes straddling one and two 32-position
+    // blocks: the last position ends the only component.
+    for n in [32usize, 33, 64, 65] {
+        let mut rng = SmallRng::seed_from_u64(n as u64 ^ 0xb10c);
+        let path: Vec<Edge> = (1..n as u32)
+            .map(|v| Edge::new(v - 1, v, weights[rng.gen_range(0..weights.len())]))
+            .collect();
+        let (index, edges) = build(n, path);
+        assert_all_pairs_match(&format!("path n {n}"), n, &index, &edges, &lambdas);
     }
 }
