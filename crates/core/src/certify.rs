@@ -37,8 +37,9 @@
 //!   mismatch triggers a slow per-edge scan to name the foreign edge).
 //!   A verbatim duplicate of one tree edge must not stand in for another,
 //!   absent one: the CSR sweep counts each vertex's *distinct* matched
-//!   targets, and the edge-slice sweep (`certify_edges`) checks matched
-//!   degrees against forest degrees;
+//!   targets, and the edge-slice sweep (`SliceCertifier`, behind
+//!   `certify_edges` and the out-of-core pass) checks matched degrees
+//!   against forest degrees;
 //! * check 2 falls out of the index's merge replay (a merge of an
 //!   already-joined component is the cycle witness);
 //! * check 3 is the infinite-separator sentinel — spanning violations are
@@ -60,7 +61,6 @@ use crate::verify::VerifyError;
 use llp_graph::{CsrGraph, Edge, EdgeKey, VertexId};
 use llp_runtime::sync::Mutex;
 use llp_runtime::{parallel_for_chunks, telemetry, ParallelForConfig, ThreadPool};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 /// Sequential near-linear certification that `result` is the canonical MSF
@@ -170,9 +170,10 @@ fn check_vertex(
 /// A sweep violation and the key of the graph edge it names.
 type Witness = (EdgeKey, VerifyError);
 
-/// Keeps whichever of `worst` and `found` names the smaller-key edge, so
-/// a sweep reports the same witness however its work was split.
-fn keep_smaller(worst: &mut Option<Witness>, found: Witness) {
+/// Keeps whichever of `worst` and `found` has the smaller ordering key
+/// (the witness edge's key, plus a tie-break where records can repeat),
+/// so a sweep reports the same witness however its work was split.
+fn keep_smaller<K: Ord>(worst: &mut Option<(K, VerifyError)>, found: (K, VerifyError)) {
     if worst.as_ref().is_none_or(|(k, _)| found.0 < *k) {
         *worst = Some(found);
     }
@@ -311,87 +312,135 @@ pub fn certify_against(
     Ok(())
 }
 
-/// The per-edge check of the sweep, over a flat edge slice instead of a
-/// CSR: the shards of an out-of-core file and the dynamic edge store.
-/// Every edge must not beat the path maximum between its endpoints
+/// The sweep of [`certify_against`] over flat edge slices instead of a
+/// CSR, fed one slice at a time: the dynamic edge store in one slice, an
+/// out-of-core file shard by shard. Records may repeat and come in either
+/// orientation.
+///
+/// Every record must not beat the path maximum between its endpoints
 /// (`key < max` is a cycle violation, or at [`INF_KEY`] a cross-tree edge
-/// the forest fails to span); an edge whose key *equals* it is the tree
-/// edge that realises it, and is handed to `on_match` — presence
-/// accounting is the caller's, since only the caller knows whether its
-/// edges can repeat. On violation, returns the smallest-key witness.
-pub(crate) fn sweep_edges(
-    index: &PathMaxIndex,
-    edges: &[Edge],
-    pool: &ThreadPool,
-    cfg: ParallelForConfig,
-    on_match: impl Fn(&Edge) + Sync,
-) -> Result<(), VerifyError> {
-    let worst: Mutex<Option<Witness>> = Mutex::new(None);
-    parallel_for_chunks(pool, 0..edges.len(), cfg, |chunk| {
-        for e in &edges[chunk] {
-            if e.w > index.pass_above {
-                continue; // heavier than every tree edge: passes outright
-            }
-            let kb = key_bits(e.w, e.u, e.v);
-            let maxk = index.path_max_at(index.pos[e.u as usize], index.pos[e.v as usize]);
-            if kb < maxk {
-                let err = if maxk == INF_KEY {
-                    VerifyError::NotSpanning(*e)
-                } else {
-                    VerifyError::CutViolation(*e)
-                };
-                keep_smaller(&mut worst.lock(), (e.key(), err));
-            } else if kb == maxk {
-                on_match(e);
-            }
+/// the forest fails to span). The witness is the smallest-key violating
+/// record over all slices, ties broken by its first endpoint as given, so
+/// neither the slicing nor the pool can change it.
+///
+/// A record whose key *equals* the path maximum is the tree edge that
+/// realises it. Presence is checked by matched degree: each match takes
+/// one off both endpoints' forest degree, and every counter must end at
+/// zero. Zero counters prove every tree edge present: a leaf has one tree
+/// edge, so that edge was matched exactly once; peel it and repeat. The
+/// argument holds modulo 2³², so counters that wrap stay sound: a leaf's
+/// edge was matched ≡ 1 (mod 2³²) times, hence at least once. A counter
+/// that ends non-zero means a repeated tree-edge record or a tree edge no
+/// record matches; only then does [`Self::finish`] rescan the records to
+/// tell the two apart.
+pub(crate) struct SliceCertifier<'a> {
+    index: &'a PathMaxIndex,
+    /// Forest degree of each vertex, minus the records matched at it.
+    left: Vec<AtomicU32>,
+    /// Smallest violating record so far, keyed by `(key, first endpoint)`.
+    worst: Option<((EdgeKey, VertexId), VerifyError)>,
+}
+
+impl<'a> SliceCertifier<'a> {
+    /// Starts certifying `result` against `index`, an index of `result`.
+    pub(crate) fn new(index: &'a PathMaxIndex, result: &MstResult) -> Self {
+        let mut left: Vec<AtomicU32> = (0..index.num_vertices())
+            .map(|_| AtomicU32::new(0))
+            .collect();
+        for e in &result.edges {
+            *left[e.u as usize].get_mut() += 1;
+            *left[e.v as usize].get_mut() += 1;
         }
-    });
-    match worst.into_inner() {
-        Some((_, err)) => Err(err),
-        None => Ok(()),
+        SliceCertifier {
+            index,
+            left,
+            worst: None,
+        }
+    }
+
+    /// Checks one slice of records. A violation does not stop the sweep:
+    /// the witness is chosen in [`Self::finish`].
+    pub(crate) fn sweep(&mut self, edges: &[Edge], pool: &ThreadPool, cfg: ParallelForConfig) {
+        let (index, left) = (self.index, &self.left);
+        let worst = Mutex::new(self.worst.take());
+        parallel_for_chunks(pool, 0..edges.len(), cfg, |chunk| {
+            for e in &edges[chunk] {
+                if e.w > index.pass_above {
+                    continue; // heavier than every tree edge: passes outright
+                }
+                let kb = key_bits(e.w, e.u, e.v);
+                let maxk = index.path_max_at(index.pos[e.u as usize], index.pos[e.v as usize]);
+                if kb < maxk {
+                    let err = if maxk == INF_KEY {
+                        VerifyError::NotSpanning(*e)
+                    } else {
+                        VerifyError::CutViolation(*e)
+                    };
+                    keep_smaller(&mut worst.lock(), ((e.key(), e.u), err));
+                } else if kb == maxk {
+                    // Relaxed: the counters publish no other data, and the
+                    // sweep's join orders every decrement before `finish`.
+                    left[e.u as usize].fetch_sub(1, Ordering::Relaxed);
+                    left[e.v as usize].fetch_sub(1, Ordering::Relaxed);
+                }
+            }
+        });
+        self.worst = worst.into_inner();
+    }
+
+    /// The verdict once every slice is swept: the smallest violation, else
+    /// [`VerifyError::ForeignEdge`] naming the first tree edge of
+    /// `result.edges` that no record matches, else `Ok`. The cold path
+    /// runs only when a counter ends non-zero: `rescan` must then feed
+    /// every record, in slices, to the callback it is given.
+    pub(crate) fn finish<E: From<VerifyError>>(
+        mut self,
+        result: &MstResult,
+        rescan: impl FnOnce(&mut dyn FnMut(&[Edge])) -> Result<(), E>,
+    ) -> Result<(), E> {
+        if let Some((_, err)) = self.worst {
+            return Err(err.into());
+        }
+        if self.left.iter_mut().all(|d| *d.get_mut() == 0) {
+            return Ok(());
+        }
+        // Tree keys are unique (the index build rejects a repeat as a
+        // cycle), so a key's rank in the index's sorted table names it.
+        let keys = self.index.tree_keys();
+        let rank = |e: &Edge| keys.binary_search(&key_bits(e.w, e.u, e.v));
+        let mut seen = vec![0u64; keys.len().div_ceil(64)];
+        rescan(&mut |edges| {
+            for r in edges.iter().filter_map(|e| rank(e).ok()) {
+                seen[r >> 6] |= 1 << (r & 63);
+            }
+        })?;
+        let absent = result.edges.iter().find(|e| {
+            let r = rank(e).expect("the index holds every tree key");
+            seen[r >> 6] & (1 << (r & 63)) == 0
+        });
+        match absent {
+            Some(e) => Err(VerifyError::ForeignEdge(*e).into()),
+            None => Ok(()),
+        }
     }
 }
 
 /// [`certify_against`] over a flat edge list (any orientation) instead of
 /// a CSR graph — what the dynamic structure certifies every epoch
-/// against, with no per-epoch CSR build.
-///
-/// Presence is checked by matched degree, which subsumes the match count:
-/// each tree edge the sweep finds takes one off both endpoints' forest
-/// degree, and every counter must end at zero. Equality is exact even if
-/// `edges` repeats a tree edge: a leaf has one tree edge, so that edge was
-/// matched exactly once; peel it and repeat. A mismatch takes the slow
-/// scan that names the foreign edge.
+/// against, with no per-epoch CSR build. One [`SliceCertifier`] pass; its
+/// cold path rescans the same slice.
 pub(crate) fn certify_edges(
     edges: &[Edge],
     result: &MstResult,
     index: &PathMaxIndex,
     pool: &ThreadPool,
 ) -> Result<(), VerifyError> {
-    let mut left: Vec<AtomicU32> = (0..index.num_vertices())
-        .map(|_| AtomicU32::new(0))
-        .collect();
-    for e in &result.edges {
-        *left[e.u as usize].get_mut() += 1;
-        *left[e.v as usize].get_mut() += 1;
-    }
-    // Relaxed: the counters publish no other data, and the sweep's join
-    // orders every decrement before the reads below.
-    sweep_edges(index, edges, pool, ParallelForConfig::default(), |e| {
-        left[e.u as usize].fetch_sub(1, Ordering::Relaxed);
-        left[e.v as usize].fetch_sub(1, Ordering::Relaxed);
-    })?;
-    if left.iter().any(|d| d.load(Ordering::Relaxed) != 0) {
-        let present: HashSet<u128> = edges.iter().map(|e| key_bits(e.w, e.u, e.v)).collect();
-        if let Some(e) = result
-            .edges
-            .iter()
-            .find(|e| !present.contains(&key_bits(e.w, e.u, e.v)))
-        {
-            return Err(VerifyError::ForeignEdge(*e));
-        }
-    }
-    Ok(())
+    let mut check = SliceCertifier::new(index, result);
+    check.sweep(edges, pool, ParallelForConfig::default());
+    check.finish(result, |mark| {
+        mark(edges);
+        Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -675,6 +724,30 @@ mod tests {
             certify_edges(&edges, &lighter, &index, &pool),
             Err(VerifyError::ForeignEdge(lighter.edges[0]))
         );
+    }
+
+    #[test]
+    fn edge_slice_witness_does_not_depend_on_record_order() {
+        // (0,2,1.5) beats the path maximum (1,2,2.0), recorded in both
+        // orientations: equal keys, so the witness is the record whose
+        // first endpoint is smaller, wherever each copy sits.
+        let pool = ThreadPool::new(2);
+        let forest = MstResult::from_edges(
+            3,
+            vec![Edge::new(0, 1, 1.0), Edge::new(1, 2, 2.0)],
+            AlgoStats::default(),
+        );
+        let index = PathMaxIndex::build(3, &forest).unwrap();
+        let mut records = vec![
+            Edge::new(2, 0, 1.5),
+            Edge::new(0, 1, 1.0),
+            Edge::new(1, 2, 2.0),
+            Edge::new(0, 2, 1.5),
+        ];
+        let want = Err(VerifyError::CutViolation(Edge::new(0, 2, 1.5)));
+        assert_eq!(certify_edges(&records, &forest, &index, &pool), want);
+        records.reverse();
+        assert_eq!(certify_edges(&records, &forest, &index, &pool), want);
     }
 
     #[test]

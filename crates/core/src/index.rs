@@ -398,6 +398,12 @@ impl PathMaxIndex {
         max != INF_KEY && key_from_bits(max).weight() <= lambda
     }
 
+    /// The `t` tree-edge keys in increasing order (the table without its
+    /// sentinel): a tree key's position here is its merge rank.
+    pub(crate) fn tree_keys(&self) -> &[u128] {
+        &self.keys[..self.keys.len() - 1]
+    }
+
     /// Maximum separator in `[l, r]`, both inside one block: the argmax is
     /// the oldest surviving monotone-stack entry within the window.
     #[inline]

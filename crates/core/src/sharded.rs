@@ -31,15 +31,18 @@
 //! The optional certification pass re-streams the file and checks every
 //! record against a [`PathMaxIndex`] of the final forest — the same cycle
 //! property sweep as [`crate::certify::certify_msf_par`], run over each
-//! shard's edge slice (the sweep the dynamic MSF certifies with), without
-//! ever building an in-RAM [`CsrGraph`]: violations are classified
-//! exactly like the in-RAM certifier, and per-tree-edge match bits
-//! (instead of a match count) make the foreign-edge check robust to the
-//! duplicate records a raw streamed file may contain.
+//! shard's edge slice by the edge-slice certifier the dynamic MSF uses,
+//! without ever building an in-RAM [`CsrGraph`]. Violations are
+//! classified exactly like the in-RAM certifier. Tree-edge presence is
+//! matched-degree accounting: each record that realises its own path
+//! maximum takes one off both endpoints' forest degree, and all-zero
+//! counters prove every tree edge present. Only when a counter ends
+//! non-zero (a raw file's repeated tree-edge record, or a tree edge the
+//! file lacks) is the file streamed a third time to name the absent edge.
 
-use crate::certify::sweep_edges;
+use crate::certify::SliceCertifier;
 use crate::contraction::Contraction;
-use crate::index::{key_bits, PathMaxIndex};
+use crate::index::PathMaxIndex;
 use crate::result::MstResult;
 use crate::stats::AlgoStats;
 use crate::union_find::UnionFind;
@@ -427,9 +430,13 @@ pub fn sharded_msf_file(
         let _s = telemetry::span("sharded-build");
         let rx = stream_shards(path, m, shard_edges, start_shard as u64 * shard_edges as u64);
         for s in start_shard..shards {
-            let mut edges = rx.recv().expect("shard reader hung up")?;
+            let mut edges = {
+                let _s = telemetry::span("sharded-build-read");
+                rx.recv().expect("shard reader hung up")?
+            };
 
             // Contract the shard locally under the monotone dense relabel.
+            let contract = telemetry::span("sharded-build-contract");
             let n_local = remap.build(&edges);
             for e in edges.iter_mut() {
                 e.u = remap.local(e.u);
@@ -449,12 +456,17 @@ pub fn sharded_msf_file(
                 e.v = remap.locals[e.v as usize];
             }
             candidate_edges += cand.len() as u64;
+            drop(contract);
 
-            par_sort_by_key(pool, &mut cand, &ScratchArena::new(), Edge::key);
+            {
+                let _s = telemetry::span("sharded-build-sort");
+                par_sort_by_key(pool, &mut cand, &ScratchArena::new(), Edge::key);
+            }
 
             // Merge-scan the two key-sorted forests through a fresh
             // union-find: the Kruskal scan over MSF(acc) ∪ MSF(shard)
             // yields MSF(acc ∪ shard).
+            let merge = telemetry::span("sharded-build-merge");
             let mut uf = UnionFind::new(n);
             let mut merged = Vec::with_capacity(acc.len() + cand.len());
             let (mut i, mut j) = (0, 0);
@@ -475,6 +487,7 @@ pub fn sharded_msf_file(
                 }
             }
             acc = merged;
+            drop(merge);
 
             // Durable progress: after this returns, a kill anywhere up to
             // the next boundary resumes from shard s+1.
@@ -524,12 +537,15 @@ pub fn sharded_msf_file(
     })
 }
 
-/// Re-streams the file and certifies `result` as its canonical MSF — the
-/// edge-slice sweep ([`sweep_edges`]) run shard by shard instead of over
-/// a CSR. Every record must not beat the path maximum between its
-/// endpoints, and every tree edge must be matched by at least one record
-/// (`key == max`), tracked per tree edge so duplicate records cannot mask
-/// an absent one.
+/// Re-streams the file and certifies `result` as its canonical MSF: one
+/// [`SliceCertifier`] fed shard by shard instead of a CSR sweep. Every
+/// record must not beat the path maximum between its endpoints (the
+/// witness is the smallest-key violating record of the whole file), and
+/// every tree edge must be matched by some record. Matched-degree
+/// counters settle presence in the sweep; only when one ends non-zero is
+/// the file streamed once more, to name the first tree edge of
+/// `result.edges` that no record matches (telemetry counter
+/// `sharded-certify-restreams`).
 fn certify_streaming(
     path: &Path,
     total_edges: u64,
@@ -543,40 +559,32 @@ fn certify_streaming(
         let mut f = faulty_reader(std::fs::File::open(path).map_err(IoError::Io)?, "sharded.probe");
         read_binary_range(&mut f, 0, 0)?.num_vertices
     };
-    let index = PathMaxIndex::build_par(n, result, pool)?;
-    let t = result.edges.len();
-
-    // The accumulator leaves the merge scan key-sorted, so the packed
-    // keys are ascending and rank lookup is a binary search.
-    let tree_keys: Vec<u128> = result
-        .edges
-        .iter()
-        .map(|e| key_bits(e.w, e.u, e.v))
-        .collect();
-    debug_assert!(tree_keys.windows(2).all(|w| w[0] < w[1]));
-    let seen: Vec<AtomicU64> = (0..t.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
+    let index = {
+        let _s = telemetry::span("sharded-certify-index");
+        PathMaxIndex::build_par(n, result, pool)?
+    };
+    let shard_edges = cfg.shard_edges.max(1);
+    let shards = total_edges.div_ceil(shard_edges as u64);
     let par = ParallelForConfig::with_grain(2048);
 
-    let rx = stream_shards(path, total_edges, cfg.shard_edges.max(1), 0);
-    let shards = total_edges.div_ceil(cfg.shard_edges.max(1) as u64);
+    let mut check = SliceCertifier::new(&index, result);
+    let rx = stream_shards(path, total_edges, shard_edges, 0);
     for _ in 0..shards {
-        let edges = rx.recv().expect("shard reader hung up")?;
-        sweep_edges(&index, &edges, pool, par, |e| {
-            // Keys are unique, so this record *is* the tree edge that
-            // realises the path maximum.
-            if let Ok(r) = tree_keys.binary_search(&key_bits(e.w, e.u, e.v)) {
-                seen[r >> 6].fetch_or(1u64 << (r & 63), Ordering::Relaxed);
-            }
-        })?;
+        let edges = {
+            let _s = telemetry::span("sharded-certify-read");
+            rx.recv().expect("shard reader hung up")?
+        };
+        let _s = telemetry::span("sharded-certify-sweep");
+        check.sweep(&edges, pool, par);
     }
-
-    // Any tree edge no record matched is foreign to the file.
-    for r in 0..t {
-        if seen[r >> 6].load(Ordering::Relaxed) & (1u64 << (r & 63)) == 0 {
-            return Err(VerifyError::ForeignEdge(result.edges[r]).into());
+    check.finish(result, |mark| {
+        telemetry::counter_add("sharded-certify-restreams", 1);
+        let rx = stream_shards(path, total_edges, shard_edges, 0);
+        for _ in 0..shards {
+            mark(&rx.recv().expect("shard reader hung up")?);
         }
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 /// In-RAM convenience used by the bench harness, sweeps and tests: writes
@@ -608,11 +616,14 @@ pub fn sharded_msf_graph(graph: &CsrGraph, shard_edges: usize, pool: &ThreadPool
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::certify::certify_edges;
     use crate::filter_kruskal::filter_kruskal_par;
     use crate::kruskal::kruskal;
     use llp_graph::generators::{erdos_renyi, random_geometric, rmat, road_network};
     use llp_graph::generators::{RmatParams, RoadParams};
+    use llp_graph::io::BinaryFileWriter;
     use llp_graph::samples::fig1;
+    use llp_runtime::rng::SmallRng;
 
     fn pool() -> ThreadPool {
         ThreadPool::new(3)
@@ -737,6 +748,188 @@ mod tests {
         write_binary(g, &mut w).unwrap();
         std::io::Write::flush(&mut w).unwrap();
         path
+    }
+
+    /// Writes a raw record multiset (repeats and either orientation kept)
+    /// as a binary file.
+    fn write_records(n: usize, records: &[Edge], tag: &str) -> PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("llp-sharded-{tag}-{}.bin", std::process::id()));
+        let mut w = BinaryFileWriter::create(&path, n).unwrap();
+        w.write_edges(records).unwrap();
+        w.finish().unwrap();
+        path
+    }
+
+    /// `m` random records over `n` vertices in random orientation, with
+    /// weights from {1, 2, 3, 4} when `ties`, and one record in three
+    /// repeated verbatim when `repeats`.
+    fn raw_records(seed: u64, n: usize, m: usize, ties: bool, repeats: bool) -> Vec<Edge> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut out = Vec::with_capacity(m + m / 2);
+        for _ in 0..m {
+            let (u, v) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+            if u == v {
+                continue;
+            }
+            let w = if ties {
+                rng.gen_range(1u32..5) as f64
+            } else {
+                rng.gen::<f64>()
+            };
+            out.push(Edge { u, v, w });
+            if repeats && rng.gen_range(0u32..3) == 0 {
+                out.push(Edge { u, v, w });
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn streamed_certifier_agrees_with_certify_edges() {
+        // `certify_streaming` and `certify_edges` run the same edge-slice
+        // certifier, one shard at a time and over one slice: on the same
+        // records they must reach the same verdict and name the same
+        // witness, for the genuine forest and every mutation of the forest
+        // or the file, at every shard size.
+        let _serial = llp_runtime::test_serial_lock();
+        let pool = pool();
+        for seed in 0..6u64 {
+            for (kind, n, records) in [
+                ("tie-heavy", 60, raw_records(seed, 60, 200, true, false)),
+                ("disconnected", 80, raw_records(seed, 80, 50, false, false)),
+                (
+                    "verbatim-duplicate",
+                    50,
+                    raw_records(seed, 50, 150, true, true),
+                ),
+            ] {
+                let msf = kruskal(&CsrGraph::from_edges(n, &records));
+                let t = msf.edges.len();
+                assert!(t >= 2, "{kind}/{seed}: forest too small to mutate");
+                let (i, j) = (seed as usize % t, (seed as usize + 1) % t);
+                let (a, b) = (msf.edges[i], msf.edges[j]);
+                let record_of = |e: Edge| *records.iter().find(|r| r.key() == e.key()).unwrap();
+
+                let mut repeat_absent: Vec<Edge> = records
+                    .iter()
+                    .filter(|r| r.key() != a.key())
+                    .copied()
+                    .collect();
+                repeat_absent.push(record_of(b));
+                let mut duplicated = records.clone();
+                duplicated.extend(msf.edges.iter().map(|&e| record_of(e)));
+                let mut reversed = records.clone();
+                reversed.extend(msf.edges.iter().step_by(3).map(|&e| {
+                    let r = record_of(e);
+                    Edge {
+                        u: r.v,
+                        v: r.u,
+                        w: r.w,
+                    }
+                }));
+
+                let forest = |f: &dyn Fn(&mut Vec<Edge>)| {
+                    let mut e = msf.edges.clone();
+                    f(&mut e);
+                    MstResult::from_edges(n, e, AlgoStats::default())
+                };
+                let forests = [
+                    ("genuine", msf.clone()),
+                    (
+                        "drop",
+                        forest(&|e| {
+                            e.remove(i);
+                        }),
+                    ),
+                    ("heavier", forest(&|e| e[i].w += 0.5)),
+                    ("cycle", forest(&|e| e.push(e[i]))),
+                    ("foreign", forest(&|e| e[i].w -= 0.5)),
+                ];
+                for (file, recs) in [
+                    ("as generated", &records),
+                    ("repeat+absent", &repeat_absent),
+                    ("duplicate-only", &duplicated),
+                    ("reversed duplicate", &reversed),
+                ] {
+                    let path = write_records(n, recs, "agree");
+                    for (what, f) in &forests {
+                        let via_edges = PathMaxIndex::build_par(n, f, &pool)
+                            .and_then(|index| certify_edges(recs, f, &index, &pool));
+                        for shard_edges in [1, 7, recs.len()] {
+                            let cfg = ShardedConfig {
+                                shard_edges,
+                                ..ShardedConfig::default()
+                            };
+                            let streamed =
+                                certify_streaming(&path, recs.len() as u64, f, &cfg, &pool)
+                                    .map_err(|e| match e {
+                                        ShardedError::Verify(v) => v,
+                                        other => panic!("{kind}/{seed}/{file}/{what}: {other}"),
+                                    });
+                            assert_eq!(
+                                streamed, via_edges,
+                                "{kind}/{seed}/{file}/{what}, {shard_edges} per shard"
+                            );
+                        }
+                        let want = match (file, *what) {
+                            ("repeat+absent", "genuine") => Some(Err(VerifyError::ForeignEdge(a))),
+                            (_, "genuine") => Some(Ok(())),
+                            ("as generated", _) => None,
+                            _ => continue,
+                        };
+                        match want {
+                            Some(want) => {
+                                assert_eq!(via_edges, want, "{kind}/{seed}/{file}/{what}")
+                            }
+                            None => {
+                                assert!(via_edges.is_err(), "{kind}/{seed}/{file}/{what}: accepted")
+                            }
+                        }
+                    }
+                    std::fs::remove_file(&path).unwrap();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn certify_restreams_only_when_a_counter_ends_non_zero() {
+        // The presence counters settle a duplicate-free file in the sweep;
+        // a repeated tree-edge record sends the certifier back over the
+        // file exactly once. A cold path that always ran would fail here.
+        let _serial = llp_runtime::test_serial_lock();
+        let pool = pool();
+        let restreams = |path: &Path| {
+            let was = telemetry::enabled();
+            telemetry::set_enabled(true);
+            telemetry::begin_run();
+            let cfg = ShardedConfig {
+                shard_edges: 100,
+                ..ShardedConfig::default()
+            };
+            let run = sharded_msf_file(path, &cfg, &pool);
+            let report = telemetry::take_report();
+            telemetry::set_enabled(was);
+            assert!(run.unwrap().certified);
+            report
+                .counters
+                .iter()
+                .find(|(name, _)| name == "sharded-certify-restreams")
+                .map_or(0, |&(_, c)| c)
+        };
+        let g = erdos_renyi(300, 1200, 41);
+        let path = write_graph_file(&g, "restream");
+        assert_eq!(restreams(&path), 0, "duplicate-free file");
+        std::fs::remove_file(&path).unwrap();
+
+        let mut records: Vec<Edge> = g.edges().collect();
+        let tree = kruskal(&g).edges[0];
+        let copy = *records.iter().find(|r| r.key() == tree.key()).unwrap();
+        records.push(copy);
+        let path = write_records(g.num_vertices(), &records, "restream-dup");
+        assert_eq!(restreams(&path), 1, "one tree edge recorded twice");
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
