@@ -54,6 +54,10 @@
 //! over a [`ThreadPool`]; certification is cheap enough to ride along
 //! every benchmarked construction (see the `certified` field of the
 //! `llp-mst-run-report/v1` schema).
+//!
+//! Every certifier here returns exactly the `Result` of the naive
+//! path-walking [`crate::verify::reference_certify`], witness included;
+//! the witness rule is documented there, and the tests diff the two.
 
 use crate::index::{key_bits, PathMaxIndex, INF_KEY};
 use crate::result::MstResult;
@@ -64,11 +68,12 @@ use llp_runtime::{parallel_for_chunks, telemetry, ParallelForConfig, ThreadPool}
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 /// Sequential near-linear certification that `result` is the canonical MSF
-/// of `graph` — no Kruskal oracle, no O(|T|·m) cut scans.
+/// of `graph` — no Kruskal oracle, no explicit tree-path walks.
 ///
-/// Returns the same [`VerifyError`] taxonomy as the exhaustive verifiers:
-/// [`VerifyError::ForeignEdge`], [`VerifyError::Cycle`],
-/// [`VerifyError::NotSpanning`] or [`VerifyError::CutViolation`].
+/// Returns [`VerifyError::ForeignEdge`], [`VerifyError::Cycle`],
+/// [`VerifyError::NotSpanning`] or [`VerifyError::CutViolation`], naming
+/// exactly the witness [`crate::verify::reference_certify`] names for
+/// `graph.edges()`.
 pub fn certify_msf(graph: &CsrGraph, result: &MstResult) -> Result<(), VerifyError> {
     certify_impl(graph, result, None)
 }
@@ -204,11 +209,16 @@ fn classify_vertex(index: &PathMaxIndex, graph: &CsrGraph, u: VertexId) -> Witne
 
 /// Slow path taken only when the sweep's key-match count disagrees with
 /// the tree size: names a tree edge absent from the graph, if any.
+/// Weights compare bitwise, as keys do: `-0.0` does not match `0.0`.
 fn find_foreign_edge(graph: &CsrGraph, result: &MstResult) -> Option<Edge> {
     result
         .edges
         .iter()
-        .find(|e| !graph.neighbors(e.u).any(|(v, w)| v == e.v && w == e.w))
+        .find(|e| {
+            !graph
+                .neighbors(e.u)
+                .any(|(v, w)| v == e.v && w.to_bits() == e.w.to_bits())
+        })
         .copied()
 }
 
@@ -448,7 +458,7 @@ mod tests {
     use super::*;
     use crate::kruskal::kruskal;
     use crate::stats::AlgoStats;
-    use crate::verify::verify_msf;
+    use crate::verify::{reference_certify, verify_msf, TreePaths};
     use llp_graph::samples::{fig1, small_forest};
 
     #[test]
@@ -633,36 +643,16 @@ mod tests {
         let msf = kruskal(&g);
         let index = PathMaxIndex::build(g.num_vertices(), &msf).unwrap();
 
-        // Adjacency of the forest itself.
         let n = g.num_vertices();
-        let mut adj: Vec<Vec<(u32, u128)>> = vec![Vec::new(); n];
-        for e in &msf.edges {
-            adj[e.u as usize].push((e.v, key_bits(e.w, e.u, e.v)));
-            adj[e.v as usize].push((e.u, key_bits(e.w, e.u, e.v)));
-        }
-        let walk_max = |s: u32, t: u32| -> Option<u128> {
-            let mut best: Vec<Option<u128>> = vec![None; n];
-            let mut queue = std::collections::VecDeque::from([s]);
-            let mut seen = vec![false; n];
-            seen[s as usize] = true;
-            while let Some(x) = queue.pop_front() {
-                for &(y, k) in &adj[x as usize] {
-                    if !seen[y as usize] {
-                        seen[y as usize] = true;
-                        best[y as usize] = Some(match best[x as usize] {
-                            Some(b) if b > k => b,
-                            _ => k,
-                        });
-                        queue.push_back(y);
-                    }
-                }
-            }
-            best[t as usize]
-        };
+        let paths = TreePaths::new(n, &msf.edges);
         for u in (0..n as u32).step_by(7) {
             for v in (0..n as u32).step_by(5) {
                 if u != v {
-                    assert_eq!(index.path_max_key(u, v), walk_max(u, v), "path {u}..{v}");
+                    assert_eq!(
+                        index.path_max(u, v),
+                        paths.heaviest(u, v).map(|e| e.key()),
+                        "path {u}..{v}"
+                    );
                 }
             }
         }
@@ -788,6 +778,7 @@ mod tests {
                     let want = certify_msf(&g, &mutant);
                     assert!(want.is_err(), "{name}/{what} {i}: certify_msf accepted");
                     assert_eq!(via_edges(&mutant), want, "{name}/{what} {i}");
+                    assert_eq!(reference_certify(n, &edges, &mutant), want, "{name}/{what} {i}");
                 }
             }
         }

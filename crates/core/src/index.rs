@@ -443,18 +443,6 @@ impl PathMaxIndex {
         let (lo, hi) = if pu < pv { (pu, pv) } else { (pv, pu) };
         self.rmq(lo as usize, hi as usize - 1)
     }
-
-    /// [`Self::path_max_at`] addressed by vertex id, as the raw packed
-    /// key.
-    #[cfg(test)]
-    pub(crate) fn path_max_key(&self, u: VertexId, v: VertexId) -> Option<u128> {
-        let max = self.path_max_at(self.pos[u as usize], self.pos[v as usize]);
-        if max == INF_KEY {
-            None
-        } else {
-            Some(max)
-        }
-    }
 }
 
 #[cfg(test)]

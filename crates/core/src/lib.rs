@@ -20,7 +20,9 @@
 //! oracle and the test suite asserts pairwise. At road/RMAT scale, where
 //! re-running Kruskal is as expensive as the run under test,
 //! [`certify::certify_msf`] certifies the same property oracle-free in
-//! near-linear time (Borůvka-tree path-max queries).
+//! near-linear time (Borůvka-tree path-max queries). Its verdict and
+//! witness are diff-tested against [`verify::reference_certify`], a naive
+//! O(m·n) certifier on explicit tree paths.
 //!
 //! Prim-family functions require a connected graph and return
 //! [`result::MstError::Disconnected`] otherwise; Boruvka-family functions
@@ -45,7 +47,6 @@ pub mod result;
 pub mod sharded;
 pub mod spec;
 pub mod stats;
-pub mod tree;
 pub mod union_find;
 pub mod verify;
 
@@ -68,6 +69,5 @@ pub mod prelude {
         sharded_msf_file, sharded_msf_graph, ShardedConfig, ShardedError, ShardedRun,
     };
     pub use crate::index::PathMaxIndex;
-    pub use crate::tree::RootedForest;
-    pub use crate::verify::{verify_cut_property, verify_cycle_property, verify_forest_structure, verify_msf};
+    pub use crate::verify::{reference_certify, verify_msf};
 }

@@ -619,6 +619,7 @@ mod tests {
     use crate::certify::certify_edges;
     use crate::filter_kruskal::filter_kruskal_par;
     use crate::kruskal::kruskal;
+    use crate::verify::reference_certify;
     use llp_graph::generators::{erdos_renyi, random_geometric, rmat, road_network};
     use llp_graph::generators::{RmatParams, RoadParams};
     use llp_graph::io::BinaryFileWriter;
@@ -789,9 +790,9 @@ mod tests {
     fn streamed_certifier_agrees_with_certify_edges() {
         // `certify_streaming` and `certify_edges` run the same edge-slice
         // certifier, one shard at a time and over one slice: on the same
-        // records they must reach the same verdict and name the same
-        // witness, for the genuine forest and every mutation of the forest
-        // or the file, at every shard size.
+        // records they must return exactly the naive reference's `Result`,
+        // witness included, for the genuine forest and every mutation of
+        // the forest or the file, at every shard size.
         let _serial = llp_runtime::test_serial_lock();
         let pool = pool();
         for seed in 0..6u64 {
@@ -872,20 +873,17 @@ mod tests {
                                 "{kind}/{seed}/{file}/{what}, {shard_edges} per shard"
                             );
                         }
-                        let want = match (file, *what) {
-                            ("repeat+absent", "genuine") => Some(Err(VerifyError::ForeignEdge(a))),
-                            (_, "genuine") => Some(Ok(())),
-                            ("as generated", _) => None,
-                            _ => continue,
-                        };
-                        match want {
-                            Some(want) => {
-                                assert_eq!(via_edges, want, "{kind}/{seed}/{file}/{what}")
+                        let want = reference_certify(n, recs, f);
+                        let at = format!("{kind}/{seed}/{file}/{what}");
+                        match *what {
+                            "genuine" if file == "repeat+absent" => {
+                                assert_eq!(want, Err(VerifyError::ForeignEdge(a)), "{at}")
                             }
-                            None => {
-                                assert!(via_edges.is_err(), "{kind}/{seed}/{file}/{what}: accepted")
-                            }
+                            "genuine" => assert_eq!(want, Ok(()), "{at}"),
+                            _ if file == "as generated" => assert!(want.is_err(), "{at}: accepted"),
+                            _ => {}
                         }
+                        assert_eq!(via_edges, want, "{at}");
                     }
                     std::fs::remove_file(&path).unwrap();
                 }

@@ -1,20 +1,22 @@
-//! Seed-sweep agreement between the oracle-free certifier and the
-//! Kruskal-oracle verifier, in both directions: genuine MSFs must be
-//! accepted by both, mutated forests rejected by both. A deliberately
-//! naive reference certifier, walking explicit tree paths, must reach the
-//! same verdict as both certifiers, and the same path maxima, components
-//! and threshold connectivity as `PathMaxIndex`. Cases are deterministic
-//! seed sweeps (hermetic builds cannot depend on `proptest`).
+//! Seed-sweep agreement between the fast certifiers and the library's
+//! naive reference, `verify::reference_certify`, which walks explicit tree
+//! paths: on every genuine and mutated forest, `certify_msf` and
+//! `certify_msf_par` (1 to 4 threads) return the reference's exact
+//! `Result`, witness included, and the Kruskal oracle `verify_msf` reaches
+//! the same verdict. `PathMaxIndex` must give the same path maxima,
+//! components and threshold connectivity as the reference's walker,
+//! `verify::TreePaths`. Cases are deterministic seed sweeps (hermetic
+//! builds cannot depend on `proptest`).
 
 use llp_graph::generators::{erdos_renyi, random_geometric, road_network, RoadParams};
 use llp_graph::transform::map_weights;
-use llp_graph::{CsrGraph, Edge, EdgeKey};
+use llp_graph::{CsrGraph, Edge};
 use llp_mst::index::PathMaxIndex;
 use llp_mst::prelude::{
     certify_msf, certify_msf_par, filter_kruskal_par, filter_kruskal_par_with_base_case, kruskal,
-    sharded_msf_graph, verify_msf,
+    reference_certify, sharded_msf_graph, verify_msf,
 };
-use llp_mst::verify::VerifyError;
+use llp_mst::verify::{TreePaths, VerifyError};
 use llp_mst::{AlgoStats, MstResult};
 use llp_runtime::rng::SmallRng;
 use llp_runtime::{chaos, ThreadPool};
@@ -46,101 +48,40 @@ fn canonical(e: Edge) -> Edge {
     Edge::new(u, v, e.w)
 }
 
-/// Indices into `tree` of the edges on the forest path from `u` to `v`, or
-/// `None` when they lie in different trees.
-fn tree_path(n: usize, tree: &[Edge], u: u32, v: u32) -> Option<Vec<usize>> {
-    let mut adj: Vec<Vec<(u32, usize)>> = vec![Vec::new(); n];
-    for (i, e) in tree.iter().enumerate() {
-        adj[e.u as usize].push((e.v, i));
-        adj[e.v as usize].push((e.u, i));
-    }
-    // BFS from `u`, remembering the tree edge each vertex was reached by.
-    let mut via: Vec<Option<usize>> = vec![None; n];
-    let mut seen = vec![false; n];
-    seen[u as usize] = true;
-    let mut queue = std::collections::VecDeque::from([u]);
-    while let Some(x) = queue.pop_front() {
-        for &(y, i) in &adj[x as usize] {
-            if !seen[y as usize] {
-                seen[y as usize] = true;
-                via[y as usize] = Some(i);
-                queue.push_back(y);
-            }
-        }
-    }
-    if !seen[v as usize] {
-        return None;
-    }
-    let mut path = Vec::new();
-    let mut x = v;
-    while x != u {
-        let i = via[x as usize].expect("reached by a tree edge");
-        path.push(i);
-        x = if tree[i].u == x { tree[i].v } else { tree[i].u };
-    }
-    Some(path)
+/// Pools of 1 to 4 threads, for `certify_msf_par`.
+fn pools() -> Vec<ThreadPool> {
+    (1..=4).map(ThreadPool::new).collect()
 }
 
-/// The maximum key on the forest path from `u` to `v`: `None` when the
-/// path is empty (`u == v`) or the vertices lie in different trees.
-fn naive_path_max(n: usize, tree: &[Edge], u: u32, v: u32) -> Option<EdgeKey> {
-    tree_path(n, tree, u, v)?.into_iter().map(|i| tree[i].key()).max()
-}
-
-/// A deliberately naive reference certifier, O(m·n) and for small graphs
-/// only, built on [`tree_path`] rather than on any index. `f` is the
-/// canonical minimum spanning forest of `g` when:
-/// * every forest edge is a graph edge (weight included);
-/// * no forest edge joins two vertices that earlier forest edges already
-///   connect (the forest is acyclic);
-/// * every graph edge's endpoints lie in one tree (it spans);
-/// * every non-tree edge's key exceeds the maximum key on its tree path.
-fn naive_certify(g: &CsrGraph, f: &MstResult) -> Result<(), &'static str> {
-    let n = g.num_vertices();
-    let mut graph_keys: Vec<EdgeKey> = g.edges().map(|e| e.key()).collect();
-    graph_keys.sort_unstable();
-    if f.edges.iter().any(|e| graph_keys.binary_search(&e.key()).is_err()) {
-        return Err("foreign edge");
+/// `certify_msf` and `certify_msf_par` on every pool return exactly
+/// [`reference_certify`]'s `Result` on `f`, witness included; returns it.
+fn agree(g: &CsrGraph, f: &MstResult, pools: &[ThreadPool], what: &str) -> Result<(), VerifyError> {
+    let records: Vec<Edge> = g.edges().collect();
+    let want = reference_certify(g.num_vertices(), &records, f);
+    assert_eq!(certify_msf(g, f), want, "certify/{what}");
+    for (t, pool) in pools.iter().enumerate() {
+        assert_eq!(
+            certify_msf_par(g, f, pool),
+            want,
+            "certify_par/{what}, {} threads",
+            t + 1
+        );
     }
-    for (i, e) in f.edges.iter().enumerate() {
-        if tree_path(n, &f.edges[..i], e.u, e.v).is_some() {
-            return Err("cycle");
-        }
-    }
-    let mut tree_keys: Vec<EdgeKey> = f.edges.iter().map(Edge::key).collect();
-    tree_keys.sort_unstable();
-    for e in g.edges() {
-        let Some(path) = tree_path(n, &f.edges, e.u, e.v) else {
-            return Err("not spanning");
-        };
-        let on_tree = tree_keys.binary_search(&e.key()).is_ok();
-        if !on_tree && path.iter().any(|&i| f.edges[i].key() > e.key()) {
-            return Err("cut violation");
-        }
-    }
-    Ok(())
-}
-
-/// `certify_msf`, `certify_msf_par` and [`naive_certify`] reach one
-/// verdict on `f`, and it is `want_ok`.
-fn assert_verdicts(g: &CsrGraph, f: &MstResult, pool: &ThreadPool, want_ok: bool, what: &str) {
-    assert_eq!(naive_certify(g, f).is_ok(), want_ok, "naive/{what}");
-    assert_eq!(certify_msf(g, f).is_ok(), want_ok, "certify/{what}");
-    assert_eq!(certify_msf_par(g, f, pool).is_ok(), want_ok, "certify_par/{what}");
+    want
 }
 
 #[test]
 fn certifier_and_oracle_accept_genuine_msfs() {
-    let pool = ThreadPool::new(3);
+    let pools = pools();
     for seed in 0..CASES {
         for (gi, g) in graphs(seed).into_iter().enumerate() {
             let msf = kruskal(&g);
             verify_msf(&g, &msf).unwrap_or_else(|e| panic!("oracle seed {seed} graph {gi}: {e}"));
-            certify_msf(&g, &msf)
-                .unwrap_or_else(|e| panic!("certifier seed {seed} graph {gi}: {e}"));
-            certify_msf_par(&g, &msf, &pool)
-                .unwrap_or_else(|e| panic!("par certifier seed {seed} graph {gi}: {e}"));
-            assert_verdicts(&g, &msf, &pool, true, &format!("genuine {seed}/{gi}"));
+            assert_eq!(
+                agree(&g, &msf, &pools, &format!("genuine {seed}/{gi}")),
+                Ok(()),
+                "seed {seed} graph {gi}"
+            );
         }
     }
 }
@@ -149,7 +90,7 @@ fn certifier_and_oracle_accept_genuine_msfs() {
 fn certifier_and_oracle_reject_mutated_forests() {
     /// Position of the tie-heavy graph in [`graphs`].
     const TIED: usize = 1;
-    let pool = ThreadPool::new(3);
+    let pools = pools();
     for seed in 0..CASES {
         for (gi, g) in graphs(seed).into_iter().enumerate() {
             let msf = kruskal(&g);
@@ -157,61 +98,40 @@ fn certifier_and_oracle_reject_mutated_forests() {
                 continue;
             }
             // Each mutation below has exactly one right answer under the
-            // cut property, and both certifiers must name it.
-            let assert_witness = |f: &MstResult, want: VerifyError, what: &str| {
+            // cut property: the reference must name it, the certifiers
+            // must agree with the reference, and the oracle must reject.
+            let rejects = |g: &CsrGraph, f: &MstResult, want: VerifyError, what: &str| {
+                assert!(verify_msf(g, f).is_err(), "oracle/{what} {seed}/{gi}");
                 assert_eq!(
-                    certify_msf(&g, f),
-                    Err(want.clone()),
-                    "certify/{what} {seed}/{gi}"
-                );
-                assert_eq!(
-                    certify_msf_par(&g, f, &pool),
+                    agree(g, f, &pools, &format!("{what} {seed}/{gi}")),
                     Err(want),
-                    "certify_par/{what} {seed}/{gi}"
+                    "reference/{what} {seed}/{gi}"
                 );
             };
             let n = g.num_vertices();
             let mut rng = SmallRng::seed_from_u64(seed * 31 + gi as u64);
             let i = rng.gen_range(0usize..msf.edges.len());
 
-            // Drop one tree edge: no longer spanning.
+            // Drop one tree edge: no longer spanning. The dropped edge is
+            // the lightest across the cut it leaves.
             let mut edges = msf.edges.clone();
             edges.remove(i);
             let dropped = forest(n, edges);
-            assert!(verify_msf(&g, &dropped).is_err(), "oracle/drop {seed}/{gi}");
-            assert!(certify_msf(&g, &dropped).is_err(), "certify/drop {seed}/{gi}");
-            assert_verdicts(&g, &dropped, &pool, false, &format!("drop {seed}/{gi}"));
-            // The dropped edge is the lightest across the cut it leaves.
-            assert_witness(
-                &dropped,
-                VerifyError::NotSpanning(canonical(msf.edges[i])),
-                "drop",
-            );
+            rejects(&g, &dropped, VerifyError::NotSpanning(canonical(msf.edges[i])), "drop");
 
-            // Heavier weight on one tree edge: foreign to the graph (and
-            // a cut violation against the original edge).
+            // Heavier weight on one tree edge: foreign to the graph, and
+            // the original edge is lighter than every other edge whose
+            // tree path now crosses the heavier copy.
             let mut edges = msf.edges.clone();
             edges[i].w += 0.5;
             let heavier = forest(n, edges);
-            assert!(verify_msf(&g, &heavier).is_err(), "oracle/heavy {seed}/{gi}");
-            assert!(certify_msf(&g, &heavier).is_err(), "certify/heavy {seed}/{gi}");
-            assert_verdicts(&g, &heavier, &pool, false, &format!("heavy {seed}/{gi}"));
-            // The original edge is lighter than every other edge whose
-            // tree path now crosses the heavier copy.
-            assert_witness(
-                &heavier,
-                VerifyError::CutViolation(canonical(msf.edges[i])),
-                "heavy",
-            );
+            rejects(&g, &heavier, VerifyError::CutViolation(canonical(msf.edges[i])), "heavy");
 
             // Duplicate one tree edge: a two-edge cycle.
             let mut edges = msf.edges.clone();
             edges.push(edges[i]);
             let cyclic = forest(n, edges);
-            assert!(verify_msf(&g, &cyclic).is_err(), "oracle/cycle {seed}/{gi}");
-            assert!(certify_msf(&g, &cyclic).is_err(), "certify/cycle {seed}/{gi}");
-            assert_verdicts(&g, &cyclic, &pool, false, &format!("cycle {seed}/{gi}"));
-            assert_witness(&cyclic, VerifyError::Cycle(msf.edges[i]), "cycle");
+            rejects(&g, &cyclic, VerifyError::Cycle(msf.edges[i]), "cycle");
 
             // Longer cycle: append a non-tree graph edge. Its endpoints are
             // already joined by the tree path, so the appended copy closes
@@ -228,20 +148,17 @@ fn certifier_and_oracle_reject_mutated_forests() {
                 let mut edges = msf.edges.clone();
                 edges.push(e);
                 let cyclic = forest(n, edges);
-                assert!(
-                    verify_msf(&g, &cyclic).is_err(),
-                    "oracle/long-cycle {seed}/{gi}"
-                );
-                assert_verdicts(&g, &cyclic, &pool, false, &format!("long-cycle {seed}/{gi}"));
-                assert_witness(&cyclic, VerifyError::Cycle(e), "long-cycle");
+                rejects(&g, &cyclic, VerifyError::Cycle(e), "long-cycle");
             }
 
             // Tie flip: swap a tree edge `t` for a non-tree edge of equal
             // weight on `t`'s cycle. The result is a spanning forest of the
             // same total weight, but not the canonical one: `t` now closes
             // a cycle through the heavier-keyed replacement.
+            let paths = TreePaths::new(n, &msf.edges);
             let flip = non_tree.iter().find_map(|&e| {
-                tree_path(n, &msf.edges, e.u, e.v)
+                paths
+                    .path(e.u, e.v)
                     .expect("a non-tree edge's endpoints share a tree")
                     .into_iter()
                     .find(|&t| msf.edges[t].w == e.w)
@@ -255,12 +172,8 @@ fn certifier_and_oracle_reject_mutated_forests() {
                     swapped.total_weight, msf.total_weight,
                     "tie flip {seed}/{gi}"
                 );
-                assert!(
-                    verify_msf(&g, &swapped).is_err(),
-                    "oracle/tie-flip {seed}/{gi}"
-                );
-                assert_verdicts(&g, &swapped, &pool, false, &format!("tie-flip {seed}/{gi}"));
-                assert_witness(
+                rejects(
+                    &g,
                     &swapped,
                     VerifyError::CutViolation(canonical(msf.edges[t])),
                     "tie-flip",
@@ -281,23 +194,13 @@ fn certifier_and_oracle_reject_mutated_forests() {
                 let mut edges = msf.edges.clone();
                 edges[i].w -= 0.5;
                 let masked = forest(n, edges);
-                let foreign = Err(VerifyError::ForeignEdge(masked.edges[i]));
+                let foreign = VerifyError::ForeignEdge(masked.edges[i]);
                 assert_eq!(
                     verify_msf(&doubled, &masked),
-                    foreign,
+                    Err(foreign.clone()),
                     "oracle/mask {seed}/{gi}"
                 );
-                assert_eq!(
-                    certify_msf(&doubled, &masked),
-                    foreign,
-                    "certify/mask {seed}/{gi}"
-                );
-                assert_eq!(
-                    certify_msf_par(&doubled, &masked, &pool),
-                    foreign,
-                    "certify_par/mask {seed}/{gi}"
-                );
-                assert_verdicts(&doubled, &masked, &pool, false, &format!("mask {seed}/{gi}"));
+                rejects(&doubled, &masked, foreign, "mask");
             }
         }
     }
@@ -312,14 +215,15 @@ fn path_max_index_matches_naive_tree_paths() {
             let n = g.num_vertices();
             let msf = kruskal(&g);
             let index = PathMaxIndex::build(n, &msf).expect("a forest");
+            let paths = TreePaths::new(n, &msf.edges);
             let mut rng = SmallRng::seed_from_u64(seed * 17 + gi as u64);
             let mut apart = 0;
             let mut ties = 0;
             for _ in 0..64 {
                 let u = rng.gen_range(0..n as u32);
                 let v = if rng.gen_range(0u32..8) == 0 { u } else { rng.gen_range(0..n as u32) };
-                let path = tree_path(n, &msf.edges, u, v);
-                let want = naive_path_max(n, &msf.edges, u, v);
+                let path = paths.path(u, v);
+                let want = paths.heaviest(u, v).map(|e| e.key());
                 let joined = path.is_some();
                 assert_eq!(index.path_max(u, v), want, "path_max({u}, {v}) {seed}/{gi}");
                 assert_eq!(
@@ -378,7 +282,7 @@ fn certifiers_name_the_smallest_key_witness_at_every_thread_count() {
     // the cycle property at many vertices. The witness must be the
     // graph's smallest-key violating edge, whatever the pool and its
     // chunking, not the first one some chunk happened to meet.
-    let pools: Vec<ThreadPool> = (1..=4).map(ThreadPool::new).collect();
+    let pools = pools();
     for seed in 0..4u64 {
         let g = erdos_renyi(4000, 16000, seed);
         let n = g.num_vertices();
@@ -388,31 +292,20 @@ fn certifiers_name_the_smallest_key_witness_at_every_thread_count() {
             n,
             heaviest.edges.iter().map(|e| Edge::new(e.u, e.v, -e.w)).collect(),
         );
-
-        let index = PathMaxIndex::build(n, &max_forest).expect("a forest");
-        let smallest = g
-            .edges()
-            .filter(|e| index.path_max(e.u, e.v).is_some_and(|max| e.key() < max))
-            .min_by_key(Edge::key)
-            .expect("a maximum spanning forest violates the cycle property");
-        let want = Err(VerifyError::CutViolation(canonical(smallest)));
-        assert_eq!(certify_msf(&g, &max_forest), want, "certify_msf seed {seed}");
-        for (t, pool) in pools.iter().enumerate() {
-            assert_eq!(
-                certify_msf_par(&g, &max_forest, pool),
-                want,
-                "certify_msf_par seed {seed}, {} threads",
-                t + 1
-            );
-        }
+        let want = agree(&g, &max_forest, &pools, &format!("maximum forest {seed}"));
+        assert!(
+            matches!(want, Err(VerifyError::CutViolation(_))),
+            "a maximum spanning forest violates the cycle property ({seed}): {want:?}"
+        );
     }
 }
 
 #[test]
 fn filter_kruskal_par_certifies_and_rejects_mutations_under_chaos_seeds() {
     // The parallel partition/filter paths under every chaos seed the CI
-    // matrix runs: genuine outputs are accepted by oracle and certifier,
-    // mutated ones rejected.
+    // matrix runs: genuine outputs are accepted by oracle, certifiers and
+    // reference, mutated ones rejected, with the certifiers naming the
+    // reference's witness.
     let _serial = llp_runtime::test_serial_lock();
     let pool = ThreadPool::new(4);
     for chaos_seed in [1u64, 2, 3, 4] {
@@ -427,12 +320,10 @@ fn filter_kruskal_par_certifies_and_rejects_mutations_under_chaos_seeds() {
                     filter_kruskal_par(&g, &pool).canonical_keys(),
                     "base-case invariance {chaos_seed}/{seed}/{gi}"
                 );
-                verify_msf(&g, &msf)
-                    .unwrap_or_else(|e| panic!("oracle {chaos_seed}/{seed}/{gi}: {e}"));
-                certify_msf(&g, &msf)
-                    .unwrap_or_else(|e| panic!("certify {chaos_seed}/{seed}/{gi}: {e}"));
-                certify_msf_par(&g, &msf, &pool)
-                    .unwrap_or_else(|e| panic!("certify_par {chaos_seed}/{seed}/{gi}: {e}"));
+                let pools = std::slice::from_ref(&pool);
+                let what = |m: &str| format!("{m} {chaos_seed}/{seed}/{gi}");
+                verify_msf(&g, &msf).unwrap_or_else(|e| panic!("oracle/{}: {e}", what("genuine")));
+                assert_eq!(agree(&g, &msf, pools, &what("genuine")), Ok(()));
 
                 if msf.edges.is_empty() {
                     continue;
@@ -440,39 +331,24 @@ fn filter_kruskal_par_certifies_and_rejects_mutations_under_chaos_seeds() {
                 let n = g.num_vertices();
                 let mut rng = SmallRng::seed_from_u64(chaos_seed * 101 + seed * 31 + gi as u64);
                 let i = rng.gen_range(0usize..msf.edges.len());
-
-                let mut edges = msf.edges.clone();
-                edges.remove(i);
-                let dropped = forest(n, edges);
-                assert!(verify_msf(&g, &dropped).is_err(), "oracle/drop {chaos_seed}/{seed}/{gi}");
-                assert!(
-                    certify_msf(&g, &dropped).is_err(),
-                    "certify/drop {chaos_seed}/{seed}/{gi}"
-                );
-
-                let mut edges = msf.edges.clone();
-                edges[i].w += 0.5;
-                let heavier = forest(n, edges);
-                assert!(
-                    verify_msf(&g, &heavier).is_err(),
-                    "oracle/heavy {chaos_seed}/{seed}/{gi}"
-                );
-                assert!(
-                    certify_msf(&g, &heavier).is_err(),
-                    "certify/heavy {chaos_seed}/{seed}/{gi}"
-                );
-
-                let mut edges = msf.edges.clone();
-                edges.push(edges[i]);
-                let cyclic = forest(n, edges);
-                assert!(
-                    verify_msf(&g, &cyclic).is_err(),
-                    "oracle/cycle {chaos_seed}/{seed}/{gi}"
-                );
-                assert!(
-                    certify_msf(&g, &cyclic).is_err(),
-                    "certify/cycle {chaos_seed}/{seed}/{gi}"
-                );
+                let mutate = |f: &dyn Fn(&mut Vec<Edge>)| {
+                    let mut edges = msf.edges.clone();
+                    f(&mut edges);
+                    forest(n, edges)
+                };
+                for (m, mutant) in [
+                    (
+                        "drop",
+                        mutate(&|e| {
+                            e.remove(i);
+                        }),
+                    ),
+                    ("heavy", mutate(&|e| e[i].w += 0.5)),
+                    ("cycle", mutate(&|e| e.push(e[i]))),
+                ] {
+                    assert!(verify_msf(&g, &mutant).is_err(), "oracle/{}", what(m));
+                    assert!(agree(&g, &mutant, pools, &what(m)).is_err(), "{}", what(m));
+                }
             }
         }
     }
@@ -503,10 +379,8 @@ fn sharded_ooc_certifies_and_agrees_under_chaos_seeds() {
                 );
                 verify_msf(&g, &msf)
                     .unwrap_or_else(|e| panic!("oracle {chaos_seed}/{seed}/{gi}: {e}"));
-                certify_msf(&g, &msf)
-                    .unwrap_or_else(|e| panic!("certify {chaos_seed}/{seed}/{gi}: {e}"));
-                certify_msf_par(&g, &msf, &pool)
-                    .unwrap_or_else(|e| panic!("certify_par {chaos_seed}/{seed}/{gi}: {e}"));
+                let what = format!("sharded {chaos_seed}/{seed}/{gi}");
+                assert_eq!(agree(&g, &msf, std::slice::from_ref(&pool), &what), Ok(()));
 
                 let replay = sharded_msf_graph(&g, shard, &pool);
                 assert_eq!(replay.edges.len(), msf.edges.len());

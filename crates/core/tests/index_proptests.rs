@@ -1,6 +1,6 @@
 //! Property-style tests for [`llp_mst::index::PathMaxIndex`]: the O(1)
-//! answers are compared against a naive tree-path walk (BFS parent
-//! trace, then a max over the traced edges) on seeded random forests.
+//! answers are compared against the naive tree-path walk of
+//! [`llp_mst::verify::TreePaths`] on seeded random forests.
 //! Cases are deterministic seed sweeps over
 //! [`llp_runtime::rng::SmallRng`] (hermetic builds cannot depend on
 //! `proptest`).
@@ -19,9 +19,9 @@ use llp_mst::index::PathMaxIndex;
 use llp_mst::prelude::{certify_msf, kruskal};
 use llp_mst::result::MstResult;
 use llp_mst::union_find::UnionFind;
+use llp_mst::verify::TreePaths;
 use llp_runtime::rng::SmallRng;
 use llp_runtime::ThreadPool;
-use std::collections::VecDeque;
 
 const CASES: u64 = 48;
 
@@ -46,45 +46,6 @@ fn random_forest(rng: &mut SmallRng, n: usize, p_break: f64) -> Vec<Edge> {
     edges
 }
 
-/// Naive reference: BFS from `u` over the tree adjacency, trace parents
-/// back from `v`, and take the maximum edge key on the path.
-fn naive_path_max(n: usize, edges: &[Edge], u: u32, v: u32) -> Option<Edge> {
-    if u == v {
-        return None;
-    }
-    let mut adj: Vec<Vec<(u32, Edge)>> = vec![Vec::new(); n];
-    for e in edges {
-        adj[e.u as usize].push((e.v, *e));
-        adj[e.v as usize].push((e.u, *e));
-    }
-    let mut parent: Vec<Option<(u32, Edge)>> = vec![None; n];
-    let mut seen = vec![false; n];
-    let mut queue = VecDeque::from([u]);
-    seen[u as usize] = true;
-    while let Some(x) = queue.pop_front() {
-        for &(y, e) in &adj[x as usize] {
-            if !seen[y as usize] {
-                seen[y as usize] = true;
-                parent[y as usize] = Some((x, e));
-                queue.push_back(y);
-            }
-        }
-    }
-    if !seen[v as usize] {
-        return None;
-    }
-    let mut best: Option<Edge> = None;
-    let mut cur = v;
-    while cur != u {
-        let (prev, e) = parent[cur as usize].unwrap();
-        if best.is_none_or(|b| e.key() > b.key()) {
-            best = Some(e);
-        }
-        cur = prev;
-    }
-    best
-}
-
 fn build(n: usize, edges: Vec<Edge>) -> (PathMaxIndex, Vec<Edge>) {
     let result = MstResult::from_edges(n, edges, Default::default());
     let index = PathMaxIndex::build(n, &result).expect("forests must index");
@@ -99,10 +60,11 @@ fn path_max_matches_naive_walk_on_random_forests() {
         // of the time.
         let n = rng.gen_range(2usize..300);
         let (index, edges) = build(n, random_forest(&mut rng, n, 0.08));
+        let paths = TreePaths::new(n, &edges);
         for _ in 0..64 {
             let u = rng.gen_range(0..n as u32);
             let v = rng.gen_range(0..n as u32);
-            let want = naive_path_max(n, &edges, u, v);
+            let want = paths.heaviest(u, v);
             let got = index.path_max(u, v);
             assert_eq!(
                 got.map(|k| (k.lo(), k.hi())),
@@ -145,10 +107,11 @@ fn block_boundary_sizes_and_straddling_queries() {
         for _ in 0..32 {
             queries.push((rng.gen_range(0..n as u32), rng.gen_range(0..n as u32)));
         }
+        let paths = TreePaths::new(n, &edges);
         for (u, v) in queries {
             assert_eq!(
                 index.path_max(u, v),
-                naive_path_max(n, &edges, u, v).map(|e| e.key()),
+                paths.heaviest(u, v).map(|e| e.key()),
                 "n {n}, query ({u}, {v})"
             );
         }
@@ -215,7 +178,7 @@ fn parallel_build_is_bit_identical_to_sequential() {
 }
 
 /// Every pair's `path_max`, `bottleneck` and `connected_under` (at each
-/// of `lambdas`) against [`naive_path_max`].
+/// of `lambdas`) against the naive walk of [`TreePaths::heaviest`].
 fn assert_all_pairs_match(
     what: &str,
     n: usize,
@@ -223,9 +186,10 @@ fn assert_all_pairs_match(
     edges: &[Edge],
     lambdas: &[f64],
 ) {
+    let paths = TreePaths::new(n, edges);
     for u in 0..n as u32 {
         for v in 0..n as u32 {
-            let want = naive_path_max(n, edges, u, v);
+            let want = paths.heaviest(u, v);
             assert_eq!(
                 index.path_max(u, v),
                 want.map(|e| e.key()),

@@ -39,7 +39,8 @@ fn generate_solve_verify_full_pipeline() {
     let g = road_network(RoadParams::usa_like(25, 30, 11));
     let pool = ThreadPool::with_available_threads();
     let mst = llp_prim_par(&g, 0, &pool).expect("road networks are connected");
-    verify_forest_structure(&g, &mst).unwrap();
+    let records: Vec<Edge> = g.edges().collect();
+    reference_certify(g.num_vertices(), &records, &mst).unwrap();
     verify_msf(&g, &mst).unwrap();
     assert!(mst.is_spanning_tree(g.num_vertices()));
     assert_eq!(mst.num_trees, 1);
