@@ -1,6 +1,6 @@
 //! Uniform runner over every algorithm in the evaluation.
 
-use llp_graph::{CsrGraph, EdgeKey};
+use llp_graph::CsrGraph;
 use llp_mst::prelude::*;
 use llp_runtime::ThreadPool;
 
@@ -67,10 +67,6 @@ impl std::fmt::Display for Algorithm {
 
 /// Runs `algo` on `graph` with `pool`, rooting tree algorithms at `root`.
 ///
-/// Computes the LLP-Prim MWE table per call; benchmarks that amortise it
-/// across runs (the paper computes MWE "when the graph is input") should
-/// use [`run_algorithm_with_mwe`].
-///
 /// # Panics
 /// Panics when a Prim-family algorithm is given a disconnected graph —
 /// benchmark workloads are connected by construction.
@@ -80,32 +76,14 @@ pub fn run_algorithm(
     root: u32,
     pool: &ThreadPool,
 ) -> MstResult {
-    run_algorithm_with_mwe(algo, graph, root, pool, None)
-}
-
-/// [`run_algorithm`] with an optionally precomputed per-vertex
-/// minimum-weight-edge table for the LLP-Prim family.
-pub fn run_algorithm_with_mwe(
-    algo: Algorithm,
-    graph: &CsrGraph,
-    root: u32,
-    pool: &ThreadPool,
-    mwe: Option<&[EdgeKey]>,
-) -> MstResult {
     const CONNECTED: &str = "benchmark graph must be connected";
     match algo {
         Algorithm::Prim => prim_lazy(graph, root).expect(CONNECTED),
         Algorithm::Kruskal => kruskal(graph),
         Algorithm::FilterKruskalPar => filter_kruskal_par(graph, pool),
         Algorithm::Boruvka => boruvka_par(graph, pool),
-        Algorithm::LlpPrimSeq => match mwe {
-            Some(t) => llp_prim_seq_with_mwe(graph, root, t).expect(CONNECTED),
-            None => llp_prim_seq(graph, root).expect(CONNECTED),
-        },
-        Algorithm::LlpPrim => match mwe {
-            Some(t) => llp_prim_par_with_mwe(graph, root, pool, t).expect(CONNECTED),
-            None => llp_prim_par(graph, root, pool).expect(CONNECTED),
-        },
+        Algorithm::LlpPrimSeq => llp_prim_seq(graph, root).expect(CONNECTED),
+        Algorithm::LlpPrim => llp_prim_par(graph, root, pool).expect(CONNECTED),
         Algorithm::LlpBoruvka => llp_boruvka(graph, pool),
         // Round-trips through a temp binary file with a shard size small
         // enough that every sweep genuinely exercises multi-shard folding

@@ -28,8 +28,8 @@ pub fn parse_flag<T: FromStr>(flag: &str, value: &str) -> T {
         .unwrap_or_else(|_| usage_error(format_args!("{flag}: '{value}' is not a valid value")))
 }
 
-/// [`parse_flag`] for a count that must be at least 1 (threads,
-/// repetitions); 0 is a usage error with exit status 2.
+/// [`parse_flag`] for a count that must be at least 1 (threads, shard
+/// sizes, queue lengths); 0 is a usage error with exit status 2.
 fn parse_count(flag: &str, value: &str) -> usize {
     match parse_flag(flag, value) {
         0 => usage_error(format_args!("{flag} must be at least 1")),

@@ -1,21 +1,22 @@
 //! # llp-bench — reproduction harness for the paper's evaluation
 //!
-//! Regenerates every table and figure of the paper:
+//! Counts the work behind the paper's tables and figures:
 //!
-//! | Paper artifact | Module / binary command |
+//! | Paper artifact | Where it comes from |
 //! |---|---|
 //! | Table I (datasets) | [`workloads`] / `repro table1` |
-//! | Fig. 2 (single-threaded: Prim vs LLP-Prim(1T) vs Boruvka) | `repro fig2` |
-//! | Fig. 3 (thread sweep on the road network) | `repro fig3` |
-//! | Fig. 4 (low vs high core counts across graph types) | `repro fig4` |
-//! | §V claims (heap-op reduction, early fixing, sync reduction) | `repro ablation` |
+//! | §V/§VI claims (heap-op reduction, early fixing, fewer atomics, rounds) | `repro ablation` |
+//! | Figs 3–4's synchronisation profile (barriers = parallel regions) | `repro ablation` |
+//! | Fig. 2 (single-threaded Prim vs LLP-Prim (1T) vs Boruvka) | the benchmark (`benchmark/`) |
 //!
-//! The paper measured a 48-vCPU GCE C2 VM with ≤ 32 threads; this harness
-//! also reports **machine-independent work metrics** (heap operations,
-//! early fixes, rounds, pointer jumps, atomic RMW traffic) so the figures'
-//! *shapes* are reproducible on any core count. End-to-end performance of
-//! the solve, out-of-core, serve and dynamic paths is measured by the
-//! repository's benchmark (`benchmark/`).
+//! `repro` runs each algorithm once, on a one-thread pool, certifies its
+//! output and reports the **machine-independent work counters** (heap
+//! operations, early fixes, rounds, barriers, atomic RMW traffic). On one
+//! thread these are exact, so the same inputs give byte-identical
+//! reports. The paper's wall-clock plots come from a 48-vCPU machine;
+//! wall-clock time here is measured by one tool only, the repository's
+//! benchmark (`benchmark/`), which times the Fig. 2 solvers and the
+//! certify, out-of-core, serve and dynamic paths.
 //!
 //! The crate also owns every command-line tool of the workspace, all four
 //! on the one flag parser in [`cli`]: `repro`, `differential` (the
@@ -31,5 +32,5 @@ pub mod harness;
 pub mod workloads;
 
 pub use algorithms::{run_algorithm, Algorithm};
-pub use harness::{format_table, time_algorithm, Sample};
+pub use harness::format_table;
 pub use workloads::{stream_to_binary, Scale, StreamKind, StreamedFile, Workload, WorkloadKind};

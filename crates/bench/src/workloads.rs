@@ -14,7 +14,7 @@ use llp_graph::generators::{
     DEFAULT_CHUNK_EDGES,
 };
 use llp_graph::io::{read_dimacs, BinaryFileWriter};
-use llp_graph::{CsrGraph, EdgeKey, VertexId};
+use llp_graph::CsrGraph;
 use std::io::BufRead;
 use std::path::Path;
 
@@ -71,16 +71,6 @@ pub struct Workload {
     pub kind: WorkloadKind,
     /// The graph.
     pub graph: CsrGraph,
-    /// Per-vertex minimum-weight edges, computed at load time as the paper
-    /// prescribes ("the set MWE can be computed when the graph is input");
-    /// passed to the LLP-Prim family so benchmark timings exclude it.
-    pub mwe: Vec<EdgeKey>,
-}
-
-fn mwe_table(graph: &CsrGraph) -> Vec<EdgeKey> {
-    (0..graph.num_vertices() as VertexId)
-        .map(|v| graph.min_edge(v).unwrap_or_else(EdgeKey::infinite))
-        .collect()
 }
 
 impl Workload {
@@ -95,7 +85,6 @@ impl Workload {
         Workload {
             name: format!("Road {}k", graph.num_vertices() / 1000),
             kind: WorkloadKind::Road,
-            mwe: mwe_table(&graph),
             graph,
         }
     }
@@ -115,26 +104,23 @@ impl Workload {
         Workload {
             name: format!("Graph500 s{s} ef16"),
             kind: WorkloadKind::ScaleFree,
-            mwe: mwe_table(&graph),
             graph,
         }
     }
 
-    /// The paper's two-dataset suite (Table I) at the given scale.
-    pub fn table1(scale: Scale, seed: u64) -> Vec<Workload> {
-        vec![Workload::road(scale, seed), Workload::rmat(scale, seed)]
-    }
-
     /// Loads a real DIMACS `.gr` dataset (e.g. `USA-road-d.USA.gr`),
     /// keeping its largest connected component as [`Workload::rmat`] does,
-    /// so the Prim-family runners get a connected graph.
+    /// so the Prim-family runners get a connected graph. A file with no
+    /// vertices is an error: there is no root to grow a tree from.
     pub fn from_dimacs<R: BufRead>(name: &str, reader: R) -> Result<Workload, String> {
         let graph = read_dimacs(reader).map_err(|e| e.to_string())?;
+        if graph.num_vertices() == 0 {
+            return Err("graph has no vertices".into());
+        }
         let graph = llp_graph::algo::largest_component(&graph);
         Ok(Workload {
             name: name.to_string(),
             kind: WorkloadKind::Road,
-            mwe: mwe_table(&graph),
             graph,
         })
     }
@@ -260,14 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn table1_has_both_kinds() {
-        let suite = Workload::table1(Scale::Small, 2);
-        assert_eq!(suite.len(), 2);
-        assert_eq!(suite[0].kind, WorkloadKind::Road);
-        assert_eq!(suite[1].kind, WorkloadKind::ScaleFree);
-    }
-
-    #[test]
     fn scale_parses() {
         assert_eq!("small".parse(), Ok(Scale::Small));
         assert_eq!("medium".parse(), Ok(Scale::Medium));
@@ -308,6 +286,13 @@ mod tests {
         let src = "p sp 3 2\na 1 2 5\na 2 3 7\n";
         let w = Workload::from_dimacs("test", std::io::BufReader::new(src.as_bytes())).unwrap();
         assert_eq!(w.graph.num_vertices(), 3);
+    }
+
+    #[test]
+    fn dimacs_loader_rejects_a_graph_with_no_vertices() {
+        let src = std::io::BufReader::new("p sp 0 0\n".as_bytes());
+        let err = Workload::from_dimacs("e0", src).err().expect("no root to grow from");
+        assert!(err.contains("no vertices"), "{err}");
     }
 
     #[test]

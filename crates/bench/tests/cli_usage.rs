@@ -20,24 +20,46 @@ fn assert_usage_error(bin: &str, args: &[&str]) {
 #[test]
 fn repro_rejects_bad_flag_values() {
     let repro = env!("CARGO_BIN_EXE_repro");
-    for flag in ["--reps", "--max-threads", "--seed"] {
-        assert_usage_error(repro, &["fig2", flag, "abc"]);
+    assert_usage_error(repro, &["ablation", "--seed", "abc"]);
+    assert_usage_error(repro, &["ablation", "--scale", "huge"]);
+}
+
+#[test]
+fn repro_rejects_removed_commands_and_flags() {
+    let repro = env!("CARGO_BIN_EXE_repro");
+    // `repro` counts and never times: the wall-clock figures, the size
+    // sweep, the repetition count and the thread sweep are gone.
+    for cmd in ["fig2", "fig3", "fig4", "sizes"] {
+        assert_usage_error(repro, &[cmd, "--scale", "small"]);
     }
-    assert_usage_error(repro, &["fig2", "--reps", "0"]);
+    assert_usage_error(repro, &["ablation", "--reps", "3"]);
+    assert_usage_error(repro, &["ablation", "--max-threads", "8"]);
 }
 
 #[test]
 fn repro_reports_unwritable_output_and_unreadable_input() {
     let repro = env!("CARGO_BIN_EXE_repro");
-    // `--out` is created before any timing; a path under a file cannot be.
-    let args = ["fig2", "--out", "/dev/null/r", "--scale", "small", "--reps", "1"];
+    // `--out` is created before any graph is built; a path under a file
+    // cannot be.
+    let args = ["ablation", "--out", "/dev/null/r", "--scale", "small"];
     let stderr = assert_exit(repro, &args, 1);
     assert!(stderr.contains("/dev/null/r"), "{stderr}");
-    let out = std::env::temp_dir().join(format!("llp-cli-repro-{}", std::process::id()));
-    let out = out.to_str().expect("utf-8 temp path");
-    let stderr = assert_exit(repro, &["fig2", "--out", out, "--dimacs", "/nonexistent/g.gr"], 1);
+    let dir = std::env::temp_dir().join(format!("llp-cli-repro-{}", std::process::id()));
+    let out = dir.to_str().expect("utf-8 temp path");
+    let args = ["ablation", "--out", out, "--dimacs", "/nonexistent/g.gr"];
+    let stderr = assert_exit(repro, &args, 1);
     assert!(stderr.contains("/nonexistent/g.gr"), "{stderr}");
-    std::fs::remove_dir_all(out).ok();
+    // A graph with no vertices has no root to grow a tree from: a named
+    // run failure, not a panic.
+    let empty = dir.join("e0.gr");
+    std::fs::write(&empty, "p sp 0 0\n").expect("temp dir writable");
+    let empty = empty.to_str().expect("utf-8 temp path");
+    for cmd in ["ablation", "table1"] {
+        let args = [cmd, "--scale", "small", "--out", out, "--dimacs", empty];
+        let stderr = assert_exit(repro, &args, 1);
+        assert!(stderr.contains(empty), "{stderr}");
+    }
+    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]

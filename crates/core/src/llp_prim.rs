@@ -38,10 +38,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// LLP-Prim, single-threaded ("LLP-Prim (1T)" in the paper's figures).
 ///
-/// Computes the per-vertex MWE table internally; when the table is
-/// available from graph loading (the paper: "the set MWE can be computed
-/// when the graph is input"), use [`llp_prim_seq_with_mwe`] to avoid
-/// paying for it per run.
+/// Computes the per-vertex MWE table first, under the `mwe-compute`
+/// telemetry span: the paper computes it "when the graph is input" and
+/// leaves it out of LLP-Prim's time, so that span is what to subtract.
 ///
 /// ```
 /// use llp_mst::llp_prim::llp_prim_seq;
@@ -61,10 +60,10 @@ pub fn llp_prim_seq(graph: &CsrGraph, root: VertexId) -> Result<MstResult, MstEr
     llp_prim_seq_with_mwe(graph, root, &mwe)
 }
 
-/// LLP-Prim (1T) with a precomputed minimum-weight-edge table
-/// (`mwe[v] =` the canonical minimum edge adjacent to `v`, or
-/// [`EdgeKey::infinite`] for isolated vertices).
-pub fn llp_prim_seq_with_mwe(
+/// LLP-Prim (1T) given the minimum-weight-edge table (`mwe[v] =` the
+/// canonical minimum edge adjacent to `v`, or [`EdgeKey::infinite`] for
+/// isolated vertices).
+fn llp_prim_seq_with_mwe(
     graph: &CsrGraph,
     root: VertexId,
     mwe: &[EdgeKey],
@@ -182,9 +181,8 @@ pub fn llp_prim_par(
     llp_prim_par_with_mwe(graph, root, pool, &mwe)
 }
 
-/// Parallel LLP-Prim with a precomputed MWE table (see
-/// [`llp_prim_seq_with_mwe`]).
-pub fn llp_prim_par_with_mwe(
+/// Parallel LLP-Prim given the MWE table (see [`llp_prim_seq_with_mwe`]).
+fn llp_prim_par_with_mwe(
     graph: &CsrGraph,
     root: VertexId,
     pool: &ThreadPool,

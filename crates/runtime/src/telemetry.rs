@@ -25,10 +25,10 @@
 //!
 //! # Collection
 //!
-//! A harness brackets a run with [`begin_run`] and [`take_report`]; the
-//! returned [`RunReport`] serialises itself to JSON via
-//! [`RunReport::to_json`] (no external serialisation crates are available in
-//! hermetic builds).
+//! A harness brackets a run with [`begin_run`] and [`take_report`] and
+//! reads the returned [`RunReport`]; [`escape_json`] is there for writers
+//! that put its names into JSON (no external serialisation crates are
+//! available in hermetic builds).
 
 use crate::sync::Mutex;
 use std::collections::BTreeMap;
@@ -93,64 +93,6 @@ pub fn escape_json(s: &str, out: &mut String) {
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
-    }
-}
-
-impl RunReport {
-    /// Serialises the report as a JSON object (stable key order).
-    ///
-    /// Histogram buckets are emitted sparsely as `[[bit_length, count], ...]`
-    /// so reports stay small for long runs with narrow distributions.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"enabled\":");
-        out.push_str(if self.enabled { "true" } else { "false" });
-        out.push_str(",\"phases\":[");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":\"");
-            escape_json(&p.name, &mut out);
-            out.push_str(&format!(
-                "\",\"calls\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{}}}",
-                p.calls, p.total_ns, p.min_ns, p.max_ns
-            ));
-        }
-        out.push_str("],\"series\":[");
-        for (i, s) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":\"");
-            escape_json(&s.name, &mut out);
-            out.push_str(&format!(
-                "\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"log2_buckets\":[",
-                s.count, s.sum, s.min, s.max
-            ));
-            let mut first = true;
-            for (bits, &n) in s.buckets.iter().enumerate() {
-                if n > 0 {
-                    if !first {
-                        out.push(',');
-                    }
-                    first = false;
-                    out.push_str(&format!("[{bits},{n}]"));
-                }
-            }
-            out.push_str("]}");
-        }
-        out.push_str("],\"counters\":{");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            escape_json(name, &mut out);
-            out.push_str(&format!("\":{value}"));
-        }
-        out.push_str("}}");
-        out
     }
 }
 
@@ -480,30 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn json_shape_is_valid_and_complete() {
-        let _g = serial();
-        set_enabled(true);
-        begin_run();
-        {
-            let _s = span("heap-extract");
-        }
-        record_value("heap-depth", 7);
-        counter_add("c\"quoted", 1);
-        let r = take_report();
-        set_enabled(false);
-        let json = r.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"enabled\":true"));
-        assert!(json.contains("\"name\":\"heap-extract\""));
-        assert!(json.contains("\"log2_buckets\":[[3,1]]"), "{json}");
-        assert!(json.contains("\\\"quoted"), "quotes escaped: {json}");
-        // Balanced braces/brackets (cheap structural sanity check).
-        let opens = json.matches(['{', '[']).count();
-        let closes = json.matches(['}', ']']).count();
-        assert_eq!(opens, closes);
-    }
-
-    #[test]
     fn escape_json_writes_control_characters_as_unicode_escapes() {
         let mut out = String::new();
         escape_json("/tmp/a\tb\n\u{1}\"q\"\\", &mut out);
@@ -511,15 +429,6 @@ mod tests {
         assert!(
             out.chars().all(|c| c >= ' '),
             "no raw control character: {out:?}"
-        );
-    }
-
-    #[test]
-    fn empty_report_serialises() {
-        let r = RunReport::default();
-        assert_eq!(
-            r.to_json(),
-            "{\"enabled\":false,\"phases\":[],\"series\":[],\"counters\":{}}"
         );
     }
 
