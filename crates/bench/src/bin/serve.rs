@@ -157,12 +157,9 @@ fn loadgen_config(args: &mut Vec<String>) -> LoadgenConfig {
 }
 
 fn print_sweep(sweep: &[SweepPoint]) {
-    println!("batch      queries        qps    p50_us    p99_us   retries");
+    println!("batch      queries   retries");
     for p in sweep {
-        println!(
-            "{:>5} {:>12} {:>10.0} {:>9.2} {:>9.2} {:>9}",
-            p.batch, p.queries, p.qps, p.p50_us, p.p99_us, p.retries
-        );
+        println!("{:>5} {:>12} {:>9}", p.batch, p.queries, p.retries);
     }
 }
 
@@ -198,14 +195,16 @@ fn cmd_loadgen(args: &mut Vec<String>) -> Result<(), String> {
         None => None,
     };
 
-    let sweep = run_sweep(&addr, n, &cfg, if verify { local.as_ref() } else { None })?;
-    print_sweep(&sweep);
+    let sweep = run_sweep(&addr, n, &cfg, if verify { local.as_ref() } else { None });
+    // Asked for, the shutdown goes out even after a failed sweep, so the
+    // server does not outlive its client.
+    let acked = shutdown.then(|| one_shot(&addr, &[Query::Shutdown]));
+    print_sweep(&sweep?);
     if verify {
         println!("verified: every response matched the local certified index");
     }
-
-    if shutdown {
-        one_shot(&addr, &[Query::Shutdown])?;
+    if let Some(acked) = acked {
+        acked?;
         println!("server acknowledged shutdown");
     }
     Ok(())

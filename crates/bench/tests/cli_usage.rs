@@ -3,7 +3,8 @@
 //! (status 2, before any work, never a panic); a well-formed command that
 //! fails while running exits 1.
 
-use std::process::Command;
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn assert_exit(bin: &str, args: &[&str], code: i32) -> String {
     let out = Command::new(bin).args(args).output().expect("binary runs");
@@ -159,4 +160,49 @@ fn serve_rejects_bad_or_missing_flags_and_removed_commands() {
     assert_usage_error(serve, &["gen", "--out", out.to_str().expect("utf-8 temp path")]);
     assert!(!out.exists());
     assert_usage_error(serve, &["fuzz-ingest"]);
+}
+
+/// Polls `done` on `server` every 20 ms; kills it and panics with `what`
+/// if that yields nothing within a minute.
+fn poll<T>(server: &mut Child, what: &str, mut done: impl FnMut(&mut Child) -> Option<T>) -> T {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        if let Some(v) = done(server) {
+            return v;
+        }
+        if Instant::now() > deadline {
+            server.kill().ok();
+            panic!("{what}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+#[test]
+fn loadgen_against_an_empty_graph_fails_and_still_shuts_the_server_down() {
+    let serve = env!("CARGO_BIN_EXE_llp-mst-serve");
+    let dir = std::env::temp_dir().join(format!("llp-cli-empty-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir writable");
+    let graph = dir.join("empty.bin");
+    let writer = llp_graph::io::BinaryFileWriter::create(&graph, 0).expect("create graph file");
+    writer.finish().expect("finish graph file");
+    let port_file = dir.join("port");
+    let mut server = Command::new(serve)
+        .args(["serve", "--graph", graph.to_str().expect("utf-8 temp path")])
+        .args(["--port-file", port_file.to_str().expect("utf-8 temp path")])
+        .stdout(Stdio::null())
+        .spawn()
+        .expect("server starts");
+    let port = poll(&mut server, "the server wrote no port file", |_| {
+        let port = std::fs::read_to_string(&port_file).ok()?;
+        port.ends_with('\n').then(|| port.trim().to_string())
+    });
+    let addr = format!("127.0.0.1:{port}");
+    let stderr = assert_exit(serve, &["loadgen", "--addr", &addr, "--shutdown"], 1);
+    assert!(stderr.contains("empty"), "{stderr}");
+    let status = poll(&mut server, "loadgen did not shut the server down", |s| {
+        s.try_wait().expect("server status")
+    });
+    assert_eq!(status.code(), Some(0));
+    std::fs::remove_dir_all(dir).ok();
 }

@@ -52,8 +52,8 @@
 //!
 //! [`certify_msf_par`] parallelizes the query sweep and the tree-edge sort
 //! over a [`ThreadPool`]; certification is cheap enough to ride along
-//! every benchmarked construction (see the `certified` field of the
-//! `llp-mst-run-report/v1` schema).
+//! every benchmarked construction (see the `certified` field of each
+//! record in `repro`'s `llp-mst-run-report/v2` output).
 //!
 //! Every certifier here returns exactly the `Result` of the naive
 //! path-walking [`crate::verify::reference_certify`], witness included;

@@ -185,8 +185,6 @@ impl Contraction {
         stats.rounds += 1;
         stats.parallel_regions += 4;
         stats.edges_scanned += m as u64;
-        telemetry::record_value("live-edges", m as u64);
-        telemetry::record_value("live-vertices", n as u64);
         let arena = &c.arena;
 
         // Step 1a: every vertex's MWE arc, read from its own adjacency.
@@ -367,8 +365,6 @@ impl Contraction {
         let n_cur = self.n_cur;
         let m_cur = self.work.len();
         let arena = &self.arena;
-        telemetry::record_value("live-edges", m_cur as u64);
-        telemetry::record_value("live-vertices", n_cur as u64);
 
         // Step 1a: per-vertex minimum weight edge, one packed word per
         // vertex. The cached `whi` discriminant resolves almost every

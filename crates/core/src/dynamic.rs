@@ -54,7 +54,7 @@ use crate::stats::AlgoStats;
 use crate::union_find::UnionFind;
 use crate::verify::VerifyError;
 use llp_graph::{CsrGraph, Edge, EdgeKey, VertexId};
-use llp_runtime::{telemetry, ThreadPool};
+use llp_runtime::ThreadPool;
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -194,7 +194,6 @@ impl DynamicMsf {
         edges: Vec<Edge>,
         pool: &ThreadPool,
     ) -> Result<DynamicMsf, DynamicError> {
-        let _s = telemetry::span("dynamic-build");
         let mut store: Vec<Edge> = Vec::with_capacity(edges.len());
         // Room for half as many again. In a map built full, a delete
         // leaves a tombstone that only a rehash reclaims, so churn would
@@ -279,7 +278,6 @@ impl DynamicMsf {
         deletes: &[(VertexId, VertexId)],
         pool: &ThreadPool,
     ) -> Result<EpochReport, DynamicError> {
-        let _s = telemetry::span("dynamic-epoch");
         // Validate everything before touching anything.
         for e in inserts {
             validate_insert(e, self.n)?;
@@ -339,7 +337,6 @@ impl DynamicMsf {
         // fresh inserts. F1's connectivity is the old index's when no
         // tree edge died, else the fragment Kruskal's union-find.
         let t = Instant::now();
-        let rebuild = telemetry::span("dynamic-rebuild");
         let (f1, f1_trees) = if dead.is_empty() {
             (Cow::Borrowed(&self.msf.edges[..]), None)
         } else {
@@ -375,7 +372,6 @@ impl DynamicMsf {
             }
             Cow::Owned(f2)
         };
-        drop(rebuild);
         report.rebuild_ms = t.elapsed().as_secs_f64() * 1e3;
 
         report.tree_changed = !dead.is_empty() || report.fast_swaps + report.links > 0;
@@ -384,10 +380,7 @@ impl DynamicMsf {
             let msf = MstResult::try_from_edges(self.n, f2.into_owned(), AlgoStats::default())
                 .map_err(DynamicError::Overflow)?;
             let t = Instant::now();
-            let index = {
-                let _s = telemetry::span("dynamic-index");
-                Arc::new(PathMaxIndex::build_par(self.n, &msf, pool)?)
-            };
+            let index = Arc::new(PathMaxIndex::build_par(self.n, &msf, pool)?);
             report.index_ms = t.elapsed().as_secs_f64() * 1e3;
             self.msf = msf;
             self.index = index;
@@ -400,11 +393,6 @@ impl DynamicMsf {
         }
 
         self.epoch += 1;
-        telemetry::counter_add("dynamic-epochs", 1);
-        telemetry::counter_add("dynamic-inserts-applied", report.inserts_applied as u64);
-        telemetry::counter_add("dynamic-deletes-applied", report.deletes_applied as u64);
-        telemetry::counter_add("dynamic-fast-swaps", report.fast_swaps as u64);
-        telemetry::counter_add("dynamic-rebuild-vertices", report.rebuild_vertices as u64);
         Ok(report)
     }
 
@@ -444,7 +432,6 @@ impl DynamicMsf {
     /// Full certification sweep of the current forest against every live
     /// edge, through the current index.
     fn certify_now(&self, pool: &ThreadPool) -> Result<(), DynamicError> {
-        let _s = telemetry::span("dynamic-certify");
         certify_edges(&self.edges, &self.msf, &self.index, pool)?;
         Ok(())
     }

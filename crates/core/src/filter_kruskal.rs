@@ -19,11 +19,11 @@
 //! far below the O(m) partition/filter traffic the pool absorbs.
 //!
 //! The recursion's pivots, partition sizes and filter outcomes do not
-//! depend on the thread count, so its telemetry — the `partition` /
-//! `filter` spans and the `fk-partition-rounds`, `fk-filter-kept`,
-//! `fk-filter-dropped` counters plus the `fk-recursion-depth` /
-//! `fk-base-case` series — is identical for identical inputs, which the
-//! golden-trace test in `tests/paper_traces.rs` pins down.
+//! depend on the thread count, so its `AlgoStats` — `rounds` (partition
+//! levels), `edges_scanned` (filtered plus base-case edges) and
+//! `parallel_regions` (partitions, filters and base cases) — are identical
+//! for identical inputs, which the golden-trace test in
+//! `tests/paper_traces.rs` pins down.
 
 use crate::result::MstResult;
 use crate::stats::AlgoStats;
@@ -66,8 +66,7 @@ pub fn filter_kruskal_par_with_base_case(
     };
     {
         let _t = telemetry::span("partition");
-        telemetry::record_value("edges-input", edges.len() as u64);
-        ctx.recurse(&mut edges, depth_budget, 0);
+        ctx.recurse(&mut edges, depth_budget);
     }
     let FilterCtx {
         mut chosen, stats, ..
@@ -86,7 +85,7 @@ struct FilterCtx<'p> {
 }
 
 impl FilterCtx<'_> {
-    fn recurse(&mut self, edges: &mut Vec<Edge>, depth_budget: usize, depth: u64) {
+    fn recurse(&mut self, edges: &mut Vec<Edge>, depth_budget: usize) {
         // The heavy half is handled by looping (tail recursion elimination);
         // only the light half recurses.
         loop {
@@ -94,18 +93,15 @@ impl FilterCtx<'_> {
                 return;
             }
             if edges.len() <= self.base_case || depth_budget == 0 {
-                telemetry::record_value("fk-base-case", edges.len() as u64);
                 self.sort_and_scan(edges);
                 return;
             }
             self.stats.rounds += 1; // partitioning levels
-            telemetry::counter_add("fk-partition-rounds", 1);
-            telemetry::record_value("fk-recursion-depth", depth);
 
             let pivot = median_of_three(edges);
             let light_len = self.partition(edges, pivot);
             let mut heavy = edges.split_off(light_len);
-            self.recurse(edges, depth_budget - 1, depth + 1);
+            self.recurse(edges, depth_budget - 1);
             self.filter(&mut heavy);
             *edges = heavy; // loop continues on the filtered heavy half
         }
@@ -134,7 +130,7 @@ impl FilterCtx<'_> {
     /// MSF — drop them before doing any sorting work on them.
     fn filter(&mut self, heavy: &mut Vec<Edge>) {
         let _t = telemetry::span("filter");
-        let before = heavy.len();
+        self.stats.edges_scanned += heavy.len() as u64;
         self.stats.parallel_regions += 1;
         // Concurrent lookups snapshot roots read-only: no path compression
         // during the parallel phase, so threads never write the parent
@@ -149,9 +145,6 @@ impl FilterCtx<'_> {
             self.uf.find(e.u);
             self.uf.find(e.v);
         }
-        self.stats.edges_scanned += before as u64;
-        telemetry::counter_add("fk-filter-kept", heavy.len() as u64);
-        telemetry::counter_add("fk-filter-dropped", (before - heavy.len()) as u64);
     }
 }
 

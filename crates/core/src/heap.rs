@@ -70,7 +70,7 @@ impl<K: Ord + Copy> LazyHeap<K> {
         if e.is_some() {
             self.pops += 1;
             if self.heap.is_empty() {
-                llp_runtime::telemetry::record_value("heap-peak-len", self.peak_len as u64);
+                llp_runtime::telemetry::record_max("heap-peak-len", self.peak_len as u64);
                 self.heap.shrink_to_fit();
             }
         }

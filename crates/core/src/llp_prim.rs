@@ -88,7 +88,6 @@ fn llp_prim_seq_with_mwe(
         // Drain R: process freshly fixed vertices, cascading early fixes.
         {
             let _t = telemetry::span("frontier-wave");
-            telemetry::record_value("frontier-size", r_set.len() as u64);
             while let Some(j) = r_set.pop() {
                 for (k, w) in graph.neighbors(j) {
                     stats.edges_scanned += 1;
@@ -115,7 +114,6 @@ fn llp_prim_seq_with_mwe(
         // in Q never touch the heap — the work LLP-Prim saves over Prim).
         {
             let _t = telemetry::span("q-flush");
-            telemetry::record_value("q-flush-size", q_set.len() as u64);
             for k in q_set.drain(..) {
                 if !fixed[k as usize] {
                     heap.push(dist[k as usize], k);
@@ -125,7 +123,6 @@ fn llp_prim_seq_with_mwe(
 
         // Classic Prim step: fix the nearest non-fixed vertex.
         let _t = telemetry::span("heap-extract");
-        telemetry::record_value("heap-size", heap.len() as u64);
         let mut reseeded = false;
         while let Some((key, k)) = heap.pop() {
             if fixed[k as usize] {
@@ -230,7 +227,6 @@ fn llp_prim_par_with_mwe(
             stats.parallel_regions += 1;
             {
                 let _t = telemetry::span("frontier-wave");
-                telemetry::record_value("frontier-size", frontier.len() as u64);
                 let frontier_ref = &frontier;
                 let fixed_ref = &fixed;
                 let best_ref = &best;
@@ -291,7 +287,6 @@ fn llp_prim_par_with_mwe(
                     scans_ref.fetch_add(local_scans, Ordering::Relaxed);
                 });
             }
-            telemetry::record_value("bag-occupancy", next.len() as u64);
             next.drain_into(&mut frontier);
             // Q is flushed lazily: remember the candidates for heap entry.
             q_bag.drain_into(&mut q_wave);
@@ -301,7 +296,6 @@ fn llp_prim_par_with_mwe(
         // Single-threaded heap phase (the paper's Q flush + one extraction).
         {
             let _t = telemetry::span("q-flush");
-            telemetry::record_value("q-flush-size", q_buf.len() as u64);
             for &k in &q_buf {
                 if !fixed[k as usize].load(Ordering::Relaxed) {
                     let arc = best[k as usize].load(Ordering::Acquire);
@@ -321,7 +315,6 @@ fn llp_prim_par_with_mwe(
         }
 
         let _t = telemetry::span("heap-extract");
-        telemetry::record_value("heap-size", heap.len() as u64);
         let mut reseeded = false;
         while let Some((key, k)) = heap.pop() {
             if fixed[k as usize].load(Ordering::Relaxed) {
@@ -340,7 +333,6 @@ fn llp_prim_par_with_mwe(
             // heap re-order instead of fixing k through a stale arc.
             let fresh = key_of_arc(arc);
             if key != fresh {
-                telemetry::counter_add("heap-stale-repush", 1);
                 heap.push(fresh, k);
                 continue;
             }
@@ -395,7 +387,6 @@ fn llp_prim_par_with_mwe(
 /// on the CSR offsets, then walks the ranges forward through its own part
 /// of `out`.
 fn build_arc_sources(graph: &CsrGraph, pool: &ThreadPool) -> Vec<VertexId> {
-    let _t = telemetry::span("arc-sources");
     let mut out = vec![0 as VertexId; graph.num_arcs()];
     let n = graph.num_vertices();
     parallel_for_chunks_mut(

@@ -77,7 +77,6 @@ where
         round += 1;
         stats.rounds += 1;
         stats.parallel_regions += 3;
-        telemetry::record_value("live-edges", live.len() as u64);
 
         // Phase 1: priority-write each live edge into both components.
         {

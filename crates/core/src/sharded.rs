@@ -115,6 +115,9 @@ pub struct ShardedRun {
     /// `Some(s)` when the run resumed from a checkpoint with `s` shards
     /// already complete (so only `shards - s` were processed here).
     pub resumed_from: Option<usize>,
+    /// Times the certify pass streamed the file a second time to name a
+    /// tree edge no record matched: 0 or 1, and 0 when it did not run.
+    pub certify_restreams: u64,
 }
 
 /// A sharded run failed: either the file is unreadable/corrupt, or the
@@ -422,7 +425,6 @@ pub fn sharded_msf_file(
             candidate_edges = ck.candidate_edges;
             start_shard = ck.shards_done as usize;
             resumed_from = Some(start_shard);
-            telemetry::counter_add("sharded-resumes", 1);
         }
     }
 
@@ -509,13 +511,12 @@ pub fn sharded_msf_file(
         }
     }
 
-    telemetry::counter_add("sharded-shards", shards as u64);
-    telemetry::counter_add("sharded-candidates", candidate_edges);
     let result = MstResult::from_edges(n, acc, stats);
 
+    let mut certify_restreams = 0;
     if cfg.certify {
         let _s = telemetry::span("sharded-certify");
-        certify_streaming(path, m, &result, cfg, pool)?;
+        certify_restreams = certify_streaming(path, m, &result, cfg, pool)?;
     }
 
     // The run is complete (and certified, if asked): the manifest has
@@ -534,6 +535,7 @@ pub fn sharded_msf_file(
         candidate_edges,
         filtered_edges: 0,
         resumed_from,
+        certify_restreams,
     })
 }
 
@@ -544,15 +546,15 @@ pub fn sharded_msf_file(
 /// every tree edge must be matched by some record. Matched-degree
 /// counters settle presence in the sweep; only when one ends non-zero is
 /// the file streamed once more, to name the first tree edge of
-/// `result.edges` that no record matches (telemetry counter
-/// `sharded-certify-restreams`).
+/// `result.edges` that no record matches. Returns how many times it was
+/// (0 or 1).
 fn certify_streaming(
     path: &Path,
     total_edges: u64,
     result: &MstResult,
     cfg: &ShardedConfig,
     pool: &ThreadPool,
-) -> Result<(), ShardedError> {
+) -> Result<u64, ShardedError> {
     let n = {
         // The forest never names a vertex the header does not cover, but
         // the index must be built over the file's full vertex set.
@@ -577,14 +579,16 @@ fn certify_streaming(
         let _s = telemetry::span("sharded-certify-sweep");
         check.sweep(&edges, pool, par);
     }
-    check.finish(result, |mark| {
-        telemetry::counter_add("sharded-certify-restreams", 1);
+    let mut restreams = 0;
+    check.finish::<ShardedError>(result, |mark| {
+        restreams += 1;
         let rx = stream_shards(path, total_edges, shard_edges, 0);
         for _ in 0..shards {
             mark(&rx.recv().expect("shard reader hung up")?);
         }
         Ok(())
-    })
+    })?;
+    Ok(restreams)
 }
 
 /// In-RAM convenience used by the bench harness, sweeps and tests: writes
@@ -864,6 +868,7 @@ mod tests {
                             };
                             let streamed =
                                 certify_streaming(&path, recs.len() as u64, f, &cfg, &pool)
+                                    .map(|_| ())
                                     .map_err(|e| match e {
                                         ShardedError::Verify(v) => v,
                                         other => panic!("{kind}/{seed}/{file}/{what}: {other}"),
@@ -899,22 +904,13 @@ mod tests {
         let _serial = llp_runtime::test_serial_lock();
         let pool = pool();
         let restreams = |path: &Path| {
-            let was = telemetry::enabled();
-            telemetry::set_enabled(true);
-            telemetry::begin_run();
             let cfg = ShardedConfig {
                 shard_edges: 100,
                 ..ShardedConfig::default()
             };
-            let run = sharded_msf_file(path, &cfg, &pool);
-            let report = telemetry::take_report();
-            telemetry::set_enabled(was);
-            assert!(run.unwrap().certified);
-            report
-                .counters
-                .iter()
-                .find(|(name, _)| name == "sharded-certify-restreams")
-                .map_or(0, |&(_, c)| c)
+            let run = sharded_msf_file(path, &cfg, &pool).unwrap();
+            assert!(run.certified);
+            run.certify_restreams
         };
         let g = erdos_renyi(300, 1200, 41);
         let path = write_graph_file(&g, "restream");

@@ -68,8 +68,49 @@ mod tests {
         parent
     }
 
+    /// `PointerJump` with the paper's Lemma 3 checked as the solver runs:
+    /// every pointer an advance reads, and the value it stores, is an
+    /// ancestor (or the node itself) of its reader in the input forest,
+    /// however the reads race with other threads' stores.
+    struct Lemma3<'a> {
+        input: &'a [u32],
+    }
+
+    impl Lemma3<'_> {
+        fn is_ancestor(&self, a: u32, mut j: u32) -> bool {
+            while j != a {
+                let p = self.input[j as usize];
+                if p == j {
+                    return false;
+                }
+                j = p;
+            }
+            true
+        }
+    }
+
+    impl LlpProblem for Lemma3<'_> {
+        type State = u32;
+
+        fn forbidden(&self, g: impl Fn(usize) -> u32, j: usize) -> bool {
+            PointerJump.forbidden(g, j)
+        }
+
+        fn advance(&self, g: impl Fn(usize) -> u32, j: usize) -> Option<u32> {
+            let seen = |i: usize| {
+                let v = g(i);
+                assert!(self.is_ancestor(v, i as u32), "read G[{i}] = {v}");
+                v
+            };
+            let next = PointerJump.advance(seen, j)?;
+            assert!(self.is_ancestor(next, j as u32), "G[{j}] := {next}");
+            Some(next)
+        }
+    }
+
     /// Both solvers flatten `parent` to `roots_by_walking(parent)` on 1-
     /// and 4-thread pools, and one thread sweeps exactly as the oracle does.
+    /// The pools run [`Lemma3`], so every racy read is checked too.
     /// Returns the most rounds a pool took.
     fn check(parent: &[u32]) -> u64 {
         let want = roots_by_walking(parent);
@@ -81,7 +122,7 @@ mod tests {
             let mut par = parent.to_vec();
             let pool = ThreadPool::new(threads);
             let cfg = ParallelForConfig::with_grain(16);
-            let stats = solve_parallel(&PointerJump, &mut par, &pool, cfg).unwrap();
+            let stats = solve_parallel(&Lemma3 { input: parent }, &mut par, &pool, cfg).unwrap();
             assert_eq!(par, want, "{threads} threads");
             if threads == 1 {
                 assert_eq!(stats, seq_stats);

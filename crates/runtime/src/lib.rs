@@ -35,9 +35,15 @@
 //!   errors, truncation, detectable corruption, ENOSPC) for robustness
 //!   testing of the I/O and serving stack.
 //!
-//! Both are always compiled in and fire only while a seed is set
-//! (`LLP_CHAOS_SEED` / `LLP_FAULT_SEED`, or their `set_seed`); with no seed
-//! each hook is a relaxed atomic load and a branch.
+//! * [`telemetry`] — phase span timers and two peak gauges
+//!   (`heap-peak-len`, `scratch-high-water-bytes`), read by the
+//!   benchmark's `--trace 1` and the `examples/*_phases.rs` tools; work
+//!   counts live in each algorithm's `AlgoStats`, not here.
+//!
+//! All three are always compiled in. Chaos and faults fire only while a
+//! seed is set (`LLP_CHAOS_SEED` / `LLP_FAULT_SEED`, or their `set_seed`),
+//! telemetry only while `LLP_TELEMETRY` or `telemetry::set_enabled` turns
+//! it on; switched off, each hook is a relaxed atomic load and a branch.
 
 pub mod atomics;
 pub mod bag;

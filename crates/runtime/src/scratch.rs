@@ -181,12 +181,11 @@ impl ScratchArena {
         self.reuses.load(Ordering::Relaxed)
     }
 
-    /// Records the arena's high-water mark into telemetry (series
+    /// Records the arena's high-water mark into telemetry (gauge
     /// `scratch-high-water-bytes`); callers invoke this once per run, not
     /// per round, so the hot path stays allocation-free.
     pub fn report_telemetry(&self) {
-        crate::telemetry::record_value("scratch-high-water-bytes", self.high_water_bytes());
-        crate::telemetry::record_value("scratch-reused-leases", self.reuse_count());
+        crate::telemetry::record_max("scratch-high-water-bytes", self.high_water_bytes());
     }
 
     fn grow_footprint(&self, delta: u64) {

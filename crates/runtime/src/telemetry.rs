@@ -1,19 +1,21 @@
-//! Phase-level telemetry: span timers, per-wave histograms, named counters.
+//! Phase-level telemetry: span timers and peak gauges.
 //!
 //! The paper's speedup claims are *work structure* claims — heap traffic
-//! removed by early fixing, synchronization removed by pointer jumping — and
-//! verifying them at scale needs per-phase timing and contention telemetry,
-//! not just end-to-end wall clock. This module gives every algorithm in the
-//! workspace a shared, low-overhead recorder:
+//! removed by early fixing, synchronization removed by pointer jumping.
+//! The exact counts behind them are each algorithm's `AlgoStats`, and the
+//! reports a call returns (`ShardedRun`, `EpochReport`, `BuildTimings`)
+//! carry the rest. This module records only what those cannot: where the
+//! wall-clock time of a call goes, and two high-water marks.
 //!
 //! * [`span`] — a named phase timer; elapsed time is accumulated per phase
 //!   name when the guard drops (`mwe-compute`, `frontier-wave`, `q-flush`,
 //!   `heap-extract`, `pointer-jump`, `contract`, ...).
-//! * [`record_value`] — one sample of a per-wave quantity (frontier size,
-//!   bag occupancy, heap depth); aggregated as count/sum/min/max plus a
-//!   log2-bucketed histogram, so a million waves cost a fixed footprint.
-//! * [`counter_add`] — a named-counter registry for events that do not
-//!   belong to a single struct's `AlgoStats`.
+//! * [`record_max`] — a peak gauge that keeps the largest value recorded
+//!   under its name (`heap-peak-len`, `scratch-high-water-bytes`).
+//!
+//! Every name a production call records is read by the benchmark's
+//! `--trace 1` or by an `examples/*_phases.rs` tool; `tests/telemetry_readers.rs`
+//! keeps it so.
 //!
 //! # Gating
 //!
@@ -51,22 +53,13 @@ pub struct PhaseStat {
     pub max_ns: u64,
 }
 
-/// Aggregate of a sampled per-wave series (e.g. frontier sizes).
+/// The peak of one gauge recorded with [`record_max`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeriesStat {
-    /// Series name as passed to [`record_value`].
+    /// Gauge name as passed to [`record_max`].
     pub name: String,
-    /// Number of samples.
-    pub count: u64,
-    /// Sum of samples.
-    pub sum: u64,
-    /// Smallest sample.
-    pub min: u64,
-    /// Largest sample.
+    /// Largest value recorded.
     pub max: u64,
-    /// `buckets[i]` counts samples whose bit length is `i`; bucket 0 holds
-    /// zeros, bucket `i` holds values in `[2^(i-1), 2^i)`.
-    pub buckets: Vec<u64>,
 }
 
 /// Snapshot of everything recorded between [`begin_run`] and [`take_report`].
@@ -76,10 +69,8 @@ pub struct RunReport {
     pub enabled: bool,
     /// Per-phase timing aggregates, sorted by phase name.
     pub phases: Vec<PhaseStat>,
-    /// Per-wave series aggregates, sorted by series name.
+    /// Peak gauges, sorted by name.
     pub series: Vec<SeriesStat>,
-    /// Named counters, sorted by name.
-    pub counters: Vec<(String, u64)>,
 }
 
 /// Appends `s` to `out` as the body of a JSON string: `"` and `\` are
@@ -107,31 +98,10 @@ struct PhaseAgg {
     max_ns: u64,
 }
 
-struct SeriesAgg {
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-    buckets: [u64; 65],
-}
-
-impl Default for SeriesAgg {
-    fn default() -> Self {
-        SeriesAgg {
-            count: 0,
-            sum: 0,
-            min: 0,
-            max: 0,
-            buckets: [0; 65],
-        }
-    }
-}
-
 #[derive(Default)]
 struct Registry {
     phases: BTreeMap<&'static str, PhaseAgg>,
-    series: BTreeMap<&'static str, SeriesAgg>,
-    counters: BTreeMap<&'static str, u64>,
+    gauges: BTreeMap<&'static str, u64>,
 }
 
 fn registry() -> &'static Mutex<Registry> {
@@ -155,8 +125,12 @@ fn init_from_env() -> bool {
         Ok(v) => !(v.is_empty() || v == "0" || v.eq_ignore_ascii_case("false")),
         Err(_) => false,
     };
-    ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
+    // A `set_enabled` that ran while the variable was read wins.
+    let state = if on { 2 } else { 1 };
+    match ENABLED.compare_exchange(0, state, Ordering::Relaxed, Ordering::Relaxed) {
+        Ok(_) => on,
+        Err(won) => won == 2,
+    }
 }
 
 /// Programmatically enables or disables recording, overriding the
@@ -198,35 +172,15 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Records one sample of a per-wave series (frontier size, bag
-/// occupancy, heap depth, ...).
+/// Raises the named gauge to `value` if that is above its peak so far.
 #[inline]
-pub fn record_value(series: &'static str, value: u64) {
+pub fn record_max(gauge: &'static str, value: u64) {
     if !enabled() {
         return;
     }
     let mut reg = registry().lock();
-    let agg = reg.series.entry(series).or_default();
-    if agg.count == 0 {
-        agg.min = value;
-        agg.max = value;
-    } else {
-        agg.min = agg.min.min(value);
-        agg.max = agg.max.max(value);
-    }
-    agg.count += 1;
-    agg.sum += value;
-    agg.buckets[(64 - value.leading_zeros()) as usize] += 1;
-}
-
-/// Adds `n` to the named registry counter.
-#[inline]
-pub fn counter_add(name: &'static str, n: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut reg = registry().lock();
-    *reg.counters.entry(name).or_default() += n;
+    let peak = reg.gauges.entry(gauge).or_default();
+    *peak = (*peak).max(value);
 }
 
 /// Clears all recorded data, starting a fresh measurement window.
@@ -254,28 +208,12 @@ pub fn take_report() -> RunReport {
             })
             .collect(),
         series: taken
-            .series
+            .gauges
             .into_iter()
-            .map(|(name, a)| {
-                let top = a
-                    .buckets
-                    .iter()
-                    .rposition(|&n| n > 0)
-                    .map_or(0, |i| i + 1);
-                SeriesStat {
-                    name: name.to_string(),
-                    count: a.count,
-                    sum: a.sum,
-                    min: a.min,
-                    max: a.max,
-                    buckets: a.buckets[..top].to_vec(),
-                }
+            .map(|(name, max)| SeriesStat {
+                name: name.to_string(),
+                max,
             })
-            .collect(),
-        counters: taken
-            .counters
-            .into_iter()
-            .map(|(name, v)| (name.to_string(), v))
             .collect(),
     }
 }
@@ -334,14 +272,12 @@ mod tests {
         begin_run();
         {
             let _s = span("p");
-            record_value("v", 10);
-            counter_add("c", 3);
+            record_max("v", 10);
         }
         let r = take_report();
         assert!(!r.enabled);
         assert!(r.phases.is_empty());
         assert!(r.series.is_empty());
-        assert!(r.counters.is_empty());
     }
 
     #[test]
@@ -370,42 +306,28 @@ mod tests {
     }
 
     #[test]
-    fn series_aggregates_and_buckets() {
+    fn gauges_keep_their_peak() {
         let _g = serial();
         set_enabled(true);
         begin_run();
-        for v in [0u64, 1, 1, 3, 1000] {
-            record_value("frontier-size", v);
+        for v in [3u64, 1000, 0, 7] {
+            record_max("heap-peak-len", v);
         }
-        let r = take_report();
-        set_enabled(false);
-        assert_eq!(r.series.len(), 1);
-        let s = &r.series[0];
-        assert_eq!(s.name, "frontier-size");
-        assert_eq!(s.count, 5);
-        assert_eq!(s.sum, 1005);
-        assert_eq!(s.min, 0);
-        assert_eq!(s.max, 1000);
-        assert_eq!(s.buckets[0], 1, "one zero");
-        assert_eq!(s.buckets[1], 2, "two ones");
-        assert_eq!(s.buckets[2], 1, "3 has bit length 2");
-        assert_eq!(s.buckets[10], 1, "1000 has bit length 10");
-        assert_eq!(s.buckets.len(), 11, "buckets trimmed to top bit length");
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let _g = serial();
-        set_enabled(true);
-        begin_run();
-        counter_add("stale-heap-pops", 2);
-        counter_add("stale-heap-pops", 3);
-        counter_add("repushed", 1);
+        record_max("scratch-high-water-bytes", 0);
         let r = take_report();
         set_enabled(false);
         assert_eq!(
-            r.counters,
-            vec![("repushed".to_string(), 1), ("stale-heap-pops".to_string(), 5)]
+            r.series,
+            vec![
+                SeriesStat {
+                    name: "heap-peak-len".to_string(),
+                    max: 1000
+                },
+                SeriesStat {
+                    name: "scratch-high-water-bytes".to_string(),
+                    max: 0
+                },
+            ]
         );
     }
 
@@ -414,7 +336,7 @@ mod tests {
         let _g = serial();
         set_enabled(true);
         begin_run();
-        record_value("x", 1);
+        record_max("x", 1);
         begin_run();
         let r = take_report();
         set_enabled(false);

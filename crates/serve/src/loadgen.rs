@@ -2,34 +2,26 @@
 //!
 //! Per sweep point the generator fires a fixed number of random queries
 //! (a 25/50/25 mix of `component` / `path_max` / `connected_under`) in
-//! frames of the point's batch size over one connection, measuring each
-//! frame's round-trip. Reported per point: queries/sec and p50/p99
-//! *per-query* latency (frame round-trip ÷ batch). With a verifier the
-//! generator replays every response against a locally built
+//! frames of the point's batch size over one connection. Reported per
+//! point: the queries fired and the retries they needed. With a verifier
+//! the generator replays every response against a locally built
 //! [`MsfService`] — the same certified index the server answers from — so
-//! a passing run re-checks the server's classifications end to end.
+//! a passing run re-checks the server's classifications end to end. It
+//! times nothing: throughput and latency are the benchmark's
+//! (`benchmark/`).
 
 use crate::protocol::{Query, Response, MAX_BATCH};
 use crate::retry::{RetryPolicy, RetryingClient};
 use crate::service::MsfService;
 use llp_runtime::rng::SmallRng;
-use std::time::Instant;
 
-/// One batch-size measurement.
+/// One batch size's outcome.
 #[derive(Debug, Clone)]
 pub struct SweepPoint {
     /// Queries per frame.
     pub batch: usize,
     /// Total queries fired at this point.
     pub queries: u64,
-    /// Wall-clock for the whole point, seconds.
-    pub elapsed_s: f64,
-    /// Queries per second.
-    pub qps: f64,
-    /// Median per-query latency, microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile per-query latency, microseconds.
-    pub p99_us: f64,
     /// Transparent reconnect-and-resend retries this point needed
     /// (non-zero under load shedding or fault injection).
     pub retries: u64,
@@ -69,8 +61,10 @@ fn random_query(rng: &mut SmallRng, n: u32) -> Query {
     }
 }
 
-/// Runs the sweep against `addr`. `verify` replays every response against
-/// a local service and fails on the first divergence.
+/// Runs the sweep against `addr`, whose graph has `n` vertices. `verify`
+/// replays every response against a local service and fails on the first
+/// divergence. An empty graph (`n == 0`) is an `Err` before any connect:
+/// it has no vertex to query.
 ///
 /// The sweep runs through a [`RetryingClient`]: a shed connection (the
 /// overloaded frame), a reaped deadline, or an injected socket fault
@@ -85,7 +79,9 @@ pub fn run_sweep(
     cfg: &LoadgenConfig,
     verify: Option<&MsfService>,
 ) -> Result<Vec<SweepPoint>, String> {
-    assert!(n > 0, "cannot generate queries over an empty graph");
+    if n == 0 {
+        return Err("the server's graph is empty (n=0): no vertex to query".into());
+    }
     let mut client = RetryingClient::new(addr, RetryPolicy::default(), cfg.seed ^ 0xB0FF);
 
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
@@ -93,33 +89,17 @@ pub fn run_sweep(
     for &batch in &cfg.batches {
         let batch = batch.clamp(1, MAX_BATCH);
         let frames = cfg.queries_per_point.div_ceil(batch as u64).max(1);
-        let mut frame_us: Vec<f64> = Vec::with_capacity(frames as usize);
-        let mut fired = 0u64;
         let retries_before = client.retries;
-        let t0 = Instant::now();
         for _ in 0..frames {
             let queries: Vec<Query> = (0..batch).map(|_| random_query(&mut rng, n)).collect();
-            let t = Instant::now();
             let responses = client.exchange(&queries)?;
-            frame_us.push(t.elapsed().as_secs_f64() * 1e6);
-            fired += batch as u64;
             if let Some(local) = verify {
                 check_against_local(local, &queries, &responses)?;
             }
         }
-        let elapsed_s = t0.elapsed().as_secs_f64();
-        frame_us.sort_by(|a, b| a.total_cmp(b));
-        let pct = |p: f64| -> f64 {
-            let idx = ((frame_us.len() as f64 - 1.0) * p).round() as usize;
-            frame_us[idx] / batch as f64
-        };
         points.push(SweepPoint {
             batch,
-            queries: fired,
-            elapsed_s,
-            qps: fired as f64 / elapsed_s,
-            p50_us: pct(0.50),
-            p99_us: pct(0.99),
+            queries: frames * batch as u64,
             retries: client.retries - retries_before,
         });
     }
@@ -170,5 +150,13 @@ mod tests {
             }
         }
         assert!(c > 100 && p > 300 && t > 100, "{c}/{p}/{t}");
+    }
+
+    #[test]
+    fn empty_graph_is_an_error_before_any_connect() {
+        // Port 1 has no listener: reaching it would be a retry error, not
+        // the message below.
+        let err = run_sweep("127.0.0.1:1", 0, &LoadgenConfig::default(), None).unwrap_err();
+        assert!(err.contains("empty"), "{err}");
     }
 }

@@ -5,11 +5,11 @@
 //! Each worker owns one connection at a time and answers frames until the
 //! peer closes. Malformed frames (bad length prefix, bad record count,
 //! unknown opcode, non-finite weight) are answered with a one-record
-//! protocol **error frame** (tag 3) before the connection closes, and bump
-//! the `serve-bad-frames` counter — the peer learns its request was
-//! malformed instead of watching the socket drop. Workers additionally
-//! wrap each connection in `catch_unwind`, so a panic anywhere in the
-//! answer path costs one connection, never a pool thread.
+//! protocol **error frame** (tag 3) before the connection closes — the
+//! peer learns its request was malformed instead of watching the socket
+//! drop. Workers additionally wrap each connection in `catch_unwind`, so a
+//! panic anywhere in the answer path costs one connection, never a pool
+//! thread.
 //!
 //! Three robustness properties are load-bearing under faults
 //! ([`ServerConfig`] holds the knobs):
@@ -18,12 +18,12 @@
 //!   `write_timeout`, so a peer that opens a connection and trickles (or
 //!   never sends) a frame — the slow-loris shape — frees its worker within
 //!   the deadline instead of pinning it forever. A timed-out read closes
-//!   the connection without an error frame and bumps `serve-timeouts`.
+//!   the connection without an error frame.
 //! - **Shedding**: the hand-off queue is bounded at `queue_cap`. When all
 //!   workers are busy and the queue is full, the accept loop answers the
 //!   new connection with a one-record **overloaded frame** (tag 4,
 //!   `retry_after_ms`) and closes it — callers back off and retry instead
-//!   of queueing unboundedly; `serve-shed` counts them.
+//!   of queueing unboundedly.
 //! - **Graceful drain**: a `shutdown` query stops the accept loop (a
 //!   loopback connect unblocks it), the queue closes, and workers finish
 //!   their queued connections before the server returns. The read deadline
@@ -42,7 +42,6 @@ use crate::protocol::{
 use crate::service::MsfService;
 use llp_runtime::faults::{self, Faulty};
 use llp_runtime::sync::{Condvar, Mutex};
-use llp_runtime::telemetry;
 use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -161,12 +160,9 @@ pub fn run_server(
                     // A panic while answering must cost one connection,
                     // not this worker: a dead worker silently and
                     // permanently shrinks the pool.
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         handle_connection(conn, &service, &shutdown, addr, &cfg);
                     }));
-                    if outcome.is_err() {
-                        telemetry::counter_add("serve-worker-panics", 1);
-                    }
                 }
             })
         })
@@ -195,7 +191,6 @@ pub fn run_server(
 /// (best effort, under a short write deadline so a non-draining peer
 /// cannot stall the accept loop), then close.
 fn shed(conn: TcpStream, cfg: &ServerConfig) {
-    telemetry::counter_add("serve-shed", 1);
     let deadline = cfg
         .write_timeout
         .unwrap_or(Duration::from_secs(1))
@@ -242,13 +237,11 @@ fn handle_connection(
                 // Read deadline hit: slow-loris (or just idle) peer. The
                 // stream position is mid-frame or unknown, so no error
                 // frame — reap the connection and free the worker.
-                telemetry::counter_add("serve-timeouts", 1);
                 return;
             }
             Err(_) => {
                 // Stream position is unknowable after a framing error:
                 // answer with the error frame, then close.
-                telemetry::counter_add("serve-bad-frames", 1);
                 encode_error_response(&mut out);
                 let _ = write_frame(&mut writer, &out);
                 return;
@@ -257,7 +250,6 @@ fn handle_connection(
         let queries = match decode_queries(&payload) {
             Ok(q) => q,
             Err(_) => {
-                telemetry::counter_add("serve-bad-frames", 1);
                 encode_error_response(&mut out);
                 let _ = write_frame(&mut writer, &out);
                 return;

@@ -14,11 +14,9 @@
 //! an epoch that fails certification is never published (the previous
 //! snapshot keeps serving and the error is retained for inspection).
 //!
-//! Build phases are telemetry spans (`serve-load`, `serve-msf-build`,
-//! `serve-certify`, `serve-index-build`) and query traffic feeds the
-//! `serve-queries` / `serve-batches` / `serve-updates-queued` counters,
-//! all visible in `llp-mst-run-report/v1` payloads when telemetry is
-//! recording.
+//! Each build phase is timed into the service's [`BuildTimings`]. The
+//! service adds no telemetry of its own; the solver, index and certifier
+//! it calls keep their phase spans.
 
 use crate::protocol::{Query, Response};
 use llp_graph::io::{read_binary_file, IoError};
@@ -29,7 +27,7 @@ use llp_mst::index::PathMaxIndex;
 use llp_mst::llp_boruvka::llp_boruvka;
 use llp_mst::verify::VerifyError;
 use llp_runtime::sync::{Condvar, Mutex};
-use llp_runtime::{telemetry, ThreadPool};
+use llp_runtime::ThreadPool;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -104,24 +102,15 @@ impl MsfService {
         let mut timings = BuildTimings::default();
 
         let t = Instant::now();
-        let msf = {
-            let _s = telemetry::span("serve-msf-build");
-            llp_boruvka(graph, pool)
-        };
+        let msf = llp_boruvka(graph, pool);
         timings.msf_ms = t.elapsed().as_secs_f64() * 1e3;
 
         let t = Instant::now();
-        let index = {
-            let _s = telemetry::span("serve-index-build");
-            Arc::new(PathMaxIndex::build_par(n, &msf, pool)?)
-        };
+        let index = Arc::new(PathMaxIndex::build_par(n, &msf, pool)?);
         timings.index_ms = t.elapsed().as_secs_f64() * 1e3;
 
         let t = Instant::now();
-        {
-            let _s = telemetry::span("serve-certify");
-            certify_against(graph, &msf, &index, Some(pool))?;
-        }
+        certify_against(graph, &msf, &index, Some(pool))?;
         timings.certify_ms = t.elapsed().as_secs_f64() * 1e3;
 
         let snapshot = Arc::new(EpochSnapshot {
@@ -148,10 +137,7 @@ impl MsfService {
         let n = graph.num_vertices();
         let mut timings = BuildTimings::default();
         let t = Instant::now();
-        let dynamic = {
-            let _s = telemetry::span("serve-msf-build");
-            DynamicMsf::new(graph, pool)?
-        };
+        let dynamic = DynamicMsf::new(graph, pool)?;
         timings.msf_ms = t.elapsed().as_secs_f64() * 1e3;
 
         let snapshot = Arc::new(snapshot_of(&dynamic));
@@ -252,7 +238,6 @@ impl MsfService {
                 s.inserts.push(Edge::new(u, v, w));
                 drop(s);
                 self.shared.ready.notify_one();
-                telemetry::counter_add("serve-updates-queued", 1);
                 Response::Accepted
             }
             Query::Delete(u, v) if self.dynamic && ok(u) && ok(v) && u != v => {
@@ -260,7 +245,6 @@ impl MsfService {
                 s.deletes.push((u, v));
                 drop(s);
                 self.shared.ready.notify_one();
-                telemetry::counter_add("serve-updates-queued", 1);
                 Response::Accepted
             }
             Query::Epoch => Response::Epoch {
@@ -284,11 +268,8 @@ impl MsfService {
         }
     }
 
-    /// Answers a batch in order against one consistent snapshot, feeding
-    /// the serve counters.
+    /// Answers a batch in order against one consistent snapshot.
     pub fn answer_batch(&self, batch: &[Query]) -> Vec<Response> {
-        telemetry::counter_add("serve-batches", 1);
-        telemetry::counter_add("serve-queries", batch.len() as u64);
         let snap = self.snapshot();
         batch.iter().map(|q| self.answer_with(&snap, q)).collect()
     }
@@ -338,13 +319,11 @@ fn updater_loop(mut dynamic: DynamicMsf, shared: Arc<Shared>, threads: usize) {
         match dynamic.apply_batch(&inserts, &deletes, &pool) {
             Ok(_report) => {
                 *shared.current.lock() = Arc::new(snapshot_of(&dynamic));
-                telemetry::counter_add("serve-epochs-published", 1);
             }
             Err(e) => {
                 // Should be unreachable: the wire layer validates before
                 // enqueueing. Keep serving the last certified epoch.
                 shared.update.lock().last_error = Some(e.to_string());
-                telemetry::counter_add("serve-update-errors", 1);
             }
         }
     }
@@ -352,9 +331,8 @@ fn updater_loop(mut dynamic: DynamicMsf, shared: Arc<Shared>, threads: usize) {
 
 /// Loads and validates a binary graph file with the hardened,
 /// length-checked file reader, which streams it through the fault
-/// injector's `graph.file-read` site (`serve-load` span).
+/// injector's `graph.file-read` site.
 pub fn load_graph(path: &std::path::Path) -> Result<CsrGraph, IoError> {
-    let _s = telemetry::span("serve-load");
     read_binary_file(path)
 }
 

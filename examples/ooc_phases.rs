@@ -11,9 +11,9 @@
 //! Phases come from the always-compiled telemetry spans, switched on here
 //! for the timed calls only. Time the listed phases do not claim (shard
 //! bookkeeping, the reader thread's start) is printed as `other`.
-//! `restreams` is how many runs took the certifier's cold path, which
-//! re-reads the file to name an absent tree edge; on these duplicate-free
-//! files it must read 0.
+//! `restreams` sums `ShardedRun::certify_restreams`, the runs that took
+//! the certifier's cold path, which re-reads the file to name an absent
+//! tree edge; on these duplicate-free files it must read 0.
 //!
 //! ```text
 //! cargo build --release --example ooc_phases
@@ -70,7 +70,7 @@ fn run(name: &str, graph: &CsrGraph, reps: usize) {
     for _ in 0..reps {
         telemetry::begin_run();
         let t = Instant::now();
-        sharded_msf_file(&path, &cfg, &pool).expect("the sharded solve certifies");
+        let run = sharded_msf_file(&path, &cfg, &pool).expect("the sharded solve certifies");
         let total = t.elapsed().as_secs_f64() * 1e3;
         let report = telemetry::take_report();
         let ms = |span: &str| {
@@ -89,11 +89,7 @@ fn run(name: &str, graph: &CsrGraph, reps: usize) {
         }
         samples[PHASES.len()].push(total - inner);
         samples[PHASES.len() + 1].push(total);
-        restreams += report
-            .counters
-            .iter()
-            .find(|(c, _)| c == "sharded-certify-restreams")
-            .map_or(0, |&(_, v)| v);
+        restreams += run.certify_restreams;
     }
     telemetry::set_enabled(false);
     let _ = std::fs::remove_file(&path);

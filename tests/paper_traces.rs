@@ -5,7 +5,7 @@ use llp_mst_suite::llp::instances::PointerJump;
 use llp_mst_suite::llp::{solve_parallel, solve_sequential};
 use llp_mst_suite::mst::spec::LlpPrimSpec;
 use llp_mst_suite::prelude::*;
-use llp_mst_suite::runtime::{telemetry, ParallelForConfig};
+use llp_mst_suite::runtime::ParallelForConfig;
 
 /// §IV: "the edges are added to the tree in the order 4, 3, 7, 2" (Prim
 /// from vertex a).
@@ -159,84 +159,34 @@ fn llp_prim_fixes_many_vertices_per_heap_pop() {
 }
 
 /// Golden Filter-Kruskal trace on the paper's example graphs: with the
-/// base case pinned to 2 edges, the recursion structure — partition
-/// rounds, filter outcomes, recursion depth, base-case sizes — is fully
-/// determined by the canonical `EdgeKey` order, so the trace is identical
-/// at every thread count.
+/// base case pinned to 2 edges, the recursion structure is fully
+/// determined by the canonical `EdgeKey` order, so the counters are
+/// identical at every thread count. Each trace is (canonical keys,
+/// `edges_scanned`, `rounds`, `parallel_regions`): `rounds` counts
+/// partition levels, `edges_scanned` the edges the filters inspect plus
+/// the base-case sizes, and `parallel_regions` partitions + filters + base
+/// cases.
 #[test]
 fn filter_kruskal_golden_trace_on_paper_graphs() {
-    fn fk_trace(g: &llp_mst_suite::graph::CsrGraph, pool: &ThreadPool) -> Trace {
-        let was = telemetry::enabled();
-        telemetry::set_enabled(true);
-        telemetry::begin_run();
-        let result = filter_kruskal_par_with_base_case(g, pool, 2);
-        let report = telemetry::take_report();
-        telemetry::set_enabled(was);
-        let counter = |name: &str| {
-            report
-                .counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .map_or(0, |&(_, v)| v)
-        };
-        let series = |name: &str| {
-            report
-                .series
-                .iter()
-                .find(|s| s.name == name)
-                .map(|s| (s.count, s.sum, s.max))
-        };
-        Trace {
-            keys: result.canonical_keys(),
-            partition_rounds: counter("fk-partition-rounds"),
-            filter_kept: counter("fk-filter-kept"),
-            filter_dropped: counter("fk-filter-dropped"),
-            recursion_depth: series("fk-recursion-depth"),
-            base_case: series("fk-base-case"),
-        }
-    }
-
-    #[derive(Debug, PartialEq)]
-    struct Trace {
-        keys: Vec<llp_mst_suite::graph::EdgeKey>,
-        partition_rounds: u64,
-        filter_kept: u64,
-        filter_dropped: u64,
-        /// (samples, sum, max) of the per-round recursion depth.
-        recursion_depth: Option<(u64, u64, u64)>,
-        /// (samples, sum, max) of base-case sizes.
-        base_case: Option<(u64, u64, u64)>,
-    }
-
     for threads in [1, 4] {
         let pool = ThreadPool::new(threads);
-
+        let trace = |g: &llp_mst_suite::graph::CsrGraph| {
+            let r = filter_kruskal_par_with_base_case(g, &pool, 2);
+            let s = r.stats;
+            (r.canonical_keys(), s.edges_scanned, s.rounds, s.parallel_regions)
+        };
         // Fig. 1 (5 vertices, 7 edges, MST {2, 3, 4, 7}): three partition
-        // rounds reaching depth 1; the filter inspects 6 heavy edges across
-        // the rounds, dropping 2 as intra-component.
+        // rounds; the filters inspect 6 heavy edges (dropping 2) and three
+        // base cases sort 5 edges.
         let g = fig1();
-        let want = Trace {
-            keys: kruskal(&g).canonical_keys(),
-            partition_rounds: 3,
-            filter_kept: 4,
-            filter_dropped: 2,
-            recursion_depth: Some((3, 1, 1)),
-            base_case: Some((3, 5, 2)),
-        };
-        assert_eq!(fk_trace(&g, &pool), want, "fig1, {threads} threads");
-
+        let want = (kruskal(&g).canonical_keys(), 11, 3, 9);
+        assert_eq!(trace(&g), want, "fig1, {threads} threads");
         // The disconnected forest sample (4 edges, 3 trees): one partition
-        // round at depth 0; the filter drops 1 of 2 heavy edges.
+        // round; the filter drops 1 of 2 heavy edges and two base cases
+        // sort 3 edges.
         let g = small_forest();
-        let want = Trace {
-            keys: kruskal(&g).canonical_keys(),
-            partition_rounds: 1,
-            filter_kept: 1,
-            filter_dropped: 1,
-            recursion_depth: Some((1, 0, 0)),
-            base_case: Some((2, 3, 2)),
-        };
-        assert_eq!(fk_trace(&g, &pool), want, "small_forest, {threads} threads");
+        let want = (kruskal(&g).canonical_keys(), 5, 1, 4);
+        assert_eq!(trace(&g), want, "small_forest, {threads} threads");
     }
 }
 
