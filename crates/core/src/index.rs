@@ -51,7 +51,7 @@ use crate::verify::VerifyError;
 use llp_graph::weight::{ordered_to_f64, Weight};
 use llp_graph::{Edge, EdgeKey, VertexId};
 use llp_runtime::sort::par_sort_by_key;
-use llp_runtime::{telemetry, ScratchArena, ThreadPool};
+use llp_runtime::{telemetry, ThreadPool};
 
 const NO_NODE: u32 = u32::MAX;
 
@@ -199,7 +199,7 @@ impl PathMaxIndex {
             keys.extend(result.edges.iter().map(|e| key_bits(e.w, e.u, e.v)));
             if !keys.windows(2).all(|w| w[0] <= w[1]) {
                 match pool {
-                    Some(pool) => par_sort_by_key(pool, &mut keys, &ScratchArena::new(), |&k| k),
+                    Some(pool) => par_sort_by_key(pool, &mut keys, |&k| k),
                     None => keys.sort_unstable(),
                 }
             }

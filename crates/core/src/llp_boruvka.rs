@@ -74,7 +74,7 @@ fn drive(mut c: Contraction, n: usize, pool: &ThreadPool, mut stats: AlgoStats) 
     while !c.is_done() {
         c.round(pool, config(), &mut stats);
     }
-    c.arena.report_telemetry();
+    c.buffers.record_high_water();
     MstResult::from_edges(n, c.chosen, stats)
 }
 

@@ -20,23 +20,26 @@
 //! counters make the contrast measurable on any machine.
 //!
 //! Round state follows the flat-memory discipline of
-//! [`crate::contraction`]: the best-edge cells are one whole-run leased
-//! `u64` buffer of packed MWE words, winners and survivors compact through
-//! arena-backed count–scan–scatter passes, and the live list double-buffers
-//! — steady-state rounds perform zero heap allocations. After each round
-//! only cells owned by endpoints of *surviving* edges are reset (any root
-//! that can receive a proposal next round is `find` of such an endpoint),
-//! replacing the old all-`n` reset sweep.
+//! [`crate::contraction`]: the best-edge cells are one whole-run
+//! `AtomicU64` buffer of packed MWE words, winners and survivors compact
+//! through count–scan–scatter passes into owned buffers, and the live
+//! list double-buffers — steady-state rounds perform zero heap
+//! allocations. After each round only cells owned by endpoints of
+//! *surviving* edges are reset (any root that can receive a proposal next
+//! round is `find` of such an endpoint), replacing the old all-`n` reset
+//! sweep.
 
 use crate::result::MstResult;
 use crate::stats::AlgoStats;
 use crate::union_find::ConcurrentUnionFind;
 use llp_graph::{CsrGraph, Edge};
-use llp_runtime::atomics::{as_atomic_u64, mwe_idx, mwe_propose, weight_hi32, MWE_EMPTY};
+use llp_runtime::atomics::{mwe_idx, mwe_propose, weight_hi32, MWE_EMPTY};
 use llp_runtime::partition::compact_map_into;
 use llp_runtime::scan::pack_indices_in;
 use llp_runtime::telemetry;
-use llp_runtime::{parallel_for, parallel_for_chunks, ParallelForConfig, ScratchArena, ThreadPool};
+use llp_runtime::{
+    parallel_for, parallel_for_chunks, parallel_map_into, ParallelForConfig, ThreadPool,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Parallel Boruvka; computes the canonical MSF.
@@ -59,10 +62,12 @@ where
     let whis: Vec<u32> = all_edges.iter().map(|e| weight_hi32(e.w)).collect();
 
     let uf = ConcurrentUnionFind::new(n);
-    let arena = ScratchArena::new();
     let cfg = ParallelForConfig::with_grain(512);
-    // One packed MWE word per component, leased for the whole run.
-    let mut best = arena.lease_filled::<u64>(pool, cfg, n, MWE_EMPTY);
+    // One packed MWE word per component, for the whole run.
+    let mut best: Vec<AtomicU64> = Vec::new();
+    parallel_map_into(pool, n, cfg, &mut best, |_| AtomicU64::new(MWE_EMPTY));
+    // The winner scan's exactly-once flags (written on larger pools only).
+    let mut flags: Vec<bool> = Vec::new();
     let mut live: Vec<u32> = (0..all_edges.len() as u32).collect();
     let mut live_next: Vec<u32> = Vec::new();
     // Winner counts shrink monotonically (round r commits c_r - c_{r+1}
@@ -81,7 +86,7 @@ where
         // Phase 1: priority-write each live edge into both components.
         {
             let _t = telemetry::span("mwe-compute");
-            let best_cells = as_atomic_u64(&mut best);
+            let best_cells: &[AtomicU64] = &best;
             let live_ref: &[u32] = &live;
             let edges_ref: &[Edge] = &all_edges;
             let keys_ref = &keys;
@@ -119,12 +124,12 @@ where
         // is rare and counted in place.
         let hook_span = telemetry::span("contract");
         {
-            let best_ro: &[u64] = &best;
+            let best_ro: &[AtomicU64] = &best;
             let live_ref: &[u32] = &live;
             let edges_ref: &[Edge] = &all_edges;
             let uf_ref = &uf;
             let rmw_ref = &rmw;
-            pack_indices_in(pool, live.len(), cfg, &arena, &mut winners, |i| {
+            pack_indices_in(pool, live.len(), cfg, &mut flags, &mut winners, |i| {
                 // Each live edge checks whether it won either endpoint's
                 // component slot; the winning edge performs the union. The
                 // same edge can win both slots — `union` returns false the
@@ -136,8 +141,8 @@ where
                 if ru == rv {
                     return false;
                 }
-                let wu = best_ro[ru as usize];
-                let wv = best_ro[rv as usize];
+                let wu = best_ro[ru as usize].load(Ordering::Relaxed);
+                let wv = best_ro[rv as usize].load(Ordering::Relaxed);
                 let won = (wu != MWE_EMPTY && mwe_idx(wu) == ei)
                     || (wv != MWE_EMPTY && mwe_idx(wv) == ei);
                 if !won {
@@ -161,7 +166,7 @@ where
             let live_ref: &[u32] = &live;
             let edges_ref: &[Edge] = &all_edges;
             let uf_ref = &uf;
-            compact_map_into(pool, &arena, live.len(), &mut live_next, |i| {
+            compact_map_into(pool, live.len(), &mut live_next, |i| {
                 let ei = live_ref[i];
                 let e = edges_ref[ei as usize];
                 (uf_ref.find(e.u) != uf_ref.find(e.v)).then_some(ei)
@@ -177,7 +182,7 @@ where
         // every readable cell. Stores are idempotent; duplicate endpoints
         // are harmless.
         {
-            let best_cells = as_atomic_u64(&mut best);
+            let best_cells: &[AtomicU64] = &best;
             let live_ref: &[u32] = &live;
             let edges_ref: &[Edge] = &all_edges;
             let uf_ref = &uf;
@@ -193,7 +198,8 @@ where
 
     stats.cas_retries = uf.cas_retries();
     stats.atomic_rmw = rmw.into_inner();
-    arena.report_telemetry();
+    let buffer_bytes = best.capacity() * 8 + flags.capacity();
+    telemetry::record_max("scratch-high-water-bytes", buffer_bytes as u64);
     MstResult::from_edges(n, chosen, stats)
 }
 

@@ -16,9 +16,9 @@
 //!    one, so the local canonical MSF is the canonical restriction even
 //!    under duplicate weights), then run to exhaustion through the
 //!    flat-memory contraction engine
-//!    ([`crate::contraction::Contraction`]), reusing one scratch arena
-//!    across shards. At most `n_shard − 1` candidate edges survive per
-//!    shard.
+//!    ([`crate::contraction::Contraction`]), handing one set of round
+//!    buffers from shard to shard. At most `n_shard − 1` candidate edges
+//!    survive per shard.
 //! 3. **Merge.** The shard's candidates (key-sorted) are two-pointer merged
 //!    with the accumulated forest into a Kruskal scan over a fresh
 //!    union-find: `MSF(A ∪ B) = MSF(MSF(A) ∪ MSF(B))` under the strict
@@ -41,7 +41,7 @@
 //! file lacks) is the file streamed a third time to name the absent edge.
 
 use crate::certify::SliceCertifier;
-use crate::contraction::Contraction;
+use crate::contraction::{Contraction, RoundBuffers};
 use crate::index::PathMaxIndex;
 use crate::result::MstResult;
 use crate::stats::AlgoStats;
@@ -52,7 +52,7 @@ use llp_graph::io::{
 };
 use llp_graph::{CsrGraph, Edge, EdgeKey};
 use llp_runtime::sort::par_sort_by_key;
-use llp_runtime::{telemetry, ParallelForConfig, ScratchArena, ThreadPool};
+use llp_runtime::{telemetry, ParallelForConfig, ThreadPool};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
@@ -411,7 +411,7 @@ pub fn sharded_msf_file(
 
     let mut stats = AlgoStats::default();
     let mut acc: Vec<Edge> = Vec::new();
-    let mut arena = ScratchArena::new();
+    let mut buffers = RoundBuffers::default();
     let mut remap = ShardRemap::new(n);
     let mut candidate_edges = 0u64;
 
@@ -445,13 +445,13 @@ pub fn sharded_msf_file(
                 e.v = remap.local(e.v);
             }
             let mut c = Contraction::from_edge_list(n_local, edges);
-            c.arena = std::mem::replace(&mut arena, ScratchArena::new());
+            c.buffers = std::mem::take(&mut buffers);
             while !c.is_done() {
                 c.round(pool, par, &mut stats);
             }
-            c.arena.report_telemetry();
+            c.buffers.record_high_water();
             let mut cand = std::mem::take(&mut c.chosen);
-            arena = std::mem::replace(&mut c.arena, ScratchArena::new());
+            buffers = std::mem::take(&mut c.buffers);
             drop(c);
             for e in cand.iter_mut() {
                 e.u = remap.locals[e.u as usize];
@@ -462,7 +462,7 @@ pub fn sharded_msf_file(
 
             {
                 let _s = telemetry::span("sharded-build-sort");
-                par_sort_by_key(pool, &mut cand, &ScratchArena::new(), Edge::key);
+                par_sort_by_key(pool, &mut cand, Edge::key);
             }
 
             // Merge-scan the two key-sorted forests through a fresh

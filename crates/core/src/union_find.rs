@@ -76,6 +76,7 @@ impl UnionFind {
     /// Merges the sets whose roots are `ra` and `rb` (two distinct
     /// roots, as [`Self::find`] returned them) and returns the new root:
     /// a caller that already holds both roots pays no further `find`.
+    #[inline]
     pub fn link(&mut self, ra: u32, rb: u32) -> u32 {
         debug_assert!(ra != rb && self.parent[ra as usize] == ra && self.parent[rb as usize] == rb);
         let (hi, lo) = if self.rank[ra as usize] >= self.rank[rb as usize] {

@@ -1,6 +1,6 @@
-//! Pins the flat-memory round engine's central claim: once the scratch
-//! arena and double buffers are warm, contraction rounds perform **zero
-//! heap allocations** — for the LLP-Boruvka engine
+//! Pins the flat-memory round engine's central claim: once the engine's
+//! owned round buffers and double buffers are sized, contraction rounds
+//! perform **zero heap allocations** — for the LLP-Boruvka engine
 //! ([`llp_mst::contraction::Contraction`], whose round loop *is*
 //! `llp_boruvka`'s drive loop), and for the GBBS-style baseline
 //! ([`llp_mst::parallel_boruvka::boruvka_par_observed`]). The LLP engine's
@@ -89,8 +89,8 @@ fn llp_contraction_rounds_are_allocation_free_after_the_csr_round() {
         "graph too small to exercise steady state: {} rounds after the CSR round",
         per_round.len()
     );
-    // The CSR constructor warms the arena and the double buffer; every
-    // round after it must run entirely out of reused storage.
+    // The CSR constructor sizes the round buffers and the double buffer;
+    // every round after it must run entirely out of reused storage.
     assert!(
         per_round.iter().all(|&d| d == 0),
         "steady-state rounds allocated: per-round counts {per_round:?}"

@@ -9,7 +9,7 @@
 use crate::edge::Edge;
 use crate::weight::{f64_to_ordered, EdgeKey, Weight};
 use crate::VertexId;
-use llp_runtime::{parallel_map_collect, ParallelForConfig, ThreadPool};
+use llp_runtime::{parallel_map_into, ParallelForConfig, ThreadPool};
 
 /// Validates an edge's endpoints against the vertex count with a
 /// descriptive panic — edge ordinal, endpoints, weight — instead of the
@@ -199,15 +199,12 @@ impl CsrGraph {
     /// precomputation LLP-Prim's early-fixing rule relies on ("every vertex
     /// can determine this information in parallel").
     pub fn compute_mwe(&self, pool: &ThreadPool) -> Vec<EdgeKey> {
-        parallel_map_collect(
-            pool,
-            0..self.n,
-            ParallelForConfig::with_grain(512),
-            |v| {
-                self.min_edge(v as VertexId)
-                    .unwrap_or_else(EdgeKey::infinite)
-            },
-        )
+        let (cfg, mut mwe) = (ParallelForConfig::with_grain(512), Vec::new());
+        parallel_map_into(pool, self.n, cfg, &mut mwe, |v| {
+            self.min_edge(v as VertexId)
+                .unwrap_or_else(EdgeKey::infinite)
+        });
+        mwe
     }
 
     /// Iterates over each undirected edge exactly once (as stored from the

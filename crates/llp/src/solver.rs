@@ -261,8 +261,10 @@ mod tests {
     }
 
     /// Breaks the progress rule: `advance` returns the current state.
+    #[cfg(debug_assertions)]
     struct Stuck;
 
+    #[cfg(debug_assertions)]
     impl LlpProblem for Stuck {
         type State = u32;
         fn forbidden(&self, g: impl Fn(usize) -> u32, j: usize) -> bool {

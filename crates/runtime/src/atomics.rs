@@ -196,25 +196,17 @@ where
     }
 }
 
-/// Views a mutable `u64` slice as atomics.
+/// Views a mutable `u32` slice as atomics.
 ///
 /// The exclusive borrow guarantees no other non-atomic access for the
-/// returned lifetime, and `AtomicU64` has the same size and alignment as
-/// `u64`, so the cast is sound. This is what lets round state live in plain
-/// [`crate::scratch::ScratchArena`] buffers and still be written
-/// concurrently.
-#[inline]
-pub fn as_atomic_u64(slice: &mut [u64]) -> &[AtomicU64] {
-    // SAFETY: AtomicU64 is repr(transparent)-compatible with u64 (same size
-    // and alignment, per std docs for AtomicU64::from_mut_slice), and the
-    // &mut borrow excludes all other access during the shared lifetime.
-    unsafe { &*(slice as *mut [u64] as *const [AtomicU64]) }
-}
-
-/// Views a mutable `u32` slice as atomics. See [`as_atomic_u64`].
+/// returned lifetime, and `AtomicU32` has the same size and alignment as
+/// `u32`, so the cast is sound. It lets `llp_core::solve_parallel` advance
+/// a caller's plain `&mut [u32]` lattice state with relaxed atomics.
 #[inline]
 pub fn as_atomic_u32(slice: &mut [u32]) -> &[std::sync::atomic::AtomicU32] {
-    // SAFETY: as in `as_atomic_u64`.
+    // SAFETY: AtomicU32 has the same size and alignment as u32 (per std
+    // docs for AtomicU32::from_mut_slice), and the &mut borrow excludes
+    // all other access during the shared lifetime.
     unsafe { &*(slice as *mut [u32] as *const [std::sync::atomic::AtomicU32]) }
 }
 
@@ -363,21 +355,14 @@ mod tests {
     }
 
     #[test]
-    fn atomic_slice_views_share_storage() {
-        let mut buf = vec![0u64; 64];
+    fn atomic_slice_view_shares_storage() {
+        let mut buf = vec![0u32; 8];
         {
-            let cells = as_atomic_u64(&mut buf);
-            cells[5].store(99, Ordering::Relaxed);
-            cells[63].fetch_add(1, Ordering::Relaxed);
-        }
-        assert_eq!(buf[5], 99);
-        assert_eq!(buf[63], 1);
-
-        let mut buf32 = vec![0u32; 8];
-        {
-            let cells = as_atomic_u32(&mut buf32);
+            let cells = as_atomic_u32(&mut buf);
             cells[0].store(7, Ordering::Relaxed);
+            cells[7].fetch_add(1, Ordering::Relaxed);
         }
-        assert_eq!(buf32[0], 7);
+        assert_eq!(buf[0], 7);
+        assert_eq!(buf[7], 1);
     }
 }

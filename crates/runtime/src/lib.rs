@@ -17,7 +17,9 @@
 //!   workers claim items — disjoint `&mut` parts cut by `chunks_mut`
 //!   ([`parallel_for_chunks_mut`]) or [`split_by_lens`] — one at a time.
 //!   No parallel write goes through a raw pointer.
-//! * [`parallel_map_collect`] — parallel map into a preallocated vector.
+//! * [`parallel_map_into`] — `out[i] = f(i)` into a caller-owned vector,
+//!   cleared and refilled in place so round engines keep their per-round
+//!   arrays' capacity from round to round.
 //! * [`Bag`] — a per-thread insert bag (Galois `InsertBag` analogue) used to
 //!   collect next-round frontiers without synchronization on the hot path.
 //! * [`atomics`] — order-preserving float encodings, atomic fetch-min by
@@ -52,10 +54,8 @@ pub mod faults;
 pub mod parallel_for;
 pub mod partition;
 pub mod pool;
-pub mod reduce;
 pub mod rng;
 pub mod scan;
-pub mod scratch;
 mod seed_gate;
 pub mod sort;
 pub mod sync;
@@ -64,11 +64,9 @@ pub mod telemetry;
 pub use bag::Bag;
 pub use parallel_for::{
     parallel_for, parallel_for_chunks, parallel_for_chunks_ctx, parallel_for_chunks_mut,
-    parallel_for_each, split_by_lens, ParallelForConfig,
+    parallel_for_each, parallel_map_into, split_by_lens, ParallelForConfig,
 };
 pub use pool::{ThreadPool, WorkerCtx};
-pub use reduce::parallel_map_collect;
-pub use scratch::{ScratchArena, ScratchVec};
 
 /// Number of hardware threads available to this process.
 ///

@@ -200,6 +200,36 @@ pub fn parallel_for_chunks_mut<T, F>(
     });
 }
 
+/// Clears `out` and refills it with `out[i] = f(i)` for `i in 0..len`,
+/// keeping its capacity: a buffer that already holds `len` slots is
+/// refilled without allocating, which is how round engines keep their
+/// per-round arrays across rounds. A one-thread pool fills it in one
+/// sweep; a larger pool sizes it, then has each chunk written by one
+/// worker (`f` runs exactly once per index either way).
+pub fn parallel_map_into<T, F>(
+    pool: &ThreadPool,
+    len: usize,
+    config: ParallelForConfig,
+    out: &mut Vec<T>,
+    f: F,
+) where
+    T: Send + Default,
+    F: Fn(usize) -> T + Sync,
+{
+    out.clear();
+    out.reserve_exact(len);
+    if pool.threads() == 1 {
+        out.extend((0..len).map(f));
+        return;
+    }
+    out.resize_with(len, T::default);
+    parallel_for_chunks_mut(pool, out, config, |start, part| {
+        for (i, slot) in (start..).zip(part) {
+            *slot = f(i);
+        }
+    });
+}
+
 /// Cuts `data` into consecutive parts of the given lengths, in order.
 ///
 /// # Panics
@@ -395,6 +425,38 @@ mod tests {
                 parts.fetch_add(1, Ordering::Relaxed);
             });
             assert_eq!(parts.load(Ordering::Relaxed), 3);
+        }
+    }
+
+    #[test]
+    fn parallel_map_into_writes_every_slot() {
+        for threads in [1, 4] {
+            let pool = ThreadPool::new(threads);
+            let cfg = ParallelForConfig::with_grain(64);
+            let mut out: Vec<AtomicU64> = Vec::new();
+            parallel_map_into(&pool, 10_000, cfg, &mut out, |_| AtomicU64::new(7));
+            assert_eq!(out.len(), 10_000, "threads={threads}");
+            assert!(out.iter().all(|x| x.load(Ordering::Relaxed) == 7));
+            // A refill to a shorter length reuses the storage.
+            let (ptr, cap) = (out.as_ptr(), out.capacity());
+            parallel_map_into(&pool, 5000, cfg, &mut out, |_| AtomicU64::new(9));
+            assert_eq!((out.as_ptr(), out.capacity()), (ptr, cap));
+            assert_eq!(out.len(), 5000);
+            assert!(out.iter().all(|x| x.load(Ordering::Relaxed) == 9));
+        }
+    }
+
+    #[test]
+    fn parallel_map_into_indexes_correctly() {
+        for threads in [1, 4] {
+            let pool = ThreadPool::new(threads);
+            let cfg = ParallelForConfig::with_grain(100);
+            let mut out = vec![u32::MAX; 3];
+            parallel_map_into(&pool, 5000, cfg, &mut out, |i| i as u32 * 2);
+            assert_eq!(out.len(), 5000);
+            assert!(out.iter().enumerate().all(|(i, &x)| x == i as u32 * 2));
+            parallel_map_into(&pool, 0, cfg, &mut out, |_| 1);
+            assert!(out.is_empty(), "threads={threads}");
         }
     }
 

@@ -14,7 +14,6 @@
 use crate::parallel_for::{parallel_for_each, split_by_lens};
 use crate::pool::ThreadPool;
 use crate::scan::exclusive_scan_in_place;
-use crate::scratch::{ScratchArena, ScratchVec};
 use std::cmp::Ordering as CmpOrdering;
 use std::ops::Range;
 
@@ -26,10 +25,6 @@ pub(crate) const PAR_THRESHOLD: usize = 4096;
 /// distribution). `bounds` is cleared and refilled with the class
 /// boundaries: `bounds[c]..bounds[c + 1]` is the range of class `c`, with
 /// `bounds.len() == nclasses + 1`.
-///
-/// The round state — cached class ids, the count matrix and the scratch
-/// copy of `data` — is leased from `arena`, so repeated calls with a warm
-/// arena perform no heap allocations.
 ///
 /// `class_of` is called exactly once per element (classes are cached), so
 /// expensive classifiers — union-find lookups, splitter binary searches —
@@ -47,7 +42,6 @@ pub fn distribute_by_class<T, F>(
     pool: &ThreadPool,
     data: &mut [T],
     nclasses: usize,
-    arena: &ScratchArena,
     bounds: &mut Vec<usize>,
     class_of: F,
 ) where
@@ -74,12 +68,9 @@ pub fn distribute_by_class<T, F>(
     // Pass 1: every chunk counting-sorts itself in place from its scratch
     // copy, with its own class ids and its own row of the chunk-major
     // count matrix. Each row ends as its chunk's class end offsets.
-    let mut ids = arena.lease::<u16>(n);
-    ids.resize(n, 0);
-    let mut ends = arena.lease::<u64>(nclasses * nchunks);
-    ends.resize(nclasses * nchunks, 0);
-    let mut scratch = arena.lease::<T>(n);
-    scratch.extend_from_slice(data);
+    let mut ids = vec![0u16; n];
+    let mut ends = vec![0u64; nclasses * nchunks];
+    let mut scratch = data.to_vec();
     let chunks = data
         .chunks_mut(chunk)
         .zip(scratch.chunks(chunk))
@@ -151,58 +142,53 @@ where
     }
 }
 
-/// The largest per-chunk count buffer [`ChunkCounts::count`] leases on
-/// `pool`, for any `n` (0 on one thread, where it leases none). A caller
-/// that must leave an arena warm for later passes leases this much.
-pub fn count_buffer_capacity(pool: &ThreadPool) -> usize {
-    if pool.threads() == 1 {
-        0
-    } else {
-        pool.threads() * 8
-    }
-}
+/// Most chunks a [`ChunkCounts`] grid has: eight per thread, up to this
+/// cap. The counts live in a fixed array, so counting allocates nothing.
+const MAX_CHUNKS: usize = 256;
 
 /// A chunked count–scan–emit over `0..n`, after its count pass: how many
-/// outputs each chunk of a fixed chunk grid produces, in a buffer leased
-/// from an arena.
+/// outputs each chunk of a fixed chunk grid produces.
 ///
 /// [`ChunkCounts::count`] runs the count pass; the caller sizes its
 /// output to [`ChunkCounts::total`] and cuts it into one part per chunk —
 /// `split_by_lens(out, counts.lens())` for a compaction,
 /// `chunks_mut(counts.chunk_len())` for an input-aligned fill — and
 /// [`ChunkCounts::emit`] hands each chunk its part.
-pub struct ChunkCounts<'a> {
-    counts: ScratchVec<'a, usize>,
+pub struct ChunkCounts {
+    counts: [usize; MAX_CHUNKS],
+    nchunks: usize,
     chunk: usize,
     n: usize,
     total: usize,
 }
 
-impl<'a> ChunkCounts<'a> {
-    /// Runs `count(chunk)` on every chunk of `0..n` across the pool.
+impl ChunkCounts {
+    /// Runs `count(chunk)` on every chunk of `0..n` across the pool, each
+    /// chunk claimed by one worker.
     ///
     /// Returns `None`, having counted nothing, when the range runs better
     /// as one sequential sweep: on a one-thread pool or below
     /// 4096 indices. The caller then writes its output
     /// directly, with no count pass.
-    pub fn count<C>(pool: &ThreadPool, arena: &'a ScratchArena, n: usize, count: C) -> Option<Self>
+    pub fn count<C>(pool: &ThreadPool, n: usize, count: C) -> Option<Self>
     where
         C: Fn(Range<usize>) -> usize + Sync,
     {
         if pool.threads() == 1 || n < PAR_THRESHOLD {
             return None;
         }
-        let nchunks = count_buffer_capacity(pool).min(n);
+        let nchunks = (pool.threads() * 8).min(MAX_CHUNKS).min(n);
         let chunk = n.div_ceil(nchunks);
         let nchunks = n.div_ceil(chunk);
-        let mut counts = arena.lease::<usize>(nchunks);
-        counts.resize(nchunks, 0);
-        parallel_for_each(pool, counts.iter_mut().enumerate(), |(b, slot)| {
+        let mut counts = [0; MAX_CHUNKS];
+        let slots = counts[..nchunks].iter_mut().enumerate();
+        parallel_for_each(pool, slots, |(b, slot)| {
             *slot = count(b * chunk..((b + 1) * chunk).min(n));
         });
         let total = counts.iter().sum();
         Some(ChunkCounts {
             counts,
+            nchunks,
             chunk,
             n,
             total,
@@ -221,7 +207,7 @@ impl<'a> ChunkCounts<'a> {
 
     /// Each chunk's output count, in chunk order.
     pub fn lens(&self) -> impl Iterator<Item = usize> + Clone + '_ {
-        self.counts.iter().copied()
+        self.counts[..self.nchunks].iter().copied()
     }
 
     /// The emit pass: runs `emit(chunk, base, part)` on every chunk across
@@ -239,7 +225,7 @@ impl<'a> ChunkCounts<'a> {
         E: Fn(Range<usize>, usize, P::Item) -> usize + Sync,
     {
         let (chunk, n) = (self.chunk, self.n);
-        let bases = self.counts.iter().scan(0, |next, &count| {
+        let bases = self.lens().scan(0, |next, count| {
             let base = *next;
             *next += count;
             Some((base, count))
@@ -260,28 +246,22 @@ impl<'a> ChunkCounts<'a> {
 
 /// Parallel filtered map: `out` receives `f(i)` for every `i` in `0..n`
 /// where `f` returns `Some`, in index order. `out` is cleared and refilled
-/// in place, with capacity for `n`; all intermediate state comes from
-/// `arena`, so once `out`'s capacity has grown to its steady-state size
-/// the call allocates nothing.
+/// in place, with capacity for `n`; once `out`'s capacity has grown to its
+/// steady-state size the call allocates nothing.
 ///
 /// On the parallel path `f` is evaluated twice per index (count pass +
 /// emit pass) and must be deterministic — a chunk whose two passes
 /// disagree panics; side-effecting predicates belong in
 /// [`crate::scan::pack_indices_in`], which evaluates exactly once.
-pub fn compact_map_into<T, F>(
-    pool: &ThreadPool,
-    arena: &ScratchArena,
-    n: usize,
-    out: &mut Vec<T>,
-    f: F,
-) where
+pub fn compact_map_into<T, F>(pool: &ThreadPool, n: usize, out: &mut Vec<T>, f: F)
+where
     T: Copy + Default + Send,
     F: Fn(usize) -> Option<T> + Sync,
 {
     out.clear();
-    out.reserve(n);
+    out.reserve_exact(n);
     let count = |r: Range<usize>| r.filter(|&i| f(i).is_some()).count();
-    let Some(counts) = ChunkCounts::count(pool, arena, n, count) else {
+    let Some(counts) = ChunkCounts::count(pool, n, count) else {
         // A push loop: `extend` over a `filter_map` compiles to a slower
         // loop here (rounds of LLP-Borůvka on rmat s17 ran ~15% slower).
         for i in 0..n {
@@ -311,18 +291,11 @@ where
     F: Fn(&T) -> CmpOrdering + Sync,
 {
     let mut bounds = Vec::with_capacity(4);
-    distribute_by_class(
-        pool,
-        data,
-        3,
-        &ScratchArena::new(),
-        &mut bounds,
-        |x| match classify(x) {
-            CmpOrdering::Less => 0,
-            CmpOrdering::Equal => 1,
-            CmpOrdering::Greater => 2,
-        },
-    );
+    distribute_by_class(pool, data, 3, &mut bounds, |x| match classify(x) {
+        CmpOrdering::Less => 0,
+        CmpOrdering::Equal => 1,
+        CmpOrdering::Greater => 2,
+    });
     (bounds[1], bounds[2] - bounds[1])
 }
 
@@ -335,9 +308,7 @@ where
     F: Fn(&T) -> bool + Sync,
 {
     let mut bounds = Vec::with_capacity(3);
-    distribute_by_class(pool, data, 2, &ScratchArena::new(), &mut bounds, |x| {
-        usize::from(!keep(x))
-    });
+    distribute_by_class(pool, data, 2, &mut bounds, |x| usize::from(!keep(x)));
     data.truncate(bounds[1]);
 }
 
@@ -347,7 +318,7 @@ mod tests {
     use crate::sync::Mutex;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// [`distribute_by_class`] with a fresh arena, returning the bounds.
+    /// [`distribute_by_class`], returning the bounds.
     fn distribute<T, F>(
         pool: &ThreadPool,
         data: &mut [T],
@@ -359,14 +330,7 @@ mod tests {
         F: Fn(&T) -> usize + Sync,
     {
         let mut bounds = Vec::new();
-        distribute_by_class(
-            pool,
-            data,
-            nclasses,
-            &ScratchArena::new(),
-            &mut bounds,
-            class_of,
-        );
+        distribute_by_class(pool, data, nclasses, &mut bounds, class_of);
         bounds
     }
 
@@ -442,39 +406,12 @@ mod tests {
     }
 
     #[test]
-    fn distribute_in_steady_state_reuses_arena() {
-        let pool = ThreadPool::new(4);
-        let arena = ScratchArena::new();
-        let mut bounds = Vec::new();
-        let v0 = pseudo_random(50_000);
-        // Warm-up round grows the arena; later rounds must not.
-        let mut v = v0.clone();
-        distribute_by_class(&pool, &mut v, 16, &arena, &mut bounds, |&x| x as usize % 16);
-        let footprint = arena.footprint_bytes();
-        for round in 0..3 {
-            let mut v = v0.clone();
-            distribute_by_class(&pool, &mut v, 16, &arena, &mut bounds, |&x| x as usize % 16);
-            let mut want = v0.clone();
-            want.sort_by_key(|&x| x as usize % 16);
-            assert_eq!(v, want, "round={round}");
-            assert_eq!(
-                arena.footprint_bytes(),
-                footprint,
-                "steady-state round {round} grew the arena"
-            );
-        }
-        assert!(arena.reuse_count() > 0);
-    }
-
-    #[test]
     fn chunk_counts_hand_each_chunk_its_part() {
         for threads in [1, 2, 4] {
             let pool = ThreadPool::new(threads);
-            let arena = ScratchArena::new();
             for n in [0usize, 1, 4095, 4096, 60_000] {
                 let keep = |i: usize| i.is_multiple_of(3);
-                let counts =
-                    ChunkCounts::count(&pool, &arena, n, |r| r.filter(|&i| keep(i)).count());
+                let counts = ChunkCounts::count(&pool, n, |r| r.filter(|&i| keep(i)).count());
                 let Some(counts) = counts else {
                     assert!(threads == 1 || n < PAR_THRESHOLD, "threads={threads} n={n}");
                     continue;
@@ -509,15 +446,28 @@ mod tests {
     fn compact_map_matches_filter_map() {
         for threads in [1, 4] {
             let pool = ThreadPool::new(threads);
-            let arena = ScratchArena::new();
             let mut out: Vec<u64> = Vec::new();
             for n in [0usize, 7, 4096, 50_000] {
                 let f = |i: usize| (i % 7 < 3).then(|| (i * 2) as u64);
-                compact_map_into(&pool, &arena, n, &mut out, f);
+                compact_map_into(&pool, n, &mut out, f);
                 let want: Vec<u64> = (0..n).filter_map(f).collect();
                 assert_eq!(*out, want, "threads={threads} n={n}");
             }
         }
+    }
+
+    #[test]
+    fn compact_map_past_the_chunk_cap_matches_filter_map() {
+        // 40 threads want 320 chunks: the grid is capped at `MAX_CHUNKS`.
+        let pool = ThreadPool::new(40);
+        assert!(pool.threads() * 8 > MAX_CHUNKS);
+        let n = 100_000;
+        let f = |i: usize| (i % 5 != 2).then_some((i as u64) << 1);
+        let counts = ChunkCounts::count(&pool, n, |r| r.filter_map(f).count()).unwrap();
+        assert_eq!(counts.lens().count(), MAX_CHUNKS);
+        let mut out = Vec::new();
+        compact_map_into(&pool, n, &mut out, f);
+        assert_eq!(out, (0..n).filter_map(f).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -539,7 +489,7 @@ mod tests {
         let (pool, n) = (ThreadPool::new(4), 20_000);
         let calls = AtomicUsize::new(0);
         let first = move |i: usize| (calls.fetch_add(1, Ordering::Relaxed) < n).then_some(i);
-        compact_map_into(&pool, &ScratchArena::new(), n, &mut Vec::new(), first);
+        compact_map_into(&pool, n, &mut Vec::new(), first);
     }
 
     #[test]
@@ -548,6 +498,6 @@ mod tests {
         let (pool, n) = (ThreadPool::new(4), 20_000);
         let calls = AtomicUsize::new(0);
         let later = move |i: usize| (calls.fetch_add(1, Ordering::Relaxed) >= n).then_some(i);
-        compact_map_into(&pool, &ScratchArena::new(), n, &mut Vec::new(), later);
+        compact_map_into(&pool, n, &mut Vec::new(), later);
     }
 }

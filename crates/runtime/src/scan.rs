@@ -24,9 +24,10 @@ pub fn exclusive_scan_in_place(values: &mut [u64]) -> u64 {
 
 /// Parallel pack: writes into `out` (cleared and refilled in place) the
 /// indices `i` in `0..n` where `keep(i)` is true, in index order, as `u32`.
-/// Every intermediate buffer is leased from `arena`: with a warm arena and
-/// a pre-grown `out`, the call performs no heap allocations. Boruvka
-/// contraction uses it to extract the surviving vertices or edges.
+/// A larger pool first writes every `keep(i)` into `flags`, the caller's
+/// buffer: with `flags` and `out` pre-grown, the call performs no heap
+/// allocations. Boruvka contraction uses it to extract the surviving
+/// vertices or edges.
 ///
 /// Unlike [`crate::partition::compact_map_into`], `keep` is evaluated
 /// **exactly once per index** (a flags pass runs before the compaction),
@@ -36,7 +37,7 @@ pub fn pack_indices_in<F>(
     pool: &ThreadPool,
     n: usize,
     config: ParallelForConfig,
-    arena: &crate::scratch::ScratchArena,
+    flags: &mut Vec<bool>,
     out: &mut Vec<u32>,
     keep: F,
 ) where
@@ -53,15 +54,9 @@ pub fn pack_indices_in<F>(
         return;
     }
     // Flags pass: the single point where `keep` runs.
-    let mut flags = arena.lease::<bool>(n);
-    flags.resize(n, false);
-    crate::parallel_for_chunks_mut(pool, &mut flags, config, |start, part| {
-        for (i, flag) in (start..).zip(part) {
-            *flag = keep(i);
-        }
-    });
-    let flags: &[bool] = &flags;
-    crate::partition::compact_map_into(pool, arena, n, out, |i| flags[i].then_some(i as u32));
+    crate::parallel_map_into(pool, n, config, flags, keep);
+    let flags: &[bool] = flags;
+    crate::partition::compact_map_into(pool, n, out, |i| flags[i].then_some(i as u32));
 }
 
 #[cfg(test)]
@@ -87,8 +82,7 @@ mod tests {
         use std::sync::atomic::{AtomicUsize as Calls, Ordering};
         for threads in [1, 2, 4] {
             let pool = ThreadPool::new(threads);
-            let arena = crate::scratch::ScratchArena::new();
-            let mut out = Vec::new();
+            let (mut flags, mut out) = (Vec::new(), Vec::new());
             for n in [0usize, 5, 4095, 4096, 50_000] {
                 let calls = Calls::new(0);
                 let keep = |i: usize| {
@@ -99,7 +93,7 @@ mod tests {
                     &pool,
                     n,
                     ParallelForConfig::with_grain(128),
-                    &arena,
+                    &mut flags,
                     &mut out,
                     keep,
                 );
@@ -114,19 +108,16 @@ mod tests {
     }
 
     #[test]
-    fn pack_in_steady_state_does_not_grow_arena() {
+    fn pack_in_steady_state_keeps_its_buffers() {
         let pool = ThreadPool::new(4);
-        let arena = crate::scratch::ScratchArena::new();
-        let mut out = Vec::new();
-        pack_indices_in(&pool, 50_000, ParallelForConfig::default(), &arena, &mut out, |i| {
-            i % 2 == 0
-        });
-        let footprint = arena.footprint_bytes();
+        let cfg = ParallelForConfig::default();
+        let (mut flags, mut out) = (Vec::new(), Vec::new());
+        pack_indices_in(&pool, 50_000, cfg, &mut flags, &mut out, |i| i % 2 == 0);
+        let ptrs = (flags.as_ptr(), out.as_ptr());
         for _ in 0..3 {
-            pack_indices_in(&pool, 50_000, ParallelForConfig::default(), &arena, &mut out, |i| {
-                i % 2 == 0
-            });
-            assert_eq!(arena.footprint_bytes(), footprint);
+            pack_indices_in(&pool, 50_000, cfg, &mut flags, &mut out, |i| i % 2 == 0);
+            assert_eq!((flags.as_ptr(), out.as_ptr()), ptrs);
         }
+        assert_eq!(out.len(), 25_000);
     }
 }

@@ -10,7 +10,6 @@
 use crate::parallel_for::{parallel_for_each, split_by_lens};
 use crate::partition::distribute_by_class;
 use crate::pool::ThreadPool;
-use crate::scratch::ScratchArena;
 
 /// Below this many elements `slice::sort_unstable_by_key` wins outright.
 const SEQ_CUTOFF: usize = 8192;
@@ -19,16 +18,14 @@ const SEQ_CUTOFF: usize = 8192;
 const OVERSAMPLE: usize = 8;
 
 /// Sorts `data` by `key`, using the pool to classify, scatter and sort
-/// buckets. The distribution's scratch buffers (element copies, class
-/// ids, count matrix, bucket bounds) are leased from `arena`, so sorts
-/// inside round loops reuse storage instead of reallocating it; a
-/// one-thread pool or a short slice sorts in place and leases nothing.
+/// buckets. A one-thread pool or a short slice sorts in place and
+/// allocates nothing.
 ///
 /// The sort is not stable; all callers in this workspace use strictly
 /// totally ordered keys, where stability is vacuous. `key` is recomputed
 /// per comparison (as with `sort_unstable_by_key`), so it should stay
 /// cheap.
-pub fn par_sort_by_key<T, K, F>(pool: &ThreadPool, data: &mut [T], arena: &ScratchArena, key: F)
+pub fn par_sort_by_key<T, K, F>(pool: &ThreadPool, data: &mut [T], key: F)
 where
     T: Copy + Send + Sync + 'static,
     K: Ord + Sync,
@@ -59,8 +56,8 @@ where
 
     // Bucket b holds the keys k with splitters[b-1] <= k < splitters[b]
     // (duplicate splitter runs simply leave some buckets empty).
-    let mut bounds = arena.lease::<usize>(nbuckets + 1);
-    distribute_by_class(pool, data, nbuckets, arena, &mut bounds, |x| {
+    let mut bounds = Vec::with_capacity(nbuckets + 1);
+    distribute_by_class(pool, data, nbuckets, &mut bounds, |x| {
         let k = key(x);
         splitters.partition_point(|s| *s <= k)
     });
@@ -96,7 +93,7 @@ mod tests {
                 let mut v = pseudo_random(n);
                 let mut want = v.clone();
                 want.sort_unstable();
-                par_sort_by_key(&pool, &mut v, &ScratchArena::new(), |&x| x);
+                par_sort_by_key(&pool, &mut v, |&x| x);
                 assert_eq!(v, want, "threads={threads} n={n}");
             }
         }
@@ -106,9 +103,7 @@ mod tests {
     fn sort_by_key_descending() {
         let pool = ThreadPool::new(4);
         let mut v = pseudo_random(50_000);
-        par_sort_by_key(&pool, &mut v, &ScratchArena::new(), |&x| {
-            std::cmp::Reverse(x)
-        });
+        par_sort_by_key(&pool, &mut v, |&x| std::cmp::Reverse(x));
         assert!(v.windows(2).all(|w| w[0] >= w[1]));
     }
 
@@ -116,7 +111,7 @@ mod tests {
     fn already_sorted_stays_sorted() {
         let pool = ThreadPool::new(3);
         let mut v: Vec<u64> = (0..20_000).collect();
-        par_sort_by_key(&pool, &mut v, &ScratchArena::new(), |&x| x);
+        par_sort_by_key(&pool, &mut v, |&x| x);
         assert!(v.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(v.len(), 20_000);
     }
@@ -127,7 +122,7 @@ mod tests {
         let mut v: Vec<u64> = pseudo_random(30_000).into_iter().map(|x| x % 10).collect();
         let mut want = v.clone();
         want.sort_unstable();
-        par_sort_by_key(&pool, &mut v, &ScratchArena::new(), |&x| x);
+        par_sort_by_key(&pool, &mut v, |&x| x);
         assert_eq!(v, want);
     }
 
@@ -136,7 +131,7 @@ mod tests {
         // Every element lands in a single bucket; still sorted, nothing lost.
         let pool = ThreadPool::new(4);
         let mut v = vec![42u64; 25_000];
-        par_sort_by_key(&pool, &mut v, &ScratchArena::new(), |&x| x);
+        par_sort_by_key(&pool, &mut v, |&x| x);
         assert_eq!(v, vec![42u64; 25_000]);
     }
 }

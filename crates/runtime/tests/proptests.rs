@@ -4,9 +4,7 @@
 //! (hermetic builds cannot depend on `proptest`).
 
 use llp_runtime::rng::SmallRng;
-use llp_runtime::{
-    parallel_for, parallel_map_collect, sort, Bag, ParallelForConfig, ScratchArena, ThreadPool,
-};
+use llp_runtime::{parallel_for, parallel_map_into, sort, Bag, ParallelForConfig, ThreadPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const CASES: u64 = 48;
@@ -42,12 +40,13 @@ fn parallel_sum_matches_sequential() {
 }
 
 #[test]
-fn map_collect_matches_iterator() {
+fn map_into_matches_iterator() {
     for seed in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(seed);
         let n = rng.gen_range(0usize..3000);
         let pool = ThreadPool::new(rng.gen_range(1usize..5));
-        let got = parallel_map_collect(&pool, 0..n, ParallelForConfig::with_grain(37), |i| {
+        let mut got = Vec::new();
+        parallel_map_into(&pool, n, ParallelForConfig::with_grain(37), &mut got, |i| {
             (i as u64).wrapping_mul(0x9E3779B97F4A7C15)
         });
         let want: Vec<u64> = (0..n)
@@ -66,7 +65,7 @@ fn par_sort_matches_std() {
         let pool = ThreadPool::new(rng.gen_range(1usize..5));
         let mut want = values.clone();
         want.sort_unstable();
-        sort::par_sort_by_key(&pool, &mut values, &ScratchArena::new(), |&x| x);
+        sort::par_sort_by_key(&pool, &mut values, |&x| x);
         assert_eq!(values, want, "seed {seed}");
     }
 }
