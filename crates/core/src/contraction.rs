@@ -24,13 +24,16 @@
 //! edge list; all its rounds run on the edge-centric engine below.
 //!
 //! Every round's pointer jumping is [`solve_parallel`], llp-core's
-//! Algorithm 1 engine, on [`PointerJump`] over the round's parent array:
-//! its sweeps count as `parallel_regions`, its advances as `pointer_jumps`.
+//! Algorithm 1 engine, on [`PointerJump`] over the round's parent array,
+//! which the engine owns as [`AtomicU32`] cells: its sweeps count as
+//! `parallel_regions`, its advances as `pointer_jumps`. The hook step
+//! fills the cells; renumbering, the cross-edge filter and the relabel
+//! read them with relaxed loads.
 //!
 //! ## Flat-memory round engine
 //!
 //! Round state lives in four buffers the engine owns: the MWE cells, the
-//! parent array, the round's picked edges and the renumber table. Each
+//! parent cells, the round's picked edges and the renumber table. Each
 //! round clears and refills them, so they keep their capacity:
 //!
 //! * the per-vertex MWE cell is a single packed [`AtomicU64`] word —
@@ -61,7 +64,7 @@ use llp_runtime::atomics::{mwe_idx, mwe_propose, weight_hi32, MWE_EMPTY};
 use llp_runtime::partition::{compact_map_into, ChunkCounts};
 use llp_runtime::telemetry;
 use llp_runtime::{parallel_for, parallel_map_into, split_by_lens, ParallelForConfig, ThreadPool};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// `new_id` of a vertex that is not a root.
 const NOT_ROOT: u32 = u32::MAX;
@@ -69,9 +72,9 @@ const NOT_ROOT: u32 = u32::MAX;
 /// Renumbers the roots of the star forest `g` densely: refills `new_id`
 /// with `0..n_roots` at the roots, in ascending root order, and
 /// [`NOT_ROOT`] everywhere else, and returns the root count.
-fn renumber_roots(pool: &ThreadPool, g: &[u32], new_id: &mut Vec<u32>) -> usize {
+fn renumber_roots(pool: &ThreadPool, g: &[AtomicU32], new_id: &mut Vec<u32>) -> usize {
     let n = g.len();
-    let is_root = |v: usize| g[v] == v as u32;
+    let is_root = |v: usize| g[v].load(Ordering::Relaxed) == v as u32;
     new_id.clear();
     new_id.reserve_exact(n);
     let count = |r: std::ops::Range<usize>| r.filter(|&v| is_root(v)).count();
@@ -139,8 +142,9 @@ pub(crate) struct RoundBuffers {
     /// Per-vertex MWE cells: arc indices in [`Contraction::from_csr`],
     /// packed MWE words in every later round.
     best: Vec<AtomicU64>,
-    /// The parent array `G` that pointer jumping flattens to stars.
-    parent: Vec<u32>,
+    /// The parent array `G` that pointer jumping flattens to stars, as the
+    /// atomic cells [`solve_parallel`] advances in place.
+    parent: Vec<AtomicU32>,
     /// The round's forest edges, as original-edge indices.
     picked: Vec<u32>,
     /// Dense root renumbering (see `renumber_roots`).
@@ -228,7 +232,7 @@ impl Contraction {
         parallel_map_into(pool, n, cfg, g, |v| {
             let a = arc_of(v);
             if a == NO_ARC {
-                return v as u32; // isolated
+                return AtomicU32::new(v as u32); // isolated
             }
             let (w, wt) = graph.arc(a as usize);
             let b = arc_of(w as usize);
@@ -236,31 +240,30 @@ impl Contraction {
                 let (x, xt) = graph.arc(b as usize);
                 x == v as u32 && xt.to_bits() == wt.to_bits()
             };
-            if mutual && (v as u32) < w {
+            AtomicU32::new(if mutual && (v as u32) < w {
                 v as u32
             } else {
                 w
-            }
+            })
         });
+        let g_ro: &[AtomicU32] = g;
+        let root = move |v: usize| g_ro[v].load(Ordering::Relaxed);
 
         // Step 1c: every non-root's MWE joins the forest as `{u < v}`, in
         // vertex order. `chosen` is sized here for the whole run (a forest
         // has fewer than `n` edges), so later rounds only append.
-        {
-            let g_ro: &[u32] = g;
-            compact_map_into(pool, n, &mut c.chosen, |v| {
-                (g_ro[v] != v as u32).then(|| {
-                    let (w, wt) = graph.arc(arc_of(v) as usize);
-                    let v = v as u32;
-                    Edge::new(v.min(w), v.max(w), wt)
-                })
-            });
-        }
+        compact_map_into(pool, n, &mut c.chosen, |v| {
+            (root(v) != v as u32).then(|| {
+                let (w, wt) = graph.arc(arc_of(v) as usize);
+                let v = v as u32;
+                Edge::new(v.min(w), v.max(w), wt)
+            })
+        });
         drop(mwe_span);
 
         // Step 2: pointer jumping, as in every round.
         let jump_span = telemetry::span("pointer-jump");
-        let llp = solve_parallel(&PointerJump, g, pool, cfg).expect("always feasible");
+        let llp = solve_parallel(&PointerJump, g_ro, pool, cfg).expect("always feasible");
         stats.parallel_regions += llp.rounds;
         stats.pointer_jumps += llp.advances;
         drop(jump_span);
@@ -272,7 +275,6 @@ impl Contraction {
         // survivors afterwards. A larger pool counts each chunk's
         // survivors first and hands every chunk its exact output parts.
         let contract_span = telemetry::span("contract");
-        let g_ro: &[u32] = g;
         let n_roots = renumber_roots(pool, g_ro, new_id);
         // Round 2 picks at most one edge per root.
         picked.reserve_exact(n_roots);
@@ -280,18 +282,18 @@ impl Contraction {
         // Cross-component `u < v` arcs of vertex `u`, in arc order — the
         // order of `CsrGraph::edges`.
         let cross = move |u: usize| {
-            let ru = g_ro[u];
+            let ru = root(u);
             let (targets, weights) = graph.neighbor_slices(u as u32);
             targets
                 .iter()
                 .zip(weights)
-                .filter(move |&(&v, _)| v as usize > u && g_ro[v as usize] != ru)
+                .filter(move |&(&v, _)| v as usize > u && root(v as usize) != ru)
                 .map(move |(&v, &w)| (ru, v, w))
         };
         // Survivor `k`: arc `u → v` of weight `w`, between roots `ru` and
         // `g[v]`, as its original edge and its round-2 work edge.
         let survivor = move |k: usize, u: usize, ru: u32, v: u32, w: f64| {
-            let rv = g_ro[v as usize];
+            let rv = root(v as usize);
             let work = WorkEdge {
                 u: nid[ru as usize],
                 v: nid[rv as usize],
@@ -423,18 +425,20 @@ impl Contraction {
             parallel_map_into(pool, n_cur, cfg, g, |v| {
                 let word = word_of(v);
                 if word == MWE_EMPTY {
-                    return v as u32; // isolated in the contracted graph
+                    return AtomicU32::new(v as u32); // isolated in the contracted graph
                 }
                 let e = work_ref[mwe_idx(word) as usize];
                 let w = if e.u == v as u32 { e.v } else { e.u };
                 let mutual = word_of(w as usize) == word;
-                if mutual && (v as u32) < w {
+                AtomicU32::new(if mutual && (v as u32) < w {
                     v as u32 // break symmetry: the smaller endpoint roots
                 } else {
                     w
-                }
+                })
             });
         }
+        let g_ro: &[AtomicU32] = g;
+        let root = move |v: usize| g_ro[v].load(Ordering::Relaxed);
 
         // Step 1c: every non-root's MWE joins the forest (each chosen edge
         // exactly once: mutual pairs add from the non-root side only;
@@ -442,10 +446,9 @@ impl Contraction {
         // count–scan–scatter compaction emits in vertex order —
         // deterministic without the old bag-drain-and-sort.
         {
-            let g_ro: &[u32] = g;
             let work_ref: &[WorkEdge] = &self.work;
             compact_map_into(pool, n_cur, picked, |v| {
-                (g_ro[v] != v as u32).then(|| work_ref[mwe_idx(word_of(v)) as usize].orig)
+                (root(v) != v as u32).then(|| work_ref[mwe_idx(word_of(v)) as usize].orig)
             });
             let orig_ref: &[Edge] = &self.orig_edges;
             self.chosen
@@ -457,7 +460,7 @@ impl Contraction {
         // Step 2: pointer jumping until G is a star forest (the inner LLP
         // instance, Lemma 3/4).
         let jump_span = telemetry::span("pointer-jump");
-        let llp = solve_parallel(&PointerJump, g, pool, cfg).expect("always feasible");
+        let llp = solve_parallel(&PointerJump, g_ro, pool, cfg).expect("always feasible");
         stats.parallel_regions += llp.rounds;
         stats.pointer_jumps += llp.advances;
         drop(jump_span);
@@ -466,15 +469,14 @@ impl Contraction {
         // Renumber roots densely, then filter + relabel surviving edges in
         // one fused pass into the double buffer.
         let _t = telemetry::span("contract");
-        let g_ro: &[u32] = g;
         let n_roots = renumber_roots(pool, g_ro, new_id);
         {
             let new_id: &[u32] = new_id;
             let work_ref: &[WorkEdge] = &self.work;
             compact_map_into(pool, m_cur, &mut self.work_next, move |i| {
                 let e = work_ref[i];
-                let ru = g_ro[e.u as usize];
-                let rv = g_ro[e.v as usize];
+                let ru = root(e.u as usize);
+                let rv = root(e.v as usize);
                 (ru != rv).then(|| WorkEdge {
                     u: new_id[ru as usize],
                     v: new_id[rv as usize],

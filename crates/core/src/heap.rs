@@ -77,12 +77,6 @@ impl<K: Ord + Copy> LazyHeap<K> {
         e
     }
 
-    /// Largest number of entries the heap has held simultaneously.
-    #[inline]
-    pub fn peak_len(&self) -> usize {
-        self.peak_len
-    }
-
     /// Current backing-storage capacity (entries).
     #[inline]
     pub fn capacity(&self) -> usize {
@@ -137,14 +131,14 @@ mod tests {
         for i in 0..1000u32 {
             h.push(1000 - i as u64, i);
         }
-        assert_eq!(h.peak_len(), 1000);
+        assert_eq!(h.peak_len, 1000);
         for _ in 0..500 {
             h.pop();
         }
         // Peak is a high-water mark, not the current length.
-        assert_eq!(h.peak_len(), 1000);
+        assert_eq!(h.peak_len, 1000);
         while h.pop().is_some() {}
-        assert_eq!(h.peak_len(), 1000);
+        assert_eq!(h.peak_len, 1000);
         // The emptying pop released the backing storage.
         assert_eq!(h.capacity(), 0);
     }

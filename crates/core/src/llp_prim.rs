@@ -29,12 +29,12 @@ use crate::heap::LazyHeap;
 use crate::result::{check_root, MstError, MstResult};
 use crate::stats::AlgoStats;
 use llp_graph::{CsrGraph, Edge, EdgeKey, VertexId};
-use llp_runtime::atomics::{AtomicIndexMin, NO_INDEX};
+use llp_runtime::atomics::{f64_to_ordered, mwe_idx, mwe_propose, weight_hi32, MWE_EMPTY};
 use llp_runtime::telemetry;
 use llp_runtime::{
     parallel_for_chunks_ctx, parallel_for_chunks_mut, Bag, ParallelForConfig, ThreadPool,
 };
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
 /// LLP-Prim, single-threaded ("LLP-Prim (1T)" in the paper's figures).
 ///
@@ -158,7 +158,9 @@ fn llp_prim_seq_with_mwe(
 ///
 /// Per-vertex state is lock-free:
 /// * `fixed[k]` — claimed once via CAS (the *advance* of Algorithm 4);
-/// * `best[k]` — atomic argmin over incoming arcs, keyed exactly like
+/// * `best[k]` — the best incoming arc so far, a packed MWE word (weight
+///   discriminant high, arc index low; see [`mwe_propose`]) whose exact
+///   key `(weight, arc source)` orders arcs into `k` exactly like
 ///   [`EdgeKey`], so relaxation races resolve to the canonical parent;
 /// * `parent_arc[k]` — written only by k's unique fixer.
 ///
@@ -166,6 +168,10 @@ fn llp_prim_seq_with_mwe(
 /// paper's `Q`-batching ("to avoid the expense of inserting these vertices
 /// in the heap... only when we are done processing R, we call
 /// H.insertOrAdjust on vertices in Q").
+///
+/// # Panics
+/// Panics when the graph has `u32::MAX` arcs or more: an arc index must fit
+/// the packed word's 32-bit index half.
 pub fn llp_prim_par(
     graph: &CsrGraph,
     root: VertexId,
@@ -188,6 +194,11 @@ fn llp_prim_par_with_mwe(
     check_root(graph, root)?;
     let n = graph.num_vertices();
     assert_eq!(mwe.len(), n, "mwe table must cover every vertex");
+    assert!(
+        u32::try_from(graph.num_arcs()).is_ok(),
+        "{} arcs: an arc index must fit a packed MWE word's 32-bit index half",
+        graph.num_arcs()
+    );
     let mut stats = AlgoStats::default();
     let cfg = ParallelForConfig::with_grain(64);
 
@@ -196,8 +207,9 @@ fn llp_prim_par_with_mwe(
     let arc_source: Vec<VertexId> = build_arc_sources(graph, pool);
 
     let fixed: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-    let best: Vec<AtomicIndexMin> = (0..n).map(|_| AtomicIndexMin::new()).collect();
-    let parent_arc: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(NO_INDEX)).collect();
+    let best: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(MWE_EMPTY)).collect();
+    // Read only at fixed non-root vertices, after their fixer wrote it.
+    let parent_arc: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(u32::MAX)).collect();
     let rmw = AtomicU64::new(0);
     let scans = AtomicU64::new(0);
     let early = AtomicU64::new(0);
@@ -215,7 +227,7 @@ fn llp_prim_par_with_mwe(
     fixed[root as usize].store(true, Ordering::Relaxed);
     frontier.push(root);
 
-    let key_of_arc = |a: u64| -> EdgeKey {
+    let key_of_arc = |a: u32| -> EdgeKey {
         let a = a as usize;
         let (targets, weights) = graph.arc(a);
         EdgeKey::new(weights, arc_source[a], targets)
@@ -238,9 +250,15 @@ fn llp_prim_par_with_mwe(
                 let scans_ref = &scans;
                 let early_ref = &early;
                 let arc_source_ref = &arc_source;
+                // The exact key of a packed word's arc: `EdgeKey` order
+                // among the arcs into one vertex.
+                let exact = |arc: u32| {
+                    let (_, wt) = graph.arc(arc as usize);
+                    (f64_to_ordered(wt), arc_source_ref[arc as usize])
+                };
                 parallel_for_chunks_ctx(pool, 0..frontier.len(), cfg, |ctx, chunk| {
                     let seg = ctx.tid; // own bag segment: uncontended pushes
-                    let mut local_scans = 0u64;
+                    let (mut local_scans, mut local_rmw, mut local_early) = (0u64, 0u64, 0u64);
                     for fi in chunk {
                         let j = frontier_ref[fi];
                         let (lo, hi) = graph.arc_range(j);
@@ -250,9 +268,11 @@ fn llp_prim_par_with_mwe(
                             if fixed_ref[k as usize].load(Ordering::Relaxed) {
                                 continue;
                             }
+                            // One atomic read-modify-write per relaxation:
+                            // the fixing CAS or the priority write.
+                            local_rmw += 1;
                             let key = EdgeKey::new(w, j, k);
                             if key == mwe_ref[j as usize] || key == mwe_ref[k as usize] {
-                                rmw_ref.fetch_add(1, Ordering::Relaxed);
                                 if fixed_ref[k as usize]
                                     .compare_exchange(
                                         false,
@@ -262,29 +282,24 @@ fn llp_prim_par_with_mwe(
                                     )
                                     .is_ok()
                                 {
-                                    parent_ref[k as usize]
-                                        .store(a as u64, Ordering::Release);
-                                    early_ref.fetch_add(1, Ordering::Relaxed);
+                                    parent_ref[k as usize].store(a as u32, Ordering::Release);
+                                    local_early += 1;
                                     next_ref.push(seg, k);
                                 }
-                            } else {
-                                rmw_ref.fetch_add(1, Ordering::Relaxed);
-                                let improved =
-                                    best_ref[k as usize].propose_min_by(a as u64, |arc| {
-                                        let (_, wt) = graph.arc(arc as usize);
-                                        (
-                                            llp_graph::weight::f64_to_ordered(wt),
-                                            arc_source_ref[arc as usize],
-                                        )
-                                    },
-                                );
-                                if improved {
-                                    q_ref.push(seg, k);
-                                }
+                            } else if mwe_propose(
+                                &best_ref[k as usize],
+                                weight_hi32(w),
+                                a as u32,
+                                exact,
+                            ) {
+                                q_ref.push(seg, k);
                             }
                         }
                     }
+                    // Each chunk publishes its counts once.
                     scans_ref.fetch_add(local_scans, Ordering::Relaxed);
+                    rmw_ref.fetch_add(local_rmw, Ordering::Relaxed);
+                    early_ref.fetch_add(local_early, Ordering::Relaxed);
                 });
             }
             next.drain_into(&mut frontier);
@@ -298,9 +313,9 @@ fn llp_prim_par_with_mwe(
             let _t = telemetry::span("q-flush");
             for &k in &q_buf {
                 if !fixed[k as usize].load(Ordering::Relaxed) {
-                    let arc = best[k as usize].load(Ordering::Acquire);
-                    if arc == NO_INDEX {
-                        // k was proposed by a thread whose `propose_min_by`
+                    let word = best[k as usize].load(Ordering::Acquire);
+                    if word == MWE_EMPTY {
+                        // k was proposed by a thread whose `mwe_propose`
                         // lost every round *and* whose winning competitor's
                         // vertex got early-fixed later: nothing to insert.
                         // (Not reachable under the current propose/push
@@ -308,7 +323,7 @@ fn llp_prim_par_with_mwe(
                         // an out-of-bounds arc read in release builds.)
                         continue;
                     }
-                    heap.push(key_of_arc(arc), k);
+                    heap.push(key_of_arc(mwe_idx(word)), k);
                 }
             }
             q_buf.clear();
@@ -320,12 +335,13 @@ fn llp_prim_par_with_mwe(
             if fixed[k as usize].load(Ordering::Relaxed) {
                 continue;
             }
-            let arc = best[k as usize].load(Ordering::Acquire);
-            if arc == NO_INDEX {
+            let word = best[k as usize].load(Ordering::Acquire);
+            if word == MWE_EMPTY {
                 // No surviving proposal for k (see the flush guard above):
-                // drop the entry rather than dereference NO_INDEX.
+                // drop the entry rather than dereference an empty cell.
                 continue;
             }
+            let arc = mwe_idx(word);
             // The heap key was computed when k was flushed; `best[k]` may
             // have been improved by a *later* wave whose flush pushed a
             // second, fresher entry. Never trust a popped key without

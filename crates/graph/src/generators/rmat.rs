@@ -9,6 +9,7 @@
 
 use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
+use crate::edge::Edge;
 use llp_runtime::rng::SmallRng;
 
 /// Parameters of the RMAT generator.
@@ -54,20 +55,26 @@ impl RmatParams {
 /// Weights are uniform in `(0, 1)`, mirroring GBBS's weighted-graph
 /// benchmarks which attach uniform random weights to Graph500 inputs.
 pub fn rmat(params: RmatParams) -> CsrGraph {
-    assert!(params.scale <= 31, "scale > 31 would overflow VertexId");
-    let n: u64 = 1u64 << params.scale;
-    let m = params.edge_factor * n as usize;
-    let mut rng = SmallRng::seed_from_u64(params.seed);
-    let mut builder = GraphBuilder::with_capacity(n as usize, m);
+    let edges = rmat_edges(params);
+    let n = 1usize << params.scale;
+    let mut builder = GraphBuilder::with_capacity(n, params.edge_factor * n);
+    builder.extend(edges);
+    builder.build()
+}
 
-    let ab = params.a + params.b;
+/// The RMAT edge sample in sampling order: `edge_factor · 2^scale` draws,
+/// self-loops skipped. The one sampling loop behind [`rmat()`] and
+/// [`rmat_stream`](crate::generators::rmat_stream).
+pub(crate) fn rmat_edges(params: RmatParams) -> impl Iterator<Item = Edge> {
+    assert!(params.scale <= 31, "scale > 31 would overflow VertexId");
     let abc = params.a + params.b + params.c;
     assert!(
         params.a > 0.0 && params.b > 0.0 && params.c > 0.0 && abc < 1.0,
         "invalid quadrant probabilities"
     );
-
-    for _ in 0..m {
+    let m = params.edge_factor as u64 * (1u64 << params.scale);
+    let mut rng = SmallRng::seed_from_u64(params.seed);
+    (0..m).filter_map(move |_| {
         let mut u: u64 = 0;
         let mut v: u64 = 0;
         for _level in 0..params.scale {
@@ -94,13 +101,11 @@ pub fn rmat(params: RmatParams) -> CsrGraph {
             v = (v << 1) | bit_v;
         }
         if u == v {
-            continue; // self-loop; Graph500 also discards these downstream
+            return None; // self-loop; Graph500 also discards these downstream
         }
         let w = rng.gen::<f64>();
-        builder.add_edge(u as u32, v as u32, w);
-    }
-    let _ = ab; // quadrant sums kept for readability
-    builder.build()
+        Some(Edge::new(u as u32, v as u32, w))
+    })
 }
 
 #[cfg(test)]

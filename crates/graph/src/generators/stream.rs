@@ -1,22 +1,21 @@
 //! Streaming counterparts of the in-RAM generators.
 //!
-//! [`rmat_stream`] and [`erdos_renyi_stream`] run the exact sampling loops
-//! of [`rmat()`](crate::generators::rmat()) and
+//! [`rmat_stream`] and [`erdos_renyi_stream`] run the one sampling loop of
+//! [`rmat()`](crate::generators::rmat()) and
 //! [`erdos_renyi()`](crate::generators::erdos_renyi()) but hand edges to a
 //! sink in bounded chunks instead of materializing the full `Vec<Edge>`,
 //! so scale-24+ workloads can be written straight to disk (e.g. through
 //! [`crate::io::BinaryWriter`]) without the generator itself blowing RAM.
 //!
-//! The streams draw from the same seeded RNG sequence as their in-RAM
-//! twins, so for any seed the emitted edge multiset is identical to what
-//! the in-RAM generator feeds its builder — a file streamed out and read
-//! back through the sanitising whole-graph readers equals the in-RAM
-//! graph exactly. Self-loops are skipped at the source; parallel edges
-//! are emitted as sampled (the format stores a multiset).
+//! For any seed the emitted edge multiset is exactly what the in-RAM
+//! generator feeds its builder — a file streamed out and read back through
+//! the sanitising whole-graph readers equals the in-RAM graph exactly.
+//! Self-loops are skipped at the source; parallel edges are emitted as
+//! sampled (the format stores a multiset).
 
-use super::rmat::RmatParams;
+use super::erdos_renyi::erdos_renyi_edges;
+use super::rmat::{rmat_edges, RmatParams};
 use crate::edge::Edge;
-use llp_runtime::rng::SmallRng;
 
 /// Default chunk size for the streaming generators (~16 MiB of `Edge`).
 pub const DEFAULT_CHUNK_EDGES: usize = 1 << 20;
@@ -24,60 +23,44 @@ pub const DEFAULT_CHUNK_EDGES: usize = 1 << 20;
 /// Streams an RMAT edge sample in chunks of at most `chunk_edges` edges.
 /// Returns the number of edges emitted (self-loops are discarded during
 /// sampling, so this is slightly below `edge_factor · 2^scale`).
-pub fn rmat_stream<F>(
-    params: RmatParams,
+pub fn rmat_stream<F>(params: RmatParams, chunk_edges: usize, sink: F) -> std::io::Result<u64>
+where
+    F: FnMut(&[Edge]) -> std::io::Result<()>,
+{
+    in_chunks(rmat_edges(params), chunk_edges, sink)
+}
+
+/// Streams a G(n, m) edge sample in chunks of at most `chunk_edges`
+/// edges. Returns the number of edges emitted (pairs that land on a
+/// self-loop are discarded, so this can be slightly below `m`).
+pub fn erdos_renyi_stream<F>(
+    n: usize,
+    m: u64,
+    seed: u64,
+    chunk_edges: usize,
+    sink: F,
+) -> std::io::Result<u64>
+where
+    F: FnMut(&[Edge]) -> std::io::Result<()>,
+{
+    in_chunks(erdos_renyi_edges(n, m, seed), chunk_edges, sink)
+}
+
+/// Hands `edges` to `sink` in chunks of at most `chunk_edges` and returns
+/// how many it emitted.
+fn in_chunks<F>(
+    edges: impl Iterator<Item = Edge>,
     chunk_edges: usize,
     mut sink: F,
 ) -> std::io::Result<u64>
 where
     F: FnMut(&[Edge]) -> std::io::Result<()>,
 {
-    assert!(params.scale <= 31, "scale > 31 would overflow VertexId");
     assert!(chunk_edges > 0, "chunk_edges must be positive");
-    let n: u64 = 1u64 << params.scale;
-    let m = params.edge_factor as u64 * n;
-    let mut rng = SmallRng::seed_from_u64(params.seed);
-
-    let abc = params.a + params.b + params.c;
-    assert!(
-        params.a > 0.0 && params.b > 0.0 && params.c > 0.0 && abc < 1.0,
-        "invalid quadrant probabilities"
-    );
-
     let mut chunk: Vec<Edge> = Vec::with_capacity(chunk_edges.min(1 << 24));
     let mut emitted = 0u64;
-    for _ in 0..m {
-        let mut u: u64 = 0;
-        let mut v: u64 = 0;
-        for _level in 0..params.scale {
-            // Per-level noisy probabilities (Graph500 reference style),
-            // byte-for-byte the loop in `rmat()`.
-            let jitter = |p: f64, rng: &mut SmallRng| {
-                p * (1.0 - params.noise / 2.0 + params.noise * rng.gen::<f64>())
-            };
-            let na = jitter(params.a, &mut rng);
-            let nb = jitter(params.b, &mut rng);
-            let nc = jitter(params.c, &mut rng);
-            let nd = jitter(1.0 - abc, &mut rng);
-            let total = na + nb + nc + nd;
-            let r = rng.gen::<f64>() * total;
-            let (bit_u, bit_v) = if r < na {
-                (0, 0)
-            } else if r < na + nb {
-                (0, 1)
-            } else if r < na + nb + nc {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
-            u = (u << 1) | bit_u;
-            v = (v << 1) | bit_v;
-        }
-        if u == v {
-            continue; // self-loop; Graph500 also discards these downstream
-        }
-        let w = rng.gen::<f64>();
-        chunk.push(Edge::new(u as u32, v as u32, w));
+    for e in edges {
+        chunk.push(e);
         if chunk.len() >= chunk_edges {
             sink(&chunk)?;
             emitted += chunk.len() as u64;
@@ -91,50 +74,11 @@ where
     Ok(emitted)
 }
 
-/// Streams a G(n, m) edge sample in chunks of at most `chunk_edges`
-/// edges. Returns the number of edges emitted (pairs that land on a
-/// self-loop are discarded, so this can be slightly below `m`).
-pub fn erdos_renyi_stream<F>(
-    n: usize,
-    m: u64,
-    seed: u64,
-    chunk_edges: usize,
-    mut sink: F,
-) -> std::io::Result<u64>
-where
-    F: FnMut(&[Edge]) -> std::io::Result<()>,
-{
-    assert!(n < u32::MAX as usize, "n too large for VertexId");
-    assert!(chunk_edges > 0, "chunk_edges must be positive");
-    let mut rng = SmallRng::seed_from_u64(seed);
-    if n < 2 {
-        return Ok(0);
-    }
-    let mut chunk: Vec<Edge> = Vec::with_capacity(chunk_edges.min(1 << 24));
-    let mut emitted = 0u64;
-    for _ in 0..m {
-        let u = rng.gen_range(0..n as u32);
-        let v = rng.gen_range(0..n as u32);
-        if u != v {
-            chunk.push(Edge::new(u, v, rng.gen::<f64>()));
-            if chunk.len() >= chunk_edges {
-                sink(&chunk)?;
-                emitted += chunk.len() as u64;
-                chunk.clear();
-            }
-        }
-    }
-    if !chunk.is_empty() {
-        sink(&chunk)?;
-        emitted += chunk.len() as u64;
-    }
-    Ok(emitted)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
+    use crate::csr::CsrGraph;
     use crate::generators::{erdos_renyi, rmat};
 
     fn collect<G>(gen: G) -> Vec<Edge>
@@ -151,25 +95,40 @@ mod tests {
         all
     }
 
-    #[test]
-    fn rmat_stream_matches_in_ram_generator() {
-        let params = RmatParams::graph500(10, 8, 42);
-        let edges = collect(|sink| rmat_stream(params, 1 << 10, sink));
-        let mut b = GraphBuilder::with_capacity(1 << 10, edges.len());
-        for e in &edges {
-            b.add_edge(e.u, e.v, e.w);
+    /// Edge count and FNV-1a checksum of a graph's edges, in `edges()`
+    /// order.
+    fn fingerprint(g: &CsrGraph) -> (usize, u64) {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        for e in g.edges() {
+            for word in [e.u as u64, e.v as u64, e.w.to_bits()] {
+                h = (h ^ word).wrapping_mul(0x100_0000_01B3);
+            }
         }
-        assert_eq!(b.build(), rmat(params));
+        (g.num_edges(), h)
     }
 
+    /// The graph `edges` build on `n` vertices.
+    fn built(n: usize, edges: Vec<Edge>) -> CsrGraph {
+        let mut b = GraphBuilder::with_capacity(n, edges.len());
+        b.extend(edges);
+        b.build()
+    }
+
+    /// Both entry points of each family build the same graph, pinned bit
+    /// for bit: the benchmark's inputs must not drift when a sampling loop
+    /// is edited.
     #[test]
-    fn erdos_renyi_stream_matches_in_ram_generator() {
+    fn generators_match_their_golden_fingerprints() {
+        let params = RmatParams::graph500(10, 8, 42);
+        let want = (5989, 0x65a6_4bb2_3d6f_e86e);
+        assert_eq!(fingerprint(&rmat(params)), want);
+        let edges = collect(|sink| rmat_stream(params, 1 << 10, sink));
+        assert_eq!(fingerprint(&built(1 << 10, edges)), want);
+
+        let want = (1976, 0xedf6_ed3b_b569_35f4);
+        assert_eq!(fingerprint(&erdos_renyi(500, 2000, 7)), want);
         let edges = collect(|sink| erdos_renyi_stream(500, 2000, 7, 333, sink));
-        let mut b = GraphBuilder::with_capacity(500, edges.len());
-        for e in &edges {
-            b.add_edge(e.u, e.v, e.w);
-        }
-        assert_eq!(b.build(), erdos_renyi(500, 2000, 7));
+        assert_eq!(fingerprint(&built(500, edges)), want);
     }
 
     #[test]

@@ -377,11 +377,6 @@ impl<W: Write + Seek> BinaryWriter<W> {
         Ok(())
     }
 
-    /// Number of edges written so far.
-    pub fn edges_written(&self) -> u64 {
-        self.m
-    }
-
     /// Flushes the buffer, back-patches the header's edge count and
     /// returns the inner writer plus the final count. Dropping a writer
     /// without `finish` leaves a header claiming zero edges, which the
@@ -455,11 +450,6 @@ impl BinaryFileWriter {
             .as_mut()
             .expect("writer finished")
             .write_edges(edges)
-    }
-
-    /// Number of edges written so far.
-    pub fn edges_written(&self) -> u64 {
-        self.inner.as_ref().expect("writer finished").edges_written()
     }
 
     /// Flushes, fsyncs the temporary, atomically renames it onto the
@@ -914,7 +904,7 @@ mod tests {
         let mut w = BinaryWriter::new(Cursor::new(Vec::new()), 60).unwrap();
         let edges: Vec<Edge> = g.edges().collect();
         w.write_edges(&edges).unwrap();
-        assert_eq!(w.edges_written(), edges.len() as u64);
+        assert_eq!(w.m, edges.len() as u64);
         let (cur, m) = w.finish().unwrap();
         assert_eq!(m, edges.len() as u64);
         let buf = cur.into_inner();

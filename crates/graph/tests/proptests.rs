@@ -281,12 +281,12 @@ fn arbitrary_weight(rng: &mut SmallRng) -> f64 {
 /// The packed-`u64` MWE protocol is order-isomorphic to [`EdgeKey`]: for
 /// any batch of distinct-key edges proposed in any order, the cell
 /// converges to the `EdgeKey`-minimum edge. This is the proof obligation
-/// behind replacing the two-word `AtomicIndexMin` protocol — the high-32
-/// weight discriminant decides fast, and the exact-key fallback must agree
-/// with `EdgeKey` on every hi32 collision (equal weights, nearby weights
-/// sharing high bits, subnormals, infinities). With verbatim-duplicate
-/// edges the order needs a record id as well: under `(EdgeKey, id)` the
-/// fold over any permutation yields the unique minimum.
+/// behind a one-word argmin cell — the high-32 weight discriminant decides
+/// fast, and the exact-key fallback must agree with `EdgeKey` on every
+/// hi32 collision (equal weights, nearby weights sharing high bits,
+/// subnormals, infinities). With verbatim-duplicate edges the order needs
+/// a record id as well: under `(EdgeKey, id)` the fold over any
+/// permutation yields the unique minimum.
 #[test]
 fn packed_word_order_is_isomorphic_to_edge_key() {
     use llp_runtime::atomics::{mwe_idx, mwe_propose, weight_hi32, MWE_EMPTY};

@@ -7,8 +7,9 @@
 //! star: each node points directly at its root.
 //!
 //! This is the predicate's only definition. `llp-mst`'s LLP-Borůvka runs
-//! it through [`crate::solve_parallel`] on its parent array, in place and
-//! with relaxed atomics (the paper's "little to no synchronization" point).
+//! it through [`crate::solve_parallel`] on its parent array of atomic
+//! cells, in place and with relaxed loads and stores (the paper's "little
+//! to no synchronization" point).
 //! The starting vector must be a rooted forest: following parents from
 //! any node reaches a root, and every pointer is in range.
 
@@ -38,6 +39,7 @@ mod tests {
     use crate::solver::{solve_parallel, solve_sequential};
     use llp_runtime::rng::SmallRng;
     use llp_runtime::{ParallelForConfig, ThreadPool};
+    use std::sync::atomic::AtomicU32;
 
     /// The root each node reaches by walking pointers: Lemma 3's
     /// consequence, the reference both solvers must reproduce.
@@ -119,10 +121,11 @@ mod tests {
         assert_eq!(seq, want);
         let mut rounds = 0;
         for threads in [1, 4] {
-            let mut par = parent.to_vec();
+            let par: Vec<AtomicU32> = parent.iter().map(|&p| AtomicU32::new(p)).collect();
             let pool = ThreadPool::new(threads);
             let cfg = ParallelForConfig::with_grain(16);
-            let stats = solve_parallel(&Lemma3 { input: parent }, &mut par, &pool, cfg).unwrap();
+            let stats = solve_parallel(&Lemma3 { input: parent }, &par, &pool, cfg).unwrap();
+            let par: Vec<u32> = par.into_iter().map(AtomicU32::into_inner).collect();
             assert_eq!(par, want, "{threads} threads");
             if threads == 1 {
                 assert_eq!(stats, seq_stats);

@@ -2,9 +2,8 @@
 //! parallel engine.
 
 use crate::problem::LlpProblem;
-use llp_runtime::atomics::as_atomic_u32;
 use llp_runtime::{parallel_for_chunks, ParallelForConfig, ThreadPool};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 /// Why a solve failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,8 +78,9 @@ pub fn solve_sequential<P: LlpProblem>(
 /// `forbidden(G, j)` in parallel: `G[j] := advance(G, j)`" over the pool
 /// until a sweep finds no index forbidden.
 ///
-/// The sweep is unsynchronised: each index reads the live vector with
-/// relaxed loads and stores its advance with a relaxed store. For a
+/// The caller owns the vector as atomic cells, so the engine needs no view
+/// or cast. The sweep is unsynchronised: each index reads the live vector
+/// with relaxed loads and stores its advance with a relaxed store. For a
 /// lattice-linear predicate this is sound (for pointer jumping, the
 /// paper's §VI Lemmas 3/4): the vector only moves up, an index stays
 /// forbidden until it advances itself, and a sweep that advances nothing
@@ -93,13 +93,12 @@ pub fn solve_sequential<P: LlpProblem>(
 /// forbidden when its advance is stored, and none is forbidden on return.
 pub fn solve_parallel<P: LlpProblem<State = u32>>(
     problem: &P,
-    g: &mut [u32],
+    g: &[AtomicU32],
     pool: &ThreadPool,
     cfg: ParallelForConfig,
 ) -> Result<LlpStats, LlpError> {
     let n = g.len();
-    let cells = as_atomic_u32(g);
-    let read = |i: usize| cells[i].load(Ordering::Relaxed);
+    let read = |i: usize| g[i].load(Ordering::Relaxed);
     let mut stats = LlpStats::default();
     loop {
         stats.rounds += 1;
@@ -120,7 +119,7 @@ pub fn solve_parallel<P: LlpProblem<State = u32>>(
                     problem.forbidden(read, j),
                     "index {j} advanced while not forbidden"
                 );
-                cells[j].store(next, Ordering::Relaxed);
+                g[j].store(next, Ordering::Relaxed);
                 local += 1;
             }
             if local > 0 {
@@ -189,6 +188,14 @@ mod tests {
         ParallelForConfig::with_grain(8)
     }
 
+    fn cells(g: &[u32]) -> Vec<AtomicU32> {
+        g.iter().map(|&x| AtomicU32::new(x)).collect()
+    }
+
+    fn values(g: Vec<AtomicU32>) -> Vec<u32> {
+        g.into_iter().map(AtomicU32::into_inner).collect()
+    }
+
     #[test]
     fn parallel_matches_sequential() {
         let p = AtLeast {
@@ -204,9 +211,9 @@ mod tests {
         assert_eq!(seq_stats.advances, gaps.sum());
         for threads in [1, 4] {
             let pool = ThreadPool::new(threads);
-            let mut par = start.clone();
-            let par_stats = solve_parallel(&p, &mut par, &pool, cfg()).unwrap();
-            assert_eq!(seq, par, "{threads} threads");
+            let par = cells(&start);
+            let par_stats = solve_parallel(&p, &par, &pool, cfg()).unwrap();
+            assert_eq!(seq, values(par), "{threads} threads");
             // Every index advances alone, so the count is schedule-free.
             assert_eq!(seq_stats.advances, par_stats.advances);
         }
@@ -224,7 +231,7 @@ mod tests {
         );
         let pool = ThreadPool::new(2);
         assert_eq!(
-            solve_parallel(&p, &mut [0], &pool, cfg()).unwrap_err(),
+            solve_parallel(&p, &cells(&[0]), &pool, cfg()).unwrap_err(),
             LlpError::Infeasible { index: 0 }
         );
     }
@@ -240,9 +247,9 @@ mod tests {
         assert!(seq_stats.rounds <= 3);
         for threads in [1, 3] {
             let pool = ThreadPool::new(threads);
-            let mut par = vec![0; 50];
-            let par_stats = solve_parallel(&p, &mut par, &pool, cfg()).unwrap();
-            assert_eq!(seq, par, "{threads} threads");
+            let par = cells(&[0; 50]);
+            let par_stats = solve_parallel(&p, &par, &pool, cfg()).unwrap();
+            assert_eq!(seq, values(par), "{threads} threads");
             if threads == 1 {
                 assert_eq!(par_stats, seq_stats);
             }
@@ -256,7 +263,7 @@ mod tests {
             top: 0,
         };
         assert_eq!(solve_sequential(&p, &mut []).unwrap().advances, 0);
-        let stats = solve_parallel(&p, &mut [], &ThreadPool::new(2), cfg()).unwrap();
+        let stats = solve_parallel(&p, &[], &ThreadPool::new(2), cfg()).unwrap();
         assert_eq!((stats.rounds, stats.advances), (1, 0));
     }
 
@@ -279,6 +286,6 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "advance must change G[0]")]
     fn debug_build_rejects_an_advance_that_does_not_move() {
-        let _ = solve_parallel(&Stuck, &mut [0], &ThreadPool::new(1), cfg());
+        let _ = solve_parallel(&Stuck, &cells(&[0]), &ThreadPool::new(1), cfg());
     }
 }

@@ -1,14 +1,13 @@
 //! Atomic utilities for priority writes.
 //!
-//! The MST algorithms need atomic min-by-key writes, which the standard
-//! library does not provide directly: LLP-Prim's relaxation writes the
-//! *index* of the best incoming arc per vertex ([`AtomicIndexMin`]), and the
-//! Boruvka family's minimum-weight-edge selection writes a packed
-//! weight/index word per component ([`mwe_propose`]). GBBS calls this a
-//! `priority_write`.
+//! The MST algorithms need an atomic min-by-key write, which the standard
+//! library does not provide directly; GBBS calls it a `priority_write`.
+//! Every argmin cell in the workspace is one packed MWE word
+//! ([`mwe_propose`]): the Boruvka family's per-component minimum-weight
+//! edge, and LLP-Prim's best incoming arc per vertex.
 //!
-//! Both are built on compare-exchange loops over `AtomicU64`, keyed through
-//! an order-preserving bijection between `f64` and `u64`.
+//! The word is keyed through an order-preserving bijection between `f64`
+//! and `u64` ([`f64_to_ordered`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -37,87 +36,11 @@ pub fn ordered_to_f64(bits: u64) -> f64 {
     }
 }
 
-/// Sentinel meaning "no index written yet" in [`AtomicIndexMin`].
-pub const NO_INDEX: u64 = u64::MAX;
-
-/// Atomic "argmin" cell: stores the index whose key is smallest so far.
-///
-/// This is the GBBS `priority_write` idiom: concurrent writers propose
-/// indices, the cell keeps whichever index has the smallest key under the
-/// caller-supplied key function. The key function must be pure for the
-/// duration of the operation (in MST use it reads immutable edge weights).
-pub struct AtomicIndexMin {
-    idx: AtomicU64,
-}
-
-impl Default for AtomicIndexMin {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl AtomicIndexMin {
-    /// Creates an empty cell ([`NO_INDEX`]).
-    #[inline]
-    pub fn new() -> Self {
-        AtomicIndexMin {
-            idx: AtomicU64::new(NO_INDEX),
-        }
-    }
-
-    /// Loads the current winning index, or [`NO_INDEX`] if none.
-    #[inline]
-    pub fn load(&self, order: Ordering) -> u64 {
-        self.idx.load(order)
-    }
-
-    /// Proposes `candidate`; keeps whichever of {current, candidate} has the
-    /// smaller `key`. Returns `true` if `candidate` won.
-    ///
-    /// Ties must be impossible (the MST crates compare by a strict total
-    /// order over edges); equal keys keep the incumbent.
-    pub fn propose_min_by<K, F>(&self, candidate: u64, key: F) -> bool
-    where
-        K: Ord,
-        F: Fn(u64) -> K,
-    {
-        debug_assert_ne!(candidate, NO_INDEX, "NO_INDEX is reserved");
-        let cand_key = key(candidate);
-        let mut cur = self.idx.load(Ordering::Relaxed);
-        loop {
-            if cur != NO_INDEX && key(cur) <= cand_key {
-                return false;
-            }
-            match self.idx.compare_exchange_weak(
-                cur,
-                candidate,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for AtomicIndexMin {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let v = self.load(Ordering::Relaxed);
-        if v == NO_INDEX {
-            write!(f, "AtomicIndexMin(empty)")
-        } else {
-            write!(f, "AtomicIndexMin({v})")
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Packed MWE (minimum-weight-edge) words.
 //
-// The Boruvka family's per-component argmin cell used to be an
-// [`AtomicIndexMin`] whose key function chased `edge index -> EdgeKey`
-// through two extra cache lines on every propose. The packed protocol folds
+// An argmin cell that stores only an index must chase `index -> key`
+// through extra cache lines on every propose. The packed protocol folds
 // the discriminating 32 bits of the weight into the atomic word itself:
 //
 //     word = (weight_hi32 << 32) | edge_index
@@ -126,8 +49,8 @@ impl std::fmt::Debug for AtomicIndexMin {
 // encoding. Because that encoding is monotone, `a.whi < b.whi` implies
 // weight(a) < weight(b), so almost every propose resolves with one atomic
 // load and an integer compare. Only a tie in the high 32 bits (equal raw
-// weights, or weights closer than 2^-20 relative) falls back to the exact
-// `EdgeKey` comparison — preserving the strict total edge order every
+// weights, or weights closer than 2^-20 relative) falls back to the
+// caller's exact key — preserving the strict total edge order every
 // algorithm's canonical-MSF cross-check depends on.
 
 /// Empty packed MWE cell. Distinct from every real candidate word: a
@@ -157,7 +80,7 @@ pub fn mwe_idx(word: u64) -> u32 {
 
 /// Weight-discriminant half of a packed MWE word.
 #[inline]
-pub fn mwe_whi(word: u64) -> u32 {
+fn mwe_whi(word: u64) -> u32 {
     (word >> 32) as u32
 }
 
@@ -165,9 +88,11 @@ pub fn mwe_whi(word: u64) -> u32 {
 ///
 /// Keeps whichever edge is smaller under the exact total order: the high-bit
 /// fast path decides strictly different discriminants without touching edge
-/// data; a discriminant tie is broken by `exact_key(edge index)` (the full
-/// `EdgeKey`). Equal exact keys keep the incumbent, so re-proposing the
-/// current winner returns `false`. Returns `true` when `idx` won the cell.
+/// data; a discriminant tie is broken by `exact_key(edge index)`, a total
+/// order whose first component orders like the weight (the Boruvka
+/// family's `(EdgeKey, edge id)`, LLP-Prim's `(weight, arc source)`).
+/// Equal exact keys keep the incumbent, so re-proposing the current winner
+/// returns `false`. Returns `true` when `idx` won the cell.
 pub fn mwe_propose<K, F>(cell: &AtomicU64, whi: u32, idx: u32, exact_key: F) -> bool
 where
     K: Ord,
@@ -194,20 +119,6 @@ where
             Err(actual) => cur = actual,
         }
     }
-}
-
-/// Views a mutable `u32` slice as atomics.
-///
-/// The exclusive borrow guarantees no other non-atomic access for the
-/// returned lifetime, and `AtomicU32` has the same size and alignment as
-/// `u32`, so the cast is sound. It lets `llp_core::solve_parallel` advance
-/// a caller's plain `&mut [u32]` lattice state with relaxed atomics.
-#[inline]
-pub fn as_atomic_u32(slice: &mut [u32]) -> &[std::sync::atomic::AtomicU32] {
-    // SAFETY: AtomicU32 has the same size and alignment as u32 (per std
-    // docs for AtomicU32::from_mut_slice), and the &mut borrow excludes
-    // all other access during the shared lifetime.
-    unsafe { &*(slice as *mut [u32] as *const [std::sync::atomic::AtomicU32]) }
 }
 
 #[cfg(test)]
@@ -245,34 +156,6 @@ mod tests {
             let y = ordered_to_f64(f64_to_ordered(x));
             assert_eq!(x.to_bits(), y.to_bits());
         }
-    }
-
-    #[test]
-    fn index_min_keeps_smallest_key() {
-        let keys = [9u64, 3, 7, 1, 5];
-        let cell = AtomicIndexMin::new();
-        for i in 0..keys.len() as u64 {
-            cell.propose_min_by(i, |j| keys[j as usize]);
-        }
-        assert_eq!(cell.load(Ordering::Relaxed), 3); // index of key 1
-    }
-
-    #[test]
-    fn index_min_concurrent() {
-        let pool = ThreadPool::new(4);
-        let n = 100_000u64;
-        let cell = AtomicIndexMin::new();
-        crate::parallel_for(
-            &pool,
-            0..n as usize,
-            crate::ParallelForConfig::with_grain(512),
-            |i| {
-                let i = i as u64;
-                // key descends with i, so the max index wins
-                cell.propose_min_by(i, |j| n - j);
-            },
-        );
-        assert_eq!(cell.load(Ordering::Relaxed), n - 1);
     }
 
     #[test]
@@ -352,17 +235,5 @@ mod tests {
             .min()
             .unwrap();
         assert_eq!(mwe_idx(cell.load(Ordering::Relaxed)), best.1);
-    }
-
-    #[test]
-    fn atomic_slice_view_shares_storage() {
-        let mut buf = vec![0u32; 8];
-        {
-            let cells = as_atomic_u32(&mut buf);
-            cells[0].store(7, Ordering::Relaxed);
-            cells[7].fetch_add(1, Ordering::Relaxed);
-        }
-        assert_eq!(buf[0], 7);
-        assert_eq!(buf[7], 1);
     }
 }

@@ -114,7 +114,7 @@ pub fn connection_classes(classes: u32) -> u32 {
 /// Hashes a site name into the decision stream, so distinct wrap points
 /// (e.g. the sharded reader vs. a serve socket) draw independent faults
 /// under the same seed.
-pub fn site_hash(site: &str) -> u64 {
+fn site_hash(site: &str) -> u64 {
     // FNV-1a: stable across runs and platforms, no allocation.
     let mut h: u64 = 0xCBF29CE484222325;
     for &b in site.as_bytes() {

@@ -22,8 +22,8 @@
 //!   arrays' capacity from round to round.
 //! * [`Bag`] — a per-thread insert bag (Galois `InsertBag` analogue) used to
 //!   collect next-round frontiers without synchronization on the hot path.
-//! * [`atomics`] — order-preserving float encodings, atomic fetch-min by
-//!   key (GBBS `priority_write` analogue) and packed MWE words.
+//! * [`atomics`] — order-preserving float encodings and the packed MWE
+//!   word, the one atomic argmin cell (GBBS `priority_write` analogue).
 //! * [`scan`] — exclusive prefix sum and the exactly-once parallel pack.
 //! * [`partition`] — scan-based counting distribution (stable parallel
 //!   three-way partition and parallel retain: Filter-Kruskal's pivot
@@ -45,7 +45,7 @@
 //! All three are always compiled in. Chaos and faults fire only while a
 //! seed is set (`LLP_CHAOS_SEED` / `LLP_FAULT_SEED`, or their `set_seed`),
 //! telemetry only while `LLP_TELEMETRY` or `telemetry::set_enabled` turns
-//! it on; switched off, each hook is a relaxed atomic load and a branch.
+//! it on; switched off, each hook is an atomic load and a branch.
 
 pub mod atomics;
 pub mod bag;

@@ -25,7 +25,8 @@ pub const MIN_DERIVED_GRAIN: usize = 64;
 pub struct ParallelForConfig {
     /// Number of consecutive indices claimed per atomic fetch. `None`
     /// (the default) derives a grain from the range length and thread
-    /// count at call time — see [`ParallelForConfig::resolve_grain`].
+    /// count at call time: about 8 chunks per thread, and at least
+    /// [`MIN_DERIVED_GRAIN`] indices.
     pub grain: Option<usize>,
 }
 
@@ -46,7 +47,7 @@ impl ParallelForConfig {
     /// few times larger than a fixed grain (the old hard-coded 1024 ran
     /// a 4096-element range as 4 chunks, which one worker often swallowed
     /// whole) — clamped to a floor of [`MIN_DERIVED_GRAIN`].
-    pub fn resolve_grain(&self, len: usize, nthreads: usize) -> usize {
+    fn resolve_grain(&self, len: usize, nthreads: usize) -> usize {
         match self.grain {
             Some(g) => g.max(1),
             None => (len / (nthreads.max(1) * 8)).max(MIN_DERIVED_GRAIN),

@@ -17,14 +17,16 @@ use llp_mst_suite::llp::instances::PointerJump;
 use llp_mst_suite::llp::solve_parallel;
 use llp_mst_suite::mst::spec::LlpPrimSpec;
 use llp_mst_suite::prelude::*;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 fn main() {
     let pool = ThreadPool::with_available_threads();
 
     // 1. Pointer jumping: forbidden(j) ≡ G[j] != G[G[j]] — Lemma 3/4 of
     // the paper, the synchronization-free core of LLP-Boruvka.
-    let mut chain = vec![0, 0, 1, 2, 3, 4, 5, 6];
-    let stats = solve_parallel(&PointerJump, &mut chain, &pool, Default::default()).unwrap();
+    let chain: Vec<AtomicU32> = [0, 0, 1, 2, 3, 4, 5, 6].map(AtomicU32::new).into();
+    let stats = solve_parallel(&PointerJump, &chain, &pool, Default::default()).unwrap();
+    let chain: Vec<u32> = chain.iter().map(|p| p.load(Ordering::Relaxed)).collect();
     println!(
         "pointer jumping flattened an 8-chain to a star in {} rounds: {:?}",
         stats.rounds, chain

@@ -6,6 +6,7 @@ use llp_mst_suite::llp::{solve_parallel, solve_sequential};
 use llp_mst_suite::mst::spec::LlpPrimSpec;
 use llp_mst_suite::prelude::*;
 use llp_mst_suite::runtime::ParallelForConfig;
+use std::sync::atomic::AtomicU32;
 
 /// §IV: "the edges are added to the tree in the order 4, 3, 7, 2" (Prim
 /// from vertex a).
@@ -86,10 +87,11 @@ fn fig1_round1_pointer_jump_roots() {
 fn pointer_jump_parallel_equals_sequential_on_deep_trees() {
     let n = 500u32;
     let mut seq: Vec<u32> = (0..n).map(|v| v.saturating_sub(1)).collect();
-    let mut par = seq.clone();
+    let par: Vec<AtomicU32> = seq.iter().map(|&p| AtomicU32::new(p)).collect();
     let (pool, cfg) = (ThreadPool::new(4), ParallelForConfig::with_grain(16));
     solve_sequential(&PointerJump, &mut seq).unwrap();
-    let stats = solve_parallel(&PointerJump, &mut par, &pool, cfg);
+    let stats = solve_parallel(&PointerJump, &par, &pool, cfg);
+    let par: Vec<u32> = par.into_iter().map(AtomicU32::into_inner).collect();
     assert_eq!(seq, par);
     assert!(stats.unwrap().rounds <= 2 + n.ilog2() as u64);
 }

@@ -9,12 +9,12 @@
 use std::path::{Path, PathBuf};
 
 /// Non-test `unsafe {` / `unsafe impl` sites allowed under `crates/*/src`:
-/// the thread pool's task erasure (2) and `atomics::as_atomic_u32` (1),
-/// the view behind `llp_core::solve_parallel(&mut [u32])`. Every parallel
-/// write is safe code: disjoint `&mut` parts handed out by
-/// `llp_runtime::parallel_for_each`. Lower this when a site goes; never
-/// raise it to admit a new one that a safe rewrite would avoid.
-const NON_TEST_UNSAFE_CEILING: usize = 3;
+/// the thread pool's task erasure (2). Every parallel write is safe code:
+/// disjoint `&mut` parts handed out by `llp_runtime::parallel_for_each`,
+/// or atomic cells the caller owns (`llp_core::solve_parallel` advances a
+/// `&[AtomicU32]`). Lower this when a site goes; never raise it to admit a
+/// new one that a safe rewrite would avoid.
+const NON_TEST_UNSAFE_CEILING: usize = 2;
 
 /// 1-based lines of `src` holding a non-test `unsafe {` or `unsafe impl`,
 /// each with whether a `SAFETY:` comment sits just above it.
